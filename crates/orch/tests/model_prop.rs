@@ -3,13 +3,19 @@
 //! thread count must never leak into it — and the default
 //! `SingleBitFlip` model is byte-identical to the pre-model injector,
 //! pinned by a store fixture generated before the model layer existed.
+//! A second fixture pins every experiment path (plain, traced, pruned;
+//! value and engine models) record for record.
 
 use proptest::prelude::*;
 use std::path::Path;
 use std::sync::OnceLock;
 
 use vir::analysis::SiteCategory;
-use vulfi::{prepare, run_study, FaultModel, StudyConfig, StudyResult, Workload};
+use vulfi::{
+    build_prune_context, campaign_seed, prepare, run_experiment_range, run_experiment_range_pruned,
+    run_experiment_range_traced, run_study, Experiment, ExperimentTrace, FaultModel, StudyConfig,
+    StudyResult, Workload,
+};
 use vulfi_orch::{run_study_persistent, set_jobs, RunOptions, Store};
 
 /// One representative of each fault-model kind, parameters included, so
@@ -167,4 +173,109 @@ fn single_bit_flip_matches_pre_model_fixture() {
         "fixture-era outcome tallies"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every experiment path of one fault model over one campaign slice.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct ModelPaths {
+    model: String,
+    /// `run_experiment_range` records.
+    records: Vec<Experiment>,
+    /// `run_experiment_range_traced` spans, `wall_ns` zeroed.
+    spans: Vec<ExperimentTrace>,
+}
+
+/// One input's golden census as the pruner sees it.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct CensusPin {
+    golden_dyn_insts: u64,
+    site_log_len: u64,
+}
+
+/// The committed `experiment_paths.json` fixture: records and spans of
+/// all seven models, the pruned single-bit-flip records, and the prune
+/// census, for campaign 0 (experiments `0..20`) of the workload and seed
+/// of `single_bit_flip_matches_pre_model_fixture`.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct ExperimentPaths {
+    models: Vec<ModelPaths>,
+    pruned: Vec<Experiment>,
+    census: Vec<CensusPin>,
+}
+
+fn experiment_paths_fixture() -> std::path::PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/experiment_paths.json")
+}
+
+fn experiment_paths() -> ExperimentPaths {
+    let w = vbench::micro_benchmark("vector sum", spmdc::VectorIsa::Avx, vbench::Scale::Test)
+        .expect("fixture benchmark exists");
+    let seed = campaign_seed(7, 0);
+    let models = MODELS
+        .iter()
+        .map(|&model| {
+            let mut prog = prepare(&w, SiteCategory::PureData).unwrap();
+            prog.model = model;
+            let records = run_experiment_range(&prog, &w, seed, 0..20).unwrap();
+            let (traced, mut spans) = run_experiment_range_traced(&prog, &w, seed, 0..20).unwrap();
+            assert_eq!(traced, records, "{model}: tracing must not perturb records");
+            for s in &mut spans {
+                s.wall_ns = 0;
+            }
+            ModelPaths {
+                model: model.name(),
+                records,
+                spans,
+            }
+        })
+        .collect();
+    let prog = prepare(&w, SiteCategory::PureData).unwrap();
+    let ctx = build_prune_context(&prog, &w).unwrap();
+    let pruned = run_experiment_range_pruned(&prog, &w, &ctx, seed, 0..20).unwrap();
+    let census = ctx
+        .census
+        .iter()
+        .map(|c| CensusPin {
+            golden_dyn_insts: c.golden_dyn_insts,
+            site_log_len: c.trace.len() as u64,
+        })
+        .collect();
+    ExperimentPaths {
+        models,
+        pruned,
+        census,
+    }
+}
+
+/// Every experiment path (plain, traced and pruned range runners, value
+/// and engine models) must reproduce the records and spans pinned in
+/// `tests/fixtures/experiment_paths.json`: the same RNG draws, the same
+/// outcomes, the same injection coordinates and propagation profiles.
+#[test]
+fn experiment_paths_match_committed_fixture() {
+    let text = std::fs::read_to_string(experiment_paths_fixture())
+        .expect("committed experiment_paths.json fixture");
+    let pinned: ExperimentPaths = serde_json::from_str(&text).unwrap();
+    let fresh = experiment_paths();
+    assert_eq!(pinned.models.len(), MODELS.len());
+    for (old, new) in pinned.models.iter().zip(&fresh.models) {
+        assert_eq!(old.model, new.model);
+        assert_eq!(old.records, new.records, "{} records", old.model);
+        assert_eq!(old.spans, new.spans, "{} spans", old.model);
+    }
+    assert_eq!(
+        pinned.pruned, fresh.pruned,
+        "pruned single-bit-flip records"
+    );
+    assert_eq!(pinned.census, fresh.census, "prune census");
+}
+
+/// Rewrites the fixture from the current code. Run it only to re-pin a
+/// deliberate behaviour change:
+/// `cargo test -p vulfi-orch --test model_prop -- --ignored regenerate_experiment_paths_fixture`
+#[test]
+#[ignore = "rewrites tests/fixtures/experiment_paths.json"]
+fn regenerate_experiment_paths_fixture() {
+    let text = serde_json::to_string_pretty(&experiment_paths()).unwrap();
+    std::fs::write(experiment_paths_fixture(), text + "\n").unwrap();
 }
