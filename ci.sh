@@ -4,6 +4,13 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release --workspace
+# The benchmark package (crates/bench/benchmark) has its own workspace,
+# so `cargo test --workspace` never reaches it. Its tests are the only
+# check of the runner names it calls and of its outside replay (replayed
+# outcome == stored record). Building it under target/ makes its serve
+# tests use the fresh target/release/vulfi, not a stale .bench_build one.
+CARGO_TARGET_DIR="$PWD/target/benchmark-pkg" cargo test -q --offline \
+    --manifest-path crates/bench/benchmark/Cargo.toml
 cargo test -q --workspace
 # Chaos suite (bounded iterations): kill/corrupt/fsck/resume loops must
 # stay bit-identical. Already part of the workspace run above; kept as

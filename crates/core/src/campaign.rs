@@ -11,7 +11,17 @@
 //!   `stats::study_converged` fires (the paper observed 20 campaigns
 //!   suffice everywhere).
 //!
-//! Experiments are embarrassingly parallel; campaigns fan out over rayon.
+//! Every experiment takes one path, whatever its fault model or driver:
+//! `draw` fixes the RNG order (input, then target and entropy), which
+//! discharged experiments replay without executing; `golden_run` is the
+//! one fault-free run (also behind [`build_prune_context`] and
+//! [`measure_dyn_insts`]); `run_body` is the one experiment body, for
+//! value and engine injectors alike; and [`run_range`] is the one range
+//! driver, optionally pruned or traced, which also counts the engine
+//! panics it contains. Experiments are embarrassingly parallel:
+//! [`run_campaign`] maps the driver's per-experiment step over rayon.
+
+use std::time::Instant;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -27,7 +37,7 @@ use crate::instrument::{instrument_module, InstrumentOptions, Instrumented};
 use crate::runtime::{InjectionRecord, VulfiHost};
 use crate::sites::StaticSite;
 use crate::stats::{study_converged, StudySummary};
-use crate::trace::TraceCapture;
+use crate::trace::{build_trace, ExperimentTrace, TraceCapture};
 use crate::workload::{snapshot_outputs, Workload};
 
 /// Outcome classification of one experiment (paper §IV-B).
@@ -160,28 +170,38 @@ pub fn run_experiment(
     workload: &dyn Workload,
     rng: &mut ChaCha8Rng,
 ) -> Result<Experiment, CampaignError> {
-    run_experiment_tagged(prog, workload, rng, None, None)
+    let engine = prog.model.engine_model();
+    run_contained(prog, engine, workload, rng, None, false).map(|ran| ran.experiment)
+}
+
+/// One experiment as the range driver sees it.
+struct Ran {
+    experiment: Experiment,
+    span: Option<ExperimentTrace>,
+    /// The engine panicked and `experiment` is the contained Crash.
+    engine_fault: bool,
 }
 
 /// [`run_experiment`] with panic provenance `(campaign_seed, index)` and
-/// an optional propagation-trace capture (see [`crate::trace`]). Tracing
-/// never changes the experiment result: the capture only observes.
-pub(crate) fn run_experiment_tagged(
+/// an optional trace span. Tracing never changes the record: the span
+/// only observes.
+fn run_contained(
     prog: &Prepared,
+    engine: Option<vexec::EngineModel>,
     workload: &dyn Workload,
     rng: &mut ChaCha8Rng,
     provenance: Option<(u64, usize)>,
-    mut capture: Option<&mut TraceCapture>,
-) -> Result<Experiment, CampaignError> {
-    // Draw the input OUTSIDE the isolated body: a panicking experiment
-    // must still produce a deterministic record, identical whether it ran
-    // via run_study or any shard partition.
-    let input = rng.gen_range(0..workload.num_inputs().max(1));
-    let body = std::panic::AssertUnwindSafe(|| {
-        run_experiment_body(prog, workload, rng, input, capture.as_deref_mut())
-    });
-    match std::panic::catch_unwind(body) {
-        Ok(result) => result,
+    traced: bool,
+) -> Result<Ran, CampaignError> {
+    let started = traced.then(Instant::now);
+    // The body reports its input before anything can panic, so a
+    // panicking experiment still produces a deterministic record,
+    // identical whether it ran via run_study or any shard partition.
+    let mut input = 0;
+    let body =
+        std::panic::AssertUnwindSafe(|| run_body(prog, engine, workload, rng, traced, &mut input));
+    let (experiment, capture, engine_fault) = match std::panic::catch_unwind(body) {
+        Ok(result) => result.map(|(experiment, capture)| (experiment, capture, false))?,
         Err(payload) => {
             let fault = EngineFault {
                 workload: workload.name().to_string(),
@@ -192,92 +212,83 @@ pub(crate) fn run_experiment_tagged(
             if strict() {
                 return Err(CampaignError(format!("strict mode: {fault}")));
             }
-            // A capture interrupted mid-experiment holds partial state;
-            // reset it to describe what is actually known: the engine
-            // died, which the outside world sees as a crash.
-            if let Some(cap) = capture {
-                *cap = TraceCapture {
-                    trap: Some(format!("engine panic: {}", fault.message)),
-                    ..TraceCapture::default()
-                };
-            }
+            // All that is known is that the engine died, which the
+            // outside world sees as a crash of the faulted program.
+            let capture = TraceCapture {
+                trap: Some(format!("engine panic: {}", fault.message)),
+                ..TraceCapture::default()
+            };
             record_engine_fault(fault);
-            // The engine died mid-experiment: from the outside that is a
-            // crash of the faulted program. No injection record or site
-            // counts survive the unwind, so the record carries zeros.
-            Ok(Experiment {
-                outcome: Outcome::Crash,
-                detected: false,
-                injection: None,
-                input,
-                dynamic_sites: 0,
-                golden_dyn_insts: 0,
-            })
+            (no_injection(Outcome::Crash, input, 0, 0), capture, true)
         }
-    }
+    };
+    let index = provenance.map_or(0, |(_, i)| i);
+    let span = started.map(|t| build_trace(prog, index, &experiment, &capture, t));
+    Ok(Ran {
+        experiment,
+        span,
+        engine_fault,
+    })
 }
 
-fn run_experiment_body(
+/// The experiment body: golden run, target draw, faulty run, compare.
+/// `engine` is the injector family of `prog.model`: a value model
+/// (`None`) injects through [`VulfiHost::inject_model`] and its census is
+/// the dynamic fault sites; an engine model corrupts interpreter state
+/// through a [`vexec::EngineInjector`] that counts its census on the
+/// golden run.
+fn run_body(
     prog: &Prepared,
+    engine: Option<vexec::EngineModel>,
     workload: &dyn Workload,
     rng: &mut ChaCha8Rng,
-    input: u64,
-    mut capture: Option<&mut TraceCapture>,
-) -> Result<Experiment, CampaignError> {
-    if prog.model.is_engine_model() {
-        return run_experiment_engine(prog, workload, rng, input, capture);
-    }
-    // --- Golden run -------------------------------------------------------
+    traced: bool,
+    drawn_input: &mut u64,
+) -> Result<(Experiment, TraceCapture), CampaignError> {
     // When tracing, the golden run records the architectural event stream
     // (stores, branch decisions, return value) the faulty run will be
     // compared against. The sink only observes, so traced and untraced
     // experiments are bit-identical.
-    let mut golden_tracer = capture.is_some().then(vexec::DivergenceTracer::record);
-    let mut interp = Interp::new(&prog.module);
-    let setup = workload
-        .setup(&mut interp.mem, input)
-        .map_err(|t| CampaignError(format!("setup failed: {t}")))?;
-    if let Some(t) = golden_tracer.as_mut() {
-        interp.set_trace_sink(t);
-    }
-    let mut golden_host = VulfiHost::profile();
-    let golden = interp
-        .run(&prog.entry, &setup.args, &mut golden_host)
-        .map_err(|t| CampaignError(format!("golden run of {} trapped: {t}", workload.name())))?;
-    let golden_out = snapshot_outputs(&interp.mem, &setup.outputs, &golden.ret)
-        .map_err(|t| CampaignError(format!("golden snapshot failed: {t}")))?;
-    let n_sites = golden_host.dynamic_sites;
-
-    if n_sites == 0 {
-        // Nothing to inject into under this category for this input.
-        if let Some(cap) = capture.as_deref_mut() {
-            *cap = TraceCapture::default();
-        }
-        return Ok(Experiment {
-            outcome: Outcome::Benign,
-            detected: false,
-            injection: None,
-            input,
-            dynamic_sites: 0,
-            golden_dyn_insts: golden.dyn_insts,
-        });
-    }
+    let mut recorder = traced.then(vexec::DivergenceTracer::record);
+    let (module, entry) = (&prog.module, prog.entry.as_str());
+    let draw = draw(rng, workload.num_inputs(), |input| {
+        *drawn_input = input;
+        let (host, rec) = (VulfiHost::profile(), recorder.as_mut());
+        let g = golden_run(module, entry, workload, input, host, rec, engine)?;
+        let n = match engine {
+            None => g.host.dynamic_sites,
+            // A memory cell can be upset at any golden dynamic instruction.
+            Some(vexec::EngineModel::MemoryCell) => g.dyn_insts,
+            Some(_) => g.engine_events,
+        };
+        Ok((g, n))
+    })?;
+    let golden = draw.census;
+    let Some((target, entropy)) = draw.pick else {
+        // Nothing to inject into for this input: no dynamic site under
+        // this category, or an empty engine-event census.
+        let e = no_injection(Outcome::Benign, draw.input, 0, golden.dyn_insts);
+        return Ok((e, TraceCapture::default()));
+    };
 
     // --- Faulty run -------------------------------------------------------
-    let target = rng.gen_range(1..=n_sites);
-    let bit_entropy: u64 = rng.gen();
-    let mut faulty_tracer = golden_tracer
-        .take()
-        .map(|t| vexec::DivergenceTracer::compare(t.into_stream()));
-    let mut interp = Interp::new(&prog.module);
+    let mut comparer = recorder.map(|t| vexec::DivergenceTracer::compare(t.into_stream()));
+    let mut injector = engine.map(|m| vexec::EngineInjector::inject(m, target, entropy));
+    // Under an engine model the host still serves detector checks; it
+    // never injects.
+    let mut host = match engine {
+        Some(_) => VulfiHost::profile(),
+        None => VulfiHost::inject_model(target, entropy, prog.model),
+    };
+    let mut interp = Interp::new(module);
     interp.set_budget(
         golden
             .dyn_insts
             .saturating_mul(prog.limits.hang_factor)
             .saturating_add(prog.limits.hang_slack),
     );
-    let setup2 = workload
-        .setup(&mut interp.mem, input)
+    let setup = workload
+        .setup(&mut interp.mem, draw.input)
         .map_err(|t| CampaignError(format!("setup failed: {t}")))?;
     // Ceilings go on after setup: workload-provided buffers are
     // legitimate; the ceilings bound what the *faulted program* does.
@@ -287,200 +298,163 @@ fn run_experiment_body(
     if prog.limits.mem_bytes > 0 {
         interp.set_memory_limit(prog.limits.mem_bytes);
     }
-    if let Some(t) = faulty_tracer.as_mut() {
+    if let Some(t) = comparer.as_mut() {
         interp.set_trace_sink(t);
     }
-    let mut host = VulfiHost::inject_model(target, bit_entropy, prog.model);
-    let result = interp.run(&prog.entry, &setup2.args, &mut host);
+    if let Some(inj) = injector.as_mut() {
+        interp.set_engine_injector(inj);
+    }
+    let result = interp.run(entry, &setup.args, &mut host);
     let faulty_dyn_insts = interp.executed();
-
-    let (outcome, detected) = match &result {
+    let outcome = match &result {
         Err(Trap::HostError(m)) => return Err(CampaignError(format!("runtime bug: {m}"))),
-        Err(_) => (Outcome::Crash, host.detectors.detected()),
+        Err(_) => Outcome::Crash,
         Ok(r) => {
-            let out = snapshot_outputs(&interp.mem, &setup2.outputs, &r.ret)
+            let out = snapshot_outputs(&interp.mem, &setup.outputs, &r.ret)
                 .map_err(|t| CampaignError(format!("faulty snapshot failed: {t}")))?;
-            if out == golden_out {
-                (Outcome::Benign, host.detectors.detected())
+            if out == golden.outputs {
+                Outcome::Benign
             } else {
-                (Outcome::Sdc, host.detectors.detected())
+                Outcome::Sdc
             }
         }
     };
-    if let Some(cap) = capture {
-        let divergence = faulty_tracer.map(|mut t| {
+    drop(interp);
+
+    let detected = host.detectors.detected();
+    let (injection, injected_at) = match injector.and_then(|inj| inj.injection()) {
+        // Engine faults have no static site or lane; site_id 0 marks the
+        // synthetic provenance, occurrence is the index in the event census.
+        Some(inj) => (
+            Some(InjectionRecord {
+                site_id: 0,
+                lane: 0,
+                occurrence: inj.event,
+                bit: inj.bit,
+                bits_before: inj.bits_before,
+                bits_after: inj.bits_after,
+                model: prog.model,
+            }),
+            Some(inj.at_dyn_inst),
+        ),
+        None => (host.injection, host.injection_at),
+    };
+    let capture = match comparer {
+        Some(mut t) => {
             // A clean exit that consumed fewer events than golden is a
             // divergence by omission at the end of the run.
             if result.is_ok() {
                 t.finish(faulty_dyn_insts);
             }
-            t.divergence().map(|d| d.dyn_index)
-        });
-        *cap = TraceCapture {
-            injected_at: host.injection_at,
-            divergence: divergence.flatten(),
-            faulty_dyn_insts,
-            trap: result.as_ref().err().map(|t| t.to_string()),
-        };
-    }
-    Ok(Experiment {
-        outcome,
-        detected,
-        injection: host.injection,
-        input,
-        dynamic_sites: n_sites,
-        golden_dyn_insts: golden.dyn_insts,
-    })
-}
-
-/// Experiment body for the engine-level fault models (mask corruption,
-/// address lines, memory cells): the corruption targets interpreter state
-/// the instrumented `vulfi.inject` API never sees, so it is applied by a
-/// [`vexec::EngineInjector`] installed on the interpreter instead of by
-/// the host. The RNG draw order is identical to the value-model path
-/// (target, then bit entropy), with the model's own event census as the
-/// target denominator:
-///
-/// - mask corruption: masked-intrinsic executions (counted in the golden
-///   run by a passive injector);
-/// - address lines: guarded memory accesses (same);
-/// - memory cells: golden dynamic instructions (no census run needed).
-fn run_experiment_engine(
-    prog: &Prepared,
-    workload: &dyn Workload,
-    rng: &mut ChaCha8Rng,
-    input: u64,
-    mut capture: Option<&mut TraceCapture>,
-) -> Result<Experiment, CampaignError> {
-    let engine_model = match prog.model {
-        FaultModel::MaskCorrupt => vexec::EngineModel::MaskCorrupt,
-        FaultModel::AddressLine { bit } => vexec::EngineModel::AddressLine { bit },
-        FaultModel::MemoryCell => vexec::EngineModel::MemoryCell,
-        other => {
-            return Err(CampaignError(format!(
-                "{other} is not an engine-level fault model"
-            )))
-        }
-    };
-
-    // --- Golden run -------------------------------------------------------
-    let mut golden_tracer = capture.is_some().then(vexec::DivergenceTracer::record);
-    let mut counter = vexec::EngineInjector::count(engine_model);
-    let mut interp = Interp::new(&prog.module);
-    let setup = workload
-        .setup(&mut interp.mem, input)
-        .map_err(|t| CampaignError(format!("setup failed: {t}")))?;
-    if let Some(t) = golden_tracer.as_mut() {
-        interp.set_trace_sink(t);
-    }
-    interp.set_engine_injector(&mut counter);
-    let mut golden_host = VulfiHost::profile();
-    let golden = interp
-        .run(&prog.entry, &setup.args, &mut golden_host)
-        .map_err(|t| CampaignError(format!("golden run of {} trapped: {t}", workload.name())))?;
-    let golden_out = snapshot_outputs(&interp.mem, &setup.outputs, &golden.ret)
-        .map_err(|t| CampaignError(format!("golden snapshot failed: {t}")))?;
-    drop(interp);
-    let n_events = match engine_model {
-        vexec::EngineModel::MemoryCell => golden.dyn_insts,
-        _ => counter.events(),
-    };
-
-    if n_events == 0 {
-        // The model's event census is empty for this input (e.g. no
-        // masked intrinsics execute): nothing to corrupt.
-        if let Some(cap) = capture.as_deref_mut() {
-            *cap = TraceCapture::default();
-        }
-        return Ok(Experiment {
-            outcome: Outcome::Benign,
-            detected: false,
-            injection: None,
-            input,
-            dynamic_sites: 0,
-            golden_dyn_insts: golden.dyn_insts,
-        });
-    }
-
-    // --- Faulty run -------------------------------------------------------
-    let target = rng.gen_range(1..=n_events);
-    let bit_entropy: u64 = rng.gen();
-    let mut faulty_tracer = golden_tracer
-        .take()
-        .map(|t| vexec::DivergenceTracer::compare(t.into_stream()));
-    let mut injector = vexec::EngineInjector::inject(engine_model, target, bit_entropy);
-    let mut interp = Interp::new(&prog.module);
-    interp.set_budget(
-        golden
-            .dyn_insts
-            .saturating_mul(prog.limits.hang_factor)
-            .saturating_add(prog.limits.hang_slack),
-    );
-    let setup2 = workload
-        .setup(&mut interp.mem, input)
-        .map_err(|t| CampaignError(format!("setup failed: {t}")))?;
-    if prog.limits.wall_ms > 0 {
-        interp.set_wall_limit(std::time::Duration::from_millis(prog.limits.wall_ms));
-    }
-    if prog.limits.mem_bytes > 0 {
-        interp.set_memory_limit(prog.limits.mem_bytes);
-    }
-    if let Some(t) = faulty_tracer.as_mut() {
-        interp.set_trace_sink(t);
-    }
-    interp.set_engine_injector(&mut injector);
-    // The host still serves detector checks; it never injects.
-    let mut host = VulfiHost::profile();
-    let result = interp.run(&prog.entry, &setup2.args, &mut host);
-    let faulty_dyn_insts = interp.executed();
-
-    let (outcome, detected) = match &result {
-        Err(Trap::HostError(m)) => return Err(CampaignError(format!("runtime bug: {m}"))),
-        Err(_) => (Outcome::Crash, host.detectors.detected()),
-        Ok(r) => {
-            let out = snapshot_outputs(&interp.mem, &setup2.outputs, &r.ret)
-                .map_err(|t| CampaignError(format!("faulty snapshot failed: {t}")))?;
-            if out == golden_out {
-                (Outcome::Benign, host.detectors.detected())
-            } else {
-                (Outcome::Sdc, host.detectors.detected())
+            TraceCapture {
+                injected_at,
+                divergence: t.divergence().map(|d| d.dyn_index),
+                faulty_dyn_insts,
+                trap: result.as_ref().err().map(|t| t.to_string()),
             }
         }
+        None => TraceCapture::default(),
     };
-    drop(interp);
-    if let Some(cap) = capture {
-        let divergence = faulty_tracer.map(|mut t| {
-            if result.is_ok() {
-                t.finish(faulty_dyn_insts);
-            }
-            t.divergence().map(|d| d.dyn_index)
-        });
-        *cap = TraceCapture {
-            injected_at: injector.injection().map(|i| i.at_dyn_inst),
-            divergence: divergence.flatten(),
-            faulty_dyn_insts,
-            trap: result.as_ref().err().map(|t| t.to_string()),
-        };
-    }
-    // Engine faults have no static site or lane; site_id 0 marks the
-    // synthetic provenance, occurrence is the index in the event census.
-    let injection = injector.injection().map(|inj| InjectionRecord {
-        site_id: 0,
-        lane: 0,
-        occurrence: inj.event,
-        bit: inj.bit,
-        bits_before: inj.bits_before,
-        bits_after: inj.bits_after,
-        model: prog.model,
-    });
-    Ok(Experiment {
+    let experiment = Experiment {
         outcome,
         detected,
         injection,
-        input,
-        dynamic_sites: n_events,
+        input: draw.input,
+        dynamic_sites: draw.n,
         golden_dyn_insts: golden.dyn_insts,
+    };
+    Ok((experiment, capture))
+}
+
+/// A fault-free run of one input.
+struct Golden {
+    dyn_insts: u64,
+    /// Output regions and return value, as compared for SDC.
+    outputs: Vec<u8>,
+    /// The host after the run: the dynamic-site census (and site log).
+    host: VulfiHost,
+    /// The engine model's event census (0 without an engine model).
+    engine_events: u64,
+}
+
+/// The one golden run: set up `input`, run `entry` under `host` with an
+/// optional divergence `recorder` and engine-event counter, and snapshot
+/// the outputs. Never resource-limited: a trap here is a workload bug.
+fn golden_run(
+    module: &Module,
+    entry: &str,
+    workload: &dyn Workload,
+    input: u64,
+    mut host: VulfiHost,
+    recorder: Option<&mut vexec::DivergenceTracer>,
+    engine: Option<vexec::EngineModel>,
+) -> Result<Golden, CampaignError> {
+    let mut counter = engine.map(vexec::EngineInjector::count);
+    let mut interp = Interp::new(module);
+    let setup = workload
+        .setup(&mut interp.mem, input)
+        .map_err(|t| CampaignError(format!("setup failed: {t}")))?;
+    if let Some(t) = recorder {
+        interp.set_trace_sink(t);
+    }
+    if let Some(c) = counter.as_mut() {
+        interp.set_engine_injector(c);
+    }
+    let run = interp
+        .run(entry, &setup.args, &mut host)
+        .map_err(|t| CampaignError(format!("golden run of {} trapped: {t}", workload.name())))?;
+    let outputs = snapshot_outputs(&interp.mem, &setup.outputs, &run.ret)
+        .map_err(|t| CampaignError(format!("golden snapshot failed: {t}")))?;
+    drop(interp);
+    Ok(Golden {
+        dyn_insts: run.dyn_insts,
+        outputs,
+        host,
+        engine_events: counter.map_or(0, |c| c.events()),
     })
+}
+
+/// One experiment's random choices, and the census that sized them.
+struct Draw<C> {
+    input: u64,
+    census: C,
+    n: u64,
+    /// `(target, entropy)`; `None` when the census is empty.
+    pick: Option<(u64, u64)>,
+}
+
+/// The RNG draw order of every experiment, executed or discharged: the
+/// input; then, once `census` (a golden run, or the prune context) has
+/// sized its target distribution `n`, a target in `1..=n` and 64 bits of
+/// entropy, only when `n > 0`.
+fn draw<C>(
+    rng: &mut ChaCha8Rng,
+    num_inputs: u64,
+    census: impl FnOnce(u64) -> Result<(C, u64), CampaignError>,
+) -> Result<Draw<C>, CampaignError> {
+    let input = rng.gen_range(0..num_inputs.max(1));
+    let (census, n) = census(input)?;
+    let pick = (n > 0).then(|| (rng.gen_range(1..=n), rng.gen()));
+    Ok(Draw {
+        input,
+        census,
+        n,
+        pick,
+    })
+}
+
+/// The record of an experiment that injected nothing: its input had no
+/// dynamic site (`sites == 0`), the prune plan discharged it, or the
+/// engine panicked (Crash; no counts survive the unwind, so all zero).
+fn no_injection(outcome: Outcome, input: u64, sites: u64, golden_insts: u64) -> Experiment {
+    Experiment {
+        outcome,
+        detected: false,
+        injection: None,
+        input,
+        dynamic_sites: sites,
+        golden_dyn_insts: golden_insts,
+    }
 }
 
 /// Aggregate outcome counts.
@@ -580,22 +554,120 @@ pub fn experiment_rng(campaign_seed: u64, i: usize) -> ChaCha8Rng {
     )
 }
 
-/// Run experiments `range` of the campaign seeded `campaign_seed`,
-/// sequentially. This is the shard-level entry point: concatenating the
-/// results of any partition of `0..n` into ranges equals the experiment
-/// list of [`run_campaign`] with the same seed.
+/// What [`run_range`] produced for one range of experiments.
+#[derive(Debug, Clone)]
+pub struct RangeRun {
+    pub experiments: Vec<Experiment>,
+    /// One span per experiment when traced; empty otherwise.
+    pub spans: Vec<ExperimentTrace>,
+    /// Engine panics contained as Crash records in this range (each is
+    /// also in the process-wide [`crate::engine_faults`] log).
+    pub engine_faults: u64,
+}
+
+/// The range driver: run experiments `range` of the campaign seeded
+/// `campaign_seed`, sequentially. Concatenating the results of any
+/// partition of `0..n` equals the experiment list of [`run_campaign`].
+///
+/// With `prune`, an experiment whose replayed draws land on a coordinate
+/// the plan proves benign gets a [`Outcome::Benign`] record with
+/// `injection: None` and is not executed; every other experiment is
+/// bit-identical to a full run. With `traced`, every experiment also
+/// yields an [`ExperimentTrace`] and the records stay bit-identical.
+/// Tracing and pruning are mutually exclusive.
+pub fn run_range(
+    prog: &Prepared,
+    workload: &dyn Workload,
+    campaign_seed: u64,
+    range: std::ops::Range<usize>,
+    prune: Option<&PruneContext>,
+    traced: bool,
+) -> Result<RangeRun, CampaignError> {
+    let step = stepper(prog, workload, campaign_seed, prune, traced)?;
+    let mut run = RangeRun {
+        experiments: Vec::with_capacity(range.len()),
+        spans: Vec::with_capacity(if traced { range.len() } else { 0 }),
+        engine_faults: 0,
+    };
+    for i in range {
+        let ran = step(i)?;
+        run.experiments.push(ran.experiment);
+        run.spans.extend(ran.span);
+        run.engine_faults += u64::from(ran.engine_fault);
+    }
+    Ok(run)
+}
+
+/// The per-experiment step of [`run_range`] and [`run_campaign`], with
+/// the range's choices checked once.
+fn stepper<'a>(
+    prog: &'a Prepared,
+    workload: &'a dyn Workload,
+    campaign_seed: u64,
+    prune: Option<&'a PruneContext>,
+    traced: bool,
+) -> Result<impl Fn(usize) -> Result<Ran, CampaignError> + Sync + 'a, CampaignError> {
+    if prune.is_some() {
+        if traced {
+            return Err(CampaignError(
+                "tracing and pruning are mutually exclusive (a discharged experiment \
+                 has no execution to trace)"
+                    .to_string(),
+            ));
+        }
+        check_prunable(prog.model)?;
+    }
+    let engine = prog.model.engine_model();
+    Ok(move |i| {
+        if let Some(ctx) = prune {
+            if let Some(experiment) =
+                discharge(ctx, workload, &mut experiment_rng(campaign_seed, i))?
+            {
+                return Ok(Ran {
+                    experiment,
+                    span: None,
+                    engine_fault: false,
+                });
+            }
+        }
+        let mut rng = experiment_rng(campaign_seed, i);
+        let provenance = Some((campaign_seed, i));
+        run_contained(prog, engine, workload, &mut rng, provenance, traced)
+    })
+}
+
+/// Run experiments `range` of the campaign seeded `campaign_seed`
+/// (see [`run_range`]).
 pub fn run_experiment_range(
     prog: &Prepared,
     workload: &dyn Workload,
     campaign_seed: u64,
     range: std::ops::Range<usize>,
 ) -> Result<Vec<Experiment>, CampaignError> {
-    range
-        .map(|i| {
-            let mut rng = experiment_rng(campaign_seed, i);
-            run_experiment_tagged(prog, workload, &mut rng, Some((campaign_seed, i)), None)
-        })
-        .collect()
+    run_range(prog, workload, campaign_seed, range, None, false).map(|run| run.experiments)
+}
+
+/// [`run_experiment_range`] with static pruning (see [`run_range`]).
+pub fn run_experiment_range_pruned(
+    prog: &Prepared,
+    workload: &dyn Workload,
+    ctx: &PruneContext,
+    campaign_seed: u64,
+    range: std::ops::Range<usize>,
+) -> Result<Vec<Experiment>, CampaignError> {
+    run_range(prog, workload, campaign_seed, range, Some(ctx), false).map(|run| run.experiments)
+}
+
+/// [`run_experiment_range`] with per-experiment trace spans (see
+/// [`run_range`]).
+pub fn run_experiment_range_traced(
+    prog: &Prepared,
+    workload: &dyn Workload,
+    campaign_seed: u64,
+    range: std::ops::Range<usize>,
+) -> Result<(Vec<Experiment>, Vec<ExperimentTrace>), CampaignError> {
+    let run = run_range(prog, workload, campaign_seed, range, None, true)?;
+    Ok((run.experiments, run.spans))
 }
 
 /// Per-input golden census used by the campaign pruner: the ordered
@@ -607,116 +679,71 @@ pub struct InputCensus {
     pub trace: Vec<(u32, u32)>,
 }
 
-/// Everything [`run_experiment_range_pruned`] needs to predict an
-/// experiment's injection coordinate without running it: the static
-/// benign-coordinate plan plus one golden census per workload input.
+/// Everything a pruned [`run_range`] needs to predict an experiment's
+/// injection coordinate without running it: the static benign-coordinate
+/// plan plus one golden census per workload input.
 #[derive(Debug, Clone)]
 pub struct PruneContext {
     pub plan: PrunePlan,
     pub census: Vec<InputCensus>,
 }
 
+/// Only the paper's single-bit-flip model can be pruned: the prediction
+/// replays its `bit = entropy % width` choice, and multi-bit or stuck-at
+/// corruptions would need their own replay logic.
+fn check_prunable(model: FaultModel) -> Result<(), CampaignError> {
+    match model {
+        FaultModel::SingleBitFlip => Ok(()),
+        other => Err(CampaignError(format!(
+            "pruning supports only the single-bit-flip model, not {other}"
+        ))),
+    }
+}
+
 /// Build the prune context: analyze the uninstrumented module, then run
 /// one logging golden run per input on the instrumented program.
-///
-/// Only the paper's single-bit-flip model is supported: the prediction
-/// replays the model's `bit = entropy % width` choice, and multi-bit or
-/// stuck-at corruptions would need their own replay logic.
 pub fn build_prune_context(
     prog: &Prepared,
     workload: &dyn Workload,
 ) -> Result<PruneContext, CampaignError> {
-    if prog.model != FaultModel::SingleBitFlip {
-        return Err(CampaignError(format!(
-            "pruning supports only the single-bit-flip model, not {}",
-            prog.model
-        )));
-    }
+    check_prunable(prog.model)?;
     let report = analyze_module(workload.module(), workload.entry()).map_err(CampaignError)?;
     let plan = PrunePlan::from_report(&report);
-    let mut census = Vec::new();
-    for input in 0..workload.num_inputs().max(1) {
-        let mut interp = Interp::new(&prog.module);
-        let setup = workload
-            .setup(&mut interp.mem, input)
-            .map_err(|t| CampaignError(format!("setup failed: {t}")))?;
-        let mut host = VulfiHost::profile_logging();
-        let golden = interp
-            .run(&prog.entry, &setup.args, &mut host)
-            .map_err(|t| {
-                CampaignError(format!("golden run of {} trapped: {t}", workload.name()))
-            })?;
-        census.push(InputCensus {
-            golden_dyn_insts: golden.dyn_insts,
-            trace: host.site_log.take().unwrap_or_default(),
-        });
-    }
+    let census = (0..workload.num_inputs().max(1))
+        .map(|input| {
+            let host = VulfiHost::profile_logging();
+            let golden = golden_run(&prog.module, &prog.entry, workload, input, host, None, None)?;
+            Ok(InputCensus {
+                golden_dyn_insts: golden.dyn_insts,
+                trace: golden.host.site_log.unwrap_or_default(),
+            })
+        })
+        .collect::<Result<_, CampaignError>>()?;
     Ok(PruneContext { plan, census })
 }
 
-/// [`run_experiment_range`] with static pruning: each experiment's RNG
-/// draws are replayed against the golden census to find the coordinate
-/// the injector would corrupt; if the plan proves it benign, a synthetic
-/// [`Outcome::Benign`] record is emitted without executing the faulty
-/// run. Every other experiment re-runs exactly as the unpruned driver
-/// would — a fresh RNG reproduces the identical draw sequence, so the
-/// executed subset is bit-identical to a full run. Pruned records carry
-/// `injection: None` (nothing was executed, so there is no corruption to
-/// record); outcome, detection, input, and site counts match what the
-/// full run would have produced.
-pub fn run_experiment_range_pruned(
-    prog: &Prepared,
-    workload: &dyn Workload,
+/// Replay `rng`'s draws against the golden census: the record of an
+/// experiment the plan proves benign (or with no dynamic site), if so.
+fn discharge(
     ctx: &PruneContext,
-    campaign_seed: u64,
-    range: std::ops::Range<usize>,
-) -> Result<Vec<Experiment>, CampaignError> {
-    if prog.model != FaultModel::SingleBitFlip {
-        return Err(CampaignError(format!(
-            "pruning supports only the single-bit-flip model, not {}",
-            prog.model
-        )));
-    }
-    range
-        .map(|i| {
-            // Replay the draws on a throwaway RNG; the real run (if any)
-            // recreates its own from scratch so sequences stay identical.
-            let mut probe = experiment_rng(campaign_seed, i);
-            let input = probe.gen_range(0..workload.num_inputs().max(1));
-            let census = ctx
-                .census
-                .get(input as usize)
-                .ok_or_else(|| CampaignError(format!("prune census missing input {input}")))?;
-            let n_sites = census.trace.len() as u64;
-            if n_sites == 0 {
-                return Ok(Experiment {
-                    outcome: Outcome::Benign,
-                    detected: false,
-                    injection: None,
-                    input,
-                    dynamic_sites: 0,
-                    golden_dyn_insts: census.golden_dyn_insts,
-                });
-            }
-            let target = probe.gen_range(1..=n_sites);
-            let bit_entropy: u64 = probe.gen();
-            let (site, lane) = census.trace[(target - 1) as usize];
-            let width = ctx.plan.width(site).unwrap_or(64).max(1);
-            let bit = (bit_entropy % width as u64) as u32;
-            if ctx.plan.is_benign(site, lane, bit) {
-                return Ok(Experiment {
-                    outcome: Outcome::Benign,
-                    detected: false,
-                    injection: None,
-                    input,
-                    dynamic_sites: n_sites,
-                    golden_dyn_insts: census.golden_dyn_insts,
-                });
-            }
-            let mut rng = experiment_rng(campaign_seed, i);
-            run_experiment_tagged(prog, workload, &mut rng, Some((campaign_seed, i)), None)
-        })
-        .collect()
+    workload: &dyn Workload,
+    rng: &mut ChaCha8Rng,
+) -> Result<Option<Experiment>, CampaignError> {
+    let draw = draw(rng, workload.num_inputs(), |input| {
+        let census = ctx
+            .census
+            .get(input as usize)
+            .ok_or_else(|| CampaignError(format!("prune census missing input {input}")))?;
+        Ok((census, census.trace.len() as u64))
+    })?;
+    let benign = draw.pick.is_none_or(|(target, entropy)| {
+        let (site, lane) = draw.census.trace[(target - 1) as usize];
+        let width = ctx.plan.width(site).unwrap_or(64).max(1);
+        ctx.plan
+            .is_benign(site, lane, (entropy % width as u64) as u32)
+    });
+    let golden_insts = draw.census.golden_dyn_insts;
+    Ok(benign.then(|| no_injection(Outcome::Benign, draw.input, draw.n, golden_insts)))
 }
 
 /// Run one campaign of `n` experiments in parallel. `seed` makes the
@@ -727,14 +754,11 @@ pub fn run_campaign(
     n: usize,
     seed: u64,
 ) -> Result<CampaignResult, CampaignError> {
-    let experiments: Result<Vec<Experiment>, CampaignError> = (0..n)
+    let step = stepper(prog, workload, seed, None, false)?;
+    let experiments = (0..n)
         .into_par_iter()
-        .map(|i| {
-            let mut rng = experiment_rng(seed, i);
-            run_experiment_tagged(prog, workload, &mut rng, Some((seed, i)), None)
-        })
-        .collect();
-    let experiments = experiments?;
+        .map(|i| step(i).map(|ran| ran.experiment))
+        .collect::<Result<Vec<Experiment>, CampaignError>>()?;
     let mut counts = OutcomeCounts::default();
     for e in &experiments {
         counts.add(e);
@@ -879,15 +903,8 @@ pub fn measure_dyn_insts(
     workload: &dyn Workload,
     input: u64,
 ) -> Result<u64, CampaignError> {
-    let mut interp = Interp::new(module);
-    let setup = workload
-        .setup(&mut interp.mem, input)
-        .map_err(|t| CampaignError(format!("setup failed: {t}")))?;
-    let mut host = VulfiHost::profile();
-    let r = interp
-        .run(entry, &setup.args, &mut host)
-        .map_err(|t| CampaignError(format!("golden run trapped: {t}")))?;
-    Ok(r.dyn_insts)
+    let host = VulfiHost::profile();
+    golden_run(module, entry, workload, input, host, None, None).map(|g| g.dyn_insts)
 }
 
 #[cfg(test)]
@@ -1369,6 +1386,45 @@ exit:
         let c2 = run_campaign(&prog, &w, 30, seed).unwrap();
         assert_eq!(c.experiments, c2.experiments);
         crate::faultlog::drain_engine_faults();
+
+        // The same containment holds for an engine model, and on the
+        // traced driver, whose span must name the panic as the trap.
+        for model in [FaultModel::SingleBitFlip, FaultModel::MemoryCell] {
+            let mut prog = prepare(&w, SiteCategory::PureData).unwrap();
+            prog.model = model;
+            let plain = run_campaign(&prog, &w, 30, seed).unwrap().experiments;
+            let traced = run_range(&prog, &w, seed, 0..30, None, true).unwrap();
+            assert_eq!(
+                traced.experiments, plain,
+                "{model}: tracing must not perturb"
+            );
+            let faults = crate::faultlog::drain_engine_faults();
+            let mut panicked = 0;
+            for (i, (e, span)) in traced.experiments.iter().zip(&traced.spans).enumerate() {
+                if e.input != 1 {
+                    continue;
+                }
+                panicked += 1;
+                assert_eq!(e.outcome, Outcome::Crash, "{model}");
+                assert_eq!(e.injection, None, "{model}");
+                assert_eq!((e.dynamic_sites, e.golden_dyn_insts), (0, 0), "{model}");
+                assert_eq!(span.outcome, Outcome::Crash);
+                assert_eq!(span.injection, None);
+                let trap = span.trap.as_deref().unwrap_or_default();
+                assert!(trap.starts_with("engine panic:"), "{model}: {trap}");
+                let logged = faults
+                    .iter()
+                    .filter(|f| f.experiment == Some((seed, i)) && f.input == 1)
+                    .count();
+                assert_eq!(
+                    logged, 2,
+                    "{model}: one log entry per run of experiment {i}"
+                );
+            }
+            assert!(panicked > 0, "{model}: input 1 must be drawn");
+            assert_eq!(traced.engine_faults, panicked, "{model}: driver's count");
+            assert_eq!(faults.len() as u64, 2 * panicked, "{model}");
+        }
     }
 
     #[test]

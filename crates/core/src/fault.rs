@@ -184,13 +184,16 @@ impl FaultModel {
         }
     }
 
-    /// True for the models the interpreter (not the instrumented inject
-    /// hook) applies: mask, address, and memory corruption.
-    pub fn is_engine_model(&self) -> bool {
-        matches!(
-            self,
-            FaultModel::MaskCorrupt | FaultModel::AddressLine { .. } | FaultModel::MemoryCell
-        )
+    /// The interpreter-level model for the models the engine (not the
+    /// instrumented inject hook) applies: mask, address, and memory
+    /// corruption. `None` for value models.
+    pub fn engine_model(&self) -> Option<vexec::EngineModel> {
+        match *self {
+            FaultModel::MaskCorrupt => Some(vexec::EngineModel::MaskCorrupt),
+            FaultModel::AddressLine { bit } => Some(vexec::EngineModel::AddressLine { bit }),
+            FaultModel::MemoryCell => Some(vexec::EngineModel::MemoryCell),
+            _ => None,
+        }
     }
 
     /// Apply a value model to one lane scalar, returning the corrupted

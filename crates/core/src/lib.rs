@@ -66,9 +66,9 @@ pub use analyze::{
 };
 pub use campaign::{
     build_prune_context, campaign_seed, experiment_rng, prepare, prepare_with, run_campaign,
-    run_experiment, run_experiment_range, run_experiment_range_pruned, run_study, CampaignError,
-    CampaignResult, Experiment, InputCensus, Outcome, OutcomeCounts, Prepared, PruneContext,
-    ResourceLimits, StudyConfig, StudyResult,
+    run_experiment, run_experiment_range, run_experiment_range_pruned, run_experiment_range_traced,
+    run_range, run_study, CampaignError, CampaignResult, Experiment, InputCensus, Outcome,
+    OutcomeCounts, Prepared, PruneContext, RangeRun, ResourceLimits, StudyConfig, StudyResult,
 };
 pub use fault::{FaultModel, MODEL_KINDS};
 pub use faultlog::{
@@ -80,5 +80,5 @@ pub use runtime::{DetectorStats, InjectionRecord, RunMode, VulfiHost};
 pub use sites::{category_mix, enumerate_sites, CategoryMix, SiteKind, StaticSite};
 pub use spec::{StudySpec, SPEC_CATEGORIES, SPEC_ISAS, SPEC_SCALES};
 pub use stats::{study_converged, two_proportion_z_test, wilson_interval_95, StudySummary, ZTest};
-pub use trace::{run_experiment_range_traced, ExperimentTrace, TraceInjection};
+pub use trace::{ExperimentTrace, TraceInjection};
 pub use workload::{OutputRegion, SetupResult, Workload};

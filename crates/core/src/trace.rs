@@ -24,10 +24,7 @@ use std::time::Instant;
 
 use vir::analysis::SiteCategory;
 
-use crate::campaign::{
-    experiment_rng, run_experiment_tagged, CampaignError, Experiment, Outcome, Prepared,
-};
-use crate::workload::Workload;
+use crate::campaign::{Experiment, Outcome, Prepared};
 
 /// Raw measurements collected by the experiment body while tracing
 /// (internal hand-off between `campaign` and the span builder).
@@ -107,13 +104,14 @@ fn site_provenance(prog: &Prepared, site_id: u32) -> (String, Vec<String>) {
     (opcode, categories)
 }
 
-fn build_trace(
+pub(crate) fn build_trace(
     prog: &Prepared,
     index: usize,
     e: &Experiment,
     cap: &TraceCapture,
-    wall_ns: u64,
+    started: Instant,
 ) -> ExperimentTrace {
+    let wall_ns = started.elapsed().as_nanos() as u64;
     let injection = e.injection.as_ref().map(|inj| {
         let (opcode, categories) = site_provenance(prog, inj.site_id);
         TraceInjection {
@@ -150,42 +148,13 @@ fn build_trace(
     }
 }
 
-/// [`crate::run_experiment_range`] with per-experiment trace spans.
-///
-/// The returned experiment list is **bit-identical** to the untraced
-/// function's — tracing adds the golden-run event recording and the
-/// faulty-run comparison, neither of which can affect execution.
-pub fn run_experiment_range_traced(
-    prog: &Prepared,
-    workload: &dyn Workload,
-    campaign_seed: u64,
-    range: std::ops::Range<usize>,
-) -> Result<(Vec<Experiment>, Vec<ExperimentTrace>), CampaignError> {
-    let mut experiments = Vec::with_capacity(range.len());
-    let mut traces = Vec::with_capacity(range.len());
-    for i in range {
-        let mut rng = experiment_rng(campaign_seed, i);
-        let mut cap = TraceCapture::default();
-        let started = Instant::now();
-        let e = run_experiment_tagged(
-            prog,
-            workload,
-            &mut rng,
-            Some((campaign_seed, i)),
-            Some(&mut cap),
-        )?;
-        let wall_ns = started.elapsed().as_nanos() as u64;
-        traces.push(build_trace(prog, i, &e, &cap, wall_ns));
-        experiments.push(e);
-    }
-    Ok((experiments, traces))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{campaign_seed, prepare, run_experiment_range, StudyConfig};
-    use crate::workload::{OutputRegion, SetupResult};
+    use crate::campaign::{
+        campaign_seed, prepare, run_experiment_range, run_experiment_range_traced, StudyConfig,
+    };
+    use crate::workload::{OutputRegion, SetupResult, Workload};
     use vexec::{Memory, RtVal, Scalar, Trap};
 
     /// Scale-by-two over a small buffer: a mix of SDC / Benign / Crash

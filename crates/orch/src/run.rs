@@ -7,9 +7,8 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 use vulfi::{
-    build_prune_context, campaign_seed, run_experiment_range, run_experiment_range_pruned,
-    run_experiment_range_traced, Prepared, PruneContext, SoundnessReport, StudyConfig, StudyResult,
-    Workload,
+    build_prune_context, campaign_seed, run_range, Prepared, PruneContext, SoundnessReport,
+    StudyConfig, StudyResult, Workload,
 };
 
 use crate::key::{study_key, StudyKey};
@@ -74,11 +73,13 @@ pub struct RunOutcome {
 }
 
 /// Execute one shard of a study: derive the campaign seed, run the
-/// experiment range (traced when asked), and bump the global metrics —
-/// the single execution path shared by the in-process runner below and
-/// the `vulfi serve` worker pool. Callers append the returned record to
-/// the store themselves (the runner under its sink lock; a service
-/// worker after its lease).
+/// experiment range through [`vulfi::run_range`] (pruned or traced when
+/// asked), and bump the global metrics, engine faults included — the
+/// single execution path shared by the in-process runner below and the
+/// `vulfi serve` worker pool. Callers append the returned record to the
+/// store themselves (the runner under its sink lock; a service worker
+/// after its lease). The returned count is the engine panics this shard
+/// contained as Crash records.
 ///
 /// Determinism contract: the record depends only on
 /// `(prog, workload, cfg.seed, job)` — never on who ran it, when, or
@@ -91,7 +92,7 @@ pub fn run_shard(
     job: ShardJob,
     traced: bool,
     prune: Option<&PruneContext>,
-) -> Result<(ShardRecord, Vec<vulfi::ExperimentTrace>), OrchError> {
+) -> Result<(ShardRecord, Vec<vulfi::ExperimentTrace>, u64), OrchError> {
     if prog.model != cfg.model {
         return Err(OrchError(format!(
             "prepared program injects '{}' but the study config says '{}'",
@@ -100,41 +101,29 @@ pub fn run_shard(
     }
     let shard_start = Instant::now();
     let seed = campaign_seed(cfg.seed, job.campaign);
-    let (experiments, spans) = if let Some(ctx) = prune {
-        if traced {
-            return Err(OrchError(
-                "tracing and pruning are mutually exclusive (a discharged experiment \
-                 has no execution to trace)"
-                    .to_string(),
-            ));
-        }
-        run_experiment_range_pruned(prog, workload, ctx, seed, job.start..job.end)
-            .map(|e| (e, Vec::new()))
-    } else if traced {
-        run_experiment_range_traced(prog, workload, seed, job.start..job.end)
-    } else {
-        run_experiment_range(prog, workload, seed, job.start..job.end).map(|e| (e, Vec::new()))
-    }
-    .map_err(|e| OrchError(e.to_string()))?;
+    let run = run_range(prog, workload, seed, job.start..job.end, prune, traced)
+        .map_err(|e| OrchError(e.to_string()))?;
     let metrics = crate::metrics::global();
-    for e in &experiments {
+    for e in &run.experiments {
         metrics.inc_experiment(prog.category, e.outcome);
         metrics.inc_experiment_model(prog.model, e.outcome);
     }
-    for s in &spans {
+    for s in &run.spans {
         if let Some(p) = s.propagation {
             metrics.observe_propagation(prog.category, p);
         }
     }
+    metrics.add_engine_faults(run.engine_faults);
     Ok((
         ShardRecord {
             campaign: job.campaign,
             start: job.start,
             end: job.end,
-            experiments,
+            experiments: run.experiments,
             wall_ns: shard_start.elapsed().as_nanos() as u64,
         },
-        spans,
+        run.spans,
+        run.engine_faults,
     ))
 }
 
@@ -237,11 +226,10 @@ pub fn run_study_persistent(
     let sink = Mutex::new((&study, progress));
     let executed_shards = missing.len();
     let metrics = crate::metrics::global();
-    let faults_before = vulfi::engine_faults().len() as u64;
     let results: Result<Vec<()>, OrchError> = missing
         .into_par_iter()
         .map(|job| {
-            let (rec, spans) = run_shard(
+            let (rec, spans, _) = run_shard(
                 prog,
                 workload,
                 cfg,
@@ -291,7 +279,6 @@ pub fn run_study_persistent(
         })
         .collect();
     results?;
-    metrics.add_engine_faults((vulfi::engine_faults().len() as u64).saturating_sub(faults_before));
 
     let (_, progress) = sink
         .into_inner()

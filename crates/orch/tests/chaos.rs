@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use vir::analysis::SiteCategory;
 use vulfi::workload::{SetupResult, Workload};
 use vulfi::{prepare, run_study, StudyConfig, StudyResult};
-use vulfi_orch::{merge, run_study_persistent, RunOptions, Store};
+use vulfi_orch::{merge, run_shard, run_study_persistent, RunOptions, ShardJob, Store};
 
 /// Serialises tests that touch process-global state (the strict flag and
 /// the engine-fault log).
@@ -156,6 +156,78 @@ fn panicking_experiments_stay_contained_resumable_and_bit_identical() {
     )
     .unwrap();
     assert_identical(&second.result.unwrap(), &reference);
+    vulfi::drain_engine_faults();
+}
+
+/// `run_shard` reports exactly the panics its own experiments contained,
+/// and adds exactly those to the metrics registry, even while another
+/// thread (a second serve worker, say) records unrelated engine faults
+/// into the process-wide log.
+#[test]
+fn run_shard_counts_only_its_own_engine_faults() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    let _g = gate();
+    let w = PanicWorkload { inner: workload() };
+    let cfg = cfg();
+    let prog = prepare(&w, SiteCategory::PureData).unwrap();
+    let job = ShardJob {
+        campaign: 1,
+        start: 0,
+        end: cfg.experiments_per_campaign,
+    };
+    let seed = vulfi::campaign_seed(cfg.seed, job.campaign);
+    // Every experiment that draws input 1 panics in setup; no other does.
+    let panicking = vulfi::run_experiment_range(&prog, &w, seed, job.start..job.end)
+        .unwrap()
+        .iter()
+        .filter(|e| e.input == 1)
+        .count() as u64;
+    assert!(
+        panicking > 0,
+        "the shard must contain panicking experiments"
+    );
+
+    let registry = vulfi_orch::metrics::global();
+    let stop = AtomicBool::new(false);
+    let recorded = AtomicU64::new(0);
+    let wait_past = |n: u64| {
+        while recorded.load(Ordering::SeqCst) <= n {
+            std::thread::yield_now();
+        }
+    };
+    let (faults, registry_delta, log_delta) = std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::SeqCst) {
+                vulfi::record_engine_fault(vulfi::EngineFault {
+                    workload: "unrelated".into(),
+                    experiment: None,
+                    input: 0,
+                    message: "chaos: another worker's panic".into(),
+                });
+                recorded.fetch_add(1, Ordering::SeqCst);
+                std::thread::yield_now();
+            }
+        });
+        wait_past(0);
+        let registry_before = registry.snapshot().engine_faults;
+        let log_before = vulfi::engine_faults().len();
+        let seen = recorded.load(Ordering::SeqCst);
+        let (rec, _, faults) = run_shard(&prog, &w, &cfg, job, false, None).unwrap();
+        // Make sure unrelated faults landed inside the measured window.
+        wait_past(seen);
+        let registry_delta = registry.snapshot().engine_faults - registry_before;
+        let log_delta = vulfi::engine_faults().len() - log_before;
+        stop.store(true, Ordering::SeqCst);
+        assert_eq!(rec.experiments.len(), job.end - job.start);
+        (faults, registry_delta, log_delta as u64)
+    });
+    assert_eq!(faults, panicking, "run_shard's count");
+    assert_eq!(registry_delta, panicking, "metrics registry delta");
+    assert!(
+        log_delta > panicking,
+        "a log diff would have counted the unrelated faults too"
+    );
     vulfi::drain_engine_faults();
 }
 

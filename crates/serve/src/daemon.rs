@@ -670,9 +670,9 @@ fn work_on(shared: &Arc<Shared>, active: &Arc<ActiveStudy>, worker: &str) -> Res
                             .shard(job.campaign as u64, job.start as u64, job.end as u64),
                     );
                     let shard_start = Instant::now();
-                    let faults_before = vulfi::engine_faults().len();
-                    let (rec, _spans) = run_shard(&prog, w, &cfg, job, false, prune_ctx.as_ref())
-                        .map_err(|e| e.to_string())?;
+                    let (rec, _spans, faults) =
+                        run_shard(&prog, w, &cfg, job, false, prune_ctx.as_ref())
+                            .map_err(|e| e.to_string())?;
                     {
                         let mut p = relock(&active.progress);
                         study.append_shard(&rec).map_err(|e| e.to_string())?;
@@ -693,7 +693,6 @@ fn work_on(shared: &Arc<Shared>, active: &Arc<ActiveStudy>, worker: &str) -> Res
                             .shard(job.campaign as u64, job.start as u64, job.end as u64)
                             .wall_ns(shard_ns),
                     );
-                    let faults = vulfi::engine_faults().len().saturating_sub(faults_before);
                     if faults > 0 {
                         shared.ops_emit(
                             OpsEvent::new(OpsKind::EngineFault)
