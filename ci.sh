@@ -26,7 +26,7 @@ trap 'rm -rf "$SMOKE"' EXIT
 ./target/release/vulfi study --bench "vector sum" --experiments 12 --campaigns 5 \
     --seed 7 --shard-size 5 --store "$SMOKE/store" --trace "$SMOKE/trace" \
     --metrics-out "$SMOKE/metrics.prom" > /dev/null
-./target/release/vulfi trace fsck --trace "$SMOKE/trace"
+./target/release/vulfi fsck --store "$SMOKE/store" --trace "$SMOKE/trace"
 ./target/release/vulfi trace summarize --trace "$SMOKE/trace" > /dev/null
 grep -q '^vulfi_experiments_total' "$SMOKE/metrics.prom"
 
@@ -159,23 +159,46 @@ grep -q '"throughput-floor"' "$SMOKE/alerts.json"
 ./target/release/vulfi shutdown --addr "$ADDR" > /dev/null
 wait "$SERVE_PID"
 test ! -e "$SMOKE/serve/serve.addr"
-./target/release/vulfi store fsck --store "$SMOKE/serve"
+# One fsck covers every log the daemon wrote: shards, queue, ops and
+# telemetry.
+./target/release/vulfi fsck --store "$SMOKE/serve"
 # The ops log alone must reconstruct the job's lifecycle offline, and
 # it must carry the alert transition the daemon logged.
 ./target/release/vulfi events summarize --store "$SMOKE/serve" > "$SMOKE/ops.out"
 grep -q 'completed' "$SMOKE/ops.out"
 grep -q 'merged' "$SMOKE/ops.out"
-./target/release/vulfi events fsck --store "$SMOKE/serve"
 ./target/release/vulfi events tail --store "$SMOKE/serve" --top 200 > "$SMOKE/tail.out"
 grep -q 'alert-firing' "$SMOKE/tail.out"
 # Alerts offline: the impossible-to-satisfy rule must flip the exit
 # code over the persisted series; a rules file with only the
-# can-never-fire rule must pass; the telemetry log itself fscks clean.
+# can-never-fire rule must pass.
 ! ./target/release/vulfi alerts check --rules "$SMOKE/alerts.toml" \
     --store "$SMOKE/serve" > "$SMOKE/alerts.out"
 grep -q 'FIRING' "$SMOKE/alerts.out"
 printf '[never]\nkind = "sdc_rate_above"\nthreshold = 1e9\n' > "$SMOKE/quiet.toml"
 ./target/release/vulfi alerts check --rules "$SMOKE/quiet.toml" --store "$SMOKE/serve" > /dev/null
-./target/release/vulfi alerts fsck --store "$SMOKE/serve"
+
+# Queue repair: one changed byte in the queue log's first record makes
+# fsck fail loudly; --repair quarantines and salvages the log, after
+# which fsck is clean and the daemon starts on the repaired store.
+sed -i '0,/"job":1,/s//"job":3,/' "$SMOKE/serve/queue/events.jsonl"
+# (`! cmd` never trips `set -e`, so the exit code is tested explicitly.)
+if ./target/release/vulfi fsck --store "$SMOKE/serve" > "$SMOKE/fsck.out"; then
+    echo "ci: fsck must exit non-zero on a corrupt queue log" >&2
+    exit 1
+fi
+grep -q 'CORRUPT' "$SMOKE/fsck.out"
+./target/release/vulfi fsck --store "$SMOKE/serve" --repair > /dev/null
+./target/release/vulfi fsck --store "$SMOKE/serve" > /dev/null
+test -f "$SMOKE/serve/queue/events.quarantine/events.0.jsonl"
+./target/release/vulfi serve --addr 127.0.0.1:0 --store "$SMOKE/serve" --workers 1 \
+    --telemetry-interval-ms 0 > /dev/null &
+SERVE_PID=$!
+for _ in $(seq 1 100); do
+    [ -s "$SMOKE/serve/serve.addr" ] && break
+    sleep 0.1
+done
+./target/release/vulfi shutdown --addr "$(cat "$SMOKE/serve/serve.addr")" > /dev/null
+wait "$SERVE_PID"
 
 echo "ci: all checks passed"

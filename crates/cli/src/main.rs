@@ -7,16 +7,18 @@
 //! vulfi detect <file> [--isa ...] [--func NAME] [--uniform]
 //! vulfi campaign --bench NAME [--isa ...] [--category ...] [--experiments N] [--seed N] [--detectors]
 //! vulfi study --bench NAME [--store DIR] [--resume] [--trace DIR] ...
-//! vulfi trace summarize|fsck|export [--trace DIR] [--chrome] [-o PATH]
-//! vulfi events tail|summarize|fsck [--store DIR]
-//! vulfi alerts check|watch|fsck --rules FILE [--store DIR]
+//! vulfi fsck [--store DIR] [--trace DIR] [--repair]
+//! vulfi trace summarize|export [--trace DIR] [--chrome] [-o PATH]
+//! vulfi events tail|summarize [--store DIR]
+//! vulfi alerts check|watch --rules FILE [--store DIR]
 //! vulfi bench [trend] [--bench NAME] [--record] [--check BASELINE]
 //! vulfi serve [--addr HOST:PORT] [--rules FILE] [--telemetry-interval-ms N]
 //! vulfi profile --bench NAME [--isa ...] [--hotspots]
 //! vulfi list
 //! ```
 //!
-//! The full per-command flag reference is `vulfi help` (see [`usage`]).
+//! The full per-command flag reference is `vulfi help` (see [`usage`],
+//! rendered from the same command table that dispatches).
 //! `.vir` inputs are parsed as textual IR; anything else is compiled as
 //! SPMD-C.
 
@@ -39,51 +41,109 @@ fn main() -> ExitCode {
     }
 }
 
+/// One `vulfi` command line: `vulfi <name> [<sub>] <usage>`. The table
+/// below is the only list of commands: dispatch, `usage()`, the
+/// "needs a subcommand" errors and did-you-mean all read it.
+#[derive(Debug)]
+struct Command {
+    name: &'static str,
+    /// The subcommand word; `None` is the command's bare form.
+    sub: Option<&'static str>,
+    /// Argument synopsis; each `\n` continues on an indented line.
+    usage: &'static str,
+    run: fn(&Flags) -> Result<(), String>,
+}
+
+#[rustfmt::skip]
+static COMMAND_TABLE: &[Command] = &[
+    Command { name: "compile", sub: None, run: compile_cmd,
+        usage: "<file> [--isa avx|sse] [-o out.vir]" },
+    Command { name: "sites", sub: None, run: sites_cmd,
+        usage: "<file> [--isa avx|sse] [--func NAME] [--json] [-o PATH]" },
+    Command { name: "analyze", sub: None, run: analyze_cmd,
+        usage: "<file>|--bench NAME [--isa avx|sse] [--func NAME] [--json] [-o PATH]" },
+    Command { name: "lint", sub: None, run: lint_cmd,
+        usage: "<file>|--suite [--isa avx|sse] [--func NAME] [--deny] [--json] [-o PATH]" },
+    Command { name: "instrument", sub: None, run: instrument_cmd,
+        usage: "<file> --category pure-data|control|address [--func NAME]" },
+    Command { name: "detect", sub: None, run: detect_cmd,
+        usage: "<file> [--func NAME] [--uniform]" },
+    Command { name: "campaign", sub: None, run: campaign_cmd,
+        usage: "--bench NAME [--isa avx|sse] [--category CAT] [--experiments N] [--seed N] \
+                [--detectors]\n[--strict] [--wall-limit-ms N] [--mem-limit-mb N]" },
+    Command { name: "study", sub: None, run: run_study_cmd,
+        usage: "--bench NAME [--isa avx|sse] [--category CAT] [--experiments N] [--campaigns N] \
+                [--seed N]\n[--store DIR] [--resume] [--jobs N] [--shard-size N] [--json] \
+                [--detectors] [--model M]\n[--strict] [--wall-limit-ms N] [--mem-limit-mb N] \
+                [--trace DIR] [--metrics-out PATH]\n[--prune[=on|verify]]" },
+    Command { name: "results", sub: Some("summary"), run: results_summary,
+        usage: "[--store DIR] [--json]" },
+    Command { name: "results", sub: Some("merge"), run: results_merge,
+        usage: "<SRC>... --store DST" },
+    Command { name: "fsck", sub: None, run: fsck_cmd,
+        usage: "[--store DIR] [--trace DIR] [--repair] [--json]" },
+    Command { name: "trace", sub: Some("summarize"), run: trace_summarize,
+        usage: "[--trace DIR] [--top N] [--json]" },
+    Command { name: "trace", sub: Some("export"), run: trace_export,
+        usage: "--chrome [--store DIR] [--trace DIR] [-o out.json]" },
+    Command { name: "events", sub: Some("tail"), run: events_tail,
+        usage: "[--store DIR] [--top N] [--json]" },
+    Command { name: "events", sub: Some("summarize"), run: events_summarize,
+        usage: "[--store DIR] [--json]" },
+    Command { name: "alerts", sub: Some("check"), run: alerts_check,
+        usage: "--rules FILE [--store DIR] [--json]" },
+    Command { name: "alerts", sub: Some("watch"), run: alerts_watch,
+        usage: "--rules FILE [--store DIR] [--telemetry-interval-ms N]" },
+    Command { name: "report", sub: Some("diff"), run: report_diff,
+        usage: "<STORE_A> <STORE_B> [--json]" },
+    Command { name: "report", sub: Some("heatmap"), run: report_heatmap,
+        usage: "[--trace DIR] [--top N] [--model M] [--json]" },
+    Command { name: "report", sub: Some("html"), run: report_html,
+        usage: "[--store DIR] [--trace DIR] [--diff-store DIR] [--metrics-in PATH]\n\
+                [--top N] [-o out.html]" },
+    Command { name: "gauntlet", sub: Some("run"), run: gauntlet_run,
+        usage: "<SCENARIO.toml|.json> [--store DIR] [--jobs N] [--resume] [--json]\n[--strict] \
+                [--trace DIR] [--metrics-out PATH] [--wall-limit-ms N] [--mem-limit-mb N]" },
+    Command { name: "gauntlet", sub: Some("report"), run: gauntlet_report,
+        usage: "<SCENARIO.toml|.json> [--store DIR] [-o out.html]" },
+    Command { name: "bench", sub: None, run: bench_cmd,
+        usage: "[--bench NAME] [--isa avx|sse] [--category CAT] [--experiments N] [--seed N]\n\
+                [--record] [-o PATH] [--check BASELINE] [--prune]" },
+    Command { name: "bench", sub: Some("trend"), run: bench_trend,
+        usage: "[-o REPORT.json] [--bench NAME] [--json]" },
+    Command { name: "serve", sub: None, run: serve_cmd,
+        usage: "[--addr HOST:PORT] [--store DIR] [--workers N] [--lease-ttl-ms N]\n\
+                [--rules FILE] [--telemetry-interval-ms N]" },
+    Command { name: "submit", sub: None, run: submit_cmd,
+        usage: "--bench NAME [--addr HOST:PORT] [--isa avx|sse] [--category CAT] \
+                [--scale test|paper]\n[--experiments N] [--campaigns N] [--seed N] \
+                [--shard-size N] [--detectors] [--model M]\n[--tenant NAME] [--wait] [--json] \
+                [--prune]" },
+    Command { name: "status", sub: None, run: status_cmd,
+        usage: "[KEY] [--addr HOST:PORT] [--report] [--json]" },
+    Command { name: "shutdown", sub: None, run: shutdown_cmd,
+        usage: "[--addr HOST:PORT]" },
+    Command { name: "profile", sub: None, run: profile_cmd,
+        usage: "--bench NAME [--isa avx|sse] [--hotspots] [--top N] [-o FOLDED.txt]" },
+    Command { name: "list", sub: None, run: list_cmd, usage: "" },
+    Command { name: "help", sub: None, run: help_cmd, usage: "" },
+];
+
+/// One line per table row, continuation lines indented under the first.
 fn usage() -> String {
-    "usage:\n  vulfi compile <file> [--isa avx|sse] [-o out.vir]\n  \
-     vulfi sites <file> [--isa avx|sse] [--func NAME] [--json] [-o PATH]\n  \
-     vulfi analyze <file>|--bench NAME [--isa avx|sse] [--func NAME] [--json] [-o PATH]\n  \
-     vulfi lint <file>|--suite [--isa avx|sse] [--func NAME] [--deny] [--json] [-o PATH]\n  \
-     vulfi instrument <file> --category pure-data|control|address [--func NAME]\n  \
-     vulfi detect <file> [--func NAME] [--uniform]\n  \
-     vulfi campaign --bench NAME [--isa avx|sse] [--category CAT] [--experiments N] [--seed N] [--detectors]\n         \
-     [--strict] [--wall-limit-ms N] [--mem-limit-mb N]\n  \
-     vulfi study --bench NAME [--isa avx|sse] [--category CAT] [--experiments N] [--campaigns N] [--seed N]\n         \
-     [--store DIR] [--resume] [--jobs N] [--shard-size N] [--json] [--detectors] [--model M]\n         \
-     [--strict] [--wall-limit-ms N] [--mem-limit-mb N] [--trace DIR] [--metrics-out PATH]\n         \
-     [--prune[=on|verify]]\n  \
-     vulfi results summary [--store DIR] [--json]\n  \
-     vulfi results merge <SRC>... --store DST\n  \
-     vulfi store fsck [--store DIR] [--repair] [--json]\n  \
-     vulfi trace summarize [--trace DIR] [--top N] [--json]\n  \
-     vulfi trace fsck [--trace DIR] [--repair] [--json]\n  \
-     vulfi trace export --chrome [--store DIR] [--trace DIR] [-o out.json]\n  \
-     vulfi events tail [--store DIR] [--top N] [--json]\n  \
-     vulfi events summarize [--store DIR] [--json]\n  \
-     vulfi events fsck [--store DIR] [--repair] [--json]\n  \
-     vulfi alerts check --rules FILE [--store DIR] [--json]\n  \
-     vulfi alerts watch --rules FILE [--store DIR] [--telemetry-interval-ms N]\n  \
-     vulfi alerts fsck [--store DIR] [--repair] [--json]\n  \
-     vulfi report diff <STORE_A> <STORE_B> [--json]\n  \
-     vulfi report heatmap [--trace DIR] [--top N] [--model M] [--json]\n  \
-     vulfi report html [--store DIR] [--trace DIR] [--diff-store DIR] [--metrics-in PATH]\n         \
-     [--top N] [-o out.html]\n  \
-     vulfi gauntlet run <SCENARIO.toml|.json> [--store DIR] [--jobs N] [--resume] [--json]\n         \
-     [--strict] [--trace DIR] [--metrics-out PATH] [--wall-limit-ms N] [--mem-limit-mb N]\n  \
-     vulfi gauntlet report <SCENARIO.toml|.json> [--store DIR] [-o out.html]\n  \
-     vulfi bench [--bench NAME] [--isa avx|sse] [--category CAT] [--experiments N] [--seed N]\n         \
-     [--record] [-o PATH] [--check BASELINE] [--prune]\n  \
-     vulfi bench trend [-o REPORT.json] [--bench NAME] [--json]\n  \
-     vulfi serve [--addr HOST:PORT] [--store DIR] [--workers N] [--lease-ttl-ms N]\n         \
-     [--rules FILE] [--telemetry-interval-ms N]\n  \
-     vulfi submit --bench NAME [--addr HOST:PORT] [--isa avx|sse] [--category CAT] [--scale test|paper]\n         \
-     [--experiments N] [--campaigns N] [--seed N] [--shard-size N] [--detectors] [--model M]\n         \
-     [--tenant NAME] [--wait] [--json] [--prune]\n  \
-     vulfi status [KEY] [--addr HOST:PORT] [--report] [--json]\n  \
-     vulfi shutdown [--addr HOST:PORT]\n  \
-     vulfi profile --bench NAME [--isa avx|sse] [--hotspots] [--top N] [-o FOLDED.txt]\n  \
-     vulfi list"
-        .to_string()
+    let mut u = "usage:".to_string();
+    for c in COMMAND_TABLE {
+        let words: Vec<&str> = [Some(c.name), c.sub, Some(c.usage)]
+            .into_iter()
+            .flatten()
+            .filter(|w| !w.is_empty())
+            .collect();
+        u.push_str(&format!(
+            "\n  vulfi {}",
+            words.join(" ").replace('\n', "\n         ")
+        ));
+    }
+    u
 }
 
 #[derive(Debug)]
@@ -106,14 +166,14 @@ struct Flags {
     /// Abort the campaign on an engine panic instead of recording a
     /// contained Crash outcome.
     strict: bool,
-    /// `store fsck`: quarantine and rebuild corrupt shard logs.
+    /// `fsck`: quarantine corrupt logs and salvage their intact records.
     repair: bool,
     /// Wall-clock watchdog per faulty run, in milliseconds.
     wall_limit_ms: Option<u64>,
     /// Memory ceiling per faulty run, in MiB.
     mem_limit_mb: Option<u64>,
     /// Trace-store root: `study --trace DIR` records per-experiment
-    /// spans there; `trace summarize|fsck` read it.
+    /// spans there; `trace summarize`, `report heatmap` and `fsck` read it.
     trace: Option<String>,
     /// Write a metrics snapshot here after `study` (`.json` → JSON,
     /// anything else → Prometheus text format).
@@ -403,332 +463,47 @@ fn emit(text: &str, out: &Option<String>) -> Result<(), String> {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    let Some(cmd) = args.first() else {
+    let Some(name) = args.first() else {
         return Err(usage());
     };
     let flags = parse_flags(&args[1..])?;
-    match cmd.as_str() {
-        "compile" => {
-            let path = flags.positional.first().ok_or_else(usage)?;
-            let m = load_module(path, flags.isa)?;
-            emit(&vir::printer::print_module(&m), &flags.out)
-        }
-        "sites" => {
-            let path = flags.positional.first().ok_or_else(usage)?;
-            let m = load_module(path, flags.isa)?;
-            let f = pick_func(&m, &flags)?;
-            let fname = f.name.as_str();
-            let sites = vulfi::enumerate_sites(f);
-            if flags.json {
-                let docs: Vec<serde_json::Value> = sites
-                    .iter()
-                    .map(|s| {
-                        let inst = f.inst(s.inst);
-                        let value = match s.kind {
-                            vulfi::SiteKind::Lvalue => inst
-                                .result
-                                .map(|v| f.value_display_name(v))
-                                .unwrap_or_default(),
-                            vulfi::SiteKind::StoreValue { operand_index } => inst
-                                .operands()
-                                .get(operand_index)
-                                .and_then(|op| op.value())
-                                .map(|v| f.value_display_name(v))
-                                .unwrap_or_else(|| "const".to_string()),
-                        };
-                        let category = if s.flags.address {
-                            "address"
-                        } else if s.flags.control {
-                            "control"
-                        } else {
-                            "pure-data"
-                        };
-                        serde_json::json!({
-                            "id": s.id as u64,
-                            "value": value,
-                            "opcode": inst.opcode(),
-                            "kind": match s.kind {
-                                vulfi::SiteKind::Lvalue => "lvalue".to_string(),
-                                vulfi::SiteKind::StoreValue { operand_index } =>
-                                    format!("store-value:{operand_index}"),
-                            },
-                            "category": category,
-                            "address": s.flags.address,
-                            "control": s.flags.control,
-                            "masked": s.mask.is_some(),
-                            "mask_source": match &s.mask {
-                                Some(m) => serde_json::json!(m.arg_index as u64),
-                                None => serde_json::Value::Null,
-                            },
-                            "vector": s.is_vector_inst,
-                            "lanes": s.lanes() as u64,
-                            "elem": s.elem().name(),
-                        })
-                    })
-                    .collect();
-                let doc = serde_json::json!({
-                    "function": fname,
-                    "sites": serde_json::Value::Array(docs),
-                });
-                emit(&serde_json::to_string_pretty(&doc).unwrap(), &flags.out)
-            } else {
-                println!(
-                    "@{fname}: {} static fault sites ({} scalar fault sites including lanes)",
-                    sites.len(),
-                    sites.iter().map(|s| s.lanes() as u64).sum::<u64>()
-                );
-                for (cat, mix) in vulfi::category_mix(&sites) {
-                    println!(
-                        "  {:9}: {:4} sites ({} vector, {} scalar, {:.1}% vector)",
-                        cat.name(),
-                        mix.total(),
-                        mix.vector,
-                        mix.scalar,
-                        mix.vector_pct()
-                    );
-                }
-                Ok(())
-            }
-        }
-        "analyze" => analyze_cmd(&flags),
-        "lint" => lint_cmd(&flags),
-        "instrument" => {
-            let path = flags.positional.first().ok_or_else(usage)?;
-            let category = flags.category.ok_or("instrument requires --category")?;
-            let mut m = load_module(path, flags.isa)?;
-            let fname = pick_func(&m, &flags)?.name.clone();
-            let r =
-                vulfi::instrument_module(&mut m, &fname, vulfi::InstrumentOptions::new(category))?;
-            eprintln!("instrumented {} sites in @{fname}", r.sites.len());
-            emit(&vir::printer::print_module(&m), &flags.out)
-        }
-        "detect" => {
-            let path = flags.positional.first().ok_or_else(usage)?;
-            let mut m = load_module(path, flags.isa)?;
-            let fname = pick_func(&m, &flags)?.name.clone();
-            let n = detectors::insert_foreach_detectors(
-                &mut m,
-                &fname,
-                detectors::CheckPlacement::OnExit,
-            )?;
-            eprintln!("inserted {n} foreach-invariant detector block(s)");
-            if flags.uniform {
-                let u = detectors::insert_uniform_detectors(&mut m, &fname)?;
-                eprintln!("inserted {u} uniform-broadcast checker(s)");
-            }
-            emit(&vir::printer::print_module(&m), &flags.out)
-        }
-        "campaign" => {
-            let name = flags.bench.as_deref().ok_or("campaign requires --bench")?;
-            let scale = vbench::Scale::Test;
-            let w = vbench::study_benchmark(name, flags.isa, scale)
-                .or_else(|| vbench::micro_benchmark(name, flags.isa, scale))
-                .ok_or_else(|| format!("unknown benchmark '{name}' (see `vulfi list`)"))?;
-            let category = flags.category.unwrap_or(SiteCategory::PureData);
-            let experiments = flags.experiments.unwrap_or(200);
-            vulfi::set_strict(flags.strict);
-            let run_one = |w: &dyn Workload| -> Result<(), String> {
-                let mut prog = vulfi::prepare(w, category).map_err(|e| e.to_string())?;
-                apply_limits(&mut prog, &flags);
-                println!(
-                    "benchmark {} [{}], category {}, {} static sites, {} experiments, seed {}",
-                    w.name(),
-                    flags.isa,
-                    category,
-                    prog.sites.len(),
-                    experiments,
-                    flags.seed
-                );
-                let c = vulfi::run_campaign(&prog, w, experiments, flags.seed)
-                    .map_err(|e| e.to_string())?;
-                println!(
-                    "SDC {:5.1}%   Benign {:5.1}%   Crash {:5.1}%",
-                    c.counts.sdc_rate(),
-                    c.counts.benign_rate(),
-                    c.counts.crash_rate()
-                );
-                if c.counts.detected > 0 || c.counts.sdc_detected > 0 {
-                    println!(
-                        "detections: {} total, SDC detection rate {:.1}%",
-                        c.counts.detected,
-                        c.counts.sdc_detection_rate()
-                    );
-                }
-                report_engine_faults();
-                Ok(())
-            };
-            if flags.detectors {
-                let wd = detectors::WithDetectors::new(&w, detectors::DetectorConfig::default())
-                    .map_err(|e| e.to_string())?;
-                run_one(&wd)
-            } else {
-                run_one(&w)
-            }
-        }
-        "study" => run_study_cmd(&flags),
-        "results" => match flags.positional.first().map(String::as_str) {
-            Some("summary") => results_summary(&flags),
-            Some("merge") => results_merge(&flags),
-            _ => Err(format!("results needs a subcommand\n{}", usage())),
-        },
-        "store" => match flags.positional.first().map(String::as_str) {
-            Some("fsck") => store_fsck(&flags),
-            _ => Err(format!("store needs a subcommand (fsck)\n{}", usage())),
-        },
-        "trace" => match flags.positional.first().map(String::as_str) {
-            Some("summarize") => trace_summarize(&flags),
-            Some("fsck") => trace_fsck(&flags),
-            Some("export") => trace_export(&flags),
-            _ => Err(format!(
-                "trace needs a subcommand (summarize, fsck, export)\n{}",
-                usage()
-            )),
-        },
-        "events" => match flags.positional.first().map(String::as_str) {
-            Some("tail") => events_tail(&flags),
-            Some("summarize") => events_summarize(&flags),
-            Some("fsck") => events_fsck(&flags),
-            _ => Err(format!(
-                "events needs a subcommand (tail, summarize, fsck)\n{}",
-                usage()
-            )),
-        },
-        "alerts" => match flags.positional.first().map(String::as_str) {
-            Some("check") => alerts_check(&flags),
-            Some("watch") => alerts_watch(&flags),
-            Some("fsck") => alerts_fsck(&flags),
-            _ => Err(format!(
-                "alerts needs a subcommand (check, watch, fsck)\n{}",
-                usage()
-            )),
-        },
-        "report" => match flags.positional.first().map(String::as_str) {
-            Some("diff") => report_diff(&flags),
-            Some("heatmap") => report_heatmap(&flags),
-            Some("html") => report_html(&flags),
-            _ => Err(format!(
-                "report needs a subcommand (diff, heatmap, html)\n{}",
-                usage()
-            )),
-        },
-        "gauntlet" => match flags.positional.first().map(String::as_str) {
-            Some("run") => gauntlet_run(&flags),
-            Some("report") => gauntlet_report(&flags),
-            _ => Err(format!(
-                "gauntlet needs a subcommand (run, report)\n{}",
-                usage()
-            )),
-        },
-        "bench" => match flags.positional.first().map(String::as_str) {
-            Some("trend") => bench_trend(&flags),
-            _ => bench_cmd(&flags),
-        },
-        "serve" => serve_cmd(&flags),
-        "submit" => submit_cmd(&flags),
-        "status" => status_cmd(&flags),
-        "shutdown" => shutdown_cmd(&flags),
-        "profile" => {
-            let name = flags.bench.as_deref().ok_or("profile requires --bench")?;
-            let scale = vbench::Scale::Test;
-            let w = vbench::study_benchmark(name, flags.isa, scale)
-                .or_else(|| vbench::micro_benchmark(name, flags.isa, scale))
-                .ok_or_else(|| format!("unknown benchmark '{name}' (see `vulfi list`)"))?;
-            let mut interp = vexec::Interp::new(w.module());
-            interp.enable_profiling();
-            if flags.hotspots {
-                interp.enable_hotspots();
-            }
-            let setup = w
-                .setup(&mut interp.mem, 0)
-                .map_err(|t| format!("setup failed: {t}"))?;
-            interp
-                .run(w.entry(), &setup.args, &mut vexec::NoHost)
-                .map_err(|t| format!("golden run trapped: {t}"))?;
-            let mix = interp.take_mix().expect("profiling enabled");
-            println!(
-                "{} [{}]: {} dynamic instructions, {:.1}% vector",
-                w.name(),
-                flags.isa,
-                mix.total,
-                mix.vector_pct()
-            );
-            println!("hottest opcodes:");
-            for (op, n) in mix.hottest().into_iter().take(12) {
-                println!(
-                    "  {:16} {:>10}  ({:.1}%)",
-                    op,
-                    n,
-                    100.0 * n as f64 / mix.total as f64
-                );
-            }
-            if mix.lanes_total > 0 {
-                println!(
-                    "lane occupancy: mean {:.2} active lanes per vector instruction, \
-                     {:.1}% lane utilization",
-                    mix.avg_active_lanes(),
-                    100.0 * mix.lane_utilization()
-                );
-                for (active, n) in mix.occupancy_histogram() {
-                    println!("  {active:>2} active lane(s): {n:>10} inst(s)");
-                }
-            }
-            if flags.hotspots {
-                let hot = interp.take_hotspots().expect("hotspots enabled");
-                print_hotspots(&hot, &flags)?;
-            }
-            Ok(())
-        }
-        "list" => {
-            println!("study benchmarks (paper Table I):");
-            for n in vbench::STUDY_NAMES {
-                println!("  {n}");
-            }
-            println!("micro-benchmarks (paper Fig. 12):");
-            for n in vbench::MICRO_NAMES {
-                println!("  {n}");
-            }
-            Ok(())
-        }
-        "--help" | "-h" | "help" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => match suggest_command(other) {
-            Some(best) => Err(format!(
-                "unknown command '{other}' (did you mean '{best}'?)\n{}",
-                usage()
-            )),
-            None => Err(format!("unknown command '{other}'\n{}", usage())),
-        },
-    }
+    let name = match name.as_str() {
+        "--help" | "-h" => "help",
+        other => other,
+    };
+    (lookup(name, &flags.positional)?.run)(&flags)
 }
 
-/// Every top-level subcommand, for typo suggestions.
-const COMMANDS: &[&str] = &[
-    "compile",
-    "sites",
-    "analyze",
-    "lint",
-    "instrument",
-    "detect",
-    "campaign",
-    "study",
-    "results",
-    "store",
-    "trace",
-    "events",
-    "alerts",
-    "report",
-    "gauntlet",
-    "bench",
-    "serve",
-    "submit",
-    "status",
-    "shutdown",
-    "profile",
-    "list",
-    "help",
-];
+/// Resolve `vulfi <name> [<sub>]` to its table row. An unknown command
+/// gets a did-you-mean; a command with subcommands lists them, with a
+/// did-you-mean for a mistyped one.
+fn lookup(name: &str, positional: &[String]) -> Result<&'static Command, String> {
+    let rows: Vec<&'static Command> = COMMAND_TABLE.iter().filter(|c| c.name == name).collect();
+    if rows.is_empty() {
+        let hint = suggest_command(name)
+            .map(|best| format!(" (did you mean '{best}'?)"))
+            .unwrap_or_default();
+        return Err(format!("unknown command '{name}'{hint}\n{}", usage()));
+    }
+    let subs: Vec<&'static str> = rows.iter().filter_map(|c| c.sub).collect();
+    // Only a command with subcommands reads its first positional as one.
+    let word = positional
+        .first()
+        .map(String::as_str)
+        .filter(|_| !subs.is_empty());
+    if let Some(row) = rows.iter().find(|c| c.sub == word) {
+        return Ok(row);
+    }
+    let list = subs.join(", ");
+    let msg = match word {
+        Some(w) => match suggest(w, subs.iter().copied()) {
+            Some(best) => format!("unknown {name} subcommand '{w}' (did you mean '{best}'?)"),
+            None => format!("unknown {name} subcommand '{w}' (expected {list})"),
+        },
+        None => format!("{name} needs a subcommand ({list})"),
+    };
+    Err(format!("{msg}\n{}", usage()))
+}
 
 /// Levenshtein distance, small inputs only (command names).
 fn edit_distance(a: &str, b: &str) -> usize {
@@ -745,16 +520,252 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// The closest known command within edit distance 2, if any — so
-/// `vulfi serv` points at `serve` instead of dumping only the usage.
-fn suggest_command(typo: &str) -> Option<&'static str> {
-    COMMANDS
-        .iter()
-        .copied()
+/// The closest of `known` within edit distance 2, if any.
+fn suggest<'a>(typo: &str, known: impl IntoIterator<Item = &'a str>) -> Option<&'a str> {
+    known
+        .into_iter()
         .map(|c| (edit_distance(typo, c), c))
         .filter(|(d, c)| *d <= 2 && *d < c.len())
         .min_by_key(|(d, _)| *d)
         .map(|(_, c)| c)
+}
+
+/// The closest command name — so `vulfi serv` points at `serve`
+/// instead of dumping only the usage.
+fn suggest_command(typo: &str) -> Option<&'static str> {
+    suggest(typo, COMMAND_TABLE.iter().map(|c| c.name))
+}
+
+/// `vulfi help`: the usage text.
+fn help_cmd(_: &Flags) -> Result<(), String> {
+    println!("{}", usage());
+    Ok(())
+}
+
+/// `vulfi compile`: print a module as textual IR.
+fn compile_cmd(flags: &Flags) -> Result<(), String> {
+    let path = flags.positional.first().ok_or_else(usage)?;
+    let m = load_module(path, flags.isa)?;
+    emit(&vir::printer::print_module(&m), &flags.out)
+}
+
+/// `vulfi sites`: the fault-site census of one function.
+fn sites_cmd(flags: &Flags) -> Result<(), String> {
+    let path = flags.positional.first().ok_or_else(usage)?;
+    let m = load_module(path, flags.isa)?;
+    let f = pick_func(&m, flags)?;
+    let fname = f.name.as_str();
+    let sites = vulfi::enumerate_sites(f);
+    if flags.json {
+        let docs: Vec<serde_json::Value> = sites
+            .iter()
+            .map(|s| {
+                let inst = f.inst(s.inst);
+                let value = match s.kind {
+                    vulfi::SiteKind::Lvalue => inst
+                        .result
+                        .map(|v| f.value_display_name(v))
+                        .unwrap_or_default(),
+                    vulfi::SiteKind::StoreValue { operand_index } => inst
+                        .operands()
+                        .get(operand_index)
+                        .and_then(|op| op.value())
+                        .map(|v| f.value_display_name(v))
+                        .unwrap_or_else(|| "const".to_string()),
+                };
+                let category = if s.flags.address {
+                    "address"
+                } else if s.flags.control {
+                    "control"
+                } else {
+                    "pure-data"
+                };
+                serde_json::json!({
+                    "id": s.id as u64,
+                    "value": value,
+                    "opcode": inst.opcode(),
+                    "kind": match s.kind {
+                        vulfi::SiteKind::Lvalue => "lvalue".to_string(),
+                        vulfi::SiteKind::StoreValue { operand_index } =>
+                            format!("store-value:{operand_index}"),
+                    },
+                    "category": category,
+                    "address": s.flags.address,
+                    "control": s.flags.control,
+                    "masked": s.mask.is_some(),
+                    "mask_source": match &s.mask {
+                        Some(m) => serde_json::json!(m.arg_index as u64),
+                        None => serde_json::Value::Null,
+                    },
+                    "vector": s.is_vector_inst,
+                    "lanes": s.lanes() as u64,
+                    "elem": s.elem().name(),
+                })
+            })
+            .collect();
+        let doc = serde_json::json!({
+            "function": fname,
+            "sites": serde_json::Value::Array(docs),
+        });
+        emit(&serde_json::to_string_pretty(&doc).unwrap(), &flags.out)
+    } else {
+        println!(
+            "@{fname}: {} static fault sites ({} scalar fault sites including lanes)",
+            sites.len(),
+            sites.iter().map(|s| s.lanes() as u64).sum::<u64>()
+        );
+        for (cat, mix) in vulfi::category_mix(&sites) {
+            println!(
+                "  {:9}: {:4} sites ({} vector, {} scalar, {:.1}% vector)",
+                cat.name(),
+                mix.total(),
+                mix.vector,
+                mix.scalar,
+                mix.vector_pct()
+            );
+        }
+        Ok(())
+    }
+}
+
+/// `vulfi instrument`: insert the injection hooks for one site category.
+fn instrument_cmd(flags: &Flags) -> Result<(), String> {
+    let path = flags.positional.first().ok_or_else(usage)?;
+    let category = flags.category.ok_or("instrument requires --category")?;
+    let mut m = load_module(path, flags.isa)?;
+    let fname = pick_func(&m, flags)?.name.clone();
+    let r = vulfi::instrument_module(&mut m, &fname, vulfi::InstrumentOptions::new(category))?;
+    eprintln!("instrumented {} sites in @{fname}", r.sites.len());
+    emit(&vir::printer::print_module(&m), &flags.out)
+}
+
+/// `vulfi detect`: insert the foreach-invariant (and uniform) detectors.
+fn detect_cmd(flags: &Flags) -> Result<(), String> {
+    let path = flags.positional.first().ok_or_else(usage)?;
+    let mut m = load_module(path, flags.isa)?;
+    let fname = pick_func(&m, flags)?.name.clone();
+    let n = detectors::insert_foreach_detectors(&mut m, &fname, detectors::CheckPlacement::OnExit)?;
+    eprintln!("inserted {n} foreach-invariant detector block(s)");
+    if flags.uniform {
+        let u = detectors::insert_uniform_detectors(&mut m, &fname)?;
+        eprintln!("inserted {u} uniform-broadcast checker(s)");
+    }
+    emit(&vir::printer::print_module(&m), &flags.out)
+}
+
+/// `vulfi campaign`: one in-memory campaign on a built-in benchmark.
+fn campaign_cmd(flags: &Flags) -> Result<(), String> {
+    let name = flags.bench.as_deref().ok_or("campaign requires --bench")?;
+    let scale = vbench::Scale::Test;
+    let w = vbench::study_benchmark(name, flags.isa, scale)
+        .or_else(|| vbench::micro_benchmark(name, flags.isa, scale))
+        .ok_or_else(|| format!("unknown benchmark '{name}' (see `vulfi list`)"))?;
+    let category = flags.category.unwrap_or(SiteCategory::PureData);
+    let experiments = flags.experiments.unwrap_or(200);
+    vulfi::set_strict(flags.strict);
+    let run_one = |w: &dyn Workload| -> Result<(), String> {
+        let mut prog = vulfi::prepare(w, category).map_err(|e| e.to_string())?;
+        apply_limits(&mut prog, flags);
+        println!(
+            "benchmark {} [{}], category {}, {} static sites, {} experiments, seed {}",
+            w.name(),
+            flags.isa,
+            category,
+            prog.sites.len(),
+            experiments,
+            flags.seed
+        );
+        let c =
+            vulfi::run_campaign(&prog, w, experiments, flags.seed).map_err(|e| e.to_string())?;
+        println!(
+            "SDC {:5.1}%   Benign {:5.1}%   Crash {:5.1}%",
+            c.counts.sdc_rate(),
+            c.counts.benign_rate(),
+            c.counts.crash_rate()
+        );
+        if c.counts.detected > 0 || c.counts.sdc_detected > 0 {
+            println!(
+                "detections: {} total, SDC detection rate {:.1}%",
+                c.counts.detected,
+                c.counts.sdc_detection_rate()
+            );
+        }
+        report_engine_faults();
+        Ok(())
+    };
+    if flags.detectors {
+        let wd = detectors::WithDetectors::new(&w, detectors::DetectorConfig::default())
+            .map_err(|e| e.to_string())?;
+        run_one(&wd)
+    } else {
+        run_one(&w)
+    }
+}
+
+/// `vulfi profile`: the golden run's dynamic instruction mix.
+fn profile_cmd(flags: &Flags) -> Result<(), String> {
+    let name = flags.bench.as_deref().ok_or("profile requires --bench")?;
+    let scale = vbench::Scale::Test;
+    let w = vbench::study_benchmark(name, flags.isa, scale)
+        .or_else(|| vbench::micro_benchmark(name, flags.isa, scale))
+        .ok_or_else(|| format!("unknown benchmark '{name}' (see `vulfi list`)"))?;
+    let mut interp = vexec::Interp::new(w.module());
+    interp.enable_profiling();
+    if flags.hotspots {
+        interp.enable_hotspots();
+    }
+    let setup = w
+        .setup(&mut interp.mem, 0)
+        .map_err(|t| format!("setup failed: {t}"))?;
+    interp
+        .run(w.entry(), &setup.args, &mut vexec::NoHost)
+        .map_err(|t| format!("golden run trapped: {t}"))?;
+    let mix = interp.take_mix().expect("profiling enabled");
+    println!(
+        "{} [{}]: {} dynamic instructions, {:.1}% vector",
+        w.name(),
+        flags.isa,
+        mix.total,
+        mix.vector_pct()
+    );
+    println!("hottest opcodes:");
+    for (op, n) in mix.hottest().into_iter().take(12) {
+        println!(
+            "  {:16} {:>10}  ({:.1}%)",
+            op,
+            n,
+            100.0 * n as f64 / mix.total as f64
+        );
+    }
+    if mix.lanes_total > 0 {
+        println!(
+            "lane occupancy: mean {:.2} active lanes per vector instruction, \
+             {:.1}% lane utilization",
+            mix.avg_active_lanes(),
+            100.0 * mix.lane_utilization()
+        );
+        for (active, n) in mix.occupancy_histogram() {
+            println!("  {active:>2} active lane(s): {n:>10} inst(s)");
+        }
+    }
+    if flags.hotspots {
+        let hot = interp.take_hotspots().expect("hotspots enabled");
+        print_hotspots(&hot, flags)?;
+    }
+    Ok(())
+}
+
+/// `vulfi list`: the built-in benchmarks.
+fn list_cmd(_: &Flags) -> Result<(), String> {
+    println!("study benchmarks (paper Table I):");
+    for n in vbench::STUDY_NAMES {
+        println!("  {n}");
+    }
+    println!("micro-benchmarks (paper Fig. 12):");
+    for n in vbench::MICRO_NAMES {
+        println!("  {n}");
+    }
+    Ok(())
 }
 
 /// Surface any engine panics that were contained during this run: they
@@ -1455,23 +1466,6 @@ fn trace_summarize(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `vulfi trace fsck`: check every study's trace log; with `--repair`,
-/// quarantine corrupt logs and salvage the intact shards.
-fn trace_fsck(flags: &Flags) -> Result<(), String> {
-    let root = trace_root(flags);
-    let store = vulfi_orch::TraceStore::open(&root).map_err(|e| e.to_string())?;
-    let report = store.fsck(flags.repair).map_err(|e| e.to_string())?;
-    print_fsck_report(&report, flags, &root)?;
-    if report.needs_repair() && !flags.repair {
-        return Err(format!(
-            "corrupt trace log(s) found under {root}; re-run with --repair to \
-             quarantine them and salvage intact records (summaries then cover \
-             the surviving spans)"
-        ));
-    }
-    Ok(())
-}
-
 /// `vulfi trace export --chrome`: stitch the ops log and trace store
 /// into the causal span tree (request → job → shard → experiment) and
 /// emit Chrome trace-event JSON loadable in Perfetto or chrome://tracing.
@@ -1618,25 +1612,6 @@ fn events_summarize(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `vulfi events fsck`: integrity-check the ops log; with `--repair`,
-/// quarantine a corrupt log and salvage the intact events.
-fn events_fsck(flags: &Flags) -> Result<(), String> {
-    let ops = vulfi_orch::OpsLog::open(&flags.store).map_err(|e| e.to_string())?;
-    let study = ops.fsck(flags.repair).map_err(|e| e.to_string())?;
-    let report = vulfi_orch::FsckReport {
-        studies: vec![study],
-    };
-    print_fsck_report(&report, flags, &flags.store)?;
-    if report.needs_repair() && !flags.repair {
-        return Err(format!(
-            "corrupt ops log under {}; re-run with --repair to quarantine it \
-             and salvage intact events",
-            flags.store
-        ));
-    }
-    Ok(())
-}
-
 /// Load and parse the `--rules` file shared by the alerts subcommands
 /// and `vulfi serve`.
 fn load_alert_rules(flags: &Flags) -> Result<Vec<vulfi_orch::AlertRule>, String> {
@@ -1718,37 +1693,67 @@ fn alerts_watch(flags: &Flags) -> Result<(), String> {
     }
 }
 
-/// `vulfi alerts fsck`: integrity-check the telemetry log; with
-/// `--repair`, quarantine a corrupt log and salvage the intact samples.
-fn alerts_fsck(flags: &Flags) -> Result<(), String> {
-    let log = vulfi_orch::TelemetryLog::open(&flags.store).map_err(|e| e.to_string())?;
-    let study = log.fsck(flags.repair).map_err(|e| e.to_string())?;
-    let report = vulfi_orch::FsckReport {
-        studies: vec![study],
-    };
-    print_fsck_report(&report, flags, &flags.store)?;
-    if report.needs_repair() && !flags.repair {
-        return Err(format!(
-            "corrupt telemetry log under {}; re-run with --repair to quarantine \
-             it and salvage intact samples",
-            flags.store
-        ));
+/// `vulfi fsck`: check every checked log — each study's shard log and
+/// the queue, ops and telemetry logs under `--store`, and each study's
+/// trace log under the trace root. A root that does not exist is
+/// skipped. With `--repair`, corrupt logs are quarantined, their intact
+/// records salvaged, and one ops event names every quarantined log.
+fn fsck_cmd(flags: &Flags) -> Result<(), String> {
+    let store_exists = std::path::Path::new(&flags.store).is_dir();
+    let trace = trace_root(flags);
+    let mut reports = Vec::new();
+    if store_exists {
+        let store = vulfi_orch::Store::open(&flags.store).map_err(|e| e.to_string())?;
+        let report = store.fsck(flags.repair).map_err(|e| e.to_string())?;
+        reports.push((flags.store.clone(), report));
+    }
+    if std::path::Path::new(&trace).is_dir() {
+        let store = vulfi_orch::TraceStore::open(&trace).map_err(|e| e.to_string())?;
+        let report = store.fsck(flags.repair).map_err(|e| e.to_string())?;
+        reports.push((trace, report));
+    }
+    // Repairs are operational actions: record them in the ops event
+    // stream so `vulfi events summarize` accounts for them, before any
+    // output that a closed pipe could cut short. The store fsck above
+    // has already healed the ops log if it was quarantined.
+    let quarantined: Vec<String> = reports
+        .iter()
+        .flat_map(|(_, r)| &r.studies)
+        .filter_map(|s| s.quarantined.as_ref())
+        .map(|q| q.display().to_string())
+        .collect();
+    if !quarantined.is_empty() && store_exists {
+        let ops = vulfi_orch::OpsLog::open(&flags.store).map_err(|e| e.to_string())?;
+        ops.append(
+            vulfi_orch::OpsEvent::new(vulfi_orch::OpsKind::Fsck).detail(format!(
+                "fsck quarantined {} log(s): {}",
+                quarantined.len(),
+                quarantined.join(", ")
+            )),
+        )
+        .map_err(|e| e.to_string())?;
+    }
+    print_fsck_report(&reports, flags.json);
+    if !flags.repair && reports.iter().any(|(_, r)| r.needs_repair()) {
+        return Err(
+            "corrupt log(s) found; re-run `vulfi fsck --repair` to quarantine them \
+             and salvage intact records, then resume the affected studies"
+                .to_string(),
+        );
     }
     Ok(())
 }
 
-/// Shared fsck report renderer for the result store and the trace store.
-fn print_fsck_report(
-    report: &vulfi_orch::FsckReport,
-    flags: &Flags,
-    root: &str,
-) -> Result<(), String> {
-    if flags.json {
-        let docs: Vec<serde_json::Value> = report
-            .studies
+/// Print one row per checked log, grouped by root (`--json`: one flat
+/// array whose rows name their root).
+fn print_fsck_report(reports: &[(String, vulfi_orch::FsckReport)], json: bool) {
+    if json {
+        let docs: Vec<serde_json::Value> = reports
             .iter()
-            .map(|s| {
+            .flat_map(|(root, r)| r.studies.iter().map(move |s| (root, s)))
+            .map(|(root, s)| {
                 serde_json::json!({
+                    "root": root.clone(),
                     "key": s.key.0.clone(),
                     "lines": s.lines as u64,
                     "valid": s.valid as u64,
@@ -1771,7 +1776,14 @@ fn print_fsck_report(
             "{}",
             serde_json::to_string_pretty(&serde_json::Value::Array(docs)).unwrap()
         );
-    } else {
+        return;
+    }
+    for (root, report) in reports {
+        if report.studies.is_empty() {
+            println!("no logs under {root}");
+            continue;
+        }
+        println!("{root}:");
         for s in &report.studies {
             let status = if s.needs_repair() {
                 "CORRUPT"
@@ -1781,62 +1793,23 @@ fn print_fsck_report(
                 "ok"
             };
             println!(
-                "{}  {:10}  {} record(s) valid of {} line(s)",
+                "  {:12}  {:10}  {} record(s) valid of {} line(s)",
                 &s.key.0[..12.min(s.key.0.len())],
                 status,
                 s.valid,
                 s.lines
             );
             for (line, reason) in &s.corrupt {
-                println!("    line {line}: {reason}");
+                println!("      line {line}: {reason}");
             }
             if let Some(q) = &s.quarantined {
-                println!("    quarantined to {}", q.display());
-            }
-        }
-        if report.studies.is_empty() {
-            println!("no studies under {root}");
-        }
-    }
-    Ok(())
-}
-
-/// `vulfi store fsck`: check every study's shard log; with `--repair`,
-/// quarantine corrupt logs and salvage the intact records.
-fn store_fsck(flags: &Flags) -> Result<(), String> {
-    let store = vulfi_orch::Store::open(&flags.store).map_err(|e| e.to_string())?;
-    let report = store.fsck(flags.repair).map_err(|e| e.to_string())?;
-    print_fsck_report(&report, flags, &flags.store)?;
-    // Repairs are operational actions: record them in the ops event
-    // stream so `vulfi events summarize` accounts for them.
-    if flags.repair {
-        let quarantined: Vec<String> = report
-            .studies
-            .iter()
-            .filter(|s| s.quarantined.is_some())
-            .map(|s| s.key.0.clone())
-            .collect();
-        if !quarantined.is_empty() {
-            if let Ok(ops) = vulfi_orch::OpsLog::open(&flags.store) {
-                let _ = ops.append(vulfi_orch::OpsEvent::new(vulfi_orch::OpsKind::Fsck).detail(
-                    format!(
-                        "store fsck quarantined {} shard log(s): {}",
-                        quarantined.len(),
-                        quarantined.join(", ")
-                    ),
-                ));
+                println!("      quarantined to {}", q.display());
             }
         }
     }
-    if report.needs_repair() && !flags.repair {
-        return Err(format!(
-            "corrupt shard log(s) found under {}; re-run with --repair to \
-             quarantine them and salvage intact records, then resume the \
-             affected studies",
-            flags.store
-        ));
+    if reports.is_empty() {
+        println!("no logs: neither the store nor the trace root exists");
     }
-    Ok(())
 }
 
 /// `vulfi report diff <A> <B>`: compare two stores cell by cell with
@@ -2991,49 +2964,53 @@ export void scale(uniform float a[], uniform int n, uniform float s) {
     }
 
     #[test]
-    fn events_command_is_suggested_and_usage_documents_it() {
-        assert_eq!(suggest_command("event"), Some("events"));
-        let e = run(&s(&["evnets"])).unwrap_err();
-        assert!(e.contains("did you mean 'events'?"), "{e}");
-        // A bare `events` needs a subcommand and must say which exist.
-        let e = run(&s(&["events"])).unwrap_err();
-        assert!(e.contains("tail"), "{e}");
-        assert!(e.contains("summarize"), "{e}");
-        assert!(e.contains("fsck"), "{e}");
-        // Usage drift guard: every events subcommand is documented.
+    fn command_table_drives_usage_dispatch_and_suggestions() {
         let u = usage();
-        assert!(u.contains("vulfi events tail"), "{u}");
-        assert!(u.contains("vulfi events summarize"), "{u}");
-        assert!(u.contains("vulfi events fsck"), "{u}");
-        assert!(u.contains("--hotspots"), "{u}");
+        for c in COMMAND_TABLE {
+            // Every row is documented ...
+            let line = match c.sub {
+                Some(sub) => format!("vulfi {} {sub}", c.name),
+                None => format!("vulfi {}", c.name),
+            };
+            assert!(u.contains(&line), "usage misses `{line}`:\n{u}");
+            // ... and dispatches to itself.
+            let positional: Vec<String> = c.sub.iter().map(|w| w.to_string()).collect();
+            let row = lookup(c.name, &positional).unwrap();
+            assert!(std::ptr::eq(row, c), "`{line}` dispatches elsewhere");
+            // A one-edit typo (last letter dropped) gets a suggestion.
+            let typo = &c.name[..c.name.len() - 1];
+            let e = run(&s(&[typo])).unwrap_err();
+            assert!(e.contains(&format!("did you mean '{}'?", c.name)), "{e}");
+            if let Some(sub) = c.sub {
+                let e = lookup(c.name, &s(&[&sub[..sub.len() - 1]])).unwrap_err();
+                assert!(e.contains(&format!("did you mean '{sub}'?")), "{e}");
+            }
+        }
+        // A bare group without a bare form lists its subcommands.
+        for c in COMMAND_TABLE.iter().filter(|c| c.sub.is_some()) {
+            if COMMAND_TABLE
+                .iter()
+                .any(|o| o.name == c.name && o.sub.is_none())
+            {
+                continue;
+            }
+            let e = run(&s(&[c.name])).unwrap_err();
+            assert!(e.contains(&format!("{} needs a subcommand", c.name)), "{e}");
+            assert!(e.contains(c.sub.unwrap()), "{e}");
+        }
     }
 
     #[test]
-    fn alerts_command_is_suggested_and_usage_documents_it() {
-        assert_eq!(suggest_command("alert"), Some("alerts"));
-        let e = run(&s(&["alrets"])).unwrap_err();
-        assert!(e.contains("did you mean 'alerts'?"), "{e}");
-        // A bare `alerts` needs a subcommand and must say which exist.
-        let e = run(&s(&["alerts"])).unwrap_err();
-        assert!(e.contains("check"), "{e}");
-        assert!(e.contains("watch"), "{e}");
-        assert!(e.contains("fsck"), "{e}");
+    fn usage_documents_flags_and_subcommands_name_missing_flags() {
         // `check` without --rules points at the missing flag.
         let e = run(&s(&["alerts", "check"])).unwrap_err();
         assert!(e.contains("--rules"), "{e}");
-        // `trace` without a subcommand now advertises export too.
-        let e = run(&s(&["trace"])).unwrap_err();
-        assert!(e.contains("export"), "{e}");
         // `trace export` without --chrome explains the only format.
         let e = run(&s(&["trace", "export"])).unwrap_err();
         assert!(e.contains("--chrome"), "{e}");
-        // Usage drift guard: the new subcommands and flags are documented.
         let u = usage();
-        assert!(u.contains("vulfi alerts check"), "{u}");
-        assert!(u.contains("vulfi alerts watch"), "{u}");
-        assert!(u.contains("vulfi alerts fsck"), "{u}");
+        assert!(u.contains("--hotspots"), "{u}");
         assert!(u.contains("vulfi trace export --chrome"), "{u}");
-        assert!(u.contains("vulfi bench trend"), "{u}");
         assert!(u.contains("--rules FILE"), "{u}");
         assert!(u.contains("--telemetry-interval-ms"), "{u}");
     }
@@ -3402,13 +3379,13 @@ export void scale(uniform float a[], uniform int n, uniform float s) {
         ];
         run(&s(&base)).unwrap();
 
-        // Empty-positional and unknown-subcommand paths.
+        // The retired `store` group is an unknown command.
         assert!(run(&s(&["store", "--store", &store_dir])).is_err());
         assert!(run(&s(&["store", "scrub", "--store", &store_dir])).is_err());
 
         // Clean store: fsck passes in both output modes.
-        run(&s(&["store", "fsck", "--store", &store_dir])).unwrap();
-        run(&s(&["store", "fsck", "--store", &store_dir, "--json"])).unwrap();
+        run(&s(&["fsck", "--store", &store_dir])).unwrap();
+        run(&s(&["fsck", "--store", &store_dir, "--json"])).unwrap();
 
         // Flip one byte mid-file: summary fails loudly, fsck reports,
         // --repair quarantines, and the study resumes to completion.
@@ -3426,9 +3403,9 @@ export void scale(uniform float a[], uniform int n, uniform float s) {
 
         let err = run(&s(&["results", "summary", "--store", &store_dir])).unwrap_err();
         assert!(err.contains("fsck"), "{err}");
-        let err = run(&s(&["store", "fsck", "--store", &store_dir])).unwrap_err();
+        let err = run(&s(&["fsck", "--store", &store_dir])).unwrap_err();
         assert!(err.contains("--repair"), "{err}");
-        run(&s(&["store", "fsck", "--store", &store_dir, "--repair"])).unwrap();
+        run(&s(&["fsck", "--store", &store_dir, "--repair"])).unwrap();
         assert!(std::path::Path::new(&store_dir)
             .join(&keys[0].0)
             .join("shards.quarantine")
@@ -3439,8 +3416,102 @@ export void scale(uniform float a[], uniform int n, uniform float s) {
         let mut resume: Vec<&str> = base.to_vec();
         resume.push("--resume");
         run(&s(&resume)).unwrap();
-        run(&s(&["store", "fsck", "--store", &store_dir])).unwrap();
+        run(&s(&["fsck", "--store", &store_dir])).unwrap();
         run(&s(&["results", "summary", "--store", &store_dir])).unwrap();
+    }
+
+    /// Flip one byte in the middle of the first record of `log`.
+    fn corrupt_first_record(log: &std::path::Path) {
+        let mut bytes = fs::read(log).unwrap();
+        let start = bytes.iter().position(|&b| b != b'\n').unwrap();
+        let end = start + bytes[start..].iter().position(|&b| b == b'\n').unwrap();
+        bytes[(start + end) / 2] ^= 0x01;
+        fs::write(log, &bytes).unwrap();
+    }
+
+    #[test]
+    fn fsck_repairs_every_log_and_records_one_ops_event() {
+        let store_dir = temp_store("fsck_all");
+        let trace_dir = temp_store("fsck_all_trace");
+        run(&s(&[
+            "study",
+            "--bench",
+            "vector sum",
+            "--experiments",
+            "8",
+            "--campaigns",
+            "4",
+            "--shard-size",
+            "4",
+            "--store",
+            &store_dir,
+            "--trace",
+            &trace_dir,
+        ]))
+        .unwrap();
+        let queue = vulfi_orch::JobQueue::open(&store_dir).unwrap();
+        let ops = vulfi_orch::OpsLog::open(&store_dir).unwrap();
+        for bench in ["vector sum", "dot product"] {
+            let spec = vulfi::StudySpec {
+                bench: bench.to_string(),
+                ..vulfi::StudySpec::default()
+            };
+            queue.submit(&spec, "k", None).unwrap();
+            ops.append(vulfi_orch::OpsEvent::new(vulfi_orch::OpsKind::Submitted))
+                .unwrap();
+        }
+        let keys = vulfi_orch::Store::open(&store_dir)
+            .unwrap()
+            .studies()
+            .unwrap();
+        let key = &keys[0].0;
+        for log in [
+            std::path::Path::new(&store_dir)
+                .join(key)
+                .join("shards.jsonl"),
+            std::path::Path::new(&trace_dir)
+                .join(key)
+                .join("traces.jsonl"),
+            queue.path(),
+            ops.path(),
+        ] {
+            corrupt_first_record(&log);
+        }
+
+        let fsck = ["fsck", "--store", &store_dir, "--trace", &trace_dir];
+        let err = run(&s(&fsck)).unwrap_err();
+        assert!(err.contains("vulfi fsck --repair"), "{err}");
+        let mut repair = fsck.to_vec();
+        repair.push("--repair");
+        run(&s(&repair)).unwrap();
+        run(&s(&fsck)).unwrap();
+
+        // One fsck event, appended to the healed ops log, names every
+        // quarantined log, traces included.
+        let events = vulfi_orch::OpsLog::open(&store_dir)
+            .unwrap()
+            .events()
+            .unwrap();
+        let repairs: Vec<&vulfi_orch::OpsEvent> = events
+            .iter()
+            .filter(|e| e.kind == vulfi_orch::OpsKind::Fsck)
+            .collect();
+        assert_eq!(repairs.len(), 1, "{events:?}");
+        let detail = repairs[0].detail.clone().unwrap_or_default();
+        for quarantine in [
+            "shards.quarantine",
+            "traces.quarantine",
+            "events.quarantine",
+            "ops.quarantine",
+        ] {
+            assert!(detail.contains(quarantine), "{detail}");
+        }
+        // The repaired queue reopens and replays the surviving job.
+        let jobs = vulfi_orch::JobQueue::open(&store_dir)
+            .unwrap()
+            .jobs()
+            .unwrap();
+        assert_eq!(jobs.len(), 1);
     }
 
     #[test]

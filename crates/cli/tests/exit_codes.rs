@@ -1,6 +1,6 @@
 //! Exit-code contract of the real binary, pinned by subprocess tests:
 //!
-//! - `vulfi store fsck` / `vulfi trace fsck` exit **non-zero** when a
+//! - `vulfi fsck` (over `--store` or `--trace`) exits **non-zero** when a
 //!   log is corrupt and `--repair` was not given, zero after repair.
 //! - `vulfi gauntlet run` exits non-zero on an invariant breach and on
 //!   a partial store without `--resume`; a SIGKILLed gauntlet resumed
@@ -78,25 +78,21 @@ fn store_fsck_exit_codes_pin_corruption_policy() {
     ]);
     assert_exit(&out, 0, "seed study");
 
-    assert_exit(
-        &vulfi(&["store", "fsck", "--store", store_s]),
-        0,
-        "clean fsck",
-    );
+    assert_exit(&vulfi(&["fsck", "--store", store_s]), 0, "clean fsck");
 
     corrupt_first_line(&find_log(&store, "shards.jsonl"));
     assert_exit(
-        &vulfi(&["store", "fsck", "--store", store_s]),
+        &vulfi(&["fsck", "--store", store_s]),
         1,
         "fsck must fail loudly on corruption without --repair",
     );
     assert_exit(
-        &vulfi(&["store", "fsck", "--store", store_s, "--repair"]),
+        &vulfi(&["fsck", "--store", store_s, "--repair"]),
         0,
         "fsck --repair quarantines and succeeds",
     );
     assert_exit(
-        &vulfi(&["store", "fsck", "--store", store_s]),
+        &vulfi(&["fsck", "--store", store_s]),
         0,
         "store is clean after repair",
     );
@@ -127,20 +123,16 @@ fn trace_fsck_exit_codes_pin_corruption_policy() {
     ]);
     assert_exit(&out, 0, "seed traced study");
 
-    assert_exit(
-        &vulfi(&["trace", "fsck", "--trace", trace_s]),
-        0,
-        "clean trace fsck",
-    );
+    assert_exit(&vulfi(&["fsck", "--trace", trace_s]), 0, "clean trace fsck");
 
     corrupt_first_line(&find_log(&trace, "traces.jsonl"));
     assert_exit(
-        &vulfi(&["trace", "fsck", "--trace", trace_s]),
+        &vulfi(&["fsck", "--trace", trace_s]),
         1,
         "trace fsck must fail loudly on corruption without --repair",
     );
     assert_exit(
-        &vulfi(&["trace", "fsck", "--trace", trace_s, "--repair"]),
+        &vulfi(&["fsck", "--trace", trace_s, "--repair"]),
         0,
         "trace fsck --repair quarantines and succeeds",
     );

@@ -5,7 +5,7 @@
 //!   line on stderr and always ends with `done == total`.
 //! - `--metrics-out` writes Prometheus text that round-trips through
 //!   the exposition parser with the exact experiment count.
-//! - `vulfi trace summarize` / `vulfi trace fsck` succeed against the
+//! - `vulfi trace summarize` / `vulfi fsck --trace` succeed against the
 //!   sidecar the study just wrote.
 
 use std::path::PathBuf;
@@ -150,6 +150,6 @@ fn study_json_stream_metrics_and_trace_tools() {
     assert!(summary.top_sdc_sites.len() <= 3);
 
     // And the sidecar fscks clean through the CLI.
-    let fsck = vulfi(&["trace", "fsck", "--trace", trace_s]);
-    assert_ok(&fsck, "vulfi trace fsck");
+    let fsck = vulfi(&["fsck", "--trace", trace_s]);
+    assert_ok(&fsck, "vulfi fsck");
 }

@@ -211,8 +211,8 @@ fn dashboard_and_ops_events_reconstruct_the_lifecycle() {
     let out = vulfi(&["events", "tail", "--store", store.to_str().unwrap()]);
     assert_ok(&out, "events tail");
     assert!(String::from_utf8_lossy(&out.stdout).contains("completed"));
-    let out = vulfi(&["events", "fsck", "--store", store.to_str().unwrap()]);
-    assert_ok(&out, "events fsck");
+    let out = vulfi(&["fsck", "--store", store.to_str().unwrap()]);
+    assert_ok(&out, "vulfi fsck");
 }
 
 /// Telemetry + alerting end to end: a daemon sampling on a fast
@@ -363,8 +363,8 @@ fn telemetry_alerts_fire_over_http_dashboard_and_cli() {
     let _ = client;
 
     // The resumed log is still a healthy CheckedLog.
-    let out = vulfi(&["alerts", "fsck", "--store", store.to_str().unwrap()]);
-    assert_ok(&out, "alerts fsck");
+    let out = vulfi(&["fsck", "--store", store.to_str().unwrap()]);
+    assert_ok(&out, "vulfi fsck");
 }
 
 /// The acceptance test for the service: kill -9 the daemon while workers
@@ -528,6 +528,6 @@ fn killed_daemon_resumes_to_bit_identical_study() {
         status.success(),
         "daemon exited {status:?} after graceful shutdown"
     );
-    let fsck = vulfi(&["store", "fsck", "--store", serve_store.to_str().unwrap()]);
-    assert_ok(&fsck, "store fsck after chaos");
+    let fsck = vulfi(&["fsck", "--store", serve_store.to_str().unwrap()]);
+    assert_ok(&fsck, "vulfi fsck after chaos");
 }

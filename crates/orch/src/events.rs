@@ -14,15 +14,14 @@
 //!
 //! The log is observability, not state: nothing replays it to make
 //! decisions, so a quarantined ops log never blocks a study. It heals
-//! torn tails on open like every other `CheckedLog` and gets its own
-//! `vulfi events fsck`.
+//! torn tails on open like every other `CheckedLog`, and `vulfi fsck`
+//! checks and repairs it with the other logs under the store.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::key::StudyKey;
-use crate::store::{CheckedLog, StudyFsck};
+use crate::store::CheckedLog;
 use crate::OrchError;
 
 /// What happened. Unit variants only — everything else is correlation
@@ -179,28 +178,27 @@ fn now_unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
+/// The ops log's checked log under `store_root`; nothing is created.
+pub(crate) fn checked_log(store_root: &Path) -> CheckedLog {
+    let dir = store_root.join("events");
+    CheckedLog::new(dir.join("ops.jsonl"), dir.join("ops.quarantine"))
+}
+
 /// The operational event log, layered on a store directory.
 pub struct OpsLog {
     log: CheckedLog,
 }
 
 impl OpsLog {
-    /// Open (creating if needed) the ops log under `store_root/events`,
-    /// healing a torn tail left by a killed daemon.
+    /// Open the ops log under `store_root/events` (created on the first
+    /// append), healing a torn tail left by a killed daemon.
     pub fn open(store_root: impl AsRef<Path>) -> Result<OpsLog, OrchError> {
-        let dir = store_root.as_ref().join("events");
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| OrchError(format!("create {}: {e}", dir.display())))?;
         let log = OpsLog {
-            log: CheckedLog::new(
-                dir.join("ops.jsonl"),
-                dir.join("ops.quarantine"),
-                "vulfi events fsck --repair",
-            ),
+            log: checked_log(store_root.as_ref()),
         };
         // Mid-file corruption must not make the log unopenable — the
-        // daemon still has to start, and `vulfi events fsck` repairs
-        // through this same handle. Reads stay loud and point at fsck.
+        // daemon still has to start. Reads stay loud and point at
+        // `vulfi fsck --repair`.
         let _ = log.log.trim_torn_tail::<OpsEvent>();
         Ok(log)
     }
@@ -229,13 +227,6 @@ impl OpsLog {
     /// Fold the log into per-job lifecycles.
     pub fn summarize(&self) -> Result<OpsSummary, OrchError> {
         Ok(summarize_events(&self.events()?))
-    }
-
-    /// Integrity-check the ops log; with `repair`, quarantine a corrupt
-    /// log and salvage the intact lines.
-    pub fn fsck(&self, repair: bool) -> Result<StudyFsck, OrchError> {
-        self.log
-            .fsck::<OpsEvent>(StudyKey("ops".to_string()), repair)
     }
 }
 
@@ -553,9 +544,12 @@ mod tests {
         bytes[mid] ^= 0x20;
         std::fs::write(&path, &bytes).unwrap();
         let err = log.events().unwrap_err();
-        assert!(err.0.contains("vulfi events fsck"), "{err}");
-        let report = log.fsck(true).unwrap();
-        assert!(report.quarantined.is_some());
+        assert!(err.0.contains("vulfi fsck"), "{err}");
+        let report = crate::Store::open(&root).unwrap().fsck(true).unwrap();
+        assert!(report
+            .studies
+            .iter()
+            .any(|s| s.key.0 == "ops" && s.quarantined.is_some()));
         assert!(log.events().unwrap().len() < 10, "corrupt line dropped");
     }
 }

@@ -8,7 +8,9 @@
 //! trailing line (killed daemon) is healed on open exactly like a torn
 //! shard. Nothing is ever rewritten in place, so a queue that survived a
 //! `kill -9` replays to exactly the state its last completed append
-//! described.
+//! described. Mid-file corruption makes [`JobQueue::open`] refuse the
+//! store; `vulfi fsck --repair` ([`crate::Store::fsck`]) quarantines the
+//! log to `queue/events.quarantine/` and salvages the intact events.
 //!
 //! Recovery contract: a job observed in `Running` state at daemon
 //! startup was owned by a dead incarnation; [`JobQueue::recover`]
@@ -49,7 +51,7 @@ impl JobState {
 
 /// One checksummed line of the queue log.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-struct QueueEvent {
+pub(crate) struct QueueEvent {
     job: u64,
     kind: EventKind,
     /// Full spec (on `Submitted` events only).
@@ -96,6 +98,12 @@ fn now_unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
+/// The queue's checked log under `store_root`; nothing is created.
+pub(crate) fn checked_log(store_root: &Path) -> CheckedLog {
+    let dir = store_root.join("queue");
+    CheckedLog::new(dir.join("events.jsonl"), dir.join("events.quarantine"))
+}
+
 /// The persistent queue. Stateless over its log: every mutation is one
 /// durable append, every read is a replay (the log stays small — a
 /// handful of events per job). Callers serialize access (the daemon
@@ -105,30 +113,18 @@ pub struct JobQueue {
 }
 
 impl JobQueue {
-    /// Open (creating if needed) the queue under `store_root/queue`,
-    /// healing a torn tail left by a killed daemon.
+    /// Open the queue under `store_root/queue` (created on the first
+    /// append), healing a torn tail left by a killed daemon. A corrupt
+    /// log is refused; `vulfi fsck --repair` heals it.
     pub fn open(store_root: impl AsRef<Path>) -> Result<JobQueue, OrchError> {
-        let dir = store_root.as_ref().join("queue");
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| OrchError(format!("create {}: {e}", dir.display())))?;
         let q = JobQueue {
-            log: CheckedLog::new(
-                dir.join("events.jsonl"),
-                dir.join("events.quarantine"),
-                "vulfi store fsck --repair",
-            ),
+            log: checked_log(store_root.as_ref()),
         };
         q.log.trim_torn_tail::<QueueEvent>()?;
         Ok(q)
     }
 
     pub fn path(&self) -> PathBuf {
-        self.log_path()
-    }
-
-    fn log_path(&self) -> PathBuf {
-        // CheckedLog keeps its path private; reconstructing it here
-        // would duplicate knowledge, so expose via the log itself.
         self.log.path().to_path_buf()
     }
 
@@ -347,5 +343,50 @@ mod tests {
         let jobs = q.jobs().unwrap();
         assert_eq!(jobs.len(), 1, "torn event dropped, intact one kept");
         assert_eq!(jobs[0].spec.bench, "vector sum");
+    }
+
+    #[test]
+    fn corrupt_log_is_refused_until_store_fsck_repairs_it() {
+        let root = temp_root("corrupt");
+        let path = {
+            let q = JobQueue::open(&root).unwrap();
+            q.submit(&spec("vector sum"), "aaaa", None).unwrap();
+            q.submit(&spec("dot product"), "bbbb", None).unwrap();
+            q.path()
+        };
+        // Flip one byte in the FIRST record's JSON body.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let pos = bytes.iter().position(|b| *b == b'"').unwrap();
+        bytes[pos + 1] ^= 0x20;
+        std::fs::write(&path, bytes).unwrap();
+
+        let err = JobQueue::open(&root)
+            .err()
+            .expect("corrupt queue must be refused");
+        assert!(err.0.contains("vulfi fsck --repair"), "{err}");
+
+        let store = crate::Store::open(&root).unwrap();
+        let queue_row = |r: &crate::FsckReport| {
+            r.studies
+                .iter()
+                .find(|s| s.key.0 == "queue")
+                .cloned()
+                .expect("fsck reports the queue log")
+        };
+        assert!(queue_row(&store.fsck(false).unwrap()).needs_repair());
+        let repaired = queue_row(&store.fsck(true).unwrap());
+        assert_eq!(
+            repaired.quarantined.as_deref(),
+            Some(
+                root.join("queue/events.quarantine/events.0.jsonl")
+                    .as_path()
+            )
+        );
+
+        // The surviving job replays from the salvaged log.
+        let jobs = JobQueue::open(&root).unwrap().jobs().unwrap();
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(jobs[0].spec.bench, "dot product");
+        assert!(!store.fsck(false).unwrap().dirty());
     }
 }

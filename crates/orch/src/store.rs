@@ -17,7 +17,7 @@
 //! - A torn **trailing** line (killed writer) is skipped: resume sees
 //!   exactly the shards whose writes completed.
 //! - Corruption anywhere **earlier** is an error pointing at
-//!   `vulfi store fsck`, which quarantines the damaged log, salvages
+//!   `vulfi fsck`, which quarantines the damaged log, salvages
 //!   every checksum-valid record, and lets the scheduler re-run the
 //!   lost jobs.
 //!
@@ -27,9 +27,10 @@
 //! length between attempts so a partial write is never left mid-file.
 //!
 //! The line format, torn-tail handling, quarantine, and retry machinery
-//! live in the record-generic [`CheckedLog`], which the trace store
-//! ([`crate::tracestore`]) reuses verbatim — one implementation, one
-//! failure contract, two record types.
+//! live in the record-generic [`CheckedLog`], which the trace store,
+//! job queue, ops log and telemetry log reuse verbatim — one
+//! implementation, one failure contract, one `vulfi fsck` over all of
+//! them ([`Store::fsck`] walks every log under the store root).
 
 use std::fs;
 use std::io::{self, Write as _};
@@ -96,8 +97,8 @@ impl<T> Default for LogScan<T> {
     }
 }
 
-/// Health report for one study's checksummed log (see
-/// [`StudyStore::fsck`] / `TraceLog::fsck`).
+/// Health report for one checked log: a study's shard or trace log, or
+/// the store's queue, ops or telemetry log (see [`Store::fsck`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StudyFsck {
     pub key: StudyKey,
@@ -125,7 +126,7 @@ impl StudyFsck {
     }
 }
 
-/// Store-wide fsck report: one entry per study.
+/// Store-wide fsck report: one entry per checked log.
 #[derive(Debug, Clone, Default)]
 pub struct FsckReport {
     pub studies: Vec<StudyFsck>,
@@ -178,12 +179,26 @@ impl Store {
         Ok(keys)
     }
 
-    /// Check (and with `repair`, heal) every study's shard log.
+    /// Check (and with `repair`, heal) every checked log under the
+    /// root: each study's shard log, then the job queue, ops and
+    /// telemetry logs under their pseudo-keys `queue`, `ops` and
+    /// `telemetry`. Missing logs are skipped; no directory is created.
+    /// The queue log is checked directly because [`crate::JobQueue::open`]
+    /// refuses a corrupt one.
     pub fn fsck(&self, repair: bool) -> Result<FsckReport, OrchError> {
         let mut report = FsckReport::default();
         for key in self.studies()? {
             report.studies.push(self.study(&key).fsck(repair)?);
         }
+        let root = &self.root;
+        let service = [
+            crate::queue::checked_log(root)
+                .fsck_present::<crate::queue::QueueEvent>("queue", repair)?,
+            crate::events::checked_log(root).fsck_present::<crate::OpsEvent>("ops", repair)?,
+            crate::telemetry::checked_log(root)
+                .fsck_present::<crate::TelemetrySample>("telemetry", repair)?,
+        ];
+        report.studies.extend(service.into_iter().flatten());
         Ok(report)
     }
 }
@@ -245,25 +260,19 @@ pub(crate) fn parse_record_line<T: serde::Deserialize>(line: &str) -> Result<T, 
 }
 
 /// A checksummed, append-only JSONL log with torn-tail recovery and
-/// quarantine — the shared persistence engine behind both the result
-/// shard log and the trace shard log.
+/// quarantine — the shared persistence engine behind the shard, trace,
+/// queue, ops and telemetry logs. Corruption errors name
+/// `vulfi fsck --repair`, which repairs every one of them.
 pub(crate) struct CheckedLog {
     /// The log file (e.g. `<study>/shards.jsonl`).
     path: PathBuf,
     /// Quarantine directory for damaged logs.
     qdir: PathBuf,
-    /// Remediation hint appended to corruption errors (the command that
-    /// repairs this log).
-    repair_hint: &'static str,
 }
 
 impl CheckedLog {
-    pub(crate) fn new(path: PathBuf, qdir: PathBuf, repair_hint: &'static str) -> CheckedLog {
-        CheckedLog {
-            path,
-            qdir,
-            repair_hint,
-        }
+    pub(crate) fn new(path: PathBuf, qdir: PathBuf) -> CheckedLog {
+        CheckedLog { path, qdir }
     }
 
     pub(crate) fn path(&self) -> &Path {
@@ -348,9 +357,9 @@ impl CheckedLog {
         let scan = self.scan()?;
         if let Some((lineno, reason)) = scan.corrupt.first() {
             return Err(OrchError(format!(
-                "corrupt log {} at line {lineno}: {reason}; run `{}` to quarantine and recover",
+                "corrupt log {} at line {lineno}: {reason}; run `vulfi fsck --repair` \
+                 to quarantine and recover",
                 self.path.display(),
-                self.repair_hint,
             )));
         }
         Ok(scan.records)
@@ -368,9 +377,8 @@ impl CheckedLog {
         let scan = self.scan::<T>()?;
         if !scan.corrupt.is_empty() {
             return Err(OrchError(format!(
-                "corrupt log {}: run `{}`",
+                "corrupt log {}: run `vulfi fsck --repair`",
                 self.path.display(),
-                self.repair_hint,
             )));
         }
         if !scan.torn_tail {
@@ -422,6 +430,19 @@ impl CheckedLog {
         Ok(report)
     }
 
+    /// [`CheckedLog::fsck`] under the pseudo-key `key`, or `None` when
+    /// the log does not exist (nothing to check, nothing created).
+    pub(crate) fn fsck_present<T: serde::Serialize + serde::Deserialize>(
+        &self,
+        key: &str,
+        repair: bool,
+    ) -> Result<Option<StudyFsck>, OrchError> {
+        if !self.path.is_file() {
+            return Ok(None);
+        }
+        self.fsck::<T>(StudyKey(key.to_string()), repair).map(Some)
+    }
+
     /// Move the current log into the quarantine directory under a fresh
     /// numbered name; returns the destination.
     fn quarantine(&self) -> Result<PathBuf, OrchError> {
@@ -468,7 +489,6 @@ impl StudyStore {
         CheckedLog::new(
             self.dir.join("shards.jsonl"),
             self.dir.join("shards.quarantine"),
-            "vulfi store fsck --repair",
         )
     }
 
@@ -508,7 +528,7 @@ impl StudyStore {
     /// A torn **trailing** line (from a killed run) is skipped, not an
     /// error. Corruption anywhere earlier is an error: silently dropping
     /// it would change merged results without a trace. Run
-    /// `vulfi store fsck` to quarantine and recover.
+    /// `vulfi fsck` to quarantine and recover.
     pub fn shards(&self) -> Result<Vec<ShardRecord>, OrchError> {
         self.log().records()
     }

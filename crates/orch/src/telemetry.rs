@@ -12,7 +12,7 @@
 //!   `<store>/telemetry/series.jsonl` ([`TelemetryLog`], sharing the
 //!   [`CheckedLog`] machinery with the shard, queue, and ops logs), so
 //!   history survives daemon restarts, heals torn tails on open, and
-//!   gets its own `vulfi alerts fsck`.
+//!   is checked and repaired by `vulfi fsck` with the other store logs.
 //!
 //! Each [`TelemetrySample`] carries both the raw cumulative counters and
 //! the delta-derived rates (exp/s, engine faults/s, lease-expiry
@@ -27,9 +27,8 @@
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::key::StudyKey;
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
-use crate::store::{CheckedLog, StudyFsck};
+use crate::store::CheckedLog;
 use crate::OrchError;
 
 /// Default ring capacity: at the daemon's default 1 s interval this is
@@ -259,6 +258,13 @@ impl TelemetryRing {
     }
 }
 
+/// The telemetry log's checked log under `store_root`; nothing is
+/// created.
+pub(crate) fn checked_log(store_root: &Path) -> CheckedLog {
+    let dir = store_root.join("telemetry");
+    CheckedLog::new(dir.join("series.jsonl"), dir.join("series.quarantine"))
+}
+
 /// The persisted half of the ring: `<store>/telemetry/series.jsonl`,
 /// one checksummed line per sample. Like the ops log it is
 /// observability, not state — a quarantined telemetry log never blocks
@@ -268,22 +274,14 @@ pub struct TelemetryLog {
 }
 
 impl TelemetryLog {
-    /// Open (creating if needed) the telemetry log under
-    /// `store_root/telemetry`, healing a torn tail left by a killed
-    /// daemon.
+    /// Open the telemetry log under `store_root/telemetry` (created on
+    /// the first append), healing a torn tail left by a killed daemon.
     pub fn open(store_root: impl AsRef<Path>) -> Result<TelemetryLog, OrchError> {
-        let dir = store_root.as_ref().join("telemetry");
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| OrchError(format!("create {}: {e}", dir.display())))?;
         let log = TelemetryLog {
-            log: CheckedLog::new(
-                dir.join("series.jsonl"),
-                dir.join("series.quarantine"),
-                "vulfi alerts fsck --repair",
-            ),
+            log: checked_log(store_root.as_ref()),
         };
         // Mid-file corruption must not wedge daemon start; reads stay
-        // loud and point at fsck.
+        // loud and point at `vulfi fsck --repair`.
         let _ = log.log.trim_torn_tail::<TelemetrySample>();
         Ok(log)
     }
@@ -317,13 +315,6 @@ impl TelemetryLog {
             ring.push(s);
         }
         Ok(ring)
-    }
-
-    /// Integrity-check the telemetry log; with `repair`, quarantine a
-    /// corrupt log and salvage the intact lines.
-    pub fn fsck(&self, repair: bool) -> Result<StudyFsck, OrchError> {
-        self.log
-            .fsck::<TelemetrySample>(StudyKey("telemetry".to_string()), repair)
     }
 }
 
@@ -500,9 +491,12 @@ mod tests {
         bytes[mid] ^= 0x20;
         std::fs::write(&path, &bytes).unwrap();
         let err = log.samples().unwrap_err();
-        assert!(err.0.contains("vulfi alerts fsck"), "{err}");
-        let report = log.fsck(true).unwrap();
-        assert!(report.quarantined.is_some());
+        assert!(err.0.contains("vulfi fsck"), "{err}");
+        let report = crate::Store::open(&root).unwrap().fsck(true).unwrap();
+        assert!(report
+            .studies
+            .iter()
+            .any(|s| s.key.0 == "telemetry" && s.quarantined.is_some()));
         assert!(log.samples().unwrap().len() < 4, "corrupt line dropped");
     }
 

@@ -15,7 +15,7 @@
 //! recovery, fsck quarantine + salvage) via the shared
 //! [`CheckedLog`](crate::store) engine — a kill tears at most the
 //! in-flight line, a flipped byte is detected rather than summarized,
-//! and `vulfi trace fsck --repair` salvages every intact record.
+//! and `vulfi fsck --repair` salvages every intact record.
 //!
 //! Shards are **self-describing**: each carries the workload, category,
 //! and ISA of its study, so `vulfi trace summarize` needs only the
@@ -153,7 +153,6 @@ impl TraceLog {
         CheckedLog::new(
             self.dir.join("traces.jsonl"),
             self.dir.join("traces.quarantine"),
-            "vulfi trace fsck --repair",
         )
     }
 
@@ -168,7 +167,7 @@ impl TraceLog {
     }
 
     /// All fully-written trace shards. A torn trailing line is skipped;
-    /// earlier corruption is an error pointing at `vulfi trace fsck` —
+    /// earlier corruption is an error pointing at `vulfi fsck` —
     /// a summary computed over silently-dropped spans would be skewed
     /// without a trace.
     pub fn shards(&self) -> Result<Vec<TraceShard>, OrchError> {
@@ -497,8 +496,8 @@ mod tests {
 
         let err = log.shards().unwrap_err();
         assert!(
-            err.0.contains("vulfi trace fsck"),
-            "error must point at the trace fsck command: {err}"
+            err.0.contains("vulfi fsck"),
+            "error must point at the fsck command: {err}"
         );
 
         let report = store.fsck(true).unwrap();

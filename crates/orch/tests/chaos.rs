@@ -402,8 +402,14 @@ fn ops_log_survives_kill_corrupt_fsck_resume_loop() {
         let log = OpsLog::open(&root).unwrap();
         if log.events().is_err() {
             // Last round's flip landed mid-file: loud, then healed.
-            let report = log.fsck(true).unwrap();
-            assert!(report.quarantined.is_some(), "repair must quarantine");
+            let report = Store::open(&root).unwrap().fsck(true).unwrap();
+            assert!(
+                report
+                    .studies
+                    .iter()
+                    .any(|s| s.key.0 == "ops" && s.quarantined.is_some()),
+                "repair must quarantine"
+            );
             repairs += 1;
         }
 
@@ -481,8 +487,14 @@ fn telemetry_log_survives_kill_corrupt_fsck_resume_loop() {
         // refuses to start over mid-file corruption.
         let log = TelemetryLog::open(&root).unwrap();
         if log.samples().is_err() {
-            let report = log.fsck(true).unwrap();
-            assert!(report.quarantined.is_some(), "repair must quarantine");
+            let report = Store::open(&root).unwrap().fsck(true).unwrap();
+            assert!(
+                report
+                    .studies
+                    .iter()
+                    .any(|s| s.key.0 == "telemetry" && s.quarantined.is_some()),
+                "repair must quarantine"
+            );
             repairs += 1;
         }
 

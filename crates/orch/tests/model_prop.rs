@@ -128,7 +128,7 @@ fn single_bit_flip_matches_pre_model_fixture() {
         "default-model key {key} must address the pre-model fixture study \
          (expected ~{KEY}); legacy stores would be orphaned otherwise"
     );
-    let fixture_shards = study.shards().unwrap();
+    let mut fixture_shards = study.shards().unwrap();
     assert_eq!(fixture_shards.len(), 8, "fixture holds 8 shards of 5");
 
     // Re-run from scratch in a temp store and compare every experiment
@@ -153,8 +153,13 @@ fn single_bit_flip_matches_pre_model_fixture() {
     )
     .unwrap();
     assert_eq!(out.key.0, key.0);
-    let fresh_shards = fresh_store.study(&key).shards().unwrap();
+    let mut fresh_shards = fresh_store.study(&key).shards().unwrap();
     assert_eq!(fresh_shards.len(), fixture_shards.len());
+    // Parallel shards append in completion order, which the store does
+    // not promise; compare them by coordinate.
+    for shards in [&mut fixture_shards, &mut fresh_shards] {
+        shards.sort_by_key(|r| (r.campaign, r.start, r.end));
+    }
     for (old, new) in fixture_shards.iter().zip(&fresh_shards) {
         assert_eq!(
             (old.campaign, old.start, old.end),

@@ -199,7 +199,7 @@ fn trace_log_survives_kill_and_corruption() {
     bytes[pos + 1] ^= 0x20;
     std::fs::write(&tlog_path, &bytes).unwrap();
     let err = summarize(&tstore, 5).unwrap_err();
-    assert!(err.0.contains("vulfi trace fsck"), "{err}");
+    assert!(err.0.contains("vulfi fsck"), "{err}");
 
     // fsck quarantines the damaged log and salvages intact shards; the
     // summary then reflects exactly the surviving spans.
