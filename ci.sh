@@ -50,7 +50,12 @@ grep -Eq 'chrome export: [1-9][0-9]* request, [1-9][0-9]* job, [1-9][0-9]* shard
 grep -q 'id="heatmap"' "$SMOKE/report.html"
 grep -q 'id="diff"' "$SMOKE/report.html"
 grep -q 'id="analysis"' "$SMOKE/report.html"
-! grep -q '<script' "$SMOKE/report.html"
+# (`! cmd` never trips `set -e`, so negated checks test the exit code
+# explicitly.)
+if grep -q '<script' "$SMOKE/report.html"; then
+    echo "ci: the HTML report must carry no <script>" >&2
+    exit 1
+fi
 
 # Static-analysis smoke tests: the analyzer must report a benign
 # fraction for a benchmark, the whole built-in suite must stay
@@ -63,7 +68,10 @@ grep -q 'id="analysis"' "$SMOKE/report.html"
 diff -u LINT_BASELINE.json "$SMOKE/lint.json"
 printf 'define void @ds(i32 %%x) {\nentry:\n  %%p = alloca i32, i64 1\n  store i32 %%x, ptr %%p\n  ret void\n}\n' \
     > "$SMOKE/dirty.vir"
-! ./target/release/vulfi lint "$SMOKE/dirty.vir" --deny > /dev/null
+if ./target/release/vulfi lint "$SMOKE/dirty.vir" --deny > /dev/null; then
+    echo "ci: lint --deny must exit non-zero on a dead store" >&2
+    exit 1
+fi
 ./target/release/vulfi sites "$SMOKE/dirty.vir" --json -o "$SMOKE/sites.json"
 grep -q '"sites"' "$SMOKE/sites.json"
 
@@ -88,8 +96,11 @@ grep -q '"sites"' "$SMOKE/sites.json"
 grep -q 'id="gauntlet"' "$SMOKE/gauntlet.html"
 grep -q 'memory-cell' "$SMOKE/gauntlet.html"
 sed 's/^sdc_rate_max.*/sdc_rate_max = 0.0/' scenarios/smoke.toml > "$SMOKE/breach.toml"
-! ./target/release/vulfi gauntlet run "$SMOKE/breach.toml" --store "$SMOKE/gauntlet" --resume \
-    > "$SMOKE/breach.out"
+if ./target/release/vulfi gauntlet run "$SMOKE/breach.toml" --store "$SMOKE/gauntlet" --resume \
+    > "$SMOKE/breach.out"; then
+    echo "ci: gauntlet run must exit non-zero on a breached invariant" >&2
+    exit 1
+fi
 grep -q 'FAIL (sdc_rate_max)' "$SMOKE/breach.out"
 
 # Profiler smoke test: the hot-path profiler must rank opcodes for a
@@ -152,7 +163,10 @@ grep -q 'id="jobs"' "$SMOKE/dashboard.html"
 grep -q 'id="alerts"' "$SMOKE/dashboard.html"
 grep -q 'id="telemetry"' "$SMOKE/dashboard.html"
 grep -q 'FIRING' "$SMOKE/dashboard.html"
-! grep -q '<script' "$SMOKE/dashboard.html"
+if grep -q '<script' "$SMOKE/dashboard.html"; then
+    echo "ci: the dashboard must carry no <script>" >&2
+    exit 1
+fi
 # The alert endpoint serves the same states as JSON.
 curl -s "http://$ADDR/alerts" > "$SMOKE/alerts.json"
 grep -q '"throughput-floor"' "$SMOKE/alerts.json"
@@ -172,8 +186,11 @@ grep -q 'alert-firing' "$SMOKE/tail.out"
 # Alerts offline: the impossible-to-satisfy rule must flip the exit
 # code over the persisted series; a rules file with only the
 # can-never-fire rule must pass.
-! ./target/release/vulfi alerts check --rules "$SMOKE/alerts.toml" \
-    --store "$SMOKE/serve" > "$SMOKE/alerts.out"
+if ./target/release/vulfi alerts check --rules "$SMOKE/alerts.toml" \
+    --store "$SMOKE/serve" > "$SMOKE/alerts.out"; then
+    echo "ci: alerts check must exit non-zero while a rule fires" >&2
+    exit 1
+fi
 grep -q 'FIRING' "$SMOKE/alerts.out"
 printf '[never]\nkind = "sdc_rate_above"\nthreshold = 1e9\n' > "$SMOKE/quiet.toml"
 ./target/release/vulfi alerts check --rules "$SMOKE/quiet.toml" --store "$SMOKE/serve" > /dev/null
@@ -182,7 +199,6 @@ printf '[never]\nkind = "sdc_rate_above"\nthreshold = 1e9\n' > "$SMOKE/quiet.tom
 # fsck fail loudly; --repair quarantines and salvages the log, after
 # which fsck is clean and the daemon starts on the repaired store.
 sed -i '0,/"job":1,/s//"job":3,/' "$SMOKE/serve/queue/events.jsonl"
-# (`! cmd` never trips `set -e`, so the exit code is tested explicitly.)
 if ./target/release/vulfi fsck --store "$SMOKE/serve" > "$SMOKE/fsck.out"; then
     echo "ci: fsck must exit non-zero on a corrupt queue log" >&2
     exit 1

@@ -3449,7 +3449,7 @@ export void scale(uniform float a[], uniform int n, uniform float s) {
             &trace_dir,
         ]))
         .unwrap();
-        let queue = vulfi_orch::JobQueue::open(&store_dir).unwrap();
+        let mut queue = vulfi_orch::JobQueue::open(&store_dir).unwrap();
         let ops = vulfi_orch::OpsLog::open(&store_dir).unwrap();
         for bench in ["vector sum", "dot product"] {
             let spec = vulfi::StudySpec {

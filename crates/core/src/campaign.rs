@@ -1,10 +1,13 @@
 //! The fault-injection campaign driver (paper §IV-B, §IV-D).
 //!
-//! - An **experiment** runs a workload twice on one randomly chosen input:
-//!   a golden run (no faults; records the output and the dynamic-fault-site
-//!   count N) and a faulty run (one bit flip at a dynamic site drawn
-//!   uniformly from 1..=N). The outcome is **SDC** (outputs differ),
+//! - An **experiment** compares a faulty run (one bit flip at a dynamic
+//!   site drawn uniformly from 1..=N) on one randomly chosen input against
+//!   that input's golden run (no faults; records the output and the
+//!   dynamic-fault-site count N). The outcome is **SDC** (outputs differ),
 //!   **Benign** (identical), or **Crash** (trap / fault-induced hang).
+//!   The golden run depends only on the program and the input, so it runs
+//!   once per input per study: a [`GoldenSet`] caches it for every
+//!   experiment that draws that input.
 //! - A **campaign** is 100 independent experiments; its SDC rate is one
 //!   statistical sample.
 //! - A **study** repeats campaigns until the ±3 pp @95% stopping rule of
@@ -14,13 +17,15 @@
 //! Every experiment takes one path, whatever its fault model or driver:
 //! `draw` fixes the RNG order (input, then target and entropy), which
 //! discharged experiments replay without executing; `golden_run` is the
-//! one fault-free run (also behind [`build_prune_context`] and
+//! one fault-free run (behind [`GoldenSet`], [`build_prune_context`] and
 //! [`measure_dyn_insts`]); `run_body` is the one experiment body, for
 //! value and engine injectors alike; and [`run_range`] is the one range
 //! driver, optionally pruned or traced, which also counts the engine
 //! panics it contains. Experiments are embarrassingly parallel:
-//! [`run_campaign`] maps the driver's per-experiment step over rayon.
+//! [`run_campaign`] maps the driver's per-experiment step over rayon,
+//! every thread reading the same [`GoldenSet`].
 
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use rand::{Rng, SeedableRng};
@@ -171,7 +176,8 @@ pub fn run_experiment(
     rng: &mut ChaCha8Rng,
 ) -> Result<Experiment, CampaignError> {
     let engine = prog.model.engine_model();
-    run_contained(prog, engine, workload, rng, None, false).map(|ran| ran.experiment)
+    let golden = GoldenSet::new(workload, false);
+    run_contained(prog, engine, workload, &golden, rng, None).map(|ran| ran.experiment)
 }
 
 /// One experiment as the range driver sees it.
@@ -182,24 +188,27 @@ struct Ran {
     engine_fault: bool,
 }
 
-/// [`run_experiment`] with panic provenance `(campaign_seed, index)` and
-/// an optional trace span. Tracing never changes the record: the span
-/// only observes.
+/// [`run_experiment`] with panic provenance `(campaign_seed, index)`, and
+/// a trace span when `golden` is traced. Tracing never changes the
+/// record: the span only observes.
 fn run_contained(
     prog: &Prepared,
     engine: Option<vexec::EngineModel>,
     workload: &dyn Workload,
+    golden: &GoldenSet,
     rng: &mut ChaCha8Rng,
     provenance: Option<(u64, usize)>,
-    traced: bool,
 ) -> Result<Ran, CampaignError> {
-    let started = traced.then(Instant::now);
+    let started = golden.traced.then(Instant::now);
     // The body reports its input before anything can panic, so a
     // panicking experiment still produces a deterministic record,
-    // identical whether it ran via run_study or any shard partition.
+    // identical whether it ran via run_study or any shard partition. A
+    // panic while filling the input's golden slot leaves the slot empty,
+    // so every experiment that draws the input panics, and is contained,
+    // the same way.
     let mut input = 0;
     let body =
-        std::panic::AssertUnwindSafe(|| run_body(prog, engine, workload, rng, traced, &mut input));
+        std::panic::AssertUnwindSafe(|| run_body(prog, engine, workload, golden, rng, &mut input));
     let (experiment, capture, engine_fault) = match std::panic::catch_unwind(body) {
         Ok(result) => result.map(|(experiment, capture)| (experiment, capture, false))?,
         Err(payload) => {
@@ -231,7 +240,7 @@ fn run_contained(
     })
 }
 
-/// The experiment body: golden run, target draw, faulty run, compare.
+/// The experiment body: golden lookup, target draw, faulty run, compare.
 /// `engine` is the injector family of `prog.model`: a value model
 /// (`None`) injects through [`VulfiHost::inject_model`] and its census is
 /// the dynamic fault sites; an engine model corrupts interpreter state
@@ -241,27 +250,16 @@ fn run_body(
     prog: &Prepared,
     engine: Option<vexec::EngineModel>,
     workload: &dyn Workload,
+    goldens: &GoldenSet,
     rng: &mut ChaCha8Rng,
-    traced: bool,
     drawn_input: &mut u64,
 ) -> Result<(Experiment, TraceCapture), CampaignError> {
-    // When tracing, the golden run records the architectural event stream
-    // (stores, branch decisions, return value) the faulty run will be
-    // compared against. The sink only observes, so traced and untraced
-    // experiments are bit-identical.
-    let mut recorder = traced.then(vexec::DivergenceTracer::record);
-    let (module, entry) = (&prog.module, prog.entry.as_str());
+    // The golden run draws nothing from the RNG, so the draws, and so the
+    // record, are the same whichever experiment filled the input's slot.
     let draw = draw(rng, workload.num_inputs(), |input| {
         *drawn_input = input;
-        let (host, rec) = (VulfiHost::profile(), recorder.as_mut());
-        let g = golden_run(module, entry, workload, input, host, rec, engine)?;
-        let n = match engine {
-            None => g.host.dynamic_sites,
-            // A memory cell can be upset at any golden dynamic instruction.
-            Some(vexec::EngineModel::MemoryCell) => g.dyn_insts,
-            Some(_) => g.engine_events,
-        };
-        Ok((g, n))
+        let g = goldens.get(prog, engine, workload, input)?;
+        Ok((g, g.n))
     })?;
     let golden = draw.census;
     let Some((target, entropy)) = draw.pick else {
@@ -272,7 +270,13 @@ fn run_body(
     };
 
     // --- Faulty run -------------------------------------------------------
-    let mut comparer = recorder.map(|t| vexec::DivergenceTracer::compare(t.into_stream()));
+    // A traced set holds each golden run's architectural event stream
+    // (stores, branch decisions, return value); the faulty run is compared
+    // against it. The sink only observes, so traced and untraced
+    // experiments are bit-identical.
+    let mut comparer = goldens
+        .traced
+        .then(|| vexec::DivergenceTracer::compare(&golden.stream));
     let mut injector = engine.map(|m| vexec::EngineInjector::inject(m, target, entropy));
     // Under an engine model the host still serves detector checks; it
     // never injects.
@@ -280,7 +284,7 @@ fn run_body(
         Some(_) => VulfiHost::profile(),
         None => VulfiHost::inject_model(target, entropy, prog.model),
     };
-    let mut interp = Interp::new(module);
+    let mut interp = Interp::new(&prog.module);
     interp.set_budget(
         golden
             .dyn_insts
@@ -304,7 +308,7 @@ fn run_body(
     if let Some(inj) = injector.as_mut() {
         interp.set_engine_injector(inj);
     }
-    let result = interp.run(entry, &setup.args, &mut host);
+    let result = interp.run(&prog.entry, &setup.args, &mut host);
     let faulty_dyn_insts = interp.executed();
     let outcome = match &result {
         Err(Trap::HostError(m)) => return Err(CampaignError(format!("runtime bug: {m}"))),
@@ -412,6 +416,85 @@ fn golden_run(
         host,
         engine_events: counter.map_or(0, |c| c.events()),
     })
+}
+
+/// The golden half of every experiment of one study: one lazily filled
+/// slot per workload input, each holding that input's golden run. The
+/// slots are [`OnceLock`]s, so rayon threads share one set and each input
+/// runs golden at most once; a fill that panics leaves its slot empty, so
+/// the next experiment drawing the input retries it (and is contained the
+/// same way), while a golden trap is cached as the [`CampaignError`] it
+/// always is. A traced set also keeps each input's divergence event
+/// stream, which traced experiments compare their faulty runs against.
+///
+/// A set belongs to one `(prog, workload)` pair and never outlives the
+/// study that built it.
+pub struct GoldenSet {
+    traced: bool,
+    slots: Vec<OnceLock<Result<GoldenInput, CampaignError>>>,
+}
+
+/// One input's golden run, as the experiments drawing that input read it.
+struct GoldenInput {
+    dyn_insts: u64,
+    /// Output regions and return value, as compared for SDC.
+    outputs: Vec<u8>,
+    /// The target census: dynamic fault sites under a value model, engine
+    /// events under an engine model, dynamic instructions for a memory
+    /// cell (which can be upset at any of them).
+    n: u64,
+    /// The divergence fingerprint stream; empty unless the set is traced.
+    stream: Vec<u64>,
+}
+
+impl GoldenSet {
+    /// An empty set with one slot per input of `workload`. A `traced` set
+    /// makes [`run_range`] yield one trace span per experiment.
+    pub fn new(workload: &dyn Workload, traced: bool) -> GoldenSet {
+        let inputs = workload.num_inputs().max(1) as usize;
+        GoldenSet {
+            traced,
+            slots: (0..inputs).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// `input`'s golden run, running it first if no experiment has.
+    fn get(
+        &self,
+        prog: &Prepared,
+        engine: Option<vexec::EngineModel>,
+        workload: &dyn Workload,
+        input: u64,
+    ) -> Result<&GoldenInput, CampaignError> {
+        let slot = self
+            .slots
+            .get(input as usize)
+            .ok_or_else(|| CampaignError(format!("golden set has no slot for input {input}")))?;
+        let fill = || {
+            let mut recorder = self.traced.then(vexec::DivergenceTracer::record);
+            let g = golden_run(
+                &prog.module,
+                &prog.entry,
+                workload,
+                input,
+                VulfiHost::profile(),
+                recorder.as_mut(),
+                engine,
+            )?;
+            let n = match engine {
+                None => g.host.dynamic_sites,
+                Some(vexec::EngineModel::MemoryCell) => g.dyn_insts,
+                Some(_) => g.engine_events,
+            };
+            Ok(GoldenInput {
+                dyn_insts: g.dyn_insts,
+                outputs: g.outputs,
+                n,
+                stream: recorder.map(|r| r.into_stream()).unwrap_or_default(),
+            })
+        };
+        slot.get_or_init(fill).as_ref().map_err(Clone::clone)
+    }
 }
 
 /// One experiment's random choices, and the census that sized them.
@@ -566,27 +649,28 @@ pub struct RangeRun {
 }
 
 /// The range driver: run experiments `range` of the campaign seeded
-/// `campaign_seed`, sequentially. Concatenating the results of any
+/// `campaign_seed`, sequentially, reading golden runs from `golden` (and
+/// filling its slots as needed). Concatenating the results of any
 /// partition of `0..n` equals the experiment list of [`run_campaign`].
 ///
 /// With `prune`, an experiment whose replayed draws land on a coordinate
 /// the plan proves benign gets a [`Outcome::Benign`] record with
 /// `injection: None` and is not executed; every other experiment is
-/// bit-identical to a full run. With `traced`, every experiment also
-/// yields an [`ExperimentTrace`] and the records stay bit-identical.
-/// Tracing and pruning are mutually exclusive.
+/// bit-identical to a full run. With a traced `golden` set, every
+/// experiment also yields an [`ExperimentTrace`] and the records stay
+/// bit-identical. Tracing and pruning are mutually exclusive.
 pub fn run_range(
     prog: &Prepared,
     workload: &dyn Workload,
+    golden: &GoldenSet,
     campaign_seed: u64,
     range: std::ops::Range<usize>,
     prune: Option<&PruneContext>,
-    traced: bool,
 ) -> Result<RangeRun, CampaignError> {
-    let step = stepper(prog, workload, campaign_seed, prune, traced)?;
+    let step = stepper(prog, workload, golden, campaign_seed, prune)?;
     let mut run = RangeRun {
         experiments: Vec::with_capacity(range.len()),
-        spans: Vec::with_capacity(if traced { range.len() } else { 0 }),
+        spans: Vec::with_capacity(if golden.traced { range.len() } else { 0 }),
         engine_faults: 0,
     };
     for i in range {
@@ -603,12 +687,12 @@ pub fn run_range(
 fn stepper<'a>(
     prog: &'a Prepared,
     workload: &'a dyn Workload,
+    golden: &'a GoldenSet,
     campaign_seed: u64,
     prune: Option<&'a PruneContext>,
-    traced: bool,
 ) -> Result<impl Fn(usize) -> Result<Ran, CampaignError> + Sync + 'a, CampaignError> {
     if prune.is_some() {
-        if traced {
+        if golden.traced {
             return Err(CampaignError(
                 "tracing and pruning are mutually exclusive (a discharged experiment \
                  has no execution to trace)"
@@ -632,19 +716,20 @@ fn stepper<'a>(
         }
         let mut rng = experiment_rng(campaign_seed, i);
         let provenance = Some((campaign_seed, i));
-        run_contained(prog, engine, workload, &mut rng, provenance, traced)
+        run_contained(prog, engine, workload, golden, &mut rng, provenance)
     })
 }
 
 /// Run experiments `range` of the campaign seeded `campaign_seed`
-/// (see [`run_range`]).
+/// (see [`run_range`]), with a golden set of its own.
 pub fn run_experiment_range(
     prog: &Prepared,
     workload: &dyn Workload,
     campaign_seed: u64,
     range: std::ops::Range<usize>,
 ) -> Result<Vec<Experiment>, CampaignError> {
-    run_range(prog, workload, campaign_seed, range, None, false).map(|run| run.experiments)
+    let golden = GoldenSet::new(workload, false);
+    run_range(prog, workload, &golden, campaign_seed, range, None).map(|run| run.experiments)
 }
 
 /// [`run_experiment_range`] with static pruning (see [`run_range`]).
@@ -655,7 +740,8 @@ pub fn run_experiment_range_pruned(
     campaign_seed: u64,
     range: std::ops::Range<usize>,
 ) -> Result<Vec<Experiment>, CampaignError> {
-    run_range(prog, workload, campaign_seed, range, Some(ctx), false).map(|run| run.experiments)
+    let golden = GoldenSet::new(workload, false);
+    run_range(prog, workload, &golden, campaign_seed, range, Some(ctx)).map(|run| run.experiments)
 }
 
 /// [`run_experiment_range`] with per-experiment trace spans (see
@@ -666,7 +752,8 @@ pub fn run_experiment_range_traced(
     campaign_seed: u64,
     range: std::ops::Range<usize>,
 ) -> Result<(Vec<Experiment>, Vec<ExperimentTrace>), CampaignError> {
-    let run = run_range(prog, workload, campaign_seed, range, None, true)?;
+    let golden = GoldenSet::new(workload, true);
+    let run = run_range(prog, workload, &golden, campaign_seed, range, None)?;
     Ok((run.experiments, run.spans))
 }
 
@@ -746,15 +833,26 @@ fn discharge(
     Ok(benign.then(|| no_injection(Outcome::Benign, draw.input, draw.n, golden_insts)))
 }
 
-/// Run one campaign of `n` experiments in parallel. `seed` makes the
-/// campaign reproducible.
+/// Run one campaign of `n` experiments in parallel, with a golden set of
+/// its own. `seed` makes the campaign reproducible.
 pub fn run_campaign(
     prog: &Prepared,
     workload: &dyn Workload,
     n: usize,
     seed: u64,
 ) -> Result<CampaignResult, CampaignError> {
-    let step = stepper(prog, workload, seed, None, false)?;
+    run_campaign_with(prog, workload, &GoldenSet::new(workload, false), n, seed)
+}
+
+/// [`run_campaign`] reading golden runs from `golden`.
+fn run_campaign_with(
+    prog: &Prepared,
+    workload: &dyn Workload,
+    golden: &GoldenSet,
+    n: usize,
+    seed: u64,
+) -> Result<CampaignResult, CampaignError> {
+    let step = stepper(prog, workload, golden, seed, None)?;
     let experiments = (0..n)
         .into_par_iter()
         .map(|i| step(i).map(|ran| ran.experiment))
@@ -863,19 +961,22 @@ pub struct StudyResult {
     pub converged: bool,
 }
 
-/// Run campaigns until the stopping rule fires (or `max_campaigns`).
+/// Run campaigns until the stopping rule fires (or `max_campaigns`),
+/// sharing one golden set across them.
 pub fn run_study(
     prog: &Prepared,
     workload: &dyn Workload,
     cfg: &StudyConfig,
 ) -> Result<StudyResult, CampaignError> {
+    let golden = GoldenSet::new(workload, false);
     let mut samples = Vec::new();
     let mut counts = OutcomeCounts::default();
     let mut converged = false;
     for c in 0..cfg.max_campaigns {
-        let campaign = run_campaign(
+        let campaign = run_campaign_with(
             prog,
             workload,
+            &golden,
             cfg.experiments_per_campaign,
             campaign_seed(cfg.seed, c),
         )?;
@@ -1151,6 +1252,86 @@ exit:
         assert!(c.counts.sdc > 0, "{:?}", c.counts);
     }
 
+    /// Counts `setup` calls: one per golden fill plus one per faulty run.
+    struct CountingWorkload {
+        inner: ScaleWorkload,
+        setups: std::sync::atomic::AtomicU64,
+    }
+
+    impl CountingWorkload {
+        fn setups(&self) -> u64 {
+            self.setups.load(std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    impl Workload for CountingWorkload {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn entry(&self) -> &str {
+            self.inner.entry()
+        }
+        fn module(&self) -> &Module {
+            self.inner.module()
+        }
+        fn num_inputs(&self) -> u64 {
+            self.inner.num_inputs()
+        }
+        fn setup(&self, mem: &mut Memory, input: u64) -> Result<SetupResult, vexec::Trap> {
+            self.setups
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.inner.setup(mem, input)
+        }
+    }
+
+    #[test]
+    fn one_golden_run_per_drawn_input() {
+        let w = CountingWorkload {
+            inner: ScaleWorkload::new(),
+            setups: Default::default(),
+        };
+        let prog = prepare(&w, SiteCategory::PureData).unwrap();
+        let golden = GoldenSet::new(&w, false);
+        let run = run_range(&prog, &w, &golden, campaign_seed(0x601D, 0), 0..30, None).unwrap();
+        // An experiment with a non-empty census executes one faulty run.
+        let faulty = run
+            .experiments
+            .iter()
+            .filter(|e| e.dynamic_sites > 0)
+            .count() as u64;
+        let inputs: std::collections::BTreeSet<u64> =
+            run.experiments.iter().map(|e| e.input).collect();
+        assert!(inputs.len() > 1, "the campaign must draw several inputs");
+        assert_eq!(w.setups(), faulty + inputs.len() as u64);
+    }
+
+    #[test]
+    fn shared_traced_set_matches_a_fresh_set_per_experiment() {
+        let w = ScaleWorkload::new();
+        let seed = campaign_seed(0x601D, 1);
+        let zeroed = |mut span: ExperimentTrace| {
+            span.wall_ns = 0;
+            span
+        };
+        for model in [FaultModel::SingleBitFlip, FaultModel::MemoryCell] {
+            let mut prog = prepare(&w, SiteCategory::PureData).unwrap();
+            prog.model = model;
+            let shared = GoldenSet::new(&w, true);
+            let run = run_range(&prog, &w, &shared, seed, 0..30, None).unwrap();
+            assert_eq!(run.spans.len(), 30, "{model}");
+            for (i, span) in run.spans.into_iter().enumerate() {
+                let fresh = GoldenSet::new(&w, true);
+                let one = run_range(&prog, &w, &fresh, seed, i..i + 1, None).unwrap();
+                assert_eq!(
+                    one.experiments[0], run.experiments[i],
+                    "{model}: record {i}"
+                );
+                let fresh_span = one.spans.into_iter().next().unwrap();
+                assert_eq!(zeroed(span), zeroed(fresh_span), "{model}: span {i}");
+            }
+        }
+    }
+
     // --- Static pruning ---------------------------------------------------
 
     /// A workload with provably-dead bits: %w's high 24 bits die in the
@@ -1393,7 +1574,8 @@ exit:
             let mut prog = prepare(&w, SiteCategory::PureData).unwrap();
             prog.model = model;
             let plain = run_campaign(&prog, &w, 30, seed).unwrap().experiments;
-            let traced = run_range(&prog, &w, seed, 0..30, None, true).unwrap();
+            let golden = GoldenSet::new(&w, true);
+            let traced = run_range(&prog, &w, &golden, seed, 0..30, None).unwrap();
             assert_eq!(
                 traced.experiments, plain,
                 "{model}: tracing must not perturb"

@@ -14,7 +14,8 @@
 //!   injection and the first architectural divergence from the golden
 //!   run (first differing store / branch decision / return), with the
 //!   trap site standing in as the divergence point on Crash;
-//! - **latency** — wall time of the experiment pair.
+//! - **latency** — wall time of the experiment: its faulty run, plus its
+//!   input's golden run when this experiment was the one that ran it.
 //!
 //! Tracing is opt-in and purely observational: a traced run produces the
 //! bit-identical `Experiment` list of an untraced run (the study key and
@@ -82,7 +83,9 @@ pub struct ExperimentTrace {
     pub propagation: Option<u64>,
     /// Trap description when the faulty run crashed.
     pub trap: Option<String>,
-    /// Wall time of the experiment pair, in nanoseconds.
+    /// Wall time of the experiment, in nanoseconds: its faulty run, plus
+    /// its input's golden run when this experiment was the one that ran it
+    /// (a study runs each input's golden run once).
     pub wall_ns: u64,
 }
 

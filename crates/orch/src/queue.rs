@@ -4,13 +4,14 @@
 //! The queue is an append-only event log (`<store>/queue/events.jsonl`)
 //! sharing the CRC'd [`CheckedLog`](crate::store) machinery with the
 //! shard and trace stores: every state change appends one checksummed
-//! line, the current job table is a pure fold over the log, and a torn
-//! trailing line (killed daemon) is healed on open exactly like a torn
-//! shard. Nothing is ever rewritten in place, so a queue that survived a
-//! `kill -9` replays to exactly the state its last completed append
-//! described. Mid-file corruption makes [`JobQueue::open`] refuse the
-//! store; `vulfi fsck --repair` ([`crate::Store::fsck`]) quarantines the
-//! log to `queue/events.quarantine/` and salvages the intact events.
+//! line, the current job table is a pure fold over the log (replayed
+//! once on open, then advanced by each append), and a torn trailing line
+//! (killed daemon) is healed on open exactly like a torn shard. Nothing
+//! is ever rewritten in place, so a queue that survived a `kill -9`
+//! replays to exactly the state its last completed append described.
+//! Mid-file corruption makes [`JobQueue::open`] refuse the store; `vulfi
+//! fsck --repair` ([`crate::Store::fsck`]) quarantines the log to
+//! `queue/events.quarantine/` and salvages the intact events.
 //!
 //! Recovery contract: a job observed in `Running` state at daemon
 //! startup was owned by a dead incarnation; [`JobQueue::recover`]
@@ -104,24 +105,30 @@ pub(crate) fn checked_log(store_root: &Path) -> CheckedLog {
     CheckedLog::new(dir.join("events.jsonl"), dir.join("events.quarantine"))
 }
 
-/// The persistent queue. Stateless over its log: every mutation is one
-/// durable append, every read is a replay (the log stays small — a
-/// handful of events per job). Callers serialize access (the daemon
-/// holds it under a mutex).
+/// The persistent queue: the log plus its folded job table. Every
+/// mutation is one durable append, folded into the table only once it is
+/// durable; every read is served from the table, so a status poll costs
+/// no log replay however long the log grows. Callers serialize access
+/// (the daemon holds it under a mutex).
 pub struct JobQueue {
     log: CheckedLog,
+    /// The fold of every event in `log`, in submission order.
+    jobs: Vec<JobRecord>,
 }
 
 impl JobQueue {
     /// Open the queue under `store_root/queue` (created on the first
-    /// append), healing a torn tail left by a killed daemon. A corrupt
-    /// log is refused; `vulfi fsck --repair` heals it.
+    /// append), healing a torn tail left by a killed daemon, and fold the
+    /// log into the job table. A corrupt log is refused; `vulfi fsck
+    /// --repair` heals it.
     pub fn open(store_root: impl AsRef<Path>) -> Result<JobQueue, OrchError> {
-        let q = JobQueue {
-            log: checked_log(store_root.as_ref()),
-        };
-        q.log.trim_torn_tail::<QueueEvent>()?;
-        Ok(q)
+        let log = checked_log(store_root.as_ref());
+        log.trim_torn_tail::<QueueEvent>()?;
+        let mut jobs = Vec::new();
+        for ev in log.records::<QueueEvent>()? {
+            fold(&mut jobs, ev);
+        }
+        Ok(JobQueue { log, jobs })
     }
 
     pub fn path(&self) -> PathBuf {
@@ -131,12 +138,12 @@ impl JobQueue {
     /// Durably enqueue `spec` under its content-addressed study key;
     /// returns the new job id.
     pub fn submit(
-        &self,
+        &mut self,
         spec: &StudySpec,
         key: &str,
         tenant: Option<&str>,
     ) -> Result<u64, OrchError> {
-        let id = self.next_id()?;
+        let id = self.next_id();
         self.append(QueueEvent {
             job: id,
             kind: EventKind::Submitted,
@@ -150,24 +157,24 @@ impl JobQueue {
     }
 
     /// A worker began executing `job` under the given study key.
-    pub fn started(&self, job: u64, key: &str) -> Result<(), OrchError> {
+    pub fn started(&mut self, job: u64, key: &str) -> Result<(), OrchError> {
         self.append_kind(job, EventKind::Started, Some(key.to_string()), None)
     }
 
-    pub fn completed(&self, job: u64) -> Result<(), OrchError> {
+    pub fn completed(&mut self, job: u64) -> Result<(), OrchError> {
         self.append_kind(job, EventKind::Completed, None, None)
     }
 
-    pub fn failed(&self, job: u64, error: &str) -> Result<(), OrchError> {
+    pub fn failed(&mut self, job: u64, error: &str) -> Result<(), OrchError> {
         self.append_kind(job, EventKind::Failed, None, Some(error.to_string()))
     }
 
     /// Re-queue every `Running` job (dead-daemon recovery). Returns the
     /// ids pushed back to `Queued`.
-    pub fn recover(&self) -> Result<Vec<u64>, OrchError> {
+    pub fn recover(&mut self) -> Result<Vec<u64>, OrchError> {
         let orphans: Vec<u64> = self
-            .jobs()?
-            .into_iter()
+            .jobs
+            .iter()
             .filter(|j| j.state == JobState::Running)
             .map(|j| j.id)
             .collect();
@@ -179,63 +186,24 @@ impl JobQueue {
 
     /// The folded job table, in submission order.
     pub fn jobs(&self) -> Result<Vec<JobRecord>, OrchError> {
-        let events: Vec<QueueEvent> = self.log.records()?;
-        let mut jobs: Vec<JobRecord> = Vec::new();
-        for ev in events {
-            match ev.kind {
-                EventKind::Submitted => {
-                    let Some(spec) = ev.spec else { continue };
-                    jobs.push(JobRecord {
-                        id: ev.job,
-                        spec,
-                        state: JobState::Queued,
-                        key: ev.key,
-                        error: None,
-                        tenant: ev.tenant,
-                        submitted_unix_ms: ev.unix_ms,
-                        updated_unix_ms: ev.unix_ms,
-                    });
-                }
-                kind => {
-                    let Some(job) = jobs.iter_mut().find(|j| j.id == ev.job) else {
-                        continue;
-                    };
-                    job.updated_unix_ms = ev.unix_ms;
-                    match kind {
-                        EventKind::Started => {
-                            job.state = JobState::Running;
-                            if ev.key.is_some() {
-                                job.key = ev.key;
-                            }
-                        }
-                        EventKind::Completed => job.state = JobState::Completed,
-                        EventKind::Failed => {
-                            job.state = JobState::Failed;
-                            job.error = ev.error;
-                        }
-                        EventKind::Requeued => job.state = JobState::Queued,
-                        EventKind::Submitted => unreachable!("handled above"),
-                    }
-                }
-            }
-        }
-        Ok(jobs)
+        Ok(self.jobs.clone())
     }
 
     /// Oldest queued job, if any.
     pub fn next_queued(&self) -> Result<Option<JobRecord>, OrchError> {
         Ok(self
-            .jobs()?
-            .into_iter()
-            .find(|j| j.state == JobState::Queued))
+            .jobs
+            .iter()
+            .find(|j| j.state == JobState::Queued)
+            .cloned())
     }
 
-    fn next_id(&self) -> Result<u64, OrchError> {
-        Ok(self.jobs()?.iter().map(|j| j.id + 1).max().unwrap_or(1))
+    fn next_id(&self) -> u64 {
+        self.jobs.iter().map(|j| j.id + 1).max().unwrap_or(1)
     }
 
     fn append_kind(
-        &self,
+        &mut self,
         job: u64,
         kind: EventKind,
         key: Option<String>,
@@ -252,8 +220,49 @@ impl JobQueue {
         })
     }
 
-    fn append(&self, ev: QueueEvent) -> Result<(), OrchError> {
-        self.log.append(&ev)
+    fn append(&mut self, ev: QueueEvent) -> Result<(), OrchError> {
+        self.log.append(&ev)?;
+        fold(&mut self.jobs, ev);
+        Ok(())
+    }
+}
+
+/// The fold step: apply one event to the job table. Events for an
+/// unknown job, and submissions without a spec, change nothing.
+fn fold(jobs: &mut Vec<JobRecord>, ev: QueueEvent) {
+    if ev.kind == EventKind::Submitted {
+        if let Some(spec) = ev.spec {
+            jobs.push(JobRecord {
+                id: ev.job,
+                spec,
+                state: JobState::Queued,
+                key: ev.key,
+                error: None,
+                tenant: ev.tenant,
+                submitted_unix_ms: ev.unix_ms,
+                updated_unix_ms: ev.unix_ms,
+            });
+        }
+        return;
+    }
+    let Some(job) = jobs.iter_mut().find(|j| j.id == ev.job) else {
+        return;
+    };
+    job.updated_unix_ms = ev.unix_ms;
+    match ev.kind {
+        EventKind::Started => {
+            job.state = JobState::Running;
+            if ev.key.is_some() {
+                job.key = ev.key;
+            }
+        }
+        EventKind::Completed => job.state = JobState::Completed,
+        EventKind::Failed => {
+            job.state = JobState::Failed;
+            job.error = ev.error;
+        }
+        EventKind::Requeued => job.state = JobState::Queued,
+        EventKind::Submitted => unreachable!("handled above"),
     }
 }
 
@@ -277,7 +286,7 @@ mod tests {
     #[test]
     fn submit_run_complete_lifecycle() {
         let root = temp_root("lifecycle");
-        let q = JobQueue::open(&root).unwrap();
+        let mut q = JobQueue::open(&root).unwrap();
         assert!(q.jobs().unwrap().is_empty());
         assert!(q.next_queued().unwrap().is_none());
 
@@ -307,14 +316,14 @@ mod tests {
     fn queue_survives_reopen_and_recovers_orphans() {
         let root = temp_root("reopen");
         let id = {
-            let q = JobQueue::open(&root).unwrap();
+            let mut q = JobQueue::open(&root).unwrap();
             let id = q.submit(&spec("vector sum"), "deadbeef", None).unwrap();
             q.started(id, "deadbeef").unwrap();
             id
         };
         // "Daemon restart": the running job must be re-queued, with its
         // spec intact.
-        let q = JobQueue::open(&root).unwrap();
+        let mut q = JobQueue::open(&root).unwrap();
         assert_eq!(q.recover().unwrap(), vec![id]);
         let job = q.next_queued().unwrap().unwrap();
         assert_eq!(job.id, id);
@@ -330,7 +339,7 @@ mod tests {
     fn torn_tail_is_healed_on_open() {
         let root = temp_root("torn");
         let path = {
-            let q = JobQueue::open(&root).unwrap();
+            let mut q = JobQueue::open(&root).unwrap();
             q.submit(&spec("vector sum"), "deadbeef", None).unwrap();
             q.path()
         };
@@ -349,7 +358,7 @@ mod tests {
     fn corrupt_log_is_refused_until_store_fsck_repairs_it() {
         let root = temp_root("corrupt");
         let path = {
-            let q = JobQueue::open(&root).unwrap();
+            let mut q = JobQueue::open(&root).unwrap();
             q.submit(&spec("vector sum"), "aaaa", None).unwrap();
             q.submit(&spec("dot product"), "bbbb", None).unwrap();
             q.path()

@@ -7,8 +7,8 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 use vulfi::{
-    build_prune_context, campaign_seed, run_range, Prepared, PruneContext, SoundnessReport,
-    StudyConfig, StudyResult, Workload,
+    build_prune_context, campaign_seed, run_range, GoldenSet, Prepared, PruneContext,
+    SoundnessReport, StudyConfig, StudyResult, Workload,
 };
 
 use crate::key::{study_key, StudyKey};
@@ -73,10 +73,11 @@ pub struct RunOutcome {
 }
 
 /// Execute one shard of a study: derive the campaign seed, run the
-/// experiment range through [`vulfi::run_range`] (pruned or traced when
-/// asked), and bump the global metrics, engine faults included — the
-/// single execution path shared by the in-process runner below and the
-/// `vulfi serve` worker pool. Callers append the returned record to the
+/// experiment range through [`vulfi::run_range`] against the study's
+/// `golden` set (pruned when asked, traced when the set is), and bump the
+/// global metrics, engine faults included — the single execution path
+/// shared by the in-process runner below and the `vulfi serve` worker
+/// pool. Callers append the returned record to the
 /// store themselves (the runner under its sink lock; a service worker
 /// after its lease). The returned count is the engine panics this shard
 /// contained as Crash records.
@@ -90,7 +91,7 @@ pub fn run_shard(
     workload: &dyn Workload,
     cfg: &StudyConfig,
     job: ShardJob,
-    traced: bool,
+    golden: &GoldenSet,
     prune: Option<&PruneContext>,
 ) -> Result<(ShardRecord, Vec<vulfi::ExperimentTrace>, u64), OrchError> {
     if prog.model != cfg.model {
@@ -101,7 +102,7 @@ pub fn run_shard(
     }
     let shard_start = Instant::now();
     let seed = campaign_seed(cfg.seed, job.campaign);
-    let run = run_range(prog, workload, seed, job.start..job.end, prune, traced)
+    let run = run_range(prog, workload, golden, seed, job.start..job.end, prune)
         .map_err(|e| OrchError(e.to_string()))?;
     let metrics = crate::metrics::global();
     for e in &run.experiments {
@@ -204,12 +205,15 @@ pub fn run_study_persistent(
 
     // The prune context (static analysis + per-input active-lane census)
     // is shared by every shard, and only needed when something will
-    // actually execute — a fully cached study resumes without it.
+    // actually execute — a fully cached study resumes without it. So is
+    // the golden set, which fills lazily: a study that executes nothing
+    // runs no golden.
     let prune_ctx = if cfg.prune && !missing.is_empty() {
         Some(build_prune_context(prog, workload).map_err(|e| OrchError(e.to_string()))?)
     } else {
         None
     };
+    let golden = GoldenSet::new(workload, trace_log.is_some());
 
     let mut progress = Progress::start((cfg.max_campaigns * cfg.experiments_per_campaign) as u64);
     progress.resumed = covered_experiments(&done, cfg) as u64;
@@ -229,14 +233,7 @@ pub fn run_study_persistent(
     let results: Result<Vec<()>, OrchError> = missing
         .into_par_iter()
         .map(|job| {
-            let (rec, spans, _) = run_shard(
-                prog,
-                workload,
-                cfg,
-                job,
-                trace_log.is_some(),
-                prune_ctx.as_ref(),
-            )?;
+            let (rec, spans, _) = run_shard(prog, workload, cfg, job, &golden, prune_ctx.as_ref())?;
             // Recover the guard on poison: a panic in another worker (or
             // in a user callback) must not cascade into losing this
             // shard's append — the counters it protects stay coherent

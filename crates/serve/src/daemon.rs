@@ -172,7 +172,7 @@ impl Shared {
                 return Ok(Some(a.clone()));
             }
         }
-        let queue = relock(&self.queue);
+        let mut queue = relock(&self.queue);
         let Some(job) = queue.next_queued().map_err(|e| e.to_string())? else {
             *active = None;
             return Ok(None);
@@ -375,7 +375,7 @@ impl Daemon {
     /// so shell scripts can discover an ephemeral port.
     pub fn bind(cfg: &ServeConfig) -> Result<Daemon, String> {
         let store = Store::open(&cfg.store).map_err(|e| e.to_string())?;
-        let queue = JobQueue::open(&cfg.store).map_err(|e| e.to_string())?;
+        let mut queue = JobQueue::open(&cfg.store).map_err(|e| e.to_string())?;
         let ops = OpsLog::open(&cfg.store).map_err(|e| e.to_string())?;
         let orphans = queue.recover().map_err(|e| e.to_string())?;
         if !orphans.is_empty() {
@@ -643,13 +643,15 @@ fn work_on(shared: &Arc<Shared>, active: &Arc<ActiveStudy>, worker: &str) -> Res
             ));
         }
         let study = shared.store.study(&active.key);
-        // Each worker derives its own prune context (analysis + census),
-        // same shared-nothing stance as the workload compile above.
+        // Each worker derives its own prune context (analysis + census)
+        // and golden set, same shared-nothing stance as the workload
+        // compile above.
         let prune_ctx = if cfg.prune {
             Some(vulfi::build_prune_context(&prog, w).map_err(|e| e.to_string())?)
         } else {
             None
         };
+        let golden = vulfi::GoldenSet::new(w, false);
         loop {
             if shared.shutdown.load(Ordering::SeqCst) {
                 // Leave the job Running; the next daemon re-queues it
@@ -671,7 +673,7 @@ fn work_on(shared: &Arc<Shared>, active: &Arc<ActiveStudy>, worker: &str) -> Res
                     );
                     let shard_start = Instant::now();
                     let (rec, _spans, faults) =
-                        run_shard(&prog, w, &cfg, job, false, prune_ctx.as_ref())
+                        run_shard(&prog, w, &cfg, job, &golden, prune_ctx.as_ref())
                             .map_err(|e| e.to_string())?;
                     {
                         let mut p = relock(&active.progress);

@@ -80,26 +80,27 @@ pub struct Divergence {
     pub event_index: u64,
 }
 
-enum TracerMode {
+enum TracerMode<'g> {
     /// Collect the event fingerprint stream (golden run).
     Record,
     /// Replay against a recorded stream, noting the first mismatch
     /// (faulty run).
-    Compare { golden: Vec<u64>, cursor: usize },
+    Compare { golden: &'g [u64], cursor: usize },
 }
 
 /// A [`TraceSink`] that records a golden run's event stream, then finds
-/// where a faulty run first diverges from it.
-pub struct DivergenceTracer {
-    mode: TracerMode,
+/// where a faulty run first diverges from it. A comparing tracer borrows
+/// the golden stream, so many faulty runs can share one recording.
+pub struct DivergenceTracer<'g> {
+    mode: TracerMode<'g>,
     stream: Vec<u64>,
     events: u64,
     divergence: Option<Divergence>,
 }
 
-impl DivergenceTracer {
+impl<'g> DivergenceTracer<'g> {
     /// Golden-run mode: record every event fingerprint.
-    pub fn record() -> DivergenceTracer {
+    pub fn record() -> DivergenceTracer<'g> {
         DivergenceTracer {
             mode: TracerMode::Record,
             stream: Vec::new(),
@@ -110,7 +111,7 @@ impl DivergenceTracer {
 
     /// Faulty-run mode: compare against `golden` (from
     /// [`DivergenceTracer::into_stream`]).
-    pub fn compare(golden: Vec<u64>) -> DivergenceTracer {
+    pub fn compare(golden: &'g [u64]) -> DivergenceTracer<'g> {
         DivergenceTracer {
             mode: TracerMode::Compare { golden, cursor: 0 },
             stream: Vec::new(),
@@ -158,7 +159,7 @@ impl DivergenceTracer {
     }
 }
 
-impl TraceSink for DivergenceTracer {
+impl TraceSink for DivergenceTracer<'_> {
     fn event(&mut self, dyn_index: u64, ev: TraceEvent) {
         let fp = ev.fingerprint();
         self.events += 1;
@@ -197,7 +198,7 @@ mod tests {
         let stream = g.into_stream();
         assert_eq!(stream.len(), 5);
 
-        let mut c = DivergenceTracer::compare(stream);
+        let mut c = DivergenceTracer::compare(&stream);
         for i in 0..5 {
             c.event(i * 10, ev(i));
         }
@@ -211,7 +212,8 @@ mod tests {
         for i in 0..4 {
             g.event(i, ev(i));
         }
-        let mut c = DivergenceTracer::compare(g.into_stream());
+        let stream = g.into_stream();
+        let mut c = DivergenceTracer::compare(&stream);
         c.event(100, ev(0));
         c.event(101, ev(1));
         c.event(102, ev(99)); // diverges here
@@ -225,7 +227,8 @@ mod tests {
     fn extra_events_past_golden_end_diverge() {
         let mut g = DivergenceTracer::record();
         g.event(0, ev(0));
-        let mut c = DivergenceTracer::compare(g.into_stream());
+        let stream = g.into_stream();
+        let mut c = DivergenceTracer::compare(&stream);
         c.event(10, ev(0));
         c.event(20, ev(1)); // golden stream exhausted
         assert_eq!(c.divergence().unwrap().dyn_index, 20);
@@ -236,7 +239,8 @@ mod tests {
         let mut g = DivergenceTracer::record();
         g.event(0, ev(0));
         g.event(1, ev(1));
-        let mut c = DivergenceTracer::compare(g.into_stream());
+        let stream = g.into_stream();
+        let mut c = DivergenceTracer::compare(&stream);
         c.event(10, ev(0));
         assert_eq!(c.divergence(), None, "not yet: run may still catch up");
         c.finish(42);
@@ -287,13 +291,13 @@ done:
         let stream = golden.into_stream();
 
         // Same input replays cleanly.
-        let mut same = DivergenceTracer::compare(stream.clone());
+        let mut same = DivergenceTracer::compare(&stream);
         run(2.5, Some(&mut same));
         same.finish(n_plain);
         assert_eq!(same.divergence(), None);
 
         // A different input diverges at the branch decision.
-        let mut diff = DivergenceTracer::compare(stream);
+        let mut diff = DivergenceTracer::compare(&stream);
         run(-1.0, Some(&mut diff));
         diff.finish(n_plain);
         let d = diff.divergence().unwrap();
