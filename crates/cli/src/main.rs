@@ -2219,21 +2219,22 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
         let w = load_bench(name, flags.isa)?;
         let prog = vulfi::prepare(&w, flags.category.unwrap_or(SiteCategory::PureData))
             .map_err(|e| e.to_string())?;
-        let started = std::time::Instant::now();
         let c =
             vulfi::run_campaign(&prog, &w, experiments, flags.seed).map_err(|e| e.to_string())?;
-        let wall_ns = started.elapsed().as_nanos() as u64;
-        let wall_s = (wall_ns as f64 / 1e9).max(1e-9);
+        let (exp_per_sec, wall_ns) = median_throughput(experiments, || {
+            vulfi::run_campaign(&prog, &w, experiments, flags.seed).map_err(|e| e.to_string())?;
+            Ok(())
+        })?;
         let dyn_insts: u64 = c.experiments.iter().map(|e| e.golden_dyn_insts).sum();
-        let exp_per_sec = experiments as f64 / wall_s;
+        let dyn_insts_per_sec = exp_per_sec * dyn_insts as f64 / experiments.max(1) as f64;
         println!(
-            "{:14} [{}]: {} experiments in {:.2}s — {:.0} exp/s, {:.1}M dyn-inst/s, SDC {:.1}%",
+            "{:14} [{}]: {} experiments — {:.0} exp/s (median of {BENCH_WINDOWS} windows), \
+             {:.1}M dyn-inst/s, SDC {:.1}%",
             name,
             isa_name(flags.isa),
             experiments,
-            wall_s,
             exp_per_sec,
-            dyn_insts as f64 / wall_s / 1e6,
+            dyn_insts_per_sec / 1e6,
             c.counts.sdc_rate()
         );
         // One profiled golden run per bench: the opcode-mix summary in
@@ -2268,7 +2269,7 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
             "wall_ns": wall_ns,
             "exp_per_sec": exp_per_sec,
             "dyn_insts": dyn_insts,
-            "dyn_insts_per_sec": dyn_insts as f64 / wall_s,
+            "dyn_insts_per_sec": dyn_insts_per_sec,
             "sdc_rate": c.counts.sdc_rate(),
             "opcode_mix": mix_doc,
         }));
@@ -2284,12 +2285,13 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
             let setup = std::time::Instant::now();
             let ctx = vulfi::build_prune_context(&prog, &w).map_err(|e| e.to_string())?;
             let setup_ns = setup.elapsed().as_nanos() as u64;
-            let started = std::time::Instant::now();
-            let exps =
+            let run = || {
                 vulfi::run_experiment_range_pruned(&prog, &w, &ctx, flags.seed, 0..experiments)
-                    .map_err(|e| e.to_string())?;
-            let pruned_wall_ns = started.elapsed().as_nanos() as u64;
-            let pruned_wall_s = (pruned_wall_ns as f64 / 1e9).max(1e-9);
+                    .map_err(|e| e.to_string())
+            };
+            let exps = run()?;
+            let (pruned_exp_per_sec, pruned_wall_ns) =
+                median_throughput(experiments, || run().map(drop))?;
             let mut counts = vulfi::OutcomeCounts::default();
             for e in &exps {
                 counts.add(e);
@@ -2299,13 +2301,12 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
                 .filter(|e| e.injection.is_none() && e.dynamic_sites > 0)
                 .count();
             let discharged_pct = 100.0 * discharged as f64 / experiments.max(1) as f64;
-            let pruned_exp_per_sec = experiments as f64 / pruned_wall_s;
+            let pruned_dyn_insts: u64 = exps.iter().map(|e| e.golden_dyn_insts).sum();
             println!(
-                "{:14} [{}]: pruned {} experiments in {:.2}s — {:.0} exp/s ({:.1}% discharged, {:.1}x vs full)",
+                "{:14} [{}]: pruned {} experiments — {:.0} exp/s ({:.1}% discharged, {:.1}x vs full)",
                 format!("{name} [pruned]"),
                 isa_name(flags.isa),
                 experiments,
-                pruned_wall_s,
                 pruned_exp_per_sec,
                 discharged_pct,
                 pruned_exp_per_sec / exp_per_sec.max(1e-9),
@@ -2316,9 +2317,9 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
                 "experiments": experiments as u64,
                 "wall_ns": pruned_wall_ns,
                 "exp_per_sec": pruned_exp_per_sec,
-                "dyn_insts": exps.iter().map(|e| e.golden_dyn_insts).sum::<u64>(),
-                "dyn_insts_per_sec": exps.iter().map(|e| e.golden_dyn_insts).sum::<u64>() as f64
-                    / pruned_wall_s,
+                "dyn_insts": pruned_dyn_insts,
+                "dyn_insts_per_sec": pruned_exp_per_sec * pruned_dyn_insts as f64
+                    / experiments.max(1) as f64,
                 "sdc_rate": counts.sdc_rate(),
                 "prune": true,
                 "static_discharged": discharged as u64,
@@ -2373,10 +2374,54 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
 /// baseline fails the run.
 const BENCH_REGRESSION_TOLERANCE: f64 = 0.30;
 
-/// `vulfi bench --check BASELINE`: compare this run's throughput against
-/// a recorded `BENCH_report.json`, failing on any >30% regression.
-/// Benches absent from the baseline are reported but never fail — adding
-/// a benchmark must not break CI until the baseline is re-recorded.
+/// Throughput is the median exp/s over this many timing windows...
+const BENCH_WINDOWS: usize = 5;
+
+/// ...each running whole experiment batches for at least this long, so
+/// one scheduling hiccup moves one window, not the verdict.
+const BENCH_WINDOW: std::time::Duration = std::time::Duration::from_millis(500);
+
+/// Median exp/s of `run`, which executes `experiments` experiments per
+/// call, over [`BENCH_WINDOWS`] windows of at least [`BENCH_WINDOW`];
+/// also the total nanoseconds measured.
+fn median_throughput(
+    experiments: usize,
+    mut run: impl FnMut() -> Result<(), String>,
+) -> Result<(f64, u64), String> {
+    let mut rates = Vec::with_capacity(BENCH_WINDOWS);
+    let mut total_ns = 0;
+    for _ in 0..BENCH_WINDOWS {
+        let started = std::time::Instant::now();
+        let mut done = 0;
+        while done == 0 || started.elapsed() < BENCH_WINDOW {
+            run()?;
+            done += experiments;
+        }
+        let ns = started.elapsed().as_nanos() as u64;
+        total_ns += ns;
+        rates.push(done as f64 / (ns as f64 / 1e9).max(1e-9));
+    }
+    rates.sort_by(f64::total_cmp);
+    Ok((rates[rates.len() / 2], total_ns))
+}
+
+/// The deterministic counters of a bench entry, as JSON paths. They
+/// follow from the program, the seed and the experiment count alone, so
+/// `--check` holds them to the baseline exactly: a moved counter is a
+/// behaviour change (or a deliberate re-record), never noise.
+const BENCH_COUNTERS: [&str; 4] = [
+    "dyn_insts",
+    "sdc_rate",
+    "static_discharged",
+    "opcode_mix.golden_dyn_insts",
+];
+
+/// `vulfi bench --check BASELINE`: compare this run against a recorded
+/// `BENCH_report.json`. Every deterministic counter the baseline records
+/// must match exactly (a mismatch names the field), and throughput may
+/// not fall more than 30% below the baseline's. Benches absent from the
+/// baseline are reported but never fail — adding a benchmark must not
+/// break CI until the baseline is re-recorded.
 fn check_bench_regression(path: &str, docs: &[serde_json::Value]) -> Result<(), String> {
     let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let base: serde_json::Value =
@@ -2387,25 +2432,38 @@ fn check_bench_regression(path: &str, docs: &[serde_json::Value]) -> Result<(), 
         .ok_or_else(|| format!("{path}: no 'benches' array (not a bench report?)"))?;
     let field =
         |v: &serde_json::Value, k: &str| v.get(k).and_then(|x| x.as_str()).map(str::to_string);
-    let mut regressions = Vec::new();
+    let at = |v: &serde_json::Value, path: &str| {
+        path.split('.')
+            .try_fold(v, |v, k| v.get(k))
+            .and_then(|x| x.as_f64())
+    };
+    let mut failures = Vec::new();
     for doc in docs {
         let (Some(name), Some(isa)) = (field(doc, "name"), field(doc, "isa")) else {
             continue;
         };
+        let Some(was_doc) = base.iter().find(|b| {
+            field(b, "name").as_deref() == Some(&name) && field(b, "isa").as_deref() == Some(&isa)
+        }) else {
+            println!("  check {name} [{isa}]: no baseline entry, skipped");
+            continue;
+        };
+        for counter in BENCH_COUNTERS {
+            let Some(was) = at(was_doc, counter) else {
+                continue;
+            };
+            let now = at(doc, counter);
+            if now != Some(was) {
+                let now = now.map_or("missing".to_string(), |n| n.to_string());
+                println!("  check {name} [{isa}]: {counter} {now} != baseline {was} MOVED");
+                failures.push(format!("{name} [{isa}]: {counter} {now} != baseline {was}"));
+            }
+        }
         let now = doc
             .get("exp_per_sec")
             .and_then(|v| v.as_f64())
             .unwrap_or(0.0);
-        let Some(was) = base
-            .iter()
-            .find(|b| {
-                field(b, "name").as_deref() == Some(&name)
-                    && field(b, "isa").as_deref() == Some(&isa)
-            })
-            .and_then(|b| b.get("exp_per_sec"))
-            .and_then(|v| v.as_f64())
-        else {
-            println!("  check {name} [{isa}]: no baseline entry, skipped");
+        let Some(was) = was_doc.get("exp_per_sec").and_then(|v| v.as_f64()) else {
             continue;
         };
         let floor = was * (1.0 - BENCH_REGRESSION_TOLERANCE);
@@ -2414,18 +2472,19 @@ fn check_bench_regression(path: &str, docs: &[serde_json::Value]) -> Result<(), 
             "  check {name} [{isa}]: {now:.0} exp/s vs baseline {was:.0} (floor {floor:.0}) {verdict}"
         );
         if now < floor {
-            regressions.push(format!(
-                "{name} [{isa}]: {now:.0} exp/s < {floor:.0} (baseline {was:.0})"
+            failures.push(format!(
+                "{name} [{isa}]: {now:.0} exp/s < {floor:.0} (baseline {was:.0}), \
+                 regressed >{:.0}%",
+                100.0 * BENCH_REGRESSION_TOLERANCE
             ));
         }
     }
-    if regressions.is_empty() {
+    if failures.is_empty() {
         Ok(())
     } else {
         Err(format!(
-            "bench throughput regressed >{:.0}% vs {path}:\n  {}",
-            100.0 * BENCH_REGRESSION_TOLERANCE,
-            regressions.join("\n  ")
+            "bench check against {path} failed:\n  {}",
+            failures.join("\n  ")
         ))
     }
 }
@@ -3205,6 +3264,50 @@ export void scale(uniform float a[], uniform int n, uniform float s) {
         assert!(check_bench_regression(&bad, &docs(1.0, 1.0))
             .unwrap_err()
             .contains("benches"));
+    }
+
+    #[test]
+    fn bench_check_gates_deterministic_counters_exactly() {
+        let baseline = write_temp(
+            "bench_counters.json",
+            r#"{"benches": [
+                {"name": "vector sum", "isa": "avx", "exp_per_sec": 1000.0,
+                 "dyn_insts": 5000, "sdc_rate": 42.5,
+                 "opcode_mix": {"golden_dyn_insts": 125}},
+                {"name": "vector sum [pruned]", "isa": "avx", "exp_per_sec": 1000.0,
+                 "dyn_insts": 5000, "sdc_rate": 42.5, "static_discharged": 7}
+            ]}"#,
+        );
+        let full = |dyn_insts: u64, sdc: f64, golden: u64| {
+            serde_json::json!({"name": "vector sum", "isa": "avx", "exp_per_sec": 5000.0,
+                "dyn_insts": dyn_insts, "sdc_rate": sdc,
+                "opcode_mix": serde_json::json!({"golden_dyn_insts": golden})})
+        };
+        let pruned = |discharged: u64| {
+            serde_json::json!({"name": "vector sum [pruned]", "isa": "avx",
+                "exp_per_sec": 5000.0, "dyn_insts": 5000, "sdc_rate": 42.5,
+                "static_discharged": discharged})
+        };
+        check_bench_regression(&baseline, &[full(5000, 42.5, 125), pruned(7)]).unwrap();
+        // Faster is fine, but any moved counter fails and names its field,
+        // however small the move.
+        for (docs, moved) in [
+            (vec![full(5001, 42.5, 125)], "dyn_insts 5001"),
+            (vec![full(5000, 42.25, 125)], "sdc_rate 42.25"),
+            (
+                vec![full(5000, 42.5, 124)],
+                "opcode_mix.golden_dyn_insts 124",
+            ),
+            (vec![pruned(8)], "static_discharged 8"),
+        ] {
+            let e = check_bench_regression(&baseline, &docs).unwrap_err();
+            assert!(e.contains(moved), "{e}");
+        }
+        // A counter the baseline records but the run lacks is a mismatch.
+        let bare = serde_json::json!({"name": "vector sum [pruned]", "isa": "avx",
+            "exp_per_sec": 5000.0, "dyn_insts": 5000, "sdc_rate": 42.5});
+        let e = check_bench_regression(&baseline, &[bare]).unwrap_err();
+        assert!(e.contains("static_discharged missing"), "{e}");
     }
 
     #[test]

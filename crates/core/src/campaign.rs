@@ -25,13 +25,13 @@
 //! [`run_campaign`] maps the driver's per-experiment step over rayon,
 //! every thread reading the same [`GoldenSet`].
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use vexec::{Interp, Trap};
+use vexec::{Interp, Program, Trap};
 use vir::analysis::SiteCategory;
 use vir::Module;
 
@@ -284,7 +284,7 @@ fn run_body(
         Some(_) => VulfiHost::profile(),
         None => VulfiHost::inject_model(target, entropy, prog.model),
     };
-    let mut interp = Interp::new(&prog.module);
+    let mut interp = Interp::with_program(goldens.program(prog));
     interp.set_budget(
         golden
             .dyn_insts
@@ -381,11 +381,12 @@ struct Golden {
     engine_events: u64,
 }
 
-/// The one golden run: set up `input`, run `entry` under `host` with an
-/// optional divergence `recorder` and engine-event counter, and snapshot
-/// the outputs. Never resource-limited: a trap here is a workload bug.
+/// The one golden run: set up `input`, run `entry` of `program` under
+/// `host` with an optional divergence `recorder` and engine-event counter,
+/// and snapshot the outputs. Never resource-limited: a trap here is a
+/// workload bug.
 fn golden_run(
-    module: &Module,
+    program: Arc<Program>,
     entry: &str,
     workload: &dyn Workload,
     input: u64,
@@ -394,7 +395,7 @@ fn golden_run(
     engine: Option<vexec::EngineModel>,
 ) -> Result<Golden, CampaignError> {
     let mut counter = engine.map(vexec::EngineInjector::count);
-    let mut interp = Interp::new(module);
+    let mut interp = Interp::with_program(program);
     let setup = workload
         .setup(&mut interp.mem, input)
         .map_err(|t| CampaignError(format!("setup failed: {t}")))?;
@@ -427,11 +428,16 @@ fn golden_run(
 /// always is. A traced set also keeps each input's divergence event
 /// stream, which traced experiments compare their faulty runs against.
 ///
+/// The set also holds the study's decoded program, which every golden
+/// and faulty run executes: decoded by the first run that needs it, so a
+/// study that executes nothing decodes nothing.
+///
 /// A set belongs to one `(prog, workload)` pair and never outlives the
 /// study that built it.
 pub struct GoldenSet {
     traced: bool,
     slots: Vec<OnceLock<Result<GoldenInput, CampaignError>>>,
+    program: OnceLock<Arc<Program>>,
 }
 
 /// One input's golden run, as the experiments drawing that input read it.
@@ -455,7 +461,16 @@ impl GoldenSet {
         GoldenSet {
             traced,
             slots: (0..inputs).map(|_| OnceLock::new()).collect(),
+            program: OnceLock::new(),
         }
+    }
+
+    /// The decoded `prog.module`, decoding it on first use.
+    fn program(&self, prog: &Prepared) -> Arc<Program> {
+        let program = self
+            .program
+            .get_or_init(|| Arc::new(Program::decode(&prog.module)));
+        Arc::clone(program)
     }
 
     /// `input`'s golden run, running it first if no experiment has.
@@ -473,7 +488,7 @@ impl GoldenSet {
         let fill = || {
             let mut recorder = self.traced.then(vexec::DivergenceTracer::record);
             let g = golden_run(
-                &prog.module,
+                self.program(prog),
                 &prog.entry,
                 workload,
                 input,
@@ -796,10 +811,12 @@ pub fn build_prune_context(
     check_prunable(prog.model)?;
     let report = analyze_module(workload.module(), workload.entry()).map_err(CampaignError)?;
     let plan = PrunePlan::from_report(&report);
+    let program = Arc::new(Program::decode(&prog.module));
     let census = (0..workload.num_inputs().max(1))
         .map(|input| {
             let host = VulfiHost::profile_logging();
-            let golden = golden_run(&prog.module, &prog.entry, workload, input, host, None, None)?;
+            let program = Arc::clone(&program);
+            let golden = golden_run(program, &prog.entry, workload, input, host, None, None)?;
             Ok(InputCensus {
                 golden_dyn_insts: golden.dyn_insts,
                 trace: golden.host.site_log.unwrap_or_default(),
@@ -1005,7 +1022,8 @@ pub fn measure_dyn_insts(
     input: u64,
 ) -> Result<u64, CampaignError> {
     let host = VulfiHost::profile();
-    golden_run(module, entry, workload, input, host, None, None).map(|g| g.dyn_insts)
+    let program = Arc::new(Program::decode(module));
+    golden_run(program, entry, workload, input, host, None, None).map(|g| g.dyn_insts)
 }
 
 #[cfg(test)]

@@ -21,6 +21,8 @@
 //! tallies its model's event census — golden runs use this to size the
 //! target distribution — and never perturbs execution.
 
+use vir::ScalarTy;
+
 use crate::mem::Memory;
 use crate::value::{RtVal, Scalar};
 
@@ -132,37 +134,52 @@ impl EngineInjector {
     /// Hook: a masked intrinsic is about to use `mask`. Returns the
     /// (possibly corrupted) mask register.
     pub fn on_mask(&mut self, at_dyn_inst: u64, mask: &RtVal) -> RtVal {
+        let (elem, mut lanes) = match mask {
+            RtVal::Scalar(s) => (s.ty, vec![s.bits]),
+            RtVal::Vector(e, v) => (*e, v.clone()),
+        };
+        if self.on_mask_lanes(at_dyn_inst, elem, &mut lanes) {
+            RtVal::Vector(elem, lanes)
+        } else {
+            mask.clone()
+        }
+    }
+
+    /// [`EngineInjector::on_mask`] on a mask register held as lane words
+    /// of type `elem`, corrupted in place. True when it was corrupted.
+    pub(crate) fn on_mask_lanes(
+        &mut self,
+        at_dyn_inst: u64,
+        elem: ScalarTy,
+        lanes: &mut [u64],
+    ) -> bool {
         if self.model != EngineModel::MaskCorrupt {
-            return mask.clone();
+            return false;
         }
         self.events += 1;
         if self.target == 0 || self.events != self.target || self.injection.is_some() {
-            return mask.clone();
+            return false;
         }
-        let lanes = mask.lanes();
         if lanes.is_empty() {
-            return mask.clone();
+            return false;
         }
-        let elem = lanes[0].ty;
-        let packed = |ls: &[Scalar]| -> u64 {
+        let packed = |ls: &[u64]| -> u64 {
             ls.iter()
                 .enumerate()
-                .filter(|(_, s)| s.mask_active())
+                .filter(|(_, &w)| Scalar::new(elem, w).mask_active())
                 .fold(0u64, |acc, (i, _)| acc | (1u64 << (i as u64 & 63)))
         };
-        let before = packed(&lanes);
+        let before = packed(lanes);
         // Lane i is active iff entropy bit i is set; active lanes get the
         // all-ones pattern (ISPC's "on" mask), inactive lanes zero.
-        let corrupted: Vec<Scalar> = (0..lanes.len())
-            .map(|i| {
-                if (self.entropy >> (i as u64 & 63)) & 1 == 1 {
-                    Scalar::new(elem, elem.bit_mask())
-                } else {
-                    Scalar::new(elem, 0)
-                }
-            })
-            .collect();
-        let after = packed(&corrupted);
+        for (i, w) in lanes.iter_mut().enumerate() {
+            *w = if (self.entropy >> (i as u64 & 63)) & 1 == 1 {
+                elem.bit_mask()
+            } else {
+                0
+            };
+        }
+        let after = packed(lanes);
         self.injection = Some(EngineInjection {
             event: self.events,
             at_dyn_inst,
@@ -171,7 +188,7 @@ impl EngineInjector {
             bits_after: after,
             addr: 0,
         });
-        RtVal::from_lanes(elem, corrupted)
+        true
     }
 
     /// Hook: the dynamic instruction clock advanced to `at_dyn_inst`.
@@ -200,7 +217,6 @@ impl EngineInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vir::ScalarTy;
 
     #[test]
     fn counting_mode_never_perturbs() {

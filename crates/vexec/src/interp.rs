@@ -5,22 +5,31 @@
 //! taxonomy surface as [`Trap`]s: invalid memory references, division by
 //! zero, runaway execution (hang budget), unknown calls.
 //!
+//! The interpreter runs a [`Program`]: the module decoded once into
+//! slot-indexed operands over flat `u64` lane storage (see
+//! [`crate::program`]). Each call gets one frame of words in a register
+//! arena that is reused across calls and runs, and calls push onto an
+//! explicit frame stack instead of recursing, so executing an instruction
+//! allocates nothing. [`Interp::new`] decodes its module on construction;
+//! [`Interp::with_program`] shares a program decoded earlier, which is how
+//! a study decodes each module once for all of its runs.
+//!
 //! Host functions — VULFI's runtime injection API, the detector runtime,
 //! and anything else declared but not defined — are dispatched through the
 //! [`HostEnv`] trait, mirroring how an instrumented native binary links
-//! against the fault-injection runtime library.
+//! against the fault-injection runtime library. [`RtVal`] appears only at
+//! that boundary and at [`Interp::run`]'s arguments and result.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vir::intrinsics::{self, Intrinsic, MathOp};
-use vir::{
-    BinOp, BlockId, CastOp, FCmpPred, Function, ICmpPred, InstKind, Module, Operand, ScalarTy,
-    Terminator, Type, ValueId,
-};
+use vir::intrinsics::MathOp;
+use vir::{BinOp, CastOp, FCmpPred, ICmpPred, Module, ScalarTy, Type};
 
 use crate::fault::EngineInjector;
 use crate::mem::{Memory, Trap};
 use crate::profile::{HotLoc, HotProfile, InstMix};
+use crate::program::{Active, DBlock, Func, Op, Program, Slot, Term};
 use crate::trace::{fold_bits, TraceEvent, TraceSink};
 use crate::value::{RtVal, Scalar};
 
@@ -58,9 +67,17 @@ const MAX_DEPTH: usize = 64;
 /// runaway loop overshoots its deadline by microseconds, not seconds.
 const WALL_CHECK_MASK: u64 = (1 << 13) - 1;
 
+/// A suspended caller: where its frame starts and where it resumes.
+struct Frame {
+    func: usize,
+    base: usize,
+    block: usize,
+    pc: usize,
+}
+
 /// The interpreter. One instance executes programs from one module.
 pub struct Interp<'m> {
-    pub module: &'m Module,
+    program: Arc<Program>,
     pub mem: Memory,
     budget: u64,
     executed: u64,
@@ -69,12 +86,29 @@ pub struct Interp<'m> {
     hot: Option<HotProfile>,
     trace: Option<&'m mut dyn TraceSink>,
     fault: Option<&'m mut EngineInjector>,
+    /// Every live frame's words, innermost last.
+    regs: Vec<u64>,
+    /// Suspended callers, outermost first.
+    frames: Vec<Frame>,
+    /// A block's phi results, held until every phi has read its input.
+    phi_buf: Vec<u64>,
+    /// Host-call arguments, reused call to call.
+    host_args: Vec<RtVal>,
+    /// A masked intrinsic's mask as the engine injector left it.
+    mask_buf: Vec<u64>,
 }
 
 impl<'m> Interp<'m> {
+    /// An interpreter for `module`, decoding it first.
     pub fn new(module: &'m Module) -> Interp<'m> {
+        Interp::with_program(Arc::new(Program::decode(module)))
+    }
+
+    /// An interpreter for an already decoded program.
+    pub fn with_program(program: Arc<Program>) -> Interp<'m> {
+        let words = program.max_frame;
         Interp {
-            module,
+            program,
             mem: Memory::default(),
             budget: u64::MAX / 2,
             executed: 0,
@@ -83,6 +117,11 @@ impl<'m> Interp<'m> {
             hot: None,
             trace: None,
             fault: None,
+            regs: Vec::with_capacity(words),
+            frames: Vec::new(),
+            phi_buf: Vec::new(),
+            host_args: Vec::new(),
+            mask_buf: Vec::new(),
         }
     }
 
@@ -105,12 +144,17 @@ impl<'m> Interp<'m> {
         }
     }
 
-    /// Route a masked-intrinsic mask register through the engine
-    /// injector. `None` when no injector is installed (use the original
-    /// mask, avoiding a clone on the default path).
-    fn fault_mask(&mut self, mask: &RtVal) -> Option<RtVal> {
-        let inj = self.fault.as_deref_mut()?;
-        Some(inj.on_mask(self.executed, mask))
+    /// Route the `lanes`-word mask register at `at` through the engine
+    /// injector. True when it did, leaving the mask to use in
+    /// `mask_buf`; false (and no copy) when no injector is installed.
+    fn fault_mask(&mut self, at: usize, lanes: usize, elem: ScalarTy) -> bool {
+        let Some(inj) = self.fault.as_deref_mut() else {
+            return false;
+        };
+        self.mask_buf.clear();
+        self.mask_buf.extend_from_slice(&self.regs[at..at + lanes]);
+        inj.on_mask_lanes(self.executed, elem, &mut self.mask_buf);
+        true
     }
 
     /// Install an architectural-event observer (see [`crate::trace`]).
@@ -157,86 +201,40 @@ impl<'m> Interp<'m> {
         Some(h)
     }
 
-    fn note_inst(&mut self, f: &Function, frame: &[Option<RtVal>], iid: vir::InstId) {
-        if self.mix.is_none() && self.hot.is_none() {
-            return;
-        }
-        let inst = f.inst(iid);
+    /// Profile instruction `pc` of function `fi` (frame at `base`) before
+    /// it executes.
+    fn note_inst(&mut self, fi: usize, f: &Func, pc: usize, base: usize) {
+        let m = &f.meta[pc];
         if let Some(hot) = &mut self.hot {
-            hot.record(
-                f as *const Function as usize,
-                &f.name,
-                HotLoc::Inst(iid.0),
-                inst.opcode(),
-            );
+            hot.record(fi, &f.name, HotLoc::Inst(m.iid), m.opcode);
         }
-        if self.mix.is_none() {
+        let Some(mix) = &mut self.mix else {
             return;
-        }
-        let width = inst
-            .operands()
-            .iter()
-            .map(|op| f.operand_type(op).lanes())
-            .chain(std::iter::once(inst.ty.lanes()))
-            .max()
-            .unwrap_or(1);
-        let is_vec = inst.ty.is_vector()
-            || inst
-                .operands()
-                .iter()
-                .any(|op| f.operand_type(op).is_vector());
-        if !is_vec {
-            self.mix.as_mut().unwrap().record(inst.opcode(), false);
+        };
+        if !m.is_vec {
+            mix.record(m.opcode, false);
             return;
         }
         // Active-lane count: masked memory ops consult their mask operand
         // and vector selects their condition; everything else executes all
-        // lanes. An unevaluable mask (never in verified IR) falls back to
-        // full width rather than perturbing execution.
-        let active = self
-            .active_lanes(f, frame, &inst.kind)
-            .unwrap_or(width)
-            .min(width);
-        self.mix
-            .as_mut()
-            .unwrap()
-            .record_vector_lanes(inst.opcode(), active, width);
-    }
-
-    /// How many lanes of a vector instruction are architecturally live,
-    /// or `None` when the instruction is unconditionally full-width (or
-    /// its mask cannot be read). Purely observational: evaluates already
-    /// computed operands, never memory or side effects.
-    fn active_lanes(&self, f: &Function, frame: &[Option<RtVal>], kind: &InstKind) -> Option<u32> {
-        let count_mask = |op: &Operand, lanes: u32| -> Option<u32> {
-            let m = self.eval_operand(f, frame, op).ok()?;
-            let n = (lanes as usize).min(m.num_lanes());
-            Some((0..n).filter(|&i| m.lane(i).mask_active()).count() as u32)
+        // lanes. Purely observational: reads already computed operands.
+        let lanes = |off: u32, n: u32| &self.regs[base + off as usize..][..n as usize];
+        let active = match m.active {
+            Active::Full => m.width,
+            Active::Mask { off, n, elem } => lanes(off, n)
+                .iter()
+                .filter(|&&w| Scalar::new(elem, w).mask_active())
+                .count() as u32,
+            // Select semantics test lane bit 0 (see `exec_op`), not the
+            // sign bit the AVX mask convention uses.
+            Active::Cond { off, n } => lanes(off, n).iter().filter(|&&w| w & 1 == 1).count() as u32,
         };
-        match kind {
-            InstKind::Call { callee, args } => match intrinsics::parse(callee)? {
-                Intrinsic::MaskLoad { lanes, .. } => count_mask(args.get(1)?, lanes),
-                Intrinsic::MaskStore { lanes, .. } => count_mask(args.get(1)?, lanes),
-                _ => None,
-            },
-            InstKind::Select { cond, .. } if f.operand_type(cond).is_vector() => {
-                // Select semantics test lane bit 0 (see `exec_inst`), not
-                // the sign bit the AVX mask convention uses.
-                let c = self.eval_operand(f, frame, cond).ok()?;
-                Some(c.lanes().iter().filter(|s| s.bits & 1 == 1).count() as u32)
-            }
-            _ => None,
-        }
+        mix.record_vector_lanes(m.opcode, active.min(m.width), m.width);
     }
 
-    fn note_term(&mut self, f: &Function, block: BlockId, opcode: &'static str) {
+    fn note_term(&mut self, fi: usize, f: &Func, block: usize, opcode: &'static str) {
         if let Some(hot) = &mut self.hot {
-            hot.record(
-                f as *const Function as usize,
-                &f.name,
-                HotLoc::Term(block.0),
-                opcode,
-            );
+            hot.record(fi, &f.name, HotLoc::Term(block as u32), opcode);
         }
         if let Some(mix) = &mut self.mix {
             mix.record(opcode, false);
@@ -279,18 +277,29 @@ impl<'m> Interp<'m> {
         args: &[RtVal],
         host: &mut dyn HostEnv,
     ) -> Result<ExecResult, Trap> {
-        let f = self
-            .module
+        let program = Arc::clone(&self.program);
+        let fi = program
             .function(func)
             .ok_or_else(|| Trap::UnknownFunction(func.to_string()))?;
-        if f.params.len() != args.len() {
+        let f = &program.funcs[fi];
+        if f.n_params != args.len() {
             return Err(Trap::HostError(format!(
                 "@{func} expects {} arguments, got {}",
-                f.params.len(),
+                f.n_params,
                 args.len()
             )));
         }
-        let ret = self.call_function(f, args.to_vec(), host, 0)?;
+        if args.len() > f.arg_slots.len() {
+            return Err(too_few_slots(f, args.len()));
+        }
+        self.regs.clear();
+        self.frames.clear();
+        self.regs.extend_from_slice(&f.frame);
+        for (a, s) in args.iter().zip(&f.arg_slots) {
+            let at = s.off as usize;
+            store_val(&mut self.regs[at..at + s.lanes()], s.ty, a);
+        }
+        let ret = self.exec(&program, fi, host)?;
         if self.trace.is_some() {
             let bits = match &ret {
                 None => 0,
@@ -325,485 +334,441 @@ impl<'m> Interp<'m> {
         Ok(())
     }
 
-    fn call_function(
+    /// Run function `fi`, whose frame the caller has set up at the bottom
+    /// of the arena, to its return.
+    fn exec(
         &mut self,
-        f: &'m Function,
-        args: Vec<RtVal>,
+        prog: &Program,
+        mut fi: usize,
         host: &mut dyn HostEnv,
-        depth: usize,
     ) -> Result<Option<RtVal>, Trap> {
-        if depth >= MAX_DEPTH {
-            return Err(Trap::StackOverflow);
-        }
-        if args.len() > f.values.len() {
-            return Err(Trap::EngineFault(format!(
-                "call to @{} with {} arguments but only {} value slots",
-                f.name,
-                args.len(),
-                f.values.len()
-            )));
-        }
-        let mut frame: Vec<Option<RtVal>> = vec![None; f.values.len()];
-        for (i, a) in args.into_iter().enumerate() {
-            frame[i] = Some(a);
-        }
-
-        let mut cur = f.entry();
-        let mut prev: Option<BlockId> = None;
-        loop {
-            let block = f.block(cur);
-
-            // Phase 1: evaluate all phis against the *incoming* frame.
-            let mut phi_updates: Vec<(ValueId, RtVal)> = Vec::new();
-            let mut body_start = 0;
-            for (k, &iid) in block.insts.iter().enumerate() {
-                let inst = f.inst(iid);
-                if let InstKind::Phi { incomings } = &inst.kind {
+        let observe = self.mix.is_some() || self.hot.is_some();
+        let mut base = 0;
+        let mut block = 0;
+        let mut prev = None;
+        'enter: loop {
+            // Enter `block` of `fi` from `prev`: phis read the incoming
+            // frame all at once, then the body starts.
+            let f = &prog.funcs[fi];
+            let b = &f.blocks[block];
+            self.phis(fi, f, b, base, prev, observe)?;
+            let mut pc = b.body as usize;
+            'resume: loop {
+                let f = &prog.funcs[fi];
+                let b = &f.blocks[block];
+                while pc < b.end as usize {
                     self.tick()?;
-                    self.note_inst(f, &frame, iid);
-                    let pb = prev
-                        .ok_or_else(|| Trap::HostError("phi in entry block at runtime".into()))?;
-                    let (_, op) = incomings
-                        .iter()
-                        .find(|(b, _)| *b == pb)
-                        .ok_or_else(|| Trap::HostError("phi missing incoming edge".into()))?;
-                    let v = self.eval_operand(f, &frame, op)?;
-                    let res = inst
-                        .result
-                        .ok_or_else(|| Trap::EngineFault("phi without a result value".into()))?;
-                    phi_updates.push((res, v));
-                    body_start = k + 1;
-                } else {
-                    break;
-                }
-            }
-            for (v, val) in phi_updates {
-                frame[v.index()] = Some(val);
-            }
-
-            // Phase 2: straight-line body.
-            for &iid in &block.insts[body_start..] {
-                self.tick()?;
-                self.note_inst(f, &frame, iid);
-                let inst = f.inst(iid);
-                let result = self.exec_inst(f, &frame, &inst.kind, inst.ty, host, depth)?;
-                if let Some(res_v) = inst.result {
-                    frame[res_v.index()] = Some(result.ok_or_else(|| {
-                        Trap::HostError("non-void instruction produced no value".into())
-                    })?);
-                }
-            }
-
-            // Terminator.
-            self.tick()?;
-            match &block.term {
-                Terminator::Br(b) => {
-                    self.note_term(f, cur, "br");
-                    prev = Some(cur);
-                    cur = *b;
-                }
-                Terminator::CondBr {
-                    cond,
-                    on_true,
-                    on_false,
-                } => {
-                    self.note_term(f, cur, "condbr");
-                    let c = self.eval_operand(f, &frame, cond)?.scalar();
-                    prev = Some(cur);
-                    cur = if c.is_true() { *on_true } else { *on_false };
-                    self.note_event(TraceEvent::Branch { block: cur.0 });
-                }
-                Terminator::Ret(Some(op)) => {
-                    self.note_term(f, cur, "ret");
-                    return Ok(Some(self.eval_operand(f, &frame, op)?));
-                }
-                Terminator::Ret(None) => {
-                    self.note_term(f, cur, "ret");
-                    return Ok(None);
-                }
-                Terminator::Unreachable => return Err(Trap::Unreachable),
-            }
-        }
-    }
-
-    fn eval_operand(
-        &self,
-        _f: &Function,
-        frame: &[Option<RtVal>],
-        op: &Operand,
-    ) -> Result<RtVal, Trap> {
-        match op {
-            Operand::Const(c) => Ok(RtVal::from_constant(c)),
-            Operand::Value(v) => frame[v.index()]
-                .clone()
-                .ok_or_else(|| Trap::HostError(format!("use of undefined value v{}", v.0))),
-        }
-    }
-
-    fn exec_inst(
-        &mut self,
-        f: &'m Function,
-        frame: &[Option<RtVal>],
-        kind: &InstKind,
-        ty: Type,
-        host: &mut dyn HostEnv,
-        depth: usize,
-    ) -> Result<Option<RtVal>, Trap> {
-        let ev = |i: &Interp<'m>, op: &Operand| i.eval_operand(f, frame, op);
-        match kind {
-            InstKind::Bin { op, lhs, rhs } => {
-                let a = ev(self, lhs)?;
-                let b = ev(self, rhs)?;
-                Ok(Some(zip_lanes(&a, &b, |x, y| eval_bin(*op, x, y))?))
-            }
-            InstKind::ICmp { pred, lhs, rhs } => {
-                let a = ev(self, lhs)?;
-                let b = ev(self, rhs)?;
-                Ok(Some(zip_lanes_to(ScalarTy::I1, &a, &b, |x, y| {
-                    Ok(Scalar::i1(eval_icmp(*pred, x, y)))
-                })?))
-            }
-            InstKind::FCmp { pred, lhs, rhs } => {
-                let a = ev(self, lhs)?;
-                let b = ev(self, rhs)?;
-                Ok(Some(zip_lanes_to(ScalarTy::I1, &a, &b, |x, y| {
-                    Ok(Scalar::i1(eval_fcmp(*pred, x, y)))
-                })?))
-            }
-            InstKind::Select {
-                cond,
-                on_true,
-                on_false,
-            } => {
-                let c = ev(self, cond)?;
-                let t = ev(self, on_true)?;
-                let e = ev(self, on_false)?;
-                match c {
-                    RtVal::Scalar(s) => Ok(Some(if s.is_true() { t } else { e })),
-                    RtVal::Vector(_, lanes) => {
-                        if t.num_lanes() < lanes.len() || e.num_lanes() < lanes.len() {
-                            return Err(Trap::EngineFault(
-                                "select arms narrower than the condition vector".into(),
-                            ));
-                        }
-                        let elem = t.lane(0).ty;
-                        let out = lanes.iter().enumerate().map(|(i, &cb)| {
-                            if cb & 1 == 1 {
-                                t.lane(i)
-                            } else {
-                                e.lane(i)
-                            }
-                        });
-                        Ok(Some(RtVal::from_lanes(elem, out)))
+                    if observe {
+                        self.note_inst(fi, f, pc, base);
                     }
+                    let inst = &f.insts[pc];
+                    if let Op::Call { func, args, .. } = inst.op {
+                        if self.frames.len() + 1 >= MAX_DEPTH {
+                            return Err(Trap::StackOverflow);
+                        }
+                        let callee = &prog.funcs[func as usize];
+                        if args.len as usize > callee.arg_slots.len() {
+                            return Err(too_few_slots(callee, args.len as usize));
+                        }
+                        let new_base = self.regs.len();
+                        self.regs.extend_from_slice(&callee.frame);
+                        for (a, p) in f.pool[args.range()].iter().zip(&callee.arg_slots) {
+                            let src = base + a.off as usize;
+                            let n = a.lanes().min(p.lanes());
+                            self.regs
+                                .copy_within(src..src + n, new_base + p.off as usize);
+                        }
+                        self.frames.push(Frame {
+                            func: fi,
+                            base,
+                            block,
+                            pc: pc + 1,
+                        });
+                        (fi, base, block, prev) = (func as usize, new_base, 0, None);
+                        continue 'enter;
+                    }
+                    self.exec_op(f, &inst.op, inst.dst as usize, base, host)?;
+                    pc += 1;
+                }
+
+                self.tick()?;
+                match b.term {
+                    Term::Br(t) => {
+                        if observe {
+                            self.note_term(fi, f, block, "br");
+                        }
+                        (prev, block) = (Some(block), t as usize);
+                        continue 'enter;
+                    }
+                    Term::CondBr {
+                        cond,
+                        on_true,
+                        on_false,
+                    } => {
+                        if observe {
+                            self.note_term(fi, f, block, "condbr");
+                        }
+                        let taken = self.regs[base + cond as usize] & 1 == 1;
+                        prev = Some(block);
+                        block = if taken { on_true } else { on_false } as usize;
+                        self.note_event(TraceEvent::Branch {
+                            block: block as u32,
+                        });
+                        continue 'enter;
+                    }
+                    Term::Ret(ret) => {
+                        if observe {
+                            self.note_term(fi, f, block, "ret");
+                        }
+                        let Some(caller) = self.frames.pop() else {
+                            return Ok(ret.map(|s| load_val(&self.regs, base, s)));
+                        };
+                        let call = &prog.funcs[caller.func].insts[caller.pc - 1];
+                        if let Op::Call { result: true, .. } = call.op {
+                            let s = ret.ok_or_else(|| {
+                                Trap::HostError("non-void instruction produced no value".into())
+                            })?;
+                            let src = base + s.off as usize;
+                            self.regs
+                                .copy_within(src..src + s.lanes(), caller.base + call.dst as usize);
+                        }
+                        self.regs.truncate(base);
+                        (fi, base, block, pc) = (caller.func, caller.base, caller.block, caller.pc);
+                        continue 'resume;
+                    }
+                    Term::Unreachable => return Err(Trap::Unreachable),
+                    Term::Trap(ref t) => return Err((**t).clone()),
                 }
             }
-            InstKind::Cast { op, val } => {
-                let v = ev(self, val)?;
-                let to_elem = ty
-                    .elem()
-                    .ok_or_else(|| Trap::EngineFault("cast to void type".into()))?;
-                let out = v
-                    .lanes()
-                    .into_iter()
-                    .map(|s| eval_cast(*op, s, to_elem))
-                    .collect::<Vec<_>>();
-                Ok(Some(if ty.is_vector() {
-                    RtVal::from_lanes(to_elem, out)
-                } else {
-                    RtVal::Scalar(out[0])
-                }))
+        }
+    }
+
+    /// Execute block `b`'s phis, entered from `prev`.
+    fn phis(
+        &mut self,
+        fi: usize,
+        f: &Func,
+        b: &DBlock,
+        base: usize,
+        prev: Option<usize>,
+        observe: bool,
+    ) -> Result<(), Trap> {
+        if b.start == b.body {
+            return Ok(());
+        }
+        self.phi_buf.clear();
+        for pc in b.start as usize..b.body as usize {
+            self.tick()?;
+            if observe {
+                self.note_inst(fi, f, pc, base);
             }
-            InstKind::Alloca { elem, count } => {
-                let n = ev(self, count)?.scalar().as_i64();
+            let (arms, n) = match &f.insts[pc].op {
+                Op::Phi { arms, n } => (*arms, *n as usize),
+                Op::Trap(t) => return Err((**t).clone()),
+                _ => return Err(Trap::EngineFault("non-phi in a block header".into())),
+            };
+            let pb = prev.ok_or_else(|| Trap::HostError("phi in entry block at runtime".into()))?;
+            let &(_, src) = f.arms[arms.range()]
+                .iter()
+                .find(|(p, _)| *p as usize == pb)
+                .ok_or_else(|| Trap::HostError("phi missing incoming edge".into()))?;
+            let src = base + src as usize;
+            self.phi_buf.extend_from_slice(&self.regs[src..src + n]);
+        }
+        let mut k = 0;
+        for inst in &f.insts[b.start as usize..b.body as usize] {
+            if let Op::Phi { n, .. } = inst.op {
+                let dst = base + inst.dst as usize;
+                let n = n as usize;
+                self.regs[dst..dst + n].copy_from_slice(&self.phi_buf[k..k + n]);
+                k += n;
+            }
+        }
+        Ok(())
+    }
+
+    /// Execute one non-call instruction of `f` writing at `dst`, in the
+    /// frame at `base`.
+    fn exec_op(
+        &mut self,
+        f: &Func,
+        op: &Op,
+        dst: usize,
+        base: usize,
+        host: &mut dyn HostEnv,
+    ) -> Result<(), Trap> {
+        let at = |off: u32| base + off as usize;
+        let dst = base + dst;
+        let r = &mut self.regs;
+        match *op {
+            Op::Bin { op, ty, n, a, b } => {
+                for i in 0..n as usize {
+                    let x = Scalar::new(ty, r[at(a) + i]);
+                    let y = Scalar::new(ty, r[at(b) + i]);
+                    r[dst + i] = eval_bin(op, x, y)?.bits;
+                }
+            }
+            Op::ICmp { pred, ty, n, a, b } => {
+                for i in 0..n as usize {
+                    let x = Scalar::new(ty, r[at(a) + i]);
+                    let y = Scalar::new(ty, r[at(b) + i]);
+                    r[dst + i] = eval_icmp(pred, x, y) as u64;
+                }
+            }
+            Op::FCmp { pred, ty, n, a, b } => {
+                for i in 0..n as usize {
+                    let x = Scalar::new(ty, r[at(a) + i]);
+                    let y = Scalar::new(ty, r[at(b) + i]);
+                    r[dst + i] = eval_fcmp(pred, x, y) as u64;
+                }
+            }
+            Op::Select { c, t, e, n } => {
+                let src = if r[at(c)] & 1 == 1 { at(t) } else { at(e) };
+                r.copy_within(src..src + n as usize, dst);
+            }
+            Op::SelectLanes { c, t, e, n } => {
+                for i in 0..n as usize {
+                    let arm = if r[at(c) + i] & 1 == 1 { t } else { e };
+                    r[dst + i] = r[at(arm) + i];
+                }
+            }
+            Op::Cast { op, from, to, n, v } => {
+                for i in 0..n as usize {
+                    r[dst + i] = eval_cast(op, Scalar::new(from, r[at(v) + i]), to).bits;
+                }
+            }
+            Op::Alloca {
+                size,
+                count,
+                count_ty,
+            } => {
+                let n = Scalar::new(count_ty, r[at(count)]).as_i64();
                 if n < 0 {
                     return Err(Trap::OutOfMemory);
                 }
-                let base = self.mem.alloc(elem.size_bytes() * n as u64)?;
-                Ok(Some(RtVal::Scalar(Scalar::ptr(base))))
+                let p = self.mem.alloc(size.wrapping_mul(n as u64))?;
+                self.regs[dst] = p;
             }
-            InstKind::Load { ptr } => {
-                let addr = ev(self, ptr)?.scalar().as_u64();
-                let addr = self.fault_addr(addr);
-                match ty {
-                    Type::Scalar(s) => Ok(Some(RtVal::Scalar(self.mem.read_scalar(s, addr)?))),
-                    Type::Vector(s, n) => {
-                        let mut lanes = Vec::with_capacity(n as usize);
-                        for i in 0..n as u64 {
-                            lanes.push(self.mem.read_scalar(s, addr + i * s.bytes())?);
-                        }
-                        Ok(Some(RtVal::from_lanes(s, lanes)))
-                    }
-                    Type::Void => Err(Trap::EngineFault("load of void type".into())),
+            Op::Load { ty, n, vector, ptr } => {
+                let addr = self.fault_addr(self.regs[at(ptr)]);
+                let out = &mut self.regs[dst..dst + n as usize];
+                if vector {
+                    self.mem.read_lanes(ty, addr, out)?;
+                } else {
+                    out[0] = self.mem.read_scalar(ty, addr)?.bits;
                 }
             }
-            InstKind::Store { val, ptr } => {
-                let v = ev(self, val)?;
-                let addr = ev(self, ptr)?.scalar().as_u64();
-                let addr = self.fault_addr(addr);
-                match &v {
-                    RtVal::Scalar(s) => self.mem.write_scalar(addr, *s)?,
-                    RtVal::Vector(e, lanes) => {
-                        for (i, &b) in lanes.iter().enumerate() {
-                            self.mem
-                                .write_scalar(addr + i as u64 * e.bytes(), Scalar::new(*e, b))?;
-                        }
-                    }
-                }
+            Op::Store { ty, n, val, ptr } => {
+                let addr = self.fault_addr(self.regs[at(ptr)]);
+                let v = &self.regs[at(val)..at(val) + n as usize];
+                self.mem.write_lanes(ty, addr, v)?;
                 if self.trace.is_some() {
-                    let bits = v
-                        .lanes()
-                        .into_iter()
-                        .fold(0, |acc, s| fold_bits(acc, s.bits));
+                    let bits = v.iter().fold(0, |acc, &w| fold_bits(acc, w));
                     self.note_event(TraceEvent::Store { addr, bits });
                 }
-                Ok(None)
             }
-            InstKind::Gep { elem, base, index } => {
-                let b = ev(self, base)?.scalar().as_u64();
-                let i = ev(self, index)?.scalar().as_i64();
-                let addr = b.wrapping_add((elem.size_bytes() as i64).wrapping_mul(i) as u64);
-                Ok(Some(RtVal::Scalar(Scalar::ptr(addr))))
+            Op::Gep {
+                size,
+                base: b,
+                index,
+                index_ty,
+            } => {
+                let i = Scalar::new(index_ty, r[at(index)]).as_i64();
+                r[dst] = r[at(b)].wrapping_add((size as i64).wrapping_mul(i) as u64);
             }
-            InstKind::ExtractElement { vec, idx } => {
-                let v = ev(self, vec)?;
-                if v.num_lanes() == 0 {
-                    return Err(Trap::EngineFault("extractelement from empty vector".into()));
-                }
-                let i = ev(self, idx)?.scalar().as_u64() as usize % v.num_lanes();
-                Ok(Some(RtVal::Scalar(v.lane(i))))
+            Op::Extract { n, vec, idx } => {
+                let i = r[at(idx)] as usize % n as usize;
+                r[dst] = r[at(vec) + i];
             }
-            InstKind::InsertElement { vec, elt, idx } => {
-                let v = ev(self, vec)?;
-                if v.num_lanes() == 0 {
-                    return Err(Trap::EngineFault("insertelement into empty vector".into()));
-                }
-                let e = ev(self, elt)?.scalar();
-                let i = ev(self, idx)?.scalar().as_u64() as usize % v.num_lanes();
-                Ok(Some(v.with_lane(i, e)))
+            Op::Insert { n, vec, elt, idx } => {
+                let i = r[at(idx)] as usize % n as usize;
+                r.copy_within(at(vec)..at(vec) + n as usize, dst);
+                r[dst + i] = r[at(elt)];
             }
-            InstKind::ShuffleVector { a, b, mask } => {
-                let va = ev(self, a)?;
-                let vb = ev(self, b)?;
-                let n = va.num_lanes();
-                if n == 0 {
-                    return Err(Trap::EngineFault("shufflevector of empty vector".into()));
+            Op::Shuffle { srcs } => {
+                for (k, s) in f.pool[srcs.range()].iter().enumerate() {
+                    r[dst + k] = r[at(s.off)];
                 }
-                let elem = va.lane(0).ty;
-                let out: Result<Vec<Scalar>, Trap> = mask
-                    .iter()
-                    .map(|&mi| {
-                        if mi < 0 {
-                            Ok(Scalar::new(elem, 0)) // undef lane
-                        } else if (mi as usize) < n {
-                            Ok(va.lane(mi as usize))
-                        } else if (mi as usize) < n + vb.num_lanes() {
-                            Ok(vb.lane(mi as usize - n))
-                        } else {
-                            Err(Trap::EngineFault(format!(
-                                "shufflevector mask index {mi} out of range for {} + {} lanes",
-                                n,
-                                vb.num_lanes()
-                            )))
-                        }
-                    })
-                    .collect();
-                Ok(Some(RtVal::from_lanes(elem, out?)))
             }
-            InstKind::Phi { .. } => Err(Trap::HostError("phi outside block header".into())),
-            InstKind::Call { callee, args } => {
-                let argv: Vec<RtVal> = args
-                    .iter()
-                    .map(|a| self.eval_operand(f, frame, a))
-                    .collect::<Result<_, _>>()?;
-                // Defined function?
-                if let Some(callee_f) = self.module.function(callee) {
-                    return self.call_function(callee_f, argv, host, depth + 1);
+            Op::Host { name, args, ret } => {
+                // Reuse the argument vector, and each vector argument's
+                // lane buffer, from the previous host call.
+                let mut argv = std::mem::take(&mut self.host_args);
+                argv.truncate(args.len as usize);
+                for (k, s) in f.pool[args.range()].iter().enumerate() {
+                    let words = &self.regs[at(s.off)..at(s.off) + s.lanes()];
+                    match argv.get_mut(k) {
+                        Some(v) => refill_val(v, s.ty, words),
+                        None => argv.push(new_val(s.ty, words)),
+                    }
                 }
-                // Intrinsic?
-                if let Some(intr) = intrinsics::parse(callee) {
-                    return self.eval_intrinsic(intr, &argv);
-                }
-                if callee.starts_with("llvm.") {
-                    return Err(Trap::UnknownFunction(callee.clone()));
-                }
-                // Host function. Mirror the dynamic-instruction clock into
-                // memory so host environments (e.g. the fault injector)
-                // can timestamp their actions without a wider interface.
+                // Mirror the dynamic-instruction clock into memory so host
+                // environments (e.g. the fault injector) can timestamp
+                // their actions without a wider interface.
                 self.mem.set_host_clock(self.executed);
-                let ret = host.call(callee, &argv, &mut self.mem)?;
-                if ret.is_none() && !ty.is_void() {
-                    return Err(Trap::HostError(format!(
-                        "host @{callee} returned nothing for a non-void call"
-                    )));
-                }
-                Ok(ret)
-            }
-        }
-    }
-
-    fn eval_intrinsic(&mut self, intr: Intrinsic, args: &[RtVal]) -> Result<Option<RtVal>, Trap> {
-        let need = |n: usize| -> Result<(), Trap> {
-            if args.len() < n {
-                Err(Trap::EngineFault(format!(
-                    "intrinsic expects {n} arguments, got {}",
-                    args.len()
-                )))
-            } else {
-                Ok(())
-            }
-        };
-        match intr {
-            Intrinsic::MaskLoad { lanes, elem } => {
-                need(2)?;
-                let addr = self.fault_addr(args[0].scalar().as_u64());
-                let faulted = self.fault_mask(&args[1]);
-                let mask = faulted.as_ref().unwrap_or(&args[1]);
-                let mut out = Vec::with_capacity(lanes as usize);
-                for i in 0..lanes as usize {
-                    if mask.lane(i).mask_active() {
-                        out.push(self.mem.read_scalar(elem, addr + i as u64 * elem.bytes())?);
-                    } else {
-                        out.push(Scalar::new(elem, 0));
+                let callee = &f.names[name as usize];
+                let out = host.call(callee, &argv, &mut self.mem);
+                self.host_args = argv;
+                match out? {
+                    // A void call's value, if any, is dropped.
+                    Some(v) => store_val(&mut self.regs[dst..dst + ret.lanes() as usize], ret, &v),
+                    None if !ret.is_void() => {
+                        return Err(Trap::HostError(format!(
+                            "host @{callee} returned nothing for a non-void call"
+                        )));
                     }
+                    None => {}
                 }
-                Ok(Some(RtVal::from_lanes(elem, out)))
             }
-            Intrinsic::MaskStore { lanes, elem } => {
-                need(3)?;
-                let addr = self.fault_addr(args[0].scalar().as_u64());
-                let faulted = self.fault_mask(&args[1]);
-                let mask = faulted.as_ref().unwrap_or(&args[1]);
-                let val = &args[2];
+            Op::MaskLoad {
+                lanes,
+                elem,
+                ptr,
+                mask,
+            } => {
+                let addr = self.fault_addr(self.regs[at(ptr)]);
+                let faulted = self.fault_mask(at(mask), lanes as usize, elem);
                 for i in 0..lanes as usize {
-                    if mask.lane(i).mask_active() {
-                        self.mem
-                            .write_scalar(addr + i as u64 * elem.bytes(), val.lane(i))?;
+                    let m = if faulted {
+                        self.mask_buf[i]
+                    } else {
+                        self.regs[at(mask) + i]
+                    };
+                    self.regs[dst + i] = if Scalar::new(elem, m).mask_active() {
+                        let a = addr.wrapping_add(i as u64 * elem.bytes());
+                        self.mem.read_scalar(elem, a)?.bits
+                    } else {
+                        0
+                    };
+                }
+            }
+            Op::MaskStore {
+                lanes,
+                elem,
+                ptr,
+                mask,
+                val,
+            } => {
+                let addr = self.fault_addr(self.regs[at(ptr)]);
+                let faulted = self.fault_mask(at(mask), lanes as usize, elem);
+                let mut bits = 0;
+                for i in 0..lanes as usize {
+                    let m = if faulted {
+                        self.mask_buf[i]
+                    } else {
+                        self.regs[at(mask) + i]
+                    };
+                    if Scalar::new(elem, m).mask_active() {
+                        let v = Scalar::new(elem, self.regs[at(val) + i]);
+                        let a = addr.wrapping_add(i as u64 * elem.bytes());
+                        self.mem.write_scalar(a, v)?;
+                        // Fold which lanes were active along with their
+                        // bits, so a mask flip with identical data still
+                        // registers.
+                        bits = fold_bits(fold_bits(bits, i as u64), v.bits);
                     }
                 }
                 if self.trace.is_some() {
-                    // Fold which lanes were active along with their bits,
-                    // so a mask flip with identical data still registers.
-                    let mut bits = 0;
-                    for i in 0..lanes as usize {
-                        if mask.lane(i).mask_active() {
-                            bits = fold_bits(fold_bits(bits, i as u64), val.lane(i).bits);
-                        }
-                    }
                     self.note_event(TraceEvent::Store { addr, bits });
                 }
-                Ok(None)
             }
-            Intrinsic::Math { op, ty } => {
-                match op {
-                    MathOp::Pow | MathOp::MinNum | MathOp::MaxNum => need(2)?,
-                    _ => need(1)?,
+            Op::Math { op, elem, n, a, b } => {
+                for i in 0..n as usize {
+                    let x = Scalar::new(elem, r[at(a) + i]).as_float();
+                    let y = Scalar::new(elem, r[at(b) + i]).as_float();
+                    r[dst + i] = Scalar::from_float(elem, eval_math(op, x, y)).bits;
                 }
-                let elem = ty
-                    .elem()
-                    .ok_or_else(|| Trap::EngineFault("math intrinsic with void type".into()))?;
-                let unary = |g: fn(f64) -> f64, v: &RtVal| -> RtVal {
-                    let mut out = v
-                        .lanes()
-                        .into_iter()
-                        .map(|s| Scalar::from_float(elem, g(s.as_float())));
-                    if ty.is_vector() {
-                        RtVal::from_lanes(elem, out)
-                    } else {
-                        RtVal::Scalar(out.next_back().unwrap())
-                    }
-                };
-                let binary = |g: fn(f64, f64) -> f64, a: &RtVal, b: &RtVal| -> RtVal {
-                    let out: Vec<Scalar> = a
-                        .lanes()
-                        .into_iter()
-                        .zip(b.lanes())
-                        .map(|(x, y)| Scalar::from_float(elem, g(x.as_float(), y.as_float())))
-                        .collect();
-                    if ty.is_vector() {
-                        RtVal::from_lanes(elem, out)
-                    } else {
-                        RtVal::Scalar(out[0])
-                    }
-                };
-                let r = match op {
-                    MathOp::Sqrt => unary(f64::sqrt, &args[0]),
-                    MathOp::Exp => unary(f64::exp, &args[0]),
-                    MathOp::Log => unary(f64::ln, &args[0]),
-                    MathOp::Sin => unary(f64::sin, &args[0]),
-                    MathOp::Cos => unary(f64::cos, &args[0]),
-                    MathOp::Fabs => unary(f64::abs, &args[0]),
-                    MathOp::Floor => unary(f64::floor, &args[0]),
-                    MathOp::Ceil => unary(f64::ceil, &args[0]),
-                    MathOp::Pow => binary(f64::powf, &args[0], &args[1]),
-                    MathOp::MinNum => binary(f64::min, &args[0], &args[1]),
-                    MathOp::MaxNum => binary(f64::max, &args[0], &args[1]),
-                };
-                Ok(Some(r))
             }
-            Intrinsic::Movmsk { lanes } => {
-                need(1)?;
+            Op::Movmsk { lanes, v } => {
                 let mut bits: u64 = 0;
                 for i in 0..lanes as usize {
-                    if args[0].lane(i).mask_active() {
+                    if Scalar::new(ScalarTy::F32, r[at(v) + i]).mask_active() {
                         bits |= 1 << i;
                     }
                 }
-                Ok(Some(RtVal::Scalar(Scalar::i32(bits as i32))))
+                r[dst] = Scalar::i32(bits as i32).bits;
             }
-            Intrinsic::MaskAny { lanes } => {
-                need(1)?;
-                let any = (0..lanes as usize).any(|i| args[0].lane(i).is_true());
-                Ok(Some(RtVal::Scalar(Scalar::i1(any))))
+            Op::MaskAny { lanes, v } => {
+                r[dst] = r[at(v)..at(v) + lanes as usize].iter().any(|w| w & 1 == 1) as u64;
             }
-            Intrinsic::MaskAll { lanes } => {
-                need(1)?;
-                let all = (0..lanes as usize).all(|i| args[0].lane(i).is_true());
-                Ok(Some(RtVal::Scalar(Scalar::i1(all))))
+            Op::MaskAll { lanes, v } => {
+                r[dst] = r[at(v)..at(v) + lanes as usize].iter().all(|w| w & 1 == 1) as u64;
             }
+            Op::Phi { .. } => return Err(Trap::HostError("phi outside block header".into())),
+            Op::Call { .. } => {
+                return Err(Trap::EngineFault("call dispatched as a plain op".into()))
+            }
+            Op::Trap(ref t) => return Err((**t).clone()),
         }
+        Ok(())
     }
 }
 
-/// Elementwise zip of two register values, same element type as inputs.
-fn zip_lanes(
-    a: &RtVal,
-    b: &RtVal,
-    f: impl Fn(Scalar, Scalar) -> Result<Scalar, Trap>,
-) -> Result<RtVal, Trap> {
-    match (a, b) {
-        (RtVal::Scalar(x), RtVal::Scalar(y)) => Ok(RtVal::Scalar(f(*x, *y)?)),
-        _ => {
-            let elem = a.lane(0).ty;
-            let out: Result<Vec<Scalar>, Trap> = a
-                .lanes()
-                .into_iter()
-                .zip(b.lanes())
-                .map(|(x, y)| f(x, y))
-                .collect();
-            Ok(RtVal::from_lanes(elem, out?))
-        }
+fn too_few_slots(f: &Func, args: usize) -> Trap {
+    Trap::EngineFault(format!(
+        "call to @{} with {args} arguments but only {} value slots",
+        f.name,
+        f.arg_slots.len()
+    ))
+}
+
+/// Lane `i` of a host value, zero past its end.
+fn lane_word(v: &RtVal, i: usize) -> u64 {
+    match v {
+        RtVal::Scalar(s) if i == 0 => s.bits,
+        RtVal::Scalar(_) => 0,
+        RtVal::Vector(_, ws) => ws.get(i).copied().unwrap_or(0),
     }
 }
 
-/// Elementwise zip with a different output element type.
-fn zip_lanes_to(
-    out_ty: ScalarTy,
-    a: &RtVal,
-    b: &RtVal,
-    f: impl Fn(Scalar, Scalar) -> Result<Scalar, Trap>,
-) -> Result<RtVal, Trap> {
-    match (a, b) {
-        (RtVal::Scalar(x), RtVal::Scalar(y)) => Ok(RtVal::Scalar(f(*x, *y)?)),
-        _ => {
-            let out: Result<Vec<Scalar>, Trap> = a
-                .lanes()
-                .into_iter()
-                .zip(b.lanes())
-                .map(|(x, y)| f(x, y))
-                .collect();
-            Ok(RtVal::from_lanes(out_ty, out?))
+/// Write a host value into `out`, lane by lane, masked to `ty`'s element
+/// width (nothing for `void`).
+fn store_val(out: &mut [u64], ty: Type, v: &RtVal) {
+    let mask = ty.elem().map_or(0, ScalarTy::bit_mask);
+    for (i, w) in out.iter_mut().enumerate() {
+        *w = lane_word(v, i) & mask;
+    }
+}
+
+/// Slot `s` of the frame at `base` as a host value.
+fn load_val(regs: &[u64], base: usize, s: Slot) -> RtVal {
+    let at = base + s.off as usize;
+    new_val(s.ty, &regs[at..at + s.lanes()])
+}
+
+fn new_val(ty: Type, words: &[u64]) -> RtVal {
+    match ty {
+        Type::Vector(e, _) => RtVal::Vector(e, words.to_vec()),
+        _ => RtVal::Scalar(Scalar::new(ty.elem().unwrap_or(ScalarTy::I64), words[0])),
+    }
+}
+
+/// Overwrite `v` with `words` of type `ty`, reusing its lane buffer.
+fn refill_val(v: &mut RtVal, ty: Type, words: &[u64]) {
+    match (v, ty) {
+        (RtVal::Vector(e, ws), Type::Vector(elem, _)) => {
+            *e = elem;
+            ws.clear();
+            ws.extend_from_slice(words);
         }
+        (v, _) => *v = new_val(ty, words),
+    }
+}
+
+/// One elementwise math intrinsic lane; `y` is ignored by unary ops.
+fn eval_math(op: MathOp, x: f64, y: f64) -> f64 {
+    match op {
+        MathOp::Sqrt => x.sqrt(),
+        MathOp::Exp => x.exp(),
+        MathOp::Log => x.ln(),
+        MathOp::Sin => x.sin(),
+        MathOp::Cos => x.cos(),
+        MathOp::Fabs => x.abs(),
+        MathOp::Floor => x.floor(),
+        MathOp::Ceil => x.ceil(),
+        MathOp::Pow => x.powf(y),
+        MathOp::MinNum => x.min(y),
+        MathOp::MaxNum => x.max(y),
     }
 }
 
@@ -1094,14 +1059,21 @@ entry:
         let e = interp.run("callee", &[], &mut NoHost);
         assert!(matches!(e, Err(Trap::HostError(_))));
         // ...but an intrinsic short on arguments is an EngineFault.
-        let mut interp = Interp::new(&m);
-        let e = interp.eval_intrinsic(
-            Intrinsic::Math {
-                op: MathOp::Sqrt,
-                ty: Type::Scalar(ScalarTy::F32),
-            },
-            &[],
-        );
+        let short = parse_module(
+            "define float @s() {\nentry:\n  %r = call float @llvm.sqrt.f32()\n  ret float %r\n}\n",
+        )
+        .unwrap();
+        let e = Interp::new(&short).run("s", &[], &mut NoHost);
+        assert!(matches!(e, Err(Trap::EngineFault(_))), "{e:?}");
+    }
+
+    #[test]
+    fn oversized_frames_trap_instead_of_allocating() {
+        // A million-lane value would need a frame far past the decoder's
+        // limit: the function decodes to a trap, not a giant allocation.
+        let src = "define void @f() {\nentry:\n  %v = add <1000000 x i8> zeroinitializer, zeroinitializer\n  ret void\n}\n";
+        let m = parse_module(src).unwrap();
+        let e = Interp::new(&m).run("f", &[], &mut NoHost);
         assert!(matches!(e, Err(Trap::EngineFault(_))), "{e:?}");
     }
 

@@ -42,6 +42,7 @@ pub mod interp;
 pub mod mem;
 pub mod opt;
 pub mod profile;
+pub mod program;
 pub mod trace;
 pub mod value;
 
@@ -49,5 +50,6 @@ pub use fault::{EngineInjection, EngineInjector, EngineModel};
 pub use interp::{ExecResult, HostEnv, Interp, NoHost};
 pub use mem::{Memory, Trap};
 pub use profile::{HotLoc, HotProfile, HotSite, Hotspot, InstMix};
+pub use program::Program;
 pub use trace::{Divergence, DivergenceTracer, TraceEvent, TraceSink};
 pub use value::{RtVal, Scalar};

@@ -121,7 +121,9 @@ impl Memory {
         self.host_clock
     }
 
-    pub(crate) fn set_host_clock(&mut self, clock: u64) {
+    /// Set the clock [`Memory::host_clock`] reports; interpreters call it
+    /// before every host call.
+    pub fn set_host_clock(&mut self, clock: u64) {
         self.host_clock = clock;
     }
 
@@ -225,6 +227,50 @@ impl Memory {
         let n = s.ty.bytes() as usize;
         let bytes = s.bits.to_le_bytes();
         self.write_bytes(addr, &bytes[..n])
+    }
+
+    /// Read `out.len()` consecutive scalars of type `ty` from `addr` into
+    /// lane words: one bounds check for the run, or lane by lane (trapping
+    /// at the first bad lane, as separate reads would) when the run leaves
+    /// its allocation.
+    pub(crate) fn read_lanes(&self, ty: ScalarTy, addr: u64, out: &mut [u64]) -> Result<(), Trap> {
+        let n = ty.bytes();
+        let Ok(off) = self.check(addr, n * out.len() as u64) else {
+            for (i, w) in out.iter_mut().enumerate() {
+                *w = self.read_scalar(ty, addr.wrapping_add(i as u64 * n))?.bits;
+            }
+            return Ok(());
+        };
+        let n = n as usize;
+        for (w, bytes) in out.iter_mut().zip(self.data[off..].chunks_exact(n)) {
+            let mut buf = [0u8; 8];
+            buf[..n].copy_from_slice(bytes);
+            *w = u64::from_le_bytes(buf) & ty.bit_mask();
+        }
+        Ok(())
+    }
+
+    /// Write consecutive lane words of type `ty` from `addr`; the
+    /// counterpart of [`Memory::read_lanes`], writing every lane before
+    /// the first bad one when the run leaves its allocation.
+    pub(crate) fn write_lanes(
+        &mut self,
+        ty: ScalarTy,
+        addr: u64,
+        lanes: &[u64],
+    ) -> Result<(), Trap> {
+        let n = ty.bytes();
+        let Ok(off) = self.check(addr, n * lanes.len() as u64) else {
+            for (i, &w) in lanes.iter().enumerate() {
+                self.write_scalar(addr.wrapping_add(i as u64 * n), Scalar::new(ty, w))?;
+            }
+            return Ok(());
+        };
+        let n = n as usize;
+        for (&w, bytes) in lanes.iter().zip(self.data[off..].chunks_exact_mut(n)) {
+            bytes.copy_from_slice(&(w & ty.bit_mask()).to_le_bytes()[..n]);
+        }
+        Ok(())
     }
 
     // Typed bulk helpers for setting up program inputs and reading outputs.

@@ -117,6 +117,39 @@ impl Intrinsic {
         }
     }
 
+    /// Parameter types of the intrinsic, in call order. Masks have the
+    /// shape of the data they guard (sign bit selects the lane).
+    pub fn param_types(&self) -> Vec<Type> {
+        match *self {
+            Intrinsic::MaskLoad { lanes, elem } => vec![Type::PTR, Type::vec(elem, lanes)],
+            Intrinsic::MaskStore { lanes, elem } => {
+                vec![Type::PTR, Type::vec(elem, lanes), Type::vec(elem, lanes)]
+            }
+            Intrinsic::Math { op, ty } => vec![ty; op.arity()],
+            Intrinsic::Movmsk { lanes } => vec![Type::vec(ScalarTy::F32, lanes)],
+            Intrinsic::MaskAny { lanes } | Intrinsic::MaskAll { lanes } => {
+                vec![Type::vec(ScalarTy::I1, lanes)]
+            }
+        }
+    }
+
+    /// Whether a value of type `ty` may be argument `i`: its parameter
+    /// type or, for a mask, the integer vector of the same shape (LLVM
+    /// declares the AVX masks `<8 x i32>`). Only each mask lane's sign
+    /// bit is read, and both spellings put it in the same place.
+    pub fn accepts_arg(&self, i: usize, ty: Type) -> bool {
+        let Some(&pt) = self.param_types().get(i) else {
+            return false;
+        };
+        let bits = |t: Type| t.elem().map(ScalarTy::bits);
+        ty == pt
+            || (self.mask_arg() == Some(i)
+                && ty.is_vector()
+                && ty.is_int()
+                && ty.lanes() == pt.lanes()
+                && bits(ty) == bits(pt))
+    }
+
     /// For masked memory operations: the index of the mask argument.
     /// Mirrors the AVX intrinsic signatures used in paper Fig. 5.
     pub fn mask_arg(&self) -> Option<usize> {

@@ -360,6 +360,22 @@ fn check_inst_types(m: &Module, f: &Function, iid: InstId) -> Result<(), String>
                         inst.ty
                     ));
                 }
+                let params = intr.param_types();
+                if params.len() != args.len() {
+                    return Err(format!(
+                        "intrinsic @{callee} takes {} arguments, call passes {}",
+                        params.len(),
+                        args.len()
+                    ));
+                }
+                for (i, (pt, a)) in params.iter().zip(args).enumerate() {
+                    if !intr.accepts_arg(i, t(a)) {
+                        return Err(format!(
+                            "intrinsic @{callee} argument {i} has type {}, expected {pt}",
+                            t(a)
+                        ));
+                    }
+                }
                 return Ok(());
             }
             if callee.starts_with("llvm.") {
@@ -783,5 +799,32 @@ exit:
 "#;
         let m = parse_module(src).unwrap();
         verify_module(&m).unwrap();
+    }
+
+    #[test]
+    fn rejects_intrinsic_arguments_of_the_wrong_shape() {
+        // A 4-lane mask on an 8-lane masked load: the result type is right,
+        // but executing it would read mask lanes that do not exist.
+        let src = r#"
+define <8 x float> @f(ptr %a, <4 x float> %m) {
+entry:
+  %v = call <8 x float> @llvm.x86.avx.maskload.ps.256(ptr %a, <4 x float> %m)
+  ret <8 x float> %v
+}
+"#;
+        let err = verify_module(&parse_module(src).unwrap()).unwrap_err();
+        assert!(err.msg.contains("argument 1 has type <4 x float>"), "{err}");
+        let src = r#"
+define float @f(float %x) {
+entry:
+  %r = call float @llvm.pow.f32(float %x)
+  ret float %r
+}
+"#;
+        let err = verify_module(&parse_module(src).unwrap()).unwrap_err();
+        assert!(
+            err.msg.contains("takes 2 arguments, call passes 1"),
+            "{err}"
+        );
     }
 }
