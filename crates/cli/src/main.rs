@@ -3,16 +3,15 @@
 //! ```text
 //! vulfi compile <file.spmd> [--isa avx|sse] [-o out.vir]
 //! vulfi sites <file.spmd|file.vir> [--isa avx|sse] [--func NAME]
-//! vulfi instrument <file> --category pure-data|control|address [--isa ...] [--func NAME]
-//! vulfi detect <file> [--isa ...] [--func NAME] [--uniform]
+//! vulfi instrument <file> --category pure-data|control|address [--isa ...] [--func NAME] [-o out.vir]
+//! vulfi detect <file> [--isa ...] [--func NAME] [--uniform] [-o out.vir]
 //! vulfi campaign --bench NAME [--isa ...] [--category ...] [--experiments N] [--seed N] [--detectors]
 //! vulfi study --bench NAME [--store DIR] [--resume] [--trace DIR] ...
 //! vulfi fsck [--store DIR] [--trace DIR] [--repair]
 //! vulfi trace summarize|export [--trace DIR] [--chrome] [-o PATH]
 //! vulfi events tail|summarize [--store DIR]
-//! vulfi alerts check|watch --rules FILE [--store DIR]
 //! vulfi bench [trend] [--bench NAME] [--record] [--check BASELINE]
-//! vulfi serve [--addr HOST:PORT] [--rules FILE] [--telemetry-interval-ms N]
+//! vulfi serve [--addr HOST:PORT] [--store DIR] [--workers N]
 //! vulfi profile --bench NAME [--isa ...] [--hotspots]
 //! vulfi list
 //! ```
@@ -43,15 +42,44 @@ fn main() -> ExitCode {
 
 /// One `vulfi` command line: `vulfi <name> [<sub>] <usage>`. The table
 /// below is the only list of commands: dispatch, `usage()`, the
-/// "needs a subcommand" errors and did-you-mean all read it.
+/// "needs a subcommand" errors, did-you-mean and the flags each command
+/// accepts all read it.
 #[derive(Debug)]
 struct Command {
     name: &'static str,
     /// The subcommand word; `None` is the command's bare form.
     sub: Option<&'static str>,
-    /// Argument synopsis; each `\n` continues on an indented line.
+    /// Argument synopsis; each `\n` continues on an indented line. Its
+    /// `-o` and `--word` tokens are the only flags the command accepts.
     usage: &'static str,
     run: fn(&Flags) -> Result<(), String>,
+}
+
+impl Command {
+    /// `vulfi <name> [<sub>]`.
+    fn label(&self) -> String {
+        match self.sub {
+            Some(sub) => format!("vulfi {} {sub}", self.name),
+            None => format!("vulfi {}", self.name),
+        }
+    }
+
+    /// `vulfi <name> [<sub>] <usage>`, continuation lines indented.
+    fn synopsis(&self) -> String {
+        if self.usage.is_empty() {
+            return self.label();
+        }
+        let usage = self.usage.replace('\n', "\n         ");
+        format!("{} {usage}", self.label())
+    }
+
+    /// The flags this command takes: every `-o` or `--word` token of
+    /// its usage (`--prune[=on|verify]` yields `--prune`).
+    fn flags(&self) -> impl Iterator<Item = &'static str> {
+        self.usage
+            .split(|c: char| c.is_whitespace() || matches!(c, '[' | ']' | '|' | '='))
+            .filter(|w| *w == "-o" || w.starts_with("--"))
+    }
 }
 
 #[rustfmt::skip]
@@ -65,9 +93,10 @@ static COMMAND_TABLE: &[Command] = &[
     Command { name: "lint", sub: None, run: lint_cmd,
         usage: "<file>|--suite [--isa avx|sse] [--func NAME] [--deny] [--json] [-o PATH]" },
     Command { name: "instrument", sub: None, run: instrument_cmd,
-        usage: "<file> --category pure-data|control|address [--func NAME]" },
+        usage: "<file> --category pure-data|control|address [--isa avx|sse] [--func NAME]\n\
+                [-o out.vir]" },
     Command { name: "detect", sub: None, run: detect_cmd,
-        usage: "<file> [--func NAME] [--uniform]" },
+        usage: "<file> [--isa avx|sse] [--func NAME] [--uniform] [-o out.vir]" },
     Command { name: "campaign", sub: None, run: campaign_cmd,
         usage: "--bench NAME [--isa avx|sse] [--category CAT] [--experiments N] [--seed N] \
                 [--detectors]\n[--strict] [--wall-limit-ms N] [--mem-limit-mb N]" },
@@ -90,10 +119,6 @@ static COMMAND_TABLE: &[Command] = &[
         usage: "[--store DIR] [--top N] [--json]" },
     Command { name: "events", sub: Some("summarize"), run: events_summarize,
         usage: "[--store DIR] [--json]" },
-    Command { name: "alerts", sub: Some("check"), run: alerts_check,
-        usage: "--rules FILE [--store DIR] [--json]" },
-    Command { name: "alerts", sub: Some("watch"), run: alerts_watch,
-        usage: "--rules FILE [--store DIR] [--telemetry-interval-ms N]" },
     Command { name: "report", sub: Some("diff"), run: report_diff,
         usage: "<STORE_A> <STORE_B> [--json]" },
     Command { name: "report", sub: Some("heatmap"), run: report_heatmap,
@@ -105,15 +130,14 @@ static COMMAND_TABLE: &[Command] = &[
         usage: "<SCENARIO.toml|.json> [--store DIR] [--jobs N] [--resume] [--json]\n[--strict] \
                 [--trace DIR] [--metrics-out PATH] [--wall-limit-ms N] [--mem-limit-mb N]" },
     Command { name: "gauntlet", sub: Some("report"), run: gauntlet_report,
-        usage: "<SCENARIO.toml|.json> [--store DIR] [-o out.html]" },
+        usage: "<SCENARIO.toml|.json> [--store DIR] [--top N] [-o out.html]" },
     Command { name: "bench", sub: None, run: bench_cmd,
         usage: "[--bench NAME] [--isa avx|sse] [--category CAT] [--experiments N] [--seed N]\n\
                 [--record] [-o PATH] [--check BASELINE] [--prune]" },
     Command { name: "bench", sub: Some("trend"), run: bench_trend,
         usage: "[-o REPORT.json] [--bench NAME] [--json]" },
     Command { name: "serve", sub: None, run: serve_cmd,
-        usage: "[--addr HOST:PORT] [--store DIR] [--workers N] [--lease-ttl-ms N]\n\
-                [--rules FILE] [--telemetry-interval-ms N]" },
+        usage: "[--addr HOST:PORT] [--store DIR] [--workers N] [--lease-ttl-ms N]" },
     Command { name: "submit", sub: None, run: submit_cmd,
         usage: "--bench NAME [--addr HOST:PORT] [--isa avx|sse] [--category CAT] \
                 [--scale test|paper]\n[--experiments N] [--campaigns N] [--seed N] \
@@ -133,15 +157,7 @@ static COMMAND_TABLE: &[Command] = &[
 fn usage() -> String {
     let mut u = "usage:".to_string();
     for c in COMMAND_TABLE {
-        let words: Vec<&str> = [Some(c.name), c.sub, Some(c.usage)]
-            .into_iter()
-            .flatten()
-            .filter(|w| !w.is_empty())
-            .collect();
-        u.push_str(&format!(
-            "\n  vulfi {}",
-            words.join(" ").replace('\n', "\n         ")
-        ));
+        u.push_str(&format!("\n  {}", c.synopsis()));
     }
     u
 }
@@ -217,14 +233,12 @@ struct Flags {
     suite: bool,
     /// `profile`: per-site hotspot table with attributed wall time.
     hotspots: bool,
-    /// `alerts`/`serve`: declarative alert rules file (TOML or JSON).
-    rules: Option<String>,
-    /// `serve`/`alerts watch`: telemetry sampling interval; 0 disables
-    /// the daemon's sampler entirely.
-    telemetry_interval_ms: u64,
     /// `trace export`: emit Chrome trace-event JSON (Perfetto-loadable).
     chrome: bool,
     positional: Vec<String>,
+    /// Every flag given, as its usage spells it (`--out` is `-o`,
+    /// `--prune=MODE` is `--prune`).
+    given: Vec<String>,
 }
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
@@ -267,13 +281,19 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         deny: false,
         suite: false,
         hotspots: false,
-        rules: None,
-        telemetry_interval_ms: 1_000,
         chrome: false,
         positional: Vec::new(),
+        given: Vec::new(),
     };
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
+        if a.starts_with('-') {
+            let name = match a.as_str() {
+                "--out" => "-o",
+                other => other.split('=').next().unwrap_or(other),
+            };
+            f.given.push(name.to_string());
+        }
         let mut val = |flag: &str| -> Result<String, String> {
             it.next()
                 .cloned()
@@ -394,12 +414,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     ))
                 }
             },
-            "--rules" => f.rules = Some(val(a)?),
-            "--telemetry-interval-ms" => {
-                f.telemetry_interval_ms = val(a)?
-                    .parse()
-                    .map_err(|_| "--telemetry-interval-ms needs a number".to_string())?
-            }
             "--chrome" => f.chrome = true,
             "--deny" => f.deny = true,
             "--suite" => f.suite = true,
@@ -471,7 +485,15 @@ fn run(args: &[String]) -> Result<(), String> {
         "--help" | "-h" => "help",
         other => other,
     };
-    (lookup(name, &flags.positional)?.run)(&flags)
+    let cmd = lookup(name, &flags.positional)?;
+    if let Some(flag) = flags.given.iter().find(|g| !cmd.flags().any(|f| f == *g)) {
+        return Err(format!(
+            "`{}` does not take {flag}\nusage: {}",
+            cmd.label(),
+            cmd.synopsis()
+        ));
+    }
+    (cmd.run)(&flags)
 }
 
 /// Resolve `vulfi <name> [<sub>]` to its table row. An unknown command
@@ -1612,89 +1634,8 @@ fn events_summarize(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Load and parse the `--rules` file shared by the alerts subcommands
-/// and `vulfi serve`.
-fn load_alert_rules(flags: &Flags) -> Result<Vec<vulfi_orch::AlertRule>, String> {
-    let path = flags
-        .rules
-        .as_deref()
-        .ok_or("alerts requires --rules FILE (TOML or JSON)")?;
-    let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    vulfi_orch::parse_alert_rules(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// `vulfi alerts check`: evaluate the rules once against the persisted
-/// telemetry series and exit non-zero when any rule fires, so the
-/// command slots straight into CI and cron.
-fn alerts_check(flags: &Flags) -> Result<(), String> {
-    let rules = load_alert_rules(flags)?;
-    let log = vulfi_orch::TelemetryLog::open(&flags.store).map_err(|e| e.to_string())?;
-    let window = log
-        .tail(vulfi_orch::DEFAULT_RING_CAPACITY)
-        .map_err(|e| e.to_string())?;
-    let states: Vec<vulfi_orch::AlertState> = rules
-        .iter()
-        .map(|r| vulfi_orch::evaluate_rule(r, &window))
-        .collect();
-    if flags.json {
-        println!(
-            "{}",
-            vulfi_orch::render_alerts_json(&states).map_err(|e| e.to_string())?
-        );
-    } else {
-        if window.is_empty() {
-            eprintln!(
-                "note: no telemetry samples under {}/telemetry (run `vulfi serve` \
-                 with sampling on to collect them)",
-                flags.store
-            );
-        }
-        print!("{}", vulfi_orch::render_alerts_text(&states));
-    }
-    let firing = states.iter().filter(|s| s.firing).count();
-    if firing > 0 {
-        return Err(format!(
-            "{firing} alert(s) firing over {} sample(s) under {}/telemetry",
-            window.len(),
-            flags.store
-        ));
-    }
-    Ok(())
-}
-
-/// `vulfi alerts watch`: poll the telemetry log and print every
-/// firing/resolved transition until interrupted. This is the offline
-/// twin of the daemon's sampler thread: same rules, same sustain
-/// semantics, but driven from the persisted series.
-fn alerts_watch(flags: &Flags) -> Result<(), String> {
-    let mut engine = vulfi_orch::AlertEngine::new(load_alert_rules(flags)?);
-    let log = vulfi_orch::TelemetryLog::open(&flags.store).map_err(|e| e.to_string())?;
-    let interval = std::time::Duration::from_millis(flags.telemetry_interval_ms.max(100));
-    eprintln!(
-        "watching {} rule(s) over {}/telemetry every {}ms (ctrl-c to stop)",
-        engine.rules().len(),
-        flags.store,
-        interval.as_millis()
-    );
-    loop {
-        let window = log
-            .tail(vulfi_orch::DEFAULT_RING_CAPACITY)
-            .map_err(|e| e.to_string())?;
-        let (_, transitions) = engine.evaluate(&window);
-        for tr in &transitions {
-            println!(
-                "{} alert '{}' value {:.4}",
-                if tr.firing { "FIRING  " } else { "resolved" },
-                tr.rule,
-                tr.value
-            );
-        }
-        std::thread::sleep(interval);
-    }
-}
-
 /// `vulfi fsck`: check every checked log — each study's shard log and
-/// the queue, ops and telemetry logs under `--store`, and each study's
+/// the queue, ops and legacy telemetry logs under `--store`, and each study's
 /// trace log under the trace root. A root that does not exist is
 /// skipped. With `--repair`, corrupt logs are quarantined, their intact
 /// records salvaged, and one ops event names every quarantined log.
@@ -2630,8 +2571,6 @@ fn serve_cmd(flags: &Flags) -> Result<(), String> {
         store: std::path::PathBuf::from(&flags.store),
         workers: flags.workers,
         lease_ttl: std::time::Duration::from_millis(flags.lease_ttl_ms.max(1)),
-        telemetry_interval: std::time::Duration::from_millis(flags.telemetry_interval_ms),
-        alert_rules: flags.rules.clone().map(std::path::PathBuf::from),
     };
     vulfi_serve::install_shutdown_signals();
     let daemon = vulfi_serve::Daemon::bind(&cfg)?;
@@ -2921,6 +2860,7 @@ export void scale(uniform float a[], uniform int n, uniform float s) {
         assert_eq!(f.category, Some(SiteCategory::Address));
         assert_eq!(f.seed, 9);
         assert_eq!(f.positional, vec!["input.spmd".to_string()]);
+        assert!(parse_flags(&s(&["--chrome"])).unwrap().chrome);
         assert!(parse_flags(&s(&["--isa", "mips"])).is_err());
         assert!(parse_flags(&s(&["--category", "weird"])).is_err());
         assert!(parse_flags(&s(&["--nope"])).is_err());
@@ -3027,10 +2967,7 @@ export void scale(uniform float a[], uniform int n, uniform float s) {
         let u = usage();
         for c in COMMAND_TABLE {
             // Every row is documented ...
-            let line = match c.sub {
-                Some(sub) => format!("vulfi {} {sub}", c.name),
-                None => format!("vulfi {}", c.name),
-            };
+            let line = c.label();
             assert!(u.contains(&line), "usage misses `{line}`:\n{u}");
             // ... and dispatches to itself.
             let positional: Vec<String> = c.sub.iter().map(|w| w.to_string()).collect();
@@ -3060,37 +2997,29 @@ export void scale(uniform float a[], uniform int n, uniform float s) {
     }
 
     #[test]
+    fn every_usage_flag_is_one_the_parser_knows() {
+        for c in COMMAND_TABLE {
+            for flag in c.flags() {
+                if let Err(e) = parse_flags(&s(&[flag])) {
+                    assert!(!e.contains("unknown flag"), "`{}`: {e}", c.label());
+                }
+            }
+        }
+        let e = run(&s(&["list", "--json"])).unwrap_err();
+        assert!(e.contains("`vulfi list` does not take --json"), "{e}");
+        // `--out` is `-o` and `--prune=MODE` is `--prune`.
+        let f = parse_flags(&s(&["--out", "x", "--prune=verify"])).unwrap();
+        assert_eq!(f.given, ["-o", "--prune"]);
+    }
+
+    #[test]
     fn usage_documents_flags_and_subcommands_name_missing_flags() {
-        // `check` without --rules points at the missing flag.
-        let e = run(&s(&["alerts", "check"])).unwrap_err();
-        assert!(e.contains("--rules"), "{e}");
         // `trace export` without --chrome explains the only format.
         let e = run(&s(&["trace", "export"])).unwrap_err();
         assert!(e.contains("--chrome"), "{e}");
         let u = usage();
         assert!(u.contains("--hotspots"), "{u}");
         assert!(u.contains("vulfi trace export --chrome"), "{u}");
-        assert!(u.contains("--rules FILE"), "{u}");
-        assert!(u.contains("--telemetry-interval-ms"), "{u}");
-    }
-
-    #[test]
-    fn telemetry_flags_parse() {
-        let f = parse_flags(&s(&[
-            "--rules",
-            "alerts.toml",
-            "--telemetry-interval-ms",
-            "250",
-            "--chrome",
-        ]))
-        .unwrap();
-        assert_eq!(f.rules.as_deref(), Some("alerts.toml"));
-        assert_eq!(f.telemetry_interval_ms, 250);
-        assert!(f.chrome);
-        let d = parse_flags(&[]).unwrap();
-        assert_eq!(d.telemetry_interval_ms, 1_000);
-        assert!(d.rules.is_none() && !d.chrome);
-        assert!(parse_flags(&s(&["--telemetry-interval-ms", "fast"])).is_err());
     }
 
     #[test]

@@ -242,3 +242,52 @@ fn gauntlet_killed_and_resumed_matches_uninterrupted_run() {
         "kill -9 + --resume must reproduce the uninterrupted verdicts"
     );
 }
+
+/// Each command accepts only the flags its usage line lists: an
+/// unlisted flag exits 1 naming the command and its usage, instead of
+/// being silently ignored. Flags and commands that no longer exist are
+/// unknown.
+#[test]
+fn flags_are_checked_against_each_commands_usage() {
+    let out = vulfi(&["study", "--workers", "2"]);
+    assert_exit(&out, 1, "study --workers");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("`vulfi study` does not take --workers"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("usage: vulfi study --bench NAME"),
+        "{stderr}"
+    );
+
+    let dir = temp_dir("flags");
+    std::fs::create_dir_all(&dir).unwrap();
+    let src = dir.join("x.spmd");
+    std::fs::write(
+        &src,
+        "export void scale(uniform float a[], uniform int n) {\n\
+         \x20   foreach (i = 0 ... n) { a[i] = a[i] * 2.0f; }\n}\n",
+    )
+    .unwrap();
+    let src = src.to_str().unwrap();
+    let out = vulfi(&["instrument", src, "--isa", "sse", "--category", "control"]);
+    assert_exit(&out, 0, "instrument --isa");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("@vulfi.inject"));
+    let vir = dir.join("x.vir");
+    let out = vulfi(&["detect", src, "--isa", "sse", "-o", vir.to_str().unwrap()]);
+    assert_exit(&out, 0, "detect -o");
+    assert!(vir.is_file());
+
+    for flag in ["--rules", "--telemetry-interval-ms"] {
+        let out = vulfi(&["serve", flag, "1"]);
+        assert_exit(&out, 1, flag);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+    }
+    let out = vulfi(&["alerts", "check"]);
+    assert_exit(&out, 1, "alerts check");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown command 'alerts'"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

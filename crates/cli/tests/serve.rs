@@ -39,10 +39,6 @@ fn assert_ok(out: &Output, what: &str) {
 /// Spawn `vulfi serve` on an ephemeral port and wait for it to publish
 /// its address in `<store>/serve.addr`.
 fn spawn_daemon(store: &Path, workers: &str) -> (Child, String) {
-    spawn_daemon_with(store, workers, &[])
-}
-
-fn spawn_daemon_with(store: &Path, workers: &str, extra: &[&str]) -> (Child, String) {
     let addr_file = store.join("serve.addr");
     let _ = std::fs::remove_file(&addr_file);
     let child = Command::new(env!("CARGO_BIN_EXE_vulfi"))
@@ -55,7 +51,6 @@ fn spawn_daemon_with(store: &Path, workers: &str, extra: &[&str]) -> (Child, Str
             "--workers",
             workers,
         ])
-        .args(extra)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -215,156 +210,87 @@ fn dashboard_and_ops_events_reconstruct_the_lifecycle() {
     assert_ok(&out, "vulfi fsck");
 }
 
-/// Telemetry + alerting end to end: a daemon sampling on a fast
-/// interval must persist a telemetry series, fire a deliberately-firing
-/// alert rule through `GET /alerts` and as ops events, render the alert
-/// panel and inline-SVG sparklines on the (still zero-JS) dashboard,
-/// resume the series across a restart, and the offline `vulfi alerts
-/// check` over the same store must exit non-zero on the firing rule.
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("mkdir");
+    for entry in std::fs::read_dir(from).expect("read fixture") {
+        let entry = entry.expect("fixture entry");
+        let dest = to.join(entry.file_name());
+        if entry.file_type().expect("file type").is_dir() {
+            copy_tree(&entry.path(), &dest);
+        } else {
+            std::fs::copy(entry.path(), &dest).expect("copy fixture file");
+        }
+    }
+}
+
+/// A store left by a daemon that still sampled telemetry and ran alert
+/// rules (the committed `legacy_store` fixture) passes `vulfi fsck`, and
+/// a daemon started on a copy of it completes a new study. `GET /alerts`
+/// is not a route.
 #[test]
-fn telemetry_alerts_fire_over_http_dashboard_and_cli() {
-    let store = temp_dir("telemetry");
-    std::fs::create_dir_all(&store).expect("mkdir store");
-    // `exp_s_below 1e9` always fires once one sample exists (an idle
-    // daemon does 0 exp/s); `sdc_rate_above 1e9` can never fire — a
-    // percentage is bounded by 100.
-    let rules = store.join("alerts.toml");
-    std::fs::write(
-        &rules,
-        "[throughput-floor]\nkind = \"exp_s_below\"\nthreshold = 1e9\n\n\
-         [impossible]\nkind = \"sdc_rate_above\"\nthreshold = 1e9\nsustain_secs = 1\n",
-    )
-    .expect("write rules");
-    let (mut daemon, addr) = spawn_daemon_with(
-        &store,
-        "2",
-        &[
-            "--rules",
-            rules.to_str().unwrap(),
-            "--telemetry-interval-ms",
-            "50",
-        ],
-    );
+fn legacy_store_passes_fsck_and_serves_a_new_study() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../orch/tests/fixtures/legacy_store");
+    let store = temp_dir("legacy");
+    copy_tree(&fixture, &store);
+    let out = vulfi(&["fsck", "--store", store.to_str().unwrap()]);
+    assert_ok(&out, "vulfi fsck on the legacy store");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("telemetry"));
+
+    let (mut daemon, addr) = spawn_daemon(&store, "2");
     let client = Client::new(addr.clone());
-
-    // Wait for the sampler to take enough samples for a sparkline and
-    // for the always-true rule to fire.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let alerts = loop {
-        assert!(Instant::now() < deadline, "alert never fired");
-        let (status, doc) = client.get("/alerts").expect("GET /alerts");
-        assert_eq!(status, 200, "{doc:?}");
-        if doc.get("firing").and_then(|v| v.as_u64()).unwrap_or(0) >= 1 {
-            break doc;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    let text = serde_json::to_string(&alerts).unwrap();
-    assert!(text.contains("throughput-floor"), "{text}");
-    assert!(text.contains("impossible"), "{text}");
-    let firing: Vec<&str> = alerts
-        .get("alerts")
-        .and_then(|v| v.as_array())
-        .expect("alerts array")
-        .iter()
-        .filter(|a| a.get("firing").and_then(|v| v.as_bool()) == Some(true))
-        .filter_map(|a| a.get("rule").and_then(|v| v.as_str()))
-        .collect();
-    assert_eq!(firing, ["throughput-floor"], "only the floor rule fires");
-
-    // Dashboard: alert panel + sparklines, still zero-JS.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let html = loop {
-        assert!(Instant::now() < deadline, "sparkline never rendered");
-        let (status, html) = client.get_text("/dashboard").expect("dashboard");
-        assert_eq!(status, 200);
-        if html.contains("class=\"spark\"") {
-            break html;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    assert!(html.contains("id=\"alerts\""), "{html}");
-    assert!(html.contains("id=\"telemetry\""), "{html}");
-    assert!(html.contains("FIRING"), "{html}");
-    assert!(html.contains("throughput-floor"), "{html}");
-    assert!(html.contains("<svg"), "{html}");
-    assert!(html.contains("<polyline"), "{html}");
-    assert!(!html.contains("<script"), "dashboard must stay zero-JS");
-
-    // Firing transitions are operational events.
-    let out = vulfi(&[
-        "events",
-        "tail",
-        "--store",
-        store.to_str().unwrap(),
-        "--top",
-        "50",
-    ]);
-    assert_ok(&out, "events tail");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("alert-firing"), "{stdout}");
-    assert!(stdout.contains("throughput-floor"), "{stdout}");
-
-    let out = vulfi(&["shutdown", "--addr", &addr]);
-    assert_ok(&out, "vulfi shutdown");
-    daemon.wait().expect("daemon exit");
-
-    // The series survived on disk.
-    let series = store.join("telemetry").join("series.jsonl");
-    assert!(series.exists(), "telemetry series must be persisted");
-    let persisted = std::fs::read_to_string(&series).unwrap().lines().count();
-    assert!(persisted >= 2, "expected several samples, got {persisted}");
-
-    // Offline check over the persisted series: non-zero exit, FIRING in
-    // the rendered table; the impossible rule must stay ok.
-    let out = vulfi(&[
-        "alerts",
-        "check",
-        "--rules",
-        rules.to_str().unwrap(),
-        "--store",
-        store.to_str().unwrap(),
-    ]);
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "firing alert must exit non-zero"
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("FIRING"), "{stdout}");
-    assert!(stdout.contains("throughput-floor"), "{stdout}");
-    assert!(stdout.contains("ok"), "{stdout}");
-
-    // A restarted daemon resumes the same series file instead of
-    // truncating it.
-    let (mut daemon, addr) = spawn_daemon_with(
-        &store,
-        "1",
-        &[
-            "--rules",
-            rules.to_str().unwrap(),
-            "--telemetry-interval-ms",
-            "50",
-        ],
-    );
-    let client = Client::new(addr.clone());
-    let deadline = Instant::now() + Duration::from_secs(30);
+    let (status, _) = client.get_text("/alerts").expect("GET /alerts");
+    assert_eq!(status, 404);
+    let (status, doc) = client
+        .post(
+            "/studies",
+            &serde_json::json!({
+                "bench": "vector sum",
+                "experiments": 6u64,
+                "campaigns": 2u64,
+                "seed": 7u64,
+            }),
+            &[],
+        )
+        .expect("submit");
+    assert_eq!(status, 202, "{doc:?}");
+    let key = doc
+        .get("key")
+        .and_then(|v| v.as_str())
+        .expect("submit returns key")
+        .to_string();
+    let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        assert!(Instant::now() < deadline, "restarted daemon never sampled");
-        let grown = std::fs::read_to_string(&series).unwrap().lines().count();
-        if grown > persisted {
+        assert!(Instant::now() < deadline, "study never completed");
+        let (_, s) = client.get(&format!("/studies/{key}")).expect("status");
+        if s.get("result").is_some() {
             break;
         }
         std::thread::sleep(Duration::from_millis(20));
     }
     let out = vulfi(&["shutdown", "--addr", &addr]);
-    assert_ok(&out, "second shutdown");
+    assert_ok(&out, "vulfi shutdown");
     daemon.wait().expect("daemon exit");
-    let _ = client;
 
-    // The resumed log is still a healthy CheckedLog.
     let out = vulfi(&["fsck", "--store", store.to_str().unwrap()]);
-    assert_ok(&out, "vulfi fsck");
+    assert_ok(&out, "vulfi fsck after the new study");
+    let out = vulfi(&[
+        "events",
+        "summarize",
+        "--store",
+        store.to_str().unwrap(),
+        "--json",
+    ]);
+    assert_ok(&out, "events summarize --json");
+    let s: serde_json::Value =
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("summary JSON");
+    let outcomes: Vec<&str> = s
+        .get("jobs")
+        .and_then(|v| v.as_array())
+        .expect("jobs array")
+        .iter()
+        .filter_map(|j| j.get("outcome").and_then(|v| v.as_str()))
+        .collect();
+    assert_eq!(outcomes, ["completed", "completed"]);
 }
 
 /// The acceptance test for the service: kill -9 the daemon while workers

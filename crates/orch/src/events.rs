@@ -47,10 +47,12 @@ pub enum OpsKind {
     Fsck,
     /// An engine panic was absorbed during this study.
     EngineFault,
-    /// An alert rule's sustained violation crossed into firing
-    /// (`detail` names the rule and the offending value).
+    /// Legacy, decode-only: an alert rule started firing. Daemons that
+    /// ran an alert engine logged it; nothing emits it now. It stays so
+    /// that their ops logs still decode and pass `vulfi fsck`.
     AlertFiring,
-    /// A firing alert rule's series recovered.
+    /// Legacy, decode-only: a firing alert rule resolved. Nothing emits
+    /// it now; kept for the same reason as [`OpsKind::AlertFiring`].
     AlertResolved,
 }
 
@@ -171,7 +173,9 @@ impl OpsEvent {
     }
 }
 
-fn now_unix_ms() -> u64 {
+/// Wall-clock milliseconds since the Unix epoch (0 if the clock is
+/// before it); the timestamp of every ops and queue event.
+pub(crate) fn now_unix_ms() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
@@ -265,22 +269,15 @@ pub struct OpsSummary {
     pub jobs: Vec<JobLifecycle>,
     /// Fsck events are store-wide, not per-job.
     pub fsck_actions: u64,
-    /// Alert firing/resolved transitions (store-wide, like fsck).
-    pub alert_transitions: u64,
 }
 
 /// Pure fold: the summary is a function of the event list, nothing else.
 pub fn summarize_events(events: &[OpsEvent]) -> OpsSummary {
     let mut jobs: Vec<JobLifecycle> = Vec::new();
     let mut fsck_actions = 0u64;
-    let mut alert_transitions = 0u64;
     for ev in events {
         if ev.kind == OpsKind::Fsck {
             fsck_actions += 1;
-            continue;
-        }
-        if matches!(ev.kind, OpsKind::AlertFiring | OpsKind::AlertResolved) {
-            alert_transitions += 1;
             continue;
         }
         let Some(id) = ev.job else { continue };
@@ -344,16 +341,15 @@ pub fn summarize_events(events: &[OpsEvent]) -> OpsSummary {
                 job.finished_unix_ms = Some(ev.unix_ms);
             }
             OpsKind::EngineFault => job.engine_faults += 1,
-            OpsKind::Fsck | OpsKind::AlertFiring | OpsKind::AlertResolved => {
-                unreachable!("handled above")
-            }
+            OpsKind::Fsck => unreachable!("handled above"),
+            // Legacy store-wide events; they never carried a job.
+            OpsKind::AlertFiring | OpsKind::AlertResolved => {}
         }
     }
     OpsSummary {
         events: events.len() as u64,
         jobs,
         fsck_actions,
-        alert_transitions,
     }
 }
 
@@ -509,13 +505,15 @@ mod tests {
             .unwrap();
         log.append(OpsEvent::new(OpsKind::EngineFault).job(7).detail("panic"))
             .unwrap();
+        // Legacy alert events decode and belong to no job.
         log.append(OpsEvent::new(OpsKind::AlertFiring).detail("high-sdc value 9.1"))
             .unwrap();
         log.append(OpsEvent::new(OpsKind::AlertResolved).detail("high-sdc value 1.2"))
             .unwrap();
         let s = log.summarize().unwrap();
+        assert_eq!(s.events, 6);
         assert_eq!(s.fsck_actions, 1);
-        assert_eq!(s.alert_transitions, 2, "alert events are store-wide");
+        assert_eq!(s.jobs.len(), 1);
         let j = &s.jobs[0];
         assert_eq!(j.outcome, "failed");
         assert_eq!(j.error.as_deref(), Some("boom"));

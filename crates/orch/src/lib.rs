@@ -36,7 +36,6 @@
 //! # Ok(()) }
 //! ```
 
-pub mod alerts;
 pub mod analytics;
 pub mod crc;
 pub mod events;
@@ -49,14 +48,8 @@ pub mod queue;
 pub mod run;
 pub mod scenario;
 pub mod store;
-pub mod telemetry;
 pub mod traceexport;
 pub mod tracestore;
-
-pub use alerts::{
-    evaluate_rule, parse_alert_rules, render_alerts_json, render_alerts_text, AlertEngine,
-    AlertKind, AlertRule, AlertState, AlertTransition, ALERT_KINDS,
-};
 
 pub use analytics::{
     analysis_cells, diff_stores, heatmaps, heatmaps_filtered, html_from_stores, load_cells,
@@ -82,10 +75,6 @@ pub use scenario::{
     CellVerdict, GauntletReport, Invariant, InvariantVerdict, Scenario,
 };
 pub use store::{FsckReport, Manifest, ShardRecord, Store, StudyFsck, StudyStore};
-pub use telemetry::{
-    histogram_quantile, now_unix_ms, sparkline_svg, Sampler, SamplerInputs, TelemetryLog,
-    TelemetryRing, TelemetrySample, DEFAULT_RING_CAPACITY,
-};
 pub use traceexport::{
     render_chrome, spans_from_ops, spans_from_traces, validate_chrome, ChromeSpan, LayerCounts,
 };

@@ -20,10 +20,10 @@
 //! scheduler re-runs only what is missing.
 
 use std::path::{Path, PathBuf};
-use std::time::{SystemTime, UNIX_EPOCH};
 
 use vulfi::StudySpec;
 
+use crate::events::now_unix_ms;
 use crate::store::CheckedLog;
 use crate::OrchError;
 
@@ -90,13 +90,6 @@ pub struct JobRecord {
     pub tenant: Option<String>,
     pub submitted_unix_ms: u64,
     pub updated_unix_ms: u64,
-}
-
-fn now_unix_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
 }
 
 /// The queue's checked log under `store_root`; nothing is created.

@@ -28,7 +28,7 @@
 //!
 //! The line format, torn-tail handling, quarantine, and retry machinery
 //! live in the record-generic [`CheckedLog`], which the trace store,
-//! job queue, ops log and telemetry log reuse verbatim — one
+//! job queue and ops log reuse verbatim — one
 //! implementation, one failure contract, one `vulfi fsck` over all of
 //! them ([`Store::fsck`] walks every log under the store root).
 
@@ -98,7 +98,7 @@ impl<T> Default for LogScan<T> {
 }
 
 /// Health report for one checked log: a study's shard or trace log, or
-/// the store's queue, ops or telemetry log (see [`Store::fsck`]).
+/// the store's queue, ops or legacy telemetry log (see [`Store::fsck`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StudyFsck {
     pub key: StudyKey,
@@ -181,10 +181,12 @@ impl Store {
 
     /// Check (and with `repair`, heal) every checked log under the
     /// root: each study's shard log, then the job queue, ops and
-    /// telemetry logs under their pseudo-keys `queue`, `ops` and
+    /// legacy telemetry logs under their pseudo-keys `queue`, `ops` and
     /// `telemetry`. Missing logs are skipped; no directory is created.
     /// The queue log is checked directly because [`crate::JobQueue::open`]
-    /// refuses a corrupt one.
+    /// refuses a corrupt one. Older daemons sampled a telemetry series
+    /// into `telemetry/series.jsonl`; nothing reads it now, so it is
+    /// checked as untyped records and only kept healthy.
     pub fn fsck(&self, repair: bool) -> Result<FsckReport, OrchError> {
         let mut report = FsckReport::default();
         for key in self.studies()? {
@@ -195,8 +197,11 @@ impl Store {
             crate::queue::checked_log(root)
                 .fsck_present::<crate::queue::QueueEvent>("queue", repair)?,
             crate::events::checked_log(root).fsck_present::<crate::OpsEvent>("ops", repair)?,
-            crate::telemetry::checked_log(root)
-                .fsck_present::<crate::TelemetrySample>("telemetry", repair)?,
+            CheckedLog::new(
+                root.join("telemetry").join("series.jsonl"),
+                root.join("telemetry").join("series.quarantine"),
+            )
+            .fsck_present::<serde::Value>("telemetry", repair)?,
         ];
         report.studies.extend(service.into_iter().flatten());
         Ok(report)
@@ -261,7 +266,7 @@ pub(crate) fn parse_record_line<T: serde::Deserialize>(line: &str) -> Result<T, 
 
 /// A checksummed, append-only JSONL log with torn-tail recovery and
 /// quarantine — the shared persistence engine behind the shard, trace,
-/// queue, ops and telemetry logs. Corruption errors name
+/// queue and ops logs. Corruption errors name
 /// `vulfi fsck --repair`, which repairs every one of them.
 pub(crate) struct CheckedLog {
     /// The log file (e.g. `<study>/shards.jsonl`).

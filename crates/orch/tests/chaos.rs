@@ -469,164 +469,6 @@ fn ops_log_survives_kill_corrupt_fsck_resume_loop() {
     assert!(repairs > 0, "chaos schedule never hit the fsck path");
 }
 
-/// The telemetry series is a CheckedLog like the others: a sampler
-/// killed mid-append leaves a torn tail the next open heals, a flipped
-/// byte is loud and quarantined by fsck, and the ring always resumes
-/// from whatever samples survived.
-#[test]
-fn telemetry_log_survives_kill_corrupt_fsck_resume_loop() {
-    use vulfi_orch::{Metrics, Sampler, SamplerInputs, TelemetryLog};
-
-    let root = temp_store("telemetry");
-    let mut chaos = Chaos(0x7E1E_0E7E);
-    let mut repairs = 0usize;
-    let metrics = Metrics::new();
-    let mut clock = 1_000_000u64;
-
-    for round in 0..12u64 {
-        // Reopen (a "restarted daemon"): heals torn tails, never
-        // refuses to start over mid-file corruption.
-        let log = TelemetryLog::open(&root).unwrap();
-        if log.samples().is_err() {
-            let report = Store::open(&root).unwrap().fsck(true).unwrap();
-            assert!(
-                report
-                    .studies
-                    .iter()
-                    .any(|s| s.key.0 == "telemetry" && s.quarantined.is_some()),
-                "repair must quarantine"
-            );
-            repairs += 1;
-        }
-
-        // Resume exactly as the daemon does: continue the sampler from
-        // the persisted tail so rates stay deltas, not resets.
-        let before = log.samples().unwrap();
-        let mut sampler = match before.last() {
-            Some(last) => Sampler::resume_from(last.clone()),
-            None => Sampler::new(),
-        };
-        metrics.add_engine_faults(round + 1);
-        for _ in 0..3 {
-            clock += 1_000;
-            let sample = sampler.sample_at(clock, &metrics.snapshot(), SamplerInputs::default());
-            log.append(&sample).unwrap();
-        }
-
-        // The ring reloads the persisted tail and ends on this round's
-        // newest sample.
-        let ring = log.ring(1024).unwrap();
-        assert_eq!(ring.len(), before.len() + 3);
-        assert_eq!(ring.latest().unwrap().unix_ms, clock);
-
-        // Chaos: torn trailing append (killed sampler), a flipped byte,
-        // or nothing.
-        let path = log.path();
-        let mut bytes = std::fs::read(&path).unwrap();
-        match chaos.below(3) {
-            0 => bytes.extend_from_slice(b"\n{\"unix_ms\":12,\"exp"),
-            1 => {
-                let pos = chaos.below(bytes.len() as u64) as usize;
-                bytes[pos] ^= 1 << chaos.below(8);
-            }
-            _ => {}
-        }
-        std::fs::write(&path, &bytes).unwrap();
-    }
-    assert!(repairs > 0, "chaos schedule never hit the fsck path");
-}
-
-/// Telemetry must observe, never perturb: a study run while a sampler
-/// thread drains the metrics registry as fast as it can must produce
-/// the bit-identical result — and byte-identical store files — of the
-/// same study with no sampler at all.
-#[test]
-fn concurrent_telemetry_sampling_preserves_bit_identical_studies() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use vulfi_orch::{Sampler, SamplerInputs, TelemetryLog};
-
-    let _g = gate();
-    vulfi::drain_engine_faults();
-    let w = workload();
-    let cfg = cfg();
-    let prog = prepare(&w, SiteCategory::PureData).unwrap();
-    let opts = || RunOptions {
-        shard_size: 4,
-        max_shards: None,
-        progress: None,
-        trace: None,
-    };
-
-    // Reference: sampling off.
-    let quiet = temp_store("tel_off");
-    let store = Store::open(&quiet).unwrap();
-    let off = run_study_persistent(&prog, &w, "vector sum", "avx", &cfg, &store, opts())
-        .unwrap()
-        .result
-        .expect("study completes");
-
-    // Same study with a pedal-to-the-floor sampler appending telemetry
-    // into the same store root the whole time.
-    let sampled = temp_store("tel_on");
-    let store = Store::open(&sampled).unwrap();
-    let stop = std::sync::Arc::new(AtomicBool::new(false));
-    let sampler_stop = stop.clone();
-    let sampler_root = sampled.clone();
-    let sampler = std::thread::spawn(move || -> u64 {
-        let log = TelemetryLog::open(&sampler_root).unwrap();
-        let mut s = Sampler::new();
-        let mut n = 0u64;
-        while !sampler_stop.load(Ordering::Relaxed) {
-            let snap = vulfi_orch::metrics::global().snapshot();
-            log.append(&s.sample_now(&snap, SamplerInputs::default()))
-                .unwrap();
-            n += 1;
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        n
-    });
-    let on = run_study_persistent(&prog, &w, "vector sum", "avx", &cfg, &store, opts())
-        .unwrap()
-        .result
-        .expect("sampled study completes");
-    stop.store(true, Ordering::Relaxed);
-    let samples = sampler.join().unwrap();
-    assert!(samples > 0, "sampler never sampled");
-
-    assert_identical(&off, &on);
-    // Store-level: the sampler wrote only under <store>/telemetry/. The
-    // manifest is fully deterministic, so it must match byte for byte;
-    // shard records must match field for field once the two documented
-    // nondeterministic axes (wall time, parallel append order) are
-    // normalized out.
-    let key = vulfi_orch::study_key(&prog, "vector sum", "avx", &cfg);
-    let a = std::fs::read(quiet.join(&key.0).join("manifest.json")).unwrap();
-    let b = std::fs::read(sampled.join(&key.0).join("manifest.json")).unwrap();
-    assert_eq!(a, b, "manifest.json diverged with sampling on");
-    let normalize = |root: &PathBuf| {
-        let mut recs = Store::open(root).unwrap().study(&key).shards().unwrap();
-        recs.sort_by_key(|r| (r.campaign, r.start));
-        for r in &mut recs {
-            r.wall_ns = 0;
-        }
-        recs
-    };
-    let (a, b) = (normalize(&quiet), normalize(&sampled));
-    assert_eq!(a.len(), b.len(), "shard count diverged with sampling on");
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(
-            (x.campaign, x.start, x.end),
-            (y.campaign, y.start, y.end),
-            "shard coordinates diverged"
-        );
-        assert_eq!(x.experiments, y.experiments, "experiments diverged");
-    }
-    assert!(
-        sampled.join("telemetry").join("series.jsonl").exists(),
-        "sampler must have persisted its series"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

@@ -39,10 +39,9 @@ use serde::Value;
 use spmdc::VectorIsa;
 use vulfi::{OutcomeCounts, StudySpec, Workload};
 use vulfi_orch::{
-    covered_experiments, load_cells, merge, missing_jobs, parse_alert_rules, plan_shards,
-    render_alerts_json, run_shard, sparkline_svg, AlertEngine, AlertState, JobQueue, JobRecord,
-    JobState, LeaseBoard, Manifest, OpsEvent, OpsKind, OpsLog, Progress, Sampler, SamplerInputs,
-    Store, StudyKey, StudyStore, TelemetryLog, TelemetryRing, DEFAULT_RING_CAPACITY,
+    covered_experiments, load_cells, merge, missing_jobs, plan_shards, run_shard, JobQueue,
+    JobRecord, LeaseBoard, Manifest, OpsEvent, OpsKind, OpsLog, Progress, Store, StudyKey,
+    StudyStore,
 };
 
 use crate::http::{read_request, respond, respond_error, respond_json, Request};
@@ -60,14 +59,6 @@ pub struct ServeConfig {
     /// Shard lease TTL: how long a silent worker may hold a shard before
     /// it is re-queued for the others.
     pub lease_ttl: Duration,
-    /// Telemetry sampling interval. `Duration::ZERO` disables the
-    /// sampler entirely — no thread, no ring, no `<store>/telemetry/`
-    /// writes (the zero-cost-when-off contract).
-    pub telemetry_interval: Duration,
-    /// Alert rules file (TOML or JSON) evaluated by the sampler thread
-    /// on every tick. `None` means no rules: telemetry still records,
-    /// nothing can fire.
-    pub alert_rules: Option<PathBuf>,
 }
 
 impl Default for ServeConfig {
@@ -77,8 +68,6 @@ impl Default for ServeConfig {
             store: PathBuf::from("results/store"),
             workers: 2,
             lease_ttl: Duration::from_secs(60),
-            telemetry_interval: Duration::from_secs(1),
-            alert_rules: None,
         }
     }
 }
@@ -120,18 +109,6 @@ struct ActiveStudy {
     finished: AtomicBool,
 }
 
-/// The telemetry hub: everything the sampler thread mutates each tick
-/// and the `/alerts` + dashboard handlers read. One mutex, always
-/// acquired *after* (never while holding) the queue/active locks.
-struct Telemetry {
-    log: TelemetryLog,
-    ring: TelemetryRing,
-    sampler: Sampler,
-    engine: AlertEngine,
-    /// Latest verdicts, refreshed every tick.
-    states: Vec<AlertState>,
-}
-
 struct Shared {
     store: Store,
     queue: Mutex<JobQueue>,
@@ -141,10 +118,6 @@ struct Shared {
     /// Operational event stream. Appends are serialized here so
     /// concurrent workers never interleave half-lines.
     ops: Mutex<OpsLog>,
-    /// `None` when sampling is disabled: no thread runs and nothing in
-    /// the experiment path ever touches telemetry.
-    telemetry: Option<Mutex<Telemetry>>,
-    telemetry_interval: Duration,
 }
 
 /// Ignore mutex poisoning: a panicking worker already failed its job via
@@ -394,37 +367,6 @@ impl Daemon {
                 }
             }
         }
-        // Alert rules are parsed at bind time so a typo'd file refuses
-        // to start the daemon instead of silently never firing.
-        let rules = match &cfg.alert_rules {
-            Some(path) => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("alert rules {}: {e}", path.display()))?;
-                parse_alert_rules(&text)
-                    .map_err(|e| format!("alert rules {}: {e}", path.display()))?
-            }
-            None => Vec::new(),
-        };
-        let telemetry = if cfg.telemetry_interval.is_zero() {
-            None
-        } else {
-            let log = TelemetryLog::open(&cfg.store).map_err(|e| e.to_string())?;
-            // Resume the window (and the sampler's rate baseline) from
-            // the persisted tail, so a restart continues the history a
-            // dead daemon left behind.
-            let ring = log.ring(DEFAULT_RING_CAPACITY).map_err(|e| e.to_string())?;
-            let sampler = match ring.latest() {
-                Some(last) => Sampler::resume_from(last.clone()),
-                None => Sampler::new(),
-            };
-            Some(Mutex::new(Telemetry {
-                log,
-                ring,
-                sampler,
-                engine: AlertEngine::new(rules),
-                states: Vec::new(),
-            }))
-        };
         let listener =
             TcpListener::bind(&cfg.addr).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
         listener.set_nonblocking(true).map_err(|e| e.to_string())?;
@@ -441,8 +383,6 @@ impl Daemon {
                 shutdown: AtomicBool::new(false),
                 lease_ttl: cfg.lease_ttl,
                 ops: Mutex::new(ops),
-                telemetry,
-                telemetry_interval: cfg.telemetry_interval,
             }),
             workers: cfg.workers.max(1),
             addr_file,
@@ -474,15 +414,6 @@ impl Daemon {
                     .map_err(|e| e.to_string())?,
             );
         }
-        if self.shared.telemetry.is_some() {
-            let shared = self.shared.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name("vulfi-telemetry".to_string())
-                    .spawn(move || telemetry_loop(&shared))
-                    .map_err(|e| e.to_string())?,
-            );
-        }
         loop {
             if SIGNALLED.load(Ordering::SeqCst) {
                 self.shared.shutdown.store(true, Ordering::SeqCst);
@@ -511,91 +442,6 @@ impl Daemon {
         // remove it on the clean path only.
         let _ = std::fs::remove_file(&self.addr_file);
         Ok(())
-    }
-}
-
-/// One telemetry tick: fold the metrics registry plus the daemon
-/// gauges into a sample, persist it, refresh the ring, evaluate the
-/// alert rules, and turn firing/resolved transitions into ops events.
-fn telemetry_tick(shared: &Arc<Shared>) {
-    let Some(tel) = &shared.telemetry else { return };
-    // Gather the gauges first, releasing the queue/active locks before
-    // touching the telemetry lock (fixed acquisition order).
-    let queue_depth = relock(&shared.queue)
-        .jobs()
-        .map(|jobs| jobs.iter().filter(|j| j.state == JobState::Queued).count() as u64)
-        .unwrap_or(0);
-    let (active_leases, lease_expired) = match relock(&shared.active).clone() {
-        Some(a) => {
-            let s = relock(&a.board).stats();
-            let outstanding = s
-                .granted
-                .saturating_sub(s.completed)
-                .saturating_sub(s.abandoned)
-                .saturating_sub(s.expired);
-            (outstanding, s.expired)
-        }
-        None => (0, 0),
-    };
-    let snapshot = vulfi_orch::metrics::global().snapshot();
-    let transitions = {
-        let mut t = relock(tel);
-        let sample = t.sampler.sample_now(
-            &snapshot,
-            SamplerInputs {
-                queue_depth,
-                active_leases,
-                lease_expired,
-            },
-        );
-        // Persistence is observability: a full disk degrades to an
-        // in-memory window, it never stops the sampler.
-        if let Err(e) = t.log.append(&sample) {
-            eprintln!("vulfi-serve: telemetry log: {e}");
-        }
-        t.ring.push(sample);
-        let Telemetry {
-            ring,
-            engine,
-            states,
-            ..
-        } = &mut *t;
-        let (new_states, transitions) = engine.evaluate(ring.samples());
-        *states = new_states;
-        transitions
-    };
-    for tr in transitions {
-        let kind = if tr.firing {
-            OpsKind::AlertFiring
-        } else {
-            OpsKind::AlertResolved
-        };
-        shared.ops_emit(
-            OpsEvent::new(kind).detail(format!("alert '{}' value {:.4}", tr.rule, tr.value)),
-        );
-    }
-}
-
-/// The sampler thread: tick immediately (a restarted daemon resumes
-/// its persisted history with no gap wider than one interval), then on
-/// every interval until shutdown. Sleeps in short slices so shutdown
-/// is never delayed by a long interval.
-fn telemetry_loop(shared: &Arc<Shared>) {
-    let interval = shared.telemetry_interval;
-    loop {
-        telemetry_tick(shared);
-        let mut slept = Duration::ZERO;
-        while slept < interval {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let slice = (interval - slept).min(Duration::from_millis(20));
-            std::thread::sleep(slice);
-            slept += slice;
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
     }
 }
 
@@ -820,7 +666,6 @@ fn handle_connection(shared: &Arc<Shared>, stream: &mut TcpStream) {
             Err(e) => respond_error(stream, 500, &e.to_string()),
         },
         ("GET", ["dashboard"]) => handle_dashboard(shared, stream),
-        ("GET", ["alerts"]) => handle_alerts(shared, stream),
         ("POST", ["studies"]) => handle_submit(shared, &req, stream),
         ("GET", ["studies", key]) => handle_status(shared, key, stream),
         ("GET", ["studies", key, "report"]) => handle_report(shared, key, stream),
@@ -834,7 +679,6 @@ fn handle_connection(shared: &Arc<Shared>, stream: &mut TcpStream) {
         | (_, ["jobs"])
         | (_, ["metrics"])
         | (_, ["dashboard"])
-        | (_, ["alerts"])
         | (_, ["shutdown"])
         | (_, ["healthz"]) => respond_error(
             stream,
@@ -1002,31 +846,6 @@ fn handle_events(shared: &Arc<Shared>, key_str: &str, stream: &mut TcpStream) {
     );
 }
 
-/// `GET /alerts`: every rule's latest verdict as JSON (the same
-/// payload `vulfi alerts check --json` renders offline). With sampling
-/// disabled, an explicit `"telemetry": "disabled"` document rather
-/// than a 404 — monitors should see "off", not "missing".
-fn handle_alerts(shared: &Arc<Shared>, stream: &mut TcpStream) {
-    match &shared.telemetry {
-        Some(tel) => {
-            let states = relock(tel).states.clone();
-            match render_alerts_json(&states) {
-                Ok(json) => respond(stream, 200, "application/json", json.as_bytes()),
-                Err(e) => respond_error(stream, 500, &e.to_string()),
-            }
-        }
-        None => respond_json(
-            stream,
-            200,
-            &serde_json::json!({
-                "telemetry": "disabled",
-                "firing": 0u64,
-                "alerts": Vec::<Value>::new(),
-            }),
-        ),
-    }
-}
-
 /// Minimal HTML escaping for dashboard cells (same contract as the
 /// analytics report renderer).
 fn esc(s: &str) -> String {
@@ -1063,8 +882,6 @@ fn handle_dashboard(shared: &Arc<Shared>, stream: &mut TcpStream) {
          th,td{border:1px solid #ddd;padding:4px 8px;text-align:left;font-variant-numeric:tabular-nums}\n\
          th{background:#f5f5f5}\n\
          .muted{color:#888}\n\
-         .firing{color:#b00}\n\
-         svg.spark{vertical-align:middle}\n\
          .bar{background:#eee;height:10px;width:160px;display:inline-block}\n\
          .bar span{background:#4a90d9;height:10px;display:block}\n",
     );
@@ -1134,73 +951,6 @@ fn handle_dashboard(shared: &Arc<Shared>, stream: &mut TcpStream) {
             ));
         }
         None => out.push_str("<p class=\"muted\">idle — no active study</p>\n"),
-    }
-    out.push_str("</section>\n");
-
-    out.push_str("<section id=\"alerts\">\n<h2>Alerts</h2>\n");
-    match &shared.telemetry {
-        Some(tel) => {
-            let states = relock(tel).states.clone();
-            if states.is_empty() {
-                out.push_str("<p class=\"muted\">no alert rules loaded</p>\n");
-            } else {
-                out.push_str(
-                    "<table><tr><th>rule</th><th>series</th><th>threshold</th>\
-                     <th>state</th><th>value</th></tr>\n",
-                );
-                for s in &states {
-                    let state = if s.firing {
-                        "<strong class=\"firing\">FIRING</strong>".to_string()
-                    } else {
-                        "ok".to_string()
-                    };
-                    dash_row(
-                        &mut out,
-                        &[
-                            esc(&s.rule.name),
-                            esc(s.rule.kind.name()),
-                            format!("{}", s.rule.threshold),
-                            state,
-                            format!("{:.4}", s.value),
-                        ],
-                    );
-                }
-                out.push_str("</table>\n");
-            }
-        }
-        None => out.push_str("<p class=\"muted\">telemetry disabled</p>\n"),
-    }
-    out.push_str("</section>\n");
-
-    out.push_str("<section id=\"telemetry\">\n<h2>Telemetry</h2>\n");
-    match &shared.telemetry {
-        Some(tel) => {
-            let t = relock(tel);
-            let series: [(&str, Vec<f64>); 5] = [
-                ("exp/s", t.ring.series(|s| s.exp_per_sec)),
-                ("SDC rate (%)", t.ring.series(|s| s.sdc_rate)),
-                ("queue depth", t.ring.series(|s| s.queue_depth as f64)),
-                ("queue wait p99 (s)", t.ring.series(|s| s.queue_wait_p99_s)),
-                ("engine faults/s", t.ring.series(|s| s.engine_fault_rate)),
-            ];
-            drop(t);
-            out.push_str("<table><tr><th>series</th><th>last 10 min</th><th>latest</th></tr>\n");
-            for (name, values) in &series {
-                dash_row(
-                    &mut out,
-                    &[
-                        name.to_string(),
-                        sparkline_svg(values, 160, 28),
-                        values
-                            .last()
-                            .map(|v| format!("{v:.2}"))
-                            .unwrap_or_else(|| "-".to_string()),
-                    ],
-                );
-            }
-            out.push_str("</table>\n");
-        }
-        None => out.push_str("<p class=\"muted\">telemetry disabled</p>\n"),
     }
     out.push_str("</section>\n");
 

@@ -21,7 +21,6 @@ fn start_daemon(store: &Path, workers: usize) -> (Client, std::thread::JoinHandl
         store: store.to_path_buf(),
         workers,
         lease_ttl: Duration::from_secs(60),
-        ..ServeConfig::default()
     })
     .expect("bind daemon");
     let addr = daemon.local_addr().unwrap().to_string();
