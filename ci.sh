@@ -105,12 +105,12 @@ grep -q 'FAIL (sdc_rate_max)' "$SMOKE/breach.out"
 
 # Profiler smoke test: the hot-path profiler must rank opcodes for a
 # golden run without perturbing it (bit-identity is proven by the vexec
-# proptest; here we just gate the CLI surface).
+# proptest), and its folded stacks must equal the committed fixture.
 ./target/release/vulfi profile --bench "vector sum" --hotspots --top 5 \
     -o "$SMOKE/folded.txt" > "$SMOKE/profile.out"
 grep -q 'hotspots' "$SMOKE/profile.out"
 grep -q 'hottest sites' "$SMOKE/profile.out"
-test -s "$SMOKE/folded.txt"
+diff -u crates/cli/tests/fixtures/profile/vector-sum.avx.folded "$SMOKE/folded.txt"
 
 # Throughput record: bench --record must emit parseable JSON with a
 # nonzero experiments-per-second figure, and the cumulative history

@@ -12,10 +12,10 @@
 //! IR-level address arithmetic is scalar even in vector code.
 
 use vbench::study_benchmarks;
-use vexec::{Interp, NoHost};
+use vexec::InstMix;
 use vir::analysis::SiteCategory;
 use vulfi::sites::{category_mix, enumerate_sites};
-use vulfi::workload::Workload;
+use vulfi::workload::{observed_golden_run, Workload};
 use vulfi_bench::{isas, pct, HarnessOpts, TextTable};
 
 fn main() {
@@ -71,13 +71,8 @@ fn main() {
             if !opts.selected(w.name()) {
                 continue;
             }
-            let mut interp = Interp::new(w.module());
-            interp.enable_profiling();
-            let setup = w.setup(&mut interp.mem, 0).expect("setup");
-            interp
-                .run(w.entry(), &setup.args, &mut NoHost)
+            let (_, _, mix) = observed_golden_run(&w, 0, InstMix::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", w.name()));
-            let mix = interp.take_mix().expect("profiling enabled");
             dyn_table.row(vec![
                 w.name().to_string(),
                 isa.name().to_string(),

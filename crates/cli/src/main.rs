@@ -727,22 +727,12 @@ fn campaign_cmd(flags: &Flags) -> Result<(), String> {
 /// `vulfi profile`: the golden run's dynamic instruction mix.
 fn profile_cmd(flags: &Flags) -> Result<(), String> {
     let name = flags.bench.as_deref().ok_or("profile requires --bench")?;
-    let scale = vbench::Scale::Test;
-    let w = vbench::study_benchmark(name, flags.isa, scale)
-        .or_else(|| vbench::micro_benchmark(name, flags.isa, scale))
-        .ok_or_else(|| format!("unknown benchmark '{name}' (see `vulfi list`)"))?;
-    let mut interp = vexec::Interp::new(w.module());
-    interp.enable_profiling();
-    if flags.hotspots {
-        interp.enable_hotspots();
-    }
-    let setup = w
-        .setup(&mut interp.mem, 0)
-        .map_err(|t| format!("setup failed: {t}"))?;
-    interp
-        .run(w.entry(), &setup.args, &mut vexec::NoHost)
-        .map_err(|t| format!("golden run trapped: {t}"))?;
-    let mix = interp.take_mix().expect("profiling enabled");
+    let w = load_bench(name, flags.isa)?;
+    let profiles = (
+        vexec::InstMix::default(),
+        flags.hotspots.then(vexec::HotProfile::default),
+    );
+    let (_, _, (mix, hot)) = vulfi::workload::observed_golden_run(&w, 0, profiles)?;
     println!(
         "{} [{}]: {} dynamic instructions, {:.1}% vector",
         w.name(),
@@ -770,8 +760,8 @@ fn profile_cmd(flags: &Flags) -> Result<(), String> {
             println!("  {active:>2} active lane(s): {n:>10} inst(s)");
         }
     }
-    if flags.hotspots {
-        let hot = interp.take_hotspots().expect("hotspots enabled");
+    if let Some(mut hot) = hot {
+        hot.finish();
         print_hotspots(&hot, flags)?;
     }
     Ok(())
@@ -1822,18 +1812,11 @@ fn occupancy_profiles(
         let Ok(w) = load_bench(&m.workload, isa) else {
             continue;
         };
-        let mut interp = vexec::Interp::new(w.module());
-        interp.enable_profiling();
-        let Ok(setup) = w.setup(&mut interp.mem, 0) else {
+        let Ok((_, _, mix)) =
+            vulfi::workload::observed_golden_run(&w, 0, vexec::InstMix::default())
+        else {
             continue;
         };
-        if interp
-            .run(w.entry(), &setup.args, &mut vexec::NoHost)
-            .is_err()
-        {
-            continue;
-        }
-        let mix = interp.take_mix().expect("profiling enabled");
         out.push(vulfi_orch::OccupancyProfile::from_mix(
             &m.workload,
             &m.isa,
@@ -2182,15 +2165,8 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
         // the recording is what lets the history tell *why* throughput
         // moved (instruction mix shift vs engine speed).
         let mix_doc = {
-            let mut interp = vexec::Interp::new(w.module());
-            interp.enable_profiling();
-            let setup = w
-                .setup(&mut interp.mem, 0)
-                .map_err(|t| format!("setup failed: {t}"))?;
-            interp
-                .run(w.entry(), &setup.args, &mut vexec::NoHost)
-                .map_err(|t| format!("golden run trapped: {t}"))?;
-            let mix = interp.take_mix().expect("profiling enabled");
+            let (_, _, mix) =
+                vulfi::workload::observed_golden_run(&w, 0, vexec::InstMix::default())?;
             let ops: Vec<serde_json::Value> = mix
                 .hottest()
                 .into_iter()

@@ -7,6 +7,9 @@
 //!   the exposition parser with the exact experiment count.
 //! - `vulfi trace summarize` / `vulfi fsck --trace` succeed against the
 //!   sidecar the study just wrote.
+//! - `vulfi profile --hotspots` reports the same instruction mix, lane
+//!   occupancy, hotspot counts and folded stacks as the committed
+//!   fixtures in `tests/fixtures/profile/` (wall times aside).
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -152,4 +155,65 @@ fn study_json_stream_metrics_and_trace_tools() {
     // And the sidecar fscks clean through the CLI.
     let fsck = vulfi(&["fsck", "--trace", trace_s]);
     assert_ok(&fsck, "vulfi fsck");
+}
+
+/// `vulfi profile` stdout with the wall-time columns of its hotspot and
+/// site tables dropped: everything left is deterministic.
+fn without_wall_times(stdout: &str) -> String {
+    let mut out = String::new();
+    let mut table = "";
+    for line in stdout.lines() {
+        if line.starts_with("hotspots") || line.starts_with("hottest sites") {
+            table = line;
+            out.push_str(line);
+            out.push('\n');
+            continue;
+        }
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        // Hotspot rows: opcode count %count time %time sites. Site rows:
+        // func/loc opcode count time.
+        let kept: Vec<&str> = if table.starts_with("hotspots") && fields.len() == 6 {
+            vec![fields[0], fields[1], fields[2], fields[5]]
+        } else if table.starts_with("hottest sites") && fields.len() == 4 {
+            fields[..3].to_vec()
+        } else {
+            out.push_str(line);
+            out.push('\n');
+            continue;
+        };
+        out.push_str(&kept.join(" "));
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn profile_output_matches_the_committed_fixtures() {
+    let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/profile");
+    let dir = temp_dir("profile");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (bench, isa, case) in [
+        ("vector sum", "avx", "vector-sum.avx"),
+        ("vector sum", "sse", "vector-sum.sse"),
+        ("Blackscholes", "avx", "blackscholes.avx"),
+    ] {
+        let folded = dir.join(format!("{case}.folded"));
+        let out = vulfi(&[
+            "profile",
+            "--bench",
+            bench,
+            "--isa",
+            isa,
+            "--hotspots",
+            "-o",
+            folded.to_str().unwrap(),
+        ]);
+        assert_ok(&out, "vulfi profile --hotspots");
+        let stdout = without_wall_times(&String::from_utf8(out.stdout).unwrap());
+        let want = std::fs::read_to_string(fixtures.join(format!("{case}.out"))).unwrap();
+        assert_eq!(stdout, want, "{case}: profile output moved");
+        let got = std::fs::read_to_string(&folded).unwrap();
+        let want = std::fs::read_to_string(fixtures.join(format!("{case}.folded"))).unwrap();
+        assert_eq!(got, want, "{case}: folded stacks moved");
+    }
 }

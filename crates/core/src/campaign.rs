@@ -272,7 +272,7 @@ fn run_body(
     // --- Faulty run -------------------------------------------------------
     // A traced set holds each golden run's architectural event stream
     // (stores, branch decisions, return value); the faulty run is compared
-    // against it. The sink only observes, so traced and untraced
+    // against it. The tracer only observes, so traced and untraced
     // experiments are bit-identical.
     let mut comparer = goldens
         .traced
@@ -284,7 +284,7 @@ fn run_body(
         Some(_) => VulfiHost::profile(),
         None => VulfiHost::inject_model(target, entropy, prog.model),
     };
-    let mut interp = Interp::with_program(goldens.program(prog));
+    let mut interp = Interp::observed(goldens.program(prog), comparer.as_mut());
     interp.set_budget(
         golden
             .dyn_insts
@@ -301,9 +301,6 @@ fn run_body(
     }
     if prog.limits.mem_bytes > 0 {
         interp.set_memory_limit(prog.limits.mem_bytes);
-    }
-    if let Some(t) = comparer.as_mut() {
-        interp.set_trace_sink(t);
     }
     if let Some(inj) = injector.as_mut() {
         interp.set_engine_injector(inj);
@@ -395,13 +392,10 @@ fn golden_run(
     engine: Option<vexec::EngineModel>,
 ) -> Result<Golden, CampaignError> {
     let mut counter = engine.map(vexec::EngineInjector::count);
-    let mut interp = Interp::with_program(program);
+    let mut interp = Interp::observed(program, recorder);
     let setup = workload
         .setup(&mut interp.mem, input)
         .map_err(|t| CampaignError(format!("setup failed: {t}")))?;
-    if let Some(t) = recorder {
-        interp.set_trace_sink(t);
-    }
     if let Some(c) = counter.as_mut() {
         interp.set_engine_injector(c);
     }

@@ -157,7 +157,7 @@ mod tests {
     use crate::campaign::{
         campaign_seed, prepare, run_experiment_range, run_experiment_range_traced, StudyConfig,
     };
-    use crate::workload::{OutputRegion, SetupResult, Workload};
+    use crate::workload::{observed_golden_run, OutputRegion, SetupResult, Workload};
     use vexec::{Memory, RtVal, Scalar, Trap};
 
     /// Scale-by-two over a small buffer: a mix of SDC / Benign / Crash
@@ -231,25 +231,15 @@ exit:
         }
 
         // Lane-occupancy profiling holds the same contract: campaigns run
-        // with profiling disabled (a single Option test), and a profiled
+        // with no profile observer (no hook code at all), and a profiled
         // golden execution of the same workload is bit-identical to the
         // unprofiled one the experiments above measured.
-        let golden = |profile: bool| {
-            let mut interp = vexec::Interp::new(w.module());
-            if profile {
-                interp.enable_profiling();
-            }
-            let setup = w.setup(&mut interp.mem, 0).unwrap();
-            let r = interp
-                .run(w.entry(), &setup.args, &mut vexec::NoHost)
-                .unwrap();
-            let out = interp.mem.read_f32_slice(setup.outputs[0].addr, 8).unwrap();
-            (r, out)
-        };
-        let (r_plain, out_plain) = golden(false);
-        let (r_prof, out_prof) = golden(true);
+        let (r_plain, out_plain, ()) = observed_golden_run(&w, 0, ()).unwrap();
+        let (r_prof, out_prof, mix) =
+            observed_golden_run(&w, 0, vexec::InstMix::default()).unwrap();
         assert_eq!(r_plain, r_prof, "profiling must not perturb execution");
         assert_eq!(out_plain, out_prof);
+        assert_eq!(mix.total, r_prof.dyn_insts);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! *deterministic per input index*: the golden and faulty runs of one
 //! experiment call it with the same index and must see identical memory.
 
-use vexec::{Memory, RtVal, Trap};
+use std::sync::Arc;
+
+use vexec::{ExecResult, Interp, Memory, NoHost, Observer, Program, RtVal, Trap};
 use vir::Module;
 
 /// A memory region whose final contents are the program's observable
@@ -63,6 +65,26 @@ pub fn snapshot_outputs(
         }
     }
     Ok(buf)
+}
+
+/// Input `input`'s golden run of `w`'s uninstrumented module under `obs`,
+/// the run every profile reports on: its result, its output snapshot and
+/// the observer. Decodes the module, so keep it out of per-run loops.
+pub fn observed_golden_run<O: Observer>(
+    w: &dyn Workload,
+    input: u64,
+    obs: O,
+) -> Result<(ExecResult, Vec<u8>, O), String> {
+    let mut interp = Interp::observed(Arc::new(Program::decode(w.module())), obs);
+    let setup = w
+        .setup(&mut interp.mem, input)
+        .map_err(|t| format!("setup failed: {t}"))?;
+    let run = interp
+        .run(w.entry(), &setup.args, &mut NoHost)
+        .map_err(|t| format!("golden run trapped: {t}"))?;
+    let outputs = snapshot_outputs(&interp.mem, &setup.outputs, &run.ret)
+        .map_err(|t| format!("golden snapshot failed: {t}"))?;
+    Ok((run, outputs, interp.into_observer()))
 }
 
 #[cfg(test)]

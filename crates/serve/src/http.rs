@@ -17,6 +17,10 @@ use serde::Value;
 /// bytes; anything close to this is abuse, not a client).
 const MAX_BODY: usize = 1 << 20;
 
+/// Largest request line plus headers the daemon will buffer (the CLI
+/// sends about 100 bytes).
+const MAX_HEAD: u64 = 16 << 10;
+
 /// One parsed request.
 #[derive(Debug)]
 pub struct Request {
@@ -43,25 +47,32 @@ impl Request {
 }
 
 /// Read and frame one request. Errors are protocol-level (malformed
-/// request line, oversized body, timeout) — the caller answers 400.
+/// request line, oversized head or body, timeout) — the caller answers
+/// 400.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     // A stalled or byte-dribbling client must not wedge the accept loop.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read request line: {e}"))?;
+    // The request line and the headers share one byte budget, so a client
+    // that never sends a newline cannot grow the daemon's memory.
+    let mut head = (&mut reader).take(MAX_HEAD);
+    let mut read_line = |what: &str| {
+        let mut line = String::new();
+        head.read_line(&mut line)
+            .map_err(|e| format!("read {what}: {e}"))?;
+        if head.limit() == 0 {
+            return Err(format!("request head exceeds the {MAX_HEAD}-byte limit"));
+        }
+        Ok(line)
+    };
+    let line = read_line("request line")?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or("empty request line")?.to_string();
     let path = parts.next().ok_or("request line has no path")?.to_string();
 
     let mut headers = Vec::new();
     loop {
-        let mut h = String::new();
-        reader
-            .read_line(&mut h)
-            .map_err(|e| format!("read header: {e}"))?;
+        let h = read_line("header")?;
         let h = h.trim_end();
         if h.is_empty() {
             break;
@@ -195,5 +206,26 @@ mod tests {
         write!(c, "POST / HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n").unwrap();
         let err = server.join().unwrap();
         assert!(err.contains("exceeds"), "{err}");
+    }
+
+    #[test]
+    fn rejects_oversized_heads() {
+        // A request line that never ends, and headers that never end.
+        for head in [
+            "GET /".to_string() + &"a".repeat(MAX_HEAD as usize),
+            "GET / HTTP/1.1\r\n".to_string() + &"X-Pad: b\r\n".repeat(MAX_HEAD as usize / 8),
+        ] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let server = std::thread::spawn(move || {
+                let (mut s, _) = listener.accept().unwrap();
+                read_request(&mut s).unwrap_err()
+            });
+            let mut c = TcpStream::connect(addr).unwrap();
+            // The server may hang up as soon as the budget runs out.
+            let _ = c.write_all(head.as_bytes());
+            let err = server.join().unwrap();
+            assert!(err.contains("request head exceeds"), "{err}");
+        }
     }
 }

@@ -15,9 +15,10 @@
 //! An [`EngineInjector`] is installed on the interpreter via
 //! [`Interp::set_engine_injector`](crate::Interp::set_engine_injector)
 //! and driven by hooks on the memory-access, masked-intrinsic, and
-//! instruction-step paths. With no injector installed the hooks cost a
-//! single `Option` test, preserving the default model's bit-identical
-//! behaviour. In **counting mode** (`target == 0`) the injector only
+//! instruction-step paths; it changes the run, so it is not an
+//! [`Observer`](crate::Observer). With no injector installed the hooks
+//! cost a single `Option` test, preserving the default model's
+//! bit-identical behaviour. In **counting mode** (`target == 0`) the injector only
 //! tallies its model's event census — golden runs use this to size the
 //! target distribution — and never perturbs execution.
 

@@ -19,6 +19,9 @@
 //! [`HostEnv`] trait, mirroring how an instrumented native binary links
 //! against the fault-injection runtime library. [`RtVal`] appears only at
 //! that boundary and at [`Interp::run`]'s arguments and result.
+//! Profiles and traces watch a run through one [`Observer`] type
+//! parameter (see [`crate::observe`]); the engine injector, which perturbs
+//! the run, is a field instead (see [`Interp::set_engine_injector`]).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,9 +31,9 @@ use vir::{BinOp, CastOp, FCmpPred, ICmpPred, Module, ScalarTy, Type};
 
 use crate::fault::EngineInjector;
 use crate::mem::{Memory, Trap};
-use crate::profile::{HotLoc, HotProfile, InstMix};
-use crate::program::{Active, DBlock, Func, Op, Program, Slot, Term};
-use crate::trace::{fold_bits, TraceEvent, TraceSink};
+use crate::observe::{At, Observer, Step};
+use crate::program::{DBlock, Func, Op, Program, Slot, Term};
+use crate::trace::{fold_bits, TraceEvent};
 use crate::value::{RtVal, Scalar};
 
 /// Host-function dispatcher.
@@ -75,16 +78,15 @@ struct Frame {
     pc: usize,
 }
 
-/// The interpreter. One instance executes programs from one module.
-pub struct Interp<'m> {
+/// The interpreter. One instance executes programs from one module,
+/// reporting to the observer `O` (none by default).
+pub struct Interp<'m, O = ()> {
     program: Arc<Program>,
     pub mem: Memory,
     budget: u64,
     executed: u64,
     deadline: Option<Instant>,
-    mix: Option<InstMix>,
-    hot: Option<HotProfile>,
-    trace: Option<&'m mut dyn TraceSink>,
+    obs: O,
     fault: Option<&'m mut EngineInjector>,
     /// Every live frame's words, innermost last.
     regs: Vec<u64>,
@@ -106,6 +108,14 @@ impl<'m> Interp<'m> {
 
     /// An interpreter for an already decoded program.
     pub fn with_program(program: Arc<Program>) -> Interp<'m> {
+        Interp::observed(program, ())
+    }
+}
+
+impl<'m, O: Observer> Interp<'m, O> {
+    /// An interpreter for an already decoded program, observed by `obs`
+    /// (read it back with [`Interp::into_observer`], or pass `&mut obs`).
+    pub fn observed(program: Arc<Program>, obs: O) -> Interp<'m, O> {
         let words = program.max_frame;
         Interp {
             program,
@@ -113,9 +123,7 @@ impl<'m> Interp<'m> {
             budget: u64::MAX / 2,
             executed: 0,
             deadline: None,
-            mix: None,
-            hot: None,
-            trace: None,
+            obs,
             fault: None,
             regs: Vec::with_capacity(words),
             frames: Vec::new(),
@@ -131,7 +139,7 @@ impl<'m> Interp<'m> {
     /// models that corrupt interpreter state the instrumented injection
     /// API cannot reach: mask registers, address operands, and guarded
     /// memory cells. With no injector installed the hooks cost a single
-    /// `Option` test, exactly like the trace sink.
+    /// `Option` test.
     pub fn set_engine_injector(&mut self, inj: &'m mut EngineInjector) {
         self.fault = Some(inj);
     }
@@ -155,90 +163,6 @@ impl<'m> Interp<'m> {
         self.mask_buf.extend_from_slice(&self.regs[at..at + lanes]);
         inj.on_mask_lanes(self.executed, elem, &mut self.mask_buf);
         true
-    }
-
-    /// Install an architectural-event observer (see [`crate::trace`]).
-    ///
-    /// The sink only observes; execution, results, and dynamic
-    /// instruction counts are bit-identical with or without one. When no
-    /// sink is installed the hooks cost a single `Option` test on paths
-    /// that already touch memory or control flow.
-    pub fn set_trace_sink(&mut self, sink: &'m mut dyn TraceSink) {
-        self.trace = Some(sink);
-    }
-
-    fn note_event(&mut self, ev: TraceEvent) {
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.event(self.executed, ev);
-        }
-    }
-
-    /// Enable dynamic instruction-mix profiling (Table I / Fig. 10 style
-    /// dynamic composition). Adds per-instruction bookkeeping cost.
-    pub fn enable_profiling(&mut self) {
-        self.mix = Some(InstMix::default());
-    }
-
-    /// Take the collected profile, if profiling was enabled.
-    pub fn take_mix(&mut self) -> Option<InstMix> {
-        self.mix.take()
-    }
-
-    /// Enable hot-path profiling: per-site dynamic counts with batched
-    /// wall-time attribution (see [`HotProfile`]). Independent of
-    /// [`Interp::enable_profiling`]; both may be on at once. Like the
-    /// mix and the trace sink, the hooks are purely observational —
-    /// execution stays bit-identical (property-tested below).
-    pub fn enable_hotspots(&mut self) {
-        self.hot = Some(HotProfile::default());
-    }
-
-    /// Take the collected hotspot profile (trailing partial wall-time
-    /// batch flushed), if hotspot profiling was enabled.
-    pub fn take_hotspots(&mut self) -> Option<HotProfile> {
-        let mut h = self.hot.take()?;
-        h.finish();
-        Some(h)
-    }
-
-    /// Profile instruction `pc` of function `fi` (frame at `base`) before
-    /// it executes.
-    fn note_inst(&mut self, fi: usize, f: &Func, pc: usize, base: usize) {
-        let m = &f.meta[pc];
-        if let Some(hot) = &mut self.hot {
-            hot.record(fi, &f.name, HotLoc::Inst(m.iid), m.opcode);
-        }
-        let Some(mix) = &mut self.mix else {
-            return;
-        };
-        if !m.is_vec {
-            mix.record(m.opcode, false);
-            return;
-        }
-        // Active-lane count: masked memory ops consult their mask operand
-        // and vector selects their condition; everything else executes all
-        // lanes. Purely observational: reads already computed operands.
-        let lanes = |off: u32, n: u32| &self.regs[base + off as usize..][..n as usize];
-        let active = match m.active {
-            Active::Full => m.width,
-            Active::Mask { off, n, elem } => lanes(off, n)
-                .iter()
-                .filter(|&&w| Scalar::new(elem, w).mask_active())
-                .count() as u32,
-            // Select semantics test lane bit 0 (see `exec_op`), not the
-            // sign bit the AVX mask convention uses.
-            Active::Cond { off, n } => lanes(off, n).iter().filter(|&&w| w & 1 == 1).count() as u32,
-        };
-        mix.record_vector_lanes(m.opcode, active.min(m.width), m.width);
-    }
-
-    fn note_term(&mut self, fi: usize, f: &Func, block: usize, opcode: &'static str) {
-        if let Some(hot) = &mut self.hot {
-            hot.record(fi, &f.name, HotLoc::Term(block as u32), opcode);
-        }
-        if let Some(mix) = &mut self.mix {
-            mix.record(opcode, false);
-        }
     }
 
     /// Cap the number of dynamic instructions; exceeding it traps with
@@ -268,6 +192,11 @@ impl<'m> Interp<'m> {
 
     pub fn executed(&self) -> u64 {
         self.executed
+    }
+
+    /// Give up the interpreter, keeping what its observer saw.
+    pub fn into_observer(self) -> O {
+        self.obs
     }
 
     /// Execute `func` with `args`.
@@ -300,16 +229,15 @@ impl<'m> Interp<'m> {
             store_val(&mut self.regs[at..at + s.lanes()], s.ty, a);
         }
         let ret = self.exec(&program, fi, host)?;
-        if self.trace.is_some() {
-            let bits = match &ret {
+        self.obs.event(self.executed, || TraceEvent::Ret {
+            bits: match &ret {
                 None => 0,
                 Some(v) => v
                     .lanes()
                     .into_iter()
                     .fold(0, |acc, s| fold_bits(acc, s.bits)),
-            };
-            self.note_event(TraceEvent::Ret { bits });
-        }
+            },
+        });
         Ok(ExecResult {
             ret,
             dyn_insts: self.executed,
@@ -335,14 +263,15 @@ impl<'m> Interp<'m> {
     }
 
     /// Run function `fi`, whose frame the caller has set up at the bottom
-    /// of the arena, to its return.
+    /// of the arena, to its return. Being generic over the observer, this
+    /// loop is compiled in the crate that picks one, so the helpers it
+    /// calls per lane or per host call are `#[inline]` to stay inlinable.
     fn exec(
         &mut self,
         prog: &Program,
         mut fi: usize,
         host: &mut dyn HostEnv,
     ) -> Result<Option<RtVal>, Trap> {
-        let observe = self.mix.is_some() || self.hot.is_some();
         let mut base = 0;
         let mut block = 0;
         let mut prev = None;
@@ -351,16 +280,14 @@ impl<'m> Interp<'m> {
             // frame all at once, then the body starts.
             let f = &prog.funcs[fi];
             let b = &f.blocks[block];
-            self.phis(fi, f, b, base, prev, observe)?;
+            self.phis(fi, f, b, base, prev)?;
             let mut pc = b.body as usize;
             'resume: loop {
                 let f = &prog.funcs[fi];
                 let b = &f.blocks[block];
                 while pc < b.end as usize {
                     self.tick()?;
-                    if observe {
-                        self.note_inst(fi, f, pc, base);
-                    }
+                    self.obs.step(Step(fi, f, At::Inst(pc, &self.regs, base)));
                     let inst = &f.insts[pc];
                     if let Op::Call { func, args, .. } = inst.op {
                         if self.frames.len() + 1 >= MAX_DEPTH {
@@ -394,9 +321,7 @@ impl<'m> Interp<'m> {
                 self.tick()?;
                 match b.term {
                     Term::Br(t) => {
-                        if observe {
-                            self.note_term(fi, f, block, "br");
-                        }
+                        self.obs.step(Step(fi, f, At::Term(block as u32, "br")));
                         (prev, block) = (Some(block), t as usize);
                         continue 'enter;
                     }
@@ -405,21 +330,17 @@ impl<'m> Interp<'m> {
                         on_true,
                         on_false,
                     } => {
-                        if observe {
-                            self.note_term(fi, f, block, "condbr");
-                        }
+                        self.obs.step(Step(fi, f, At::Term(block as u32, "condbr")));
                         let taken = self.regs[base + cond as usize] & 1 == 1;
                         prev = Some(block);
                         block = if taken { on_true } else { on_false } as usize;
-                        self.note_event(TraceEvent::Branch {
+                        self.obs.event(self.executed, || TraceEvent::Branch {
                             block: block as u32,
                         });
                         continue 'enter;
                     }
                     Term::Ret(ret) => {
-                        if observe {
-                            self.note_term(fi, f, block, "ret");
-                        }
+                        self.obs.step(Step(fi, f, At::Term(block as u32, "ret")));
                         let Some(caller) = self.frames.pop() else {
                             return Ok(ret.map(|s| load_val(&self.regs, base, s)));
                         };
@@ -451,7 +372,6 @@ impl<'m> Interp<'m> {
         b: &DBlock,
         base: usize,
         prev: Option<usize>,
-        observe: bool,
     ) -> Result<(), Trap> {
         if b.start == b.body {
             return Ok(());
@@ -459,9 +379,7 @@ impl<'m> Interp<'m> {
         self.phi_buf.clear();
         for pc in b.start as usize..b.body as usize {
             self.tick()?;
-            if observe {
-                self.note_inst(fi, f, pc, base);
-            }
+            self.obs.step(Step(fi, f, At::Inst(pc, &self.regs, base)));
             let (arms, n) = match &f.insts[pc].op {
                 Op::Phi { arms, n } => (*arms, *n as usize),
                 Op::Trap(t) => return Err((**t).clone()),
@@ -562,10 +480,10 @@ impl<'m> Interp<'m> {
                 let addr = self.fault_addr(self.regs[at(ptr)]);
                 let v = &self.regs[at(val)..at(val) + n as usize];
                 self.mem.write_lanes(ty, addr, v)?;
-                if self.trace.is_some() {
-                    let bits = v.iter().fold(0, |acc, &w| fold_bits(acc, w));
-                    self.note_event(TraceEvent::Store { addr, bits });
-                }
+                self.obs.event(self.executed, || TraceEvent::Store {
+                    addr,
+                    bits: v.iter().fold(0, |acc, &w| fold_bits(acc, w)),
+                });
             }
             Op::Gep {
                 size,
@@ -668,9 +586,8 @@ impl<'m> Interp<'m> {
                         bits = fold_bits(fold_bits(bits, i as u64), v.bits);
                     }
                 }
-                if self.trace.is_some() {
-                    self.note_event(TraceEvent::Store { addr, bits });
-                }
+                self.obs
+                    .event(self.executed, || TraceEvent::Store { addr, bits });
             }
             Op::Math { op, elem, n, a, b } => {
                 for i in 0..n as usize {
@@ -723,6 +640,7 @@ fn lane_word(v: &RtVal, i: usize) -> u64 {
 
 /// Write a host value into `out`, lane by lane, masked to `ty`'s element
 /// width (nothing for `void`).
+#[inline]
 fn store_val(out: &mut [u64], ty: Type, v: &RtVal) {
     let mask = ty.elem().map_or(0, ScalarTy::bit_mask);
     for (i, w) in out.iter_mut().enumerate() {
@@ -744,6 +662,7 @@ fn new_val(ty: Type, words: &[u64]) -> RtVal {
 }
 
 /// Overwrite `v` with `words` of type `ty`, reusing its lane buffer.
+#[inline]
 fn refill_val(v: &mut RtVal, ty: Type, words: &[u64]) {
     match (v, ty) {
         (RtVal::Vector(e, ws), Type::Vector(elem, _)) => {
@@ -864,6 +783,7 @@ pub fn eval_icmp(pred: ICmpPred, a: Scalar, b: Scalar) -> bool {
 }
 
 /// One scalar float comparison.
+#[inline]
 pub fn eval_fcmp(pred: FCmpPred, a: Scalar, b: Scalar) -> bool {
     let (x, y) = (a.as_float(), b.as_float());
     let unordered = x.is_nan() || y.is_nan();
@@ -1402,6 +1322,8 @@ entry:
 #[cfg(test)]
 mod profiling_tests {
     use super::*;
+    use crate::profile::{HotLoc, HotProfile, InstMix};
+    use crate::trace::DivergenceTracer;
     use vir::parser::parse_module;
 
     /// Masked store with 3 of 8 lanes active, plus a full-width fmul.
@@ -1416,31 +1338,69 @@ entry:
 }
 "#;
 
-    fn masked_args(interp: &mut Interp) -> Vec<RtVal> {
+    /// The mask of the first 3 lanes.
+    const FIRST_3: u8 = 0b111;
+
+    /// The lanes `0.0, 1.0, .., 7.0` as bits.
+    fn ramp() -> Vec<u32> {
+        (0..8).map(|i| (i as f32).to_bits()).collect()
+    }
+
+    fn observed<O: Observer>(m: &Module, obs: O) -> Interp<'_, O> {
+        Interp::observed(Arc::new(Program::decode(m)), obs)
+    }
+
+    /// Run MASKED's `@k` on `lanes` (as f32 bits) under `mask_bits` (bit
+    /// `i` set: lane `i` active), reporting to `obs`: the result (with
+    /// the dynamic instruction count) and the output lanes' bits.
+    fn run_masked<O: Observer>(
+        m: &Module,
+        lanes: &[u32],
+        mask_bits: u8,
+        obs: O,
+    ) -> (ExecResult, Vec<u32>) {
+        let mut interp = observed(m, obs);
         let base = interp.mem.alloc_f32_slice(&[0.0; 8]).unwrap();
         let on = f32::from_bits(0xffff_ffff);
         let mask = RtVal::from_lanes(
             ScalarTy::F32,
             (0..8).map(|i| {
-                if i < 3 {
+                if mask_bits & (1 << i) != 0 {
                     Scalar::f32(on)
                 } else {
                     Scalar::f32(0.0)
                 }
             }),
         );
-        let val = RtVal::from_lanes(ScalarTy::F32, (0..8).map(|i| Scalar::f32(i as f32)));
-        vec![RtVal::Scalar(Scalar::ptr(base)), mask, val]
+        let val = RtVal::from_lanes(
+            ScalarTy::F32,
+            lanes.iter().map(|&b| Scalar::f32(f32::from_bits(b))),
+        );
+        let args = vec![RtVal::Scalar(Scalar::ptr(base)), mask, val];
+        let r = interp.run("k", &args, &mut NoHost).unwrap();
+        let snapshot = interp
+            .mem
+            .read_f32_slice(base, 8)
+            .unwrap()
+            .into_iter()
+            .map(f32::to_bits)
+            .collect();
+        (r, snapshot)
+    }
+
+    /// A hotspot profile's deterministic part: every site and its count.
+    fn site_counts(hot: &HotProfile) -> Vec<(String, HotLoc, &'static str, u64)> {
+        hot.sites()
+            .into_iter()
+            .map(|s| (s.func, s.loc, s.opcode, s.count))
+            .collect()
     }
 
     #[test]
     fn occupancy_tracks_masked_lanes() {
         let m = parse_module(MASKED).unwrap();
-        let mut interp = Interp::new(&m);
-        interp.enable_profiling();
-        let args = masked_args(&mut interp);
-        interp.run("k", &args, &mut NoHost).unwrap();
-        let mix = interp.take_mix().unwrap();
+        let mut mix = InstMix::default();
+        run_masked(&m, &ramp(), FIRST_3, &mut mix);
         // fmul runs all 8 lanes; the maskstore only 3.
         assert_eq!(mix.lanes_total, 16);
         assert_eq!(mix.lanes_active, 11);
@@ -1458,13 +1418,13 @@ entry:
 }
 "#;
         let m = parse_module(src).unwrap();
-        let mut interp = Interp::new(&m);
-        interp.enable_profiling();
+        let mut mix = InstMix::default();
+        let mut interp = observed(&m, &mut mix);
         let c = RtVal::from_lanes(ScalarTy::I1, [true, false, true, false].map(Scalar::i1));
         let a = RtVal::from_lanes(ScalarTy::I32, (0..4).map(Scalar::i32));
         let b = RtVal::from_lanes(ScalarTy::I32, (4..8).map(Scalar::i32));
         interp.run("sel", &[c, a, b], &mut NoHost).unwrap();
-        let mix = interp.take_mix().unwrap();
+        drop(interp);
         assert_eq!(mix.occupancy_histogram(), vec![(2, 1)]);
     }
 
@@ -1474,20 +1434,9 @@ entry:
     #[test]
     fn profiling_is_observational_bit_for_bit() {
         let m = parse_module(MASKED).unwrap();
-        let run = |profile: bool| {
-            let mut interp = Interp::new(&m);
-            if profile {
-                interp.enable_profiling();
-            }
-            let args = masked_args(&mut interp);
-            let base = args[0].scalar().as_u64();
-            let r = interp.run("k", &args, &mut NoHost).unwrap();
-            (r, interp.mem.read_f32_slice(base, 8).unwrap())
-        };
-        let (plain, mem_plain) = run(false);
-        let (profiled, mem_profiled) = run(true);
+        let plain = run_masked(&m, &ramp(), FIRST_3, ());
+        let profiled = run_masked(&m, &ramp(), FIRST_3, InstMix::default());
         assert_eq!(plain, profiled, "profiling must not perturb execution");
-        assert_eq!(mem_plain, mem_profiled);
     }
 
     /// The hotspot profile attributes every executed instruction to a
@@ -1512,12 +1461,11 @@ exit:
 "#;
         let m = parse_module(src).unwrap();
         vir::verify::verify_module(&m).unwrap();
-        let mut interp = Interp::new(&m);
-        interp.enable_hotspots();
-        let r = interp
+        let mut hot = HotProfile::default();
+        let r = observed(&m, &mut hot)
             .run("loop", &[RtVal::Scalar(Scalar::i32(10))], &mut NoHost)
             .unwrap();
-        let hot = interp.take_hotspots().unwrap();
+        hot.finish();
         assert_eq!(
             hot.total(),
             r.dyn_insts,
@@ -1534,10 +1482,7 @@ exit:
         assert!(folded.contains("loop;add 20"), "{folded}");
         assert!(folded.contains("loop;condbr"), "{folded}");
         // Terminators and body instructions are distinct sites.
-        assert!(hot
-            .sites()
-            .iter()
-            .any(|s| matches!(s.loc, crate::profile::HotLoc::Term(_))));
+        assert!(hot.sites().iter().any(|s| matches!(s.loc, HotLoc::Term(_))));
     }
 
     proptest::proptest! {
@@ -1546,52 +1491,51 @@ exit:
         /// Hotspot profiling must be purely observational over arbitrary
         /// inputs: results, memory, and dynamic instruction counts stay
         /// bit-identical with it on or off — the same contract the mix
-        /// profiler and the trace sink hold to.
+        /// profiler and the divergence tracer hold to.
         #[test]
         fn hotspot_profiling_is_observational_bit_for_bit(
             lanes in proptest::prop::collection::vec(proptest::prelude::any::<u32>(), 8),
             mask_bits in proptest::prelude::any::<u8>(),
         ) {
             let m = parse_module(MASKED).unwrap();
-            let run = |hotspots: bool| {
-                let mut interp = Interp::new(&m);
-                if hotspots {
-                    interp.enable_hotspots();
-                }
-                let base = interp.mem.alloc_f32_slice(&[0.0; 8]).unwrap();
-                let on = f32::from_bits(0xffff_ffff);
-                let mask = RtVal::from_lanes(
-                    ScalarTy::F32,
-                    (0..8).map(|i| {
-                        if mask_bits & (1 << i) != 0 {
-                            Scalar::f32(on)
-                        } else {
-                            Scalar::f32(0.0)
-                        }
-                    }),
-                );
-                let val = RtVal::from_lanes(
-                    ScalarTy::F32,
-                    lanes.iter().map(|&b| Scalar::f32(f32::from_bits(b))),
-                );
-                let args = vec![RtVal::Scalar(Scalar::ptr(base)), mask, val];
-                let r = interp.run("k", &args, &mut NoHost).unwrap();
-                let snapshot: Vec<u32> = interp
-                    .mem
-                    .read_f32_slice(base, 8)
-                    .unwrap()
-                    .into_iter()
-                    .map(f32::to_bits)
-                    .collect();
-                (r, snapshot, interp.take_hotspots())
-            };
-            let (plain, mem_plain, _) = run(false);
-            let (hot, mem_hot, profile) = run(true);
+            let (plain, mem_plain) = run_masked(&m, &lanes, mask_bits, ());
+            let mut profile = HotProfile::default();
+            let (hot, mem_hot) = run_masked(&m, &lanes, mask_bits, &mut profile);
             proptest::prop_assert_eq!(plain.dyn_insts, hot.dyn_insts);
             proptest::prop_assert_eq!(plain, hot);
             proptest::prop_assert_eq!(mem_plain, mem_hot);
-            let profile = profile.expect("hotspots enabled");
             proptest::prop_assert_eq!(profile.total(), 3, "fmul + maskstore call + ret");
+        }
+
+        /// Observers compose: a run under the mix, the hotspot profile and
+        /// the divergence tracer at once is bit-identical to a bare run,
+        /// and each of the three ends exactly as it does observing alone.
+        #[test]
+        fn composed_observers_match_bare_runs_and_solo_observers(
+            lanes in proptest::prop::collection::vec(proptest::prelude::any::<u32>(), 8),
+            mask_bits in proptest::prelude::any::<u8>(),
+        ) {
+            let m = parse_module(MASKED).unwrap();
+            let bare = run_masked(&m, &lanes, mask_bits, ());
+            let mut all = (
+                InstMix::default(),
+                (HotProfile::default(), DivergenceTracer::record()),
+            );
+            let composed = run_masked(&m, &lanes, mask_bits, &mut all);
+            proptest::prop_assert_eq!(&bare, &composed);
+
+            let mut mix = InstMix::default();
+            let mut hot = HotProfile::default();
+            let mut tracer = DivergenceTracer::record();
+            proptest::prop_assert_eq!(&bare, &run_masked(&m, &lanes, mask_bits, &mut mix));
+            proptest::prop_assert_eq!(&bare, &run_masked(&m, &lanes, mask_bits, &mut hot));
+            proptest::prop_assert_eq!(&bare, &run_masked(&m, &lanes, mask_bits, &mut tracer));
+            let (all_mix, (all_hot, all_tracer)) = all;
+            proptest::prop_assert_eq!(all_mix, mix);
+            proptest::prop_assert_eq!(site_counts(&all_hot), site_counts(&hot));
+            proptest::prop_assert_eq!(all_tracer.events(), 2, "maskstore + ret");
+            proptest::prop_assert_eq!(all_tracer.events(), tracer.events());
+            proptest::prop_assert_eq!(all_tracer.into_stream(), tracer.into_stream());
         }
     }
 }

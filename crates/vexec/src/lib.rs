@@ -11,7 +11,9 @@
 //! - **dynamic instruction accounting** (the paper's Table I metric) and a
 //!   hang budget that converts fault-induced infinite loops into traps;
 //! - a [`interp::HostEnv`] callback interface through which VULFI's runtime
-//!   injection API and the detector runtime are linked in.
+//!   injection API and the detector runtime are linked in;
+//! - one [`Observer`] type parameter through which the instruction-mix and
+//!   hotspot profiles and the divergence tracer watch a run.
 //!
 //! ## Example
 //!
@@ -40,6 +42,7 @@
 pub mod fault;
 pub mod interp;
 pub mod mem;
+pub mod observe;
 pub mod opt;
 pub mod profile;
 pub mod program;
@@ -49,7 +52,8 @@ pub mod value;
 pub use fault::{EngineInjection, EngineInjector, EngineModel};
 pub use interp::{ExecResult, HostEnv, Interp, NoHost};
 pub use mem::{Memory, Trap};
+pub use observe::{Observer, Step};
 pub use profile::{HotLoc, HotProfile, HotSite, Hotspot, InstMix};
 pub use program::Program;
-pub use trace::{Divergence, DivergenceTracer, TraceEvent, TraceSink};
+pub use trace::{Divergence, DivergenceTracer, TraceEvent};
 pub use value::{RtVal, Scalar};

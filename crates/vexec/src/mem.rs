@@ -223,6 +223,7 @@ impl Memory {
     }
 
     /// Write one scalar (little-endian).
+    #[inline]
     pub fn write_scalar(&mut self, addr: u64, s: Scalar) -> Result<(), Trap> {
         let n = s.ty.bytes() as usize;
         let bytes = s.bits.to_le_bytes();

@@ -18,6 +18,10 @@
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
+use crate::observe::{At, Observer, Step};
+use crate::program::Active;
+use crate::value::Scalar;
+
 /// Aggregated dynamic instruction mix of one execution.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InstMix {
@@ -101,30 +105,39 @@ impl InstMix {
         }
     }
 
-    /// Merge another mix into this one.
-    pub fn merge(&mut self, other: &InstMix) {
-        self.total += other.total;
-        self.vector += other.vector;
-        self.scalar += other.scalar;
-        for (k, v) in &other.by_opcode {
-            *self.by_opcode.entry(k).or_insert(0) += v;
-        }
-        self.lanes_active += other.lanes_active;
-        self.lanes_total += other.lanes_total;
-        if self.occupancy.len() < other.occupancy.len() {
-            self.occupancy.resize(other.occupancy.len(), 0);
-        }
-        for (k, n) in other.occupancy.iter().enumerate() {
-            self.occupancy[k] += n;
-        }
-    }
-
     /// Opcodes sorted by descending dynamic count.
     pub fn hottest(&self) -> Vec<(&'static str, u64)> {
         let mut v: Vec<(&'static str, u64)> =
             self.by_opcode.iter().map(|(k, c)| (*k, *c)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         v
+    }
+}
+
+impl Observer for InstMix {
+    fn step(&mut self, Step(_, f, at): Step<'_>) {
+        let (m, regs, base) = match at {
+            At::Inst(pc, regs, base) => (&f.meta[pc], regs, base),
+            At::Term(_, opcode) => return self.record(opcode, false),
+        };
+        if !m.is_vec {
+            return self.record(m.opcode, false);
+        }
+        // Active-lane count: masked memory ops consult their mask operand
+        // and vector selects their condition; everything else executes all
+        // lanes. Purely observational: reads already computed operands.
+        let lanes = |off: u32, n: u32| &regs[base + off as usize..][..n as usize];
+        let active = match m.active {
+            Active::Full => m.width,
+            Active::Mask { off, n, elem } => lanes(off, n)
+                .iter()
+                .filter(|&&w| Scalar::new(elem, w).mask_active())
+                .count() as u32,
+            // Select semantics test lane bit 0 (see the interpreter's
+            // `exec_op`), not the sign bit the AVX mask convention uses.
+            Active::Cond { off, n } => lanes(off, n).iter().filter(|&&w| w & 1 == 1).count() as u32,
+        };
+        self.record_vector_lanes(m.opcode, active.min(m.width), m.width);
     }
 }
 
@@ -137,7 +150,7 @@ const HOT_BATCH: u64 = 4096;
 
 /// Where a hotspot site lives inside its function: a numbered
 /// instruction, or a block terminator (`br`/`condbr`/`ret`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum HotLoc {
     /// `InstId.0` of a body or phi instruction.
     Inst(u32),
@@ -176,72 +189,48 @@ pub struct Hotspot {
     pub sites: u64,
 }
 
-#[derive(Debug, Clone)]
-struct SiteStat {
-    func: String,
-    loc: HotLoc,
-    opcode: &'static str,
-    count: u64,
-    wall_ns: u64,
-    /// `count` at the last wall-time flush: the delta is this site's
-    /// share of the current batch.
-    flushed: u64,
-}
-
 /// Hot-path profile: dynamic counts and batched wall-time attribution
 /// per static site. Purely observational — recording never touches
 /// execution state, so profiled runs stay bit-identical to bare runs
-/// (property-tested in the interpreter).
-#[derive(Debug)]
+/// (property-tested in the interpreter). Call [`HotProfile::finish`]
+/// after the run to attribute the last partial batch.
+#[derive(Debug, Default)]
 pub struct HotProfile {
-    /// `(function identity, site slot)` → index into `sites`. The
-    /// pointer half is only ever a map key; exported views sort by
-    /// `(func, loc)` so output is deterministic across runs.
-    index: HashMap<(usize, u64), usize>,
-    sites: Vec<SiteStat>,
+    /// `(function id, site)` → index into `sites`. The id is only ever a
+    /// map key; exported views sort by `(func, loc)` so output is
+    /// deterministic across runs.
+    index: HashMap<(usize, HotLoc), usize>,
+    /// Each site, with its `count` at the last wall-time flush: the
+    /// delta is the site's share of the current batch.
+    sites: Vec<(HotSite, u64)>,
     /// Instructions recorded since the last wall flush.
     batch: u64,
-    batch_start: Instant,
-}
-
-impl Default for HotProfile {
-    fn default() -> HotProfile {
-        HotProfile {
-            index: HashMap::new(),
-            sites: Vec::new(),
-            batch: 0,
-            batch_start: Instant::now(),
-        }
-    }
+    /// When the current batch's first instruction was recorded.
+    batch_start: Option<Instant>,
 }
 
 impl HotProfile {
     /// Record one dynamic execution of `(func_id, loc)`. `func_id` is
-    /// any value stable for the function's lifetime (the interpreter
-    /// passes the `&Function` address); `func` is cloned once, on the
-    /// site's first execution.
+    /// any value that identifies the function for the profile's lifetime
+    /// (the interpreter passes the function's index in its program);
+    /// `func` is cloned once, on the site's first execution.
     pub fn record(&mut self, func_id: usize, func: &str, loc: HotLoc, opcode: &'static str) {
-        let slot = match loc {
-            HotLoc::Inst(i) => i as u64,
-            HotLoc::Term(b) => (1u64 << 32) | b as u64,
-        };
-        let idx = match self.index.get(&(func_id, slot)) {
-            Some(&i) => i,
-            None => {
-                let i = self.sites.len();
-                self.index.insert((func_id, slot), i);
-                self.sites.push(SiteStat {
-                    func: func.to_string(),
-                    loc,
-                    opcode,
-                    count: 0,
-                    wall_ns: 0,
-                    flushed: 0,
-                });
-                i
-            }
-        };
-        self.sites[idx].count += 1;
+        if self.batch == 0 {
+            self.batch_start = Some(Instant::now());
+        }
+        let idx = *self.index.entry((func_id, loc)).or_insert_with(|| {
+            let func = func.to_string();
+            let site = HotSite {
+                func,
+                loc,
+                opcode,
+                count: 0,
+                wall_ns: 0,
+            };
+            self.sites.push((site, 0));
+            self.sites.len() - 1
+        });
+        self.sites[idx].0.count += 1;
         self.batch += 1;
         if self.batch >= HOT_BATCH {
             self.flush();
@@ -251,18 +240,19 @@ impl HotProfile {
     /// Distribute the elapsed batch wall time across the sites that
     /// executed during it, proportional to their count deltas.
     fn flush(&mut self) {
-        let elapsed = self.batch_start.elapsed().as_nanos() as u64;
-        for s in &mut self.sites {
-            let delta = s.count - s.flushed;
+        let elapsed = self
+            .batch_start
+            .map_or(0, |t| t.elapsed().as_nanos() as u64);
+        for (s, flushed) in &mut self.sites {
+            let delta = s.count - *flushed;
             if delta > 0 {
                 if let Some(share) = (elapsed * delta).checked_div(self.batch) {
                     s.wall_ns += share;
                 }
-                s.flushed = s.count;
+                *flushed = s.count;
             }
         }
         self.batch = 0;
-        self.batch_start = Instant::now();
     }
 
     /// Finish sampling: attribute the trailing partial batch.
@@ -272,28 +262,18 @@ impl HotProfile {
 
     /// Total recorded dynamic instructions.
     pub fn total(&self) -> u64 {
-        self.sites.iter().map(|s| s.count).sum()
+        self.sites.iter().map(|(s, _)| s.count).sum()
     }
 
     /// Total attributed wall time.
     pub fn wall_ns(&self) -> u64 {
-        self.sites.iter().map(|s| s.wall_ns).sum()
+        self.sites.iter().map(|(s, _)| s.wall_ns).sum()
     }
 
     /// Every site, sorted by descending dynamic count (ties broken by
     /// `(func, loc)` so the order is deterministic).
     pub fn sites(&self) -> Vec<HotSite> {
-        let mut v: Vec<HotSite> = self
-            .sites
-            .iter()
-            .map(|s| HotSite {
-                func: s.func.clone(),
-                loc: s.loc,
-                opcode: s.opcode,
-                count: s.count,
-                wall_ns: s.wall_ns,
-            })
-            .collect();
+        let mut v: Vec<HotSite> = self.sites.iter().map(|(s, _)| s.clone()).collect();
         v.sort_by(|a, b| {
             b.count
                 .cmp(&a.count)
@@ -306,7 +286,7 @@ impl HotProfile {
     /// Per-opcode hotspot table, descending by dynamic count.
     pub fn hotspots(&self) -> Vec<Hotspot> {
         let mut by_op: BTreeMap<&'static str, Hotspot> = BTreeMap::new();
-        for s in &self.sites {
+        for (s, _) in &self.sites {
             let h = by_op.entry(s.opcode).or_insert(Hotspot {
                 opcode: s.opcode,
                 count: 0,
@@ -326,7 +306,7 @@ impl HotProfile {
     /// format flamegraph tooling consumes directly.
     pub fn folded(&self) -> String {
         let mut rolled: BTreeMap<(String, &'static str), u64> = BTreeMap::new();
-        for s in &self.sites {
+        for (s, _) in &self.sites {
             *rolled.entry((s.func.clone(), s.opcode)).or_insert(0) += s.count;
         }
         let mut out = String::new();
@@ -334,6 +314,16 @@ impl HotProfile {
             out.push_str(&format!("{func};{opcode} {count}\n"));
         }
         out
+    }
+}
+
+impl Observer for HotProfile {
+    fn step(&mut self, Step(func, f, at): Step<'_>) {
+        let (loc, opcode) = match at {
+            At::Inst(pc, ..) => (HotLoc::Inst(f.meta[pc].iid), f.meta[pc].opcode),
+            At::Term(block, opcode) => (HotLoc::Term(block), opcode),
+        };
+        self.record(func, &f.name, loc, opcode);
     }
 }
 
@@ -356,19 +346,14 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_hottest() {
+    fn hottest_ranks_by_count_then_name() {
         let mut a = InstMix::default();
         a.record("add", false);
-        let mut b = InstMix::default();
-        b.record("add", false);
-        b.record("fmul", true);
-        b.record("fmul", true);
-        a.merge(&b);
-        assert_eq!(a.total, 4);
-        assert_eq!(a.hottest()[0], ("add", 2));
-        assert_eq!(a.hottest()[0].1, 2);
-        let hot = a.hottest();
-        assert!(hot.contains(&("fmul", 2)));
+        a.record("add", false);
+        a.record("fmul", true);
+        a.record("fmul", true);
+        a.record("br", false);
+        assert_eq!(a.hottest(), vec![("add", 2), ("fmul", 2), ("br", 1)]);
     }
 
     #[test]
@@ -394,19 +379,6 @@ mod tests {
         assert!((m.avg_active_lanes() - 19.0 / 3.0).abs() < 1e-12);
         assert!((m.lane_utilization() - 19.0 / 24.0).abs() < 1e-12);
         assert_eq!(m.occupancy_histogram(), vec![(3, 1), (8, 2)]);
-    }
-
-    #[test]
-    fn merge_folds_occupancy() {
-        let mut a = InstMix::default();
-        a.record_vector_lanes("fadd", 4, 4);
-        let mut b = InstMix::default();
-        b.record_vector_lanes("fadd", 2, 8);
-        b.record_vector_lanes("fadd", 8, 8);
-        a.merge(&b);
-        assert_eq!(a.lanes_active, 14);
-        assert_eq!(a.lanes_total, 20);
-        assert_eq!(a.occupancy_histogram(), vec![(2, 1), (4, 1), (8, 1)]);
     }
 
     #[test]

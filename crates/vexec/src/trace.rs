@@ -1,23 +1,26 @@
-//! Execution tracing: the zero-cost-when-off hook layer behind the
-//! propagation profiler.
+//! Execution tracing: the architectural events behind the propagation
+//! profiler.
 //!
 //! The interpreter reports **architectural events** — the points where a
-//! program's execution becomes externally observable — to an optional
-//! [`TraceSink`]:
+//! program's execution becomes externally observable — to its
+//! [`Observer`]'s event method:
 //!
 //! - every memory store (plain or masked), as `(address, value bits)`;
 //! - every conditional-branch decision, as the chosen block;
 //! - the entry function's return value.
 //!
-//! When no sink is installed the hook is a single `Option` test on paths
-//! that already do memory or control work, and the interpreter's results
-//! are bit-identical to an untraced run: the sink only *observes*.
+//! The interpreter hands the observer a closure that builds the event, so
+//! an observer that ignores events (the bare interpreter's `()`, or a
+//! `None`) never folds a store's lanes, and the interpreter's results are
+//! bit-identical to an untraced run: the observer only *watches*.
 //!
-//! [`DivergenceTracer`] is the sink the fault-injection campaign uses: a
-//! golden run records the event stream as a sequence of hashes; the
+//! [`DivergenceTracer`] is the observer the fault-injection campaign uses:
+//! a golden run records the event stream as a sequence of hashes; the
 //! faulty run replays against it and notes the first mismatch — the
 //! **first architectural divergence**, whose distance from the injection
 //! point is the paper-style propagation profile.
+
+use crate::observe::Observer;
 
 /// One architectural event, reported as it retires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,15 +53,6 @@ impl TraceEvent {
     }
 }
 
-/// Observer of architectural events. Implementations must not affect
-/// execution — the interpreter's behaviour is identical with any sink
-/// (or none) installed.
-pub trait TraceSink {
-    /// Called as each architectural event retires. `dyn_index` is the
-    /// dynamic instruction count at the event.
-    fn event(&mut self, dyn_index: u64, ev: TraceEvent);
-}
-
 /// Fold a sequence of lane bit patterns into one 64-bit value (order
 /// sensitive), used to summarize vector stores/returns as one event.
 pub fn fold_bits(acc: u64, bits: u64) -> u64 {
@@ -88,7 +82,7 @@ enum TracerMode<'g> {
     Compare { golden: &'g [u64], cursor: usize },
 }
 
-/// A [`TraceSink`] that records a golden run's event stream, then finds
+/// An [`Observer`] that records a golden run's event stream, then finds
 /// where a faulty run first diverges from it. A comparing tracer borrows
 /// the golden stream, so many faulty runs can share one recording.
 pub struct DivergenceTracer<'g> {
@@ -112,11 +106,10 @@ impl<'g> DivergenceTracer<'g> {
     /// Faulty-run mode: compare against `golden` (from
     /// [`DivergenceTracer::into_stream`]).
     pub fn compare(golden: &'g [u64]) -> DivergenceTracer<'g> {
+        let mode = TracerMode::Compare { golden, cursor: 0 };
         DivergenceTracer {
-            mode: TracerMode::Compare { golden, cursor: 0 },
-            stream: Vec::new(),
-            events: 0,
-            divergence: None,
+            mode,
+            ..DivergenceTracer::record()
         }
     }
 
@@ -159,9 +152,9 @@ impl<'g> DivergenceTracer<'g> {
     }
 }
 
-impl TraceSink for DivergenceTracer<'_> {
-    fn event(&mut self, dyn_index: u64, ev: TraceEvent) {
-        let fp = ev.fingerprint();
+impl Observer for DivergenceTracer<'_> {
+    fn event(&mut self, dyn_index: u64, ev: impl Fn() -> TraceEvent) {
+        let fp = ev().fingerprint();
         self.events += 1;
         match &mut self.mode {
             TracerMode::Record => self.stream.push(fp),
@@ -185,8 +178,8 @@ impl TraceSink for DivergenceTracer<'_> {
 mod tests {
     use super::*;
 
-    fn ev(n: u64) -> TraceEvent {
-        TraceEvent::Store { addr: n, bits: n }
+    fn ev(n: u64) -> impl Fn() -> TraceEvent {
+        move || TraceEvent::Store { addr: n, bits: n }
     }
 
     #[test]
@@ -251,7 +244,8 @@ mod tests {
 
     #[test]
     fn interp_hooks_observe_without_perturbing() {
-        use crate::{Interp, NoHost, RtVal, Scalar};
+        use crate::{Interp, NoHost, Program, RtVal, Scalar};
+        use std::sync::Arc;
         let src = r#"
 define float @acc(ptr %p, float %x) {
 entry:
@@ -270,11 +264,8 @@ done:
 "#;
         let m = vir::parser::parse_module(src).unwrap();
         let run = |x: f32, sink: Option<&mut DivergenceTracer>| -> (f32, u64) {
-            let mut interp = Interp::new(&m);
+            let mut interp = Interp::observed(Arc::new(Program::decode(&m)), sink);
             let p = interp.mem.alloc(4).unwrap();
-            if let Some(s) = sink {
-                interp.set_trace_sink(s);
-            }
             let args = [RtVal::Scalar(Scalar::ptr(p)), RtVal::Scalar(Scalar::f32(x))];
             let out = interp.run("acc", &args, &mut NoHost).unwrap();
             (out.ret.unwrap().scalar().as_f32(), out.dyn_insts)

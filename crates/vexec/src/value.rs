@@ -73,6 +73,7 @@ impl Scalar {
     }
 
     /// Generic float view: `f32` widened, `f64` direct.
+    #[inline]
     pub fn as_float(self) -> f64 {
         match self.ty {
             ScalarTy::F32 => self.as_f32() as f64,
@@ -82,6 +83,7 @@ impl Scalar {
     }
 
     /// Build from a generic float, narrowing for `f32`.
+    #[inline]
     pub fn from_float(ty: ScalarTy, v: f64) -> Scalar {
         match ty {
             ScalarTy::F32 => Scalar::f32(v as f32),

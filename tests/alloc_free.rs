@@ -4,8 +4,10 @@
 //! measures `Interp::run` alone, as a study runs it: the instrumented
 //! module decoded once into a shared `Program`, then a profiling golden
 //! run and an injecting faulty run on one AVX and one SSE paper
-//! benchmark. What remains is per run (the simulated memory growing for
-//! an `alloca`, a host-visible vector argument), never per instruction.
+//! benchmark, the faulty run both bare and observed by a divergence
+//! tracer comparing against the golden event stream, as a traced study
+//! runs it. What remains is per run (the simulated memory growing for an
+//! `alloca`, a host-visible vector argument), never per instruction.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,7 +15,7 @@ use std::sync::Arc;
 
 use spmdc::VectorIsa;
 use vbench::{study_benchmark, Scale};
-use vexec::{Interp, Program};
+use vexec::{DivergenceTracer, Interp, Observer, Program};
 use vir::analysis::SiteCategory;
 use vulfi::workload::Workload;
 use vulfi::{prepare, VulfiHost};
@@ -74,15 +76,16 @@ fn count<R>(f: impl FnOnce() -> R) -> (R, u64) {
 const MAX_ALLOCS_PER_KINST: u64 = 10;
 
 /// Allocations and dynamic instructions of one run of `program` on
-/// input 0 under `host`, capped at `budget` dyn insts.
+/// input 0 under `host` and `obs`, capped at `budget` dyn insts.
 fn measure(
     program: &Arc<Program>,
     w: &dyn Workload,
     entry: &str,
     host: &mut VulfiHost,
     budget: u64,
+    obs: impl Observer,
 ) -> (u64, u64) {
-    let mut interp = Interp::with_program(Arc::clone(program));
+    let mut interp = Interp::observed(Arc::clone(program), obs);
     interp.set_budget(budget);
     let setup = w.setup(&mut interp.mem, 0).expect("setup");
     let (_, allocs) = count(|| interp.run(entry, &setup.args, host));
@@ -100,7 +103,7 @@ fn golden_and_faulty_runs_allocate_nothing_per_instruction() {
         let program = Arc::new(Program::decode(&prog.module));
 
         let mut golden = VulfiHost::profile();
-        let (allocs, insts) = measure(&program, &w, &prog.entry, &mut golden, u64::MAX / 2);
+        let (allocs, insts) = measure(&program, &w, &prog.entry, &mut golden, u64::MAX / 2, ());
         assert!(
             allocs * 1000 < MAX_ALLOCS_PER_KINST * insts,
             "{name}/{isa} golden: {allocs} allocations in {insts} dyn insts"
@@ -112,11 +115,41 @@ fn golden_and_faulty_runs_allocate_nothing_per_instruction() {
         let target = (golden.dynamic_sites / 2).max(1);
         let mut faulty = VulfiHost::inject(target, 0x5eed);
         let budget = insts * 10 + 100_000;
-        let (allocs, insts) = measure(&program, &w, &prog.entry, &mut faulty, budget);
+        let (allocs, insts) = measure(&program, &w, &prog.entry, &mut faulty, budget, ());
         assert!(faulty.injection.is_some(), "{name}/{isa}: nothing injected");
         assert!(
             allocs * 1000 < MAX_ALLOCS_PER_KINST * insts,
             "{name}/{isa} faulty: {allocs} allocations in {insts} dyn insts"
+        );
+
+        // The same faulty run in a traced study: the tracer compares each
+        // event against the golden stream, recorded in a run not counted.
+        let mut recorder = DivergenceTracer::record();
+        let mut host = VulfiHost::profile();
+        measure(
+            &program,
+            &w,
+            &prog.entry,
+            &mut host,
+            u64::MAX / 2,
+            &mut recorder,
+        );
+        let stream = recorder.into_stream();
+        let mut comparer = DivergenceTracer::compare(&stream);
+        let mut faulty = VulfiHost::inject(target, 0x5eed);
+        let (allocs, insts) = measure(
+            &program,
+            &w,
+            &prog.entry,
+            &mut faulty,
+            budget,
+            &mut comparer,
+        );
+        assert!(faulty.injection.is_some(), "{name}/{isa}: nothing injected");
+        assert!(comparer.events() > 0, "{name}/{isa}: no events traced");
+        assert!(
+            allocs * 1000 < MAX_ALLOCS_PER_KINST * insts,
+            "{name}/{isa} traced faulty: {allocs} allocations in {insts} dyn insts"
         );
     }
 }

@@ -15,14 +15,14 @@
 //! model, or an engine fault model with a random target, under a budget
 //! that is sometimes small enough to stop the run part-way.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use spmdc::VectorIsa;
 use vbench::{micro_benchmarks, study_benchmarks, Scale, SpmdWorkload};
 use vexec::{
-    EngineInjection, EngineInjector, EngineModel, ExecResult, HotLoc, InstMix, Interp, NoHost,
-    TraceEvent, TraceSink, Trap,
+    EngineInjection, EngineInjector, EngineModel, ExecResult, HotLoc, HotProfile, InstMix, Interp,
+    NoHost, Observer, Program, TraceEvent, Trap,
 };
 use vir::analysis::SiteCategory;
 use vir::Module;
@@ -37,13 +37,22 @@ mod reference {
     use vexec::trace::fold_bits;
     use vexec::{
         EngineInjector, ExecResult, HostEnv, HotLoc, HotProfile, InstMix, Memory, RtVal, Scalar,
-        TraceEvent, TraceSink, Trap,
+        TraceEvent, Trap,
     };
     use vir::intrinsics::{self, Intrinsic, MathOp};
     use vir::{BlockId, Function, InstKind, Module, Operand, ScalarTy, Terminator, Type, ValueId};
 
     /// Maximum call depth.
     const MAX_DEPTH: usize = 64;
+
+    /// Observer of architectural events. Implementations must not affect
+    /// execution — the interpreter's behaviour is identical with any sink
+    /// (or none) installed.
+    pub trait TraceSink {
+        /// Called as each architectural event retires. `dyn_index` is the
+        /// dynamic instruction count at the event.
+        fn event(&mut self, dyn_index: u64, ev: TraceEvent);
+    }
 
     /// The interpreter. One instance executes programs from one module.
     pub struct RefInterp<'m> {
@@ -785,6 +794,33 @@ mod reference {
             }
         }
     }
+
+    impl TraceSink for super::Events {
+        fn event(&mut self, dyn_index: u64, ev: TraceEvent) {
+            self.0.push((dyn_index, ev));
+        }
+    }
+
+    /// A reference interpreter for `module`, reporting events to
+    /// `events` and, when `profile` is set, collecting both profiles.
+    pub fn observed<'m>(
+        module: &'m Module,
+        events: &'m mut super::Events,
+        profile: bool,
+    ) -> RefInterp<'m> {
+        let mut interp = RefInterp::new(module);
+        interp.set_trace_sink(events);
+        if profile {
+            interp.enable_profiling();
+            interp.enable_hotspots();
+        }
+        interp
+    }
+
+    /// The profiles `interp` collected.
+    pub fn profiles(mut interp: RefInterp) -> (Option<InstMix>, Option<HotProfile>) {
+        (interp.take_mix(), interp.take_hotspots())
+    }
 }
 
 /// One program of the corpus: an instrumented benchmark module.
@@ -897,10 +933,31 @@ fn arb_budget() -> impl Strategy<Value = u64> {
 #[derive(Default)]
 struct Events(Vec<(u64, TraceEvent)>);
 
-impl TraceSink for Events {
-    fn event(&mut self, dyn_index: u64, ev: TraceEvent) {
-        self.0.push((dyn_index, ev));
+impl Observer for Events {
+    fn event(&mut self, dyn_index: u64, ev: impl Fn() -> TraceEvent) {
+        self.0.push((dyn_index, ev()));
     }
+}
+
+/// Both profiles, when a run collects them.
+type Profiles = Option<(InstMix, HotProfile)>;
+
+/// A decoded interpreter for `module`, observed by `events` and, when
+/// `profile` is set, by both profiles.
+fn decoded_interp<'m>(
+    module: &Module,
+    events: &'m mut Events,
+    profile: bool,
+) -> Interp<'m, (&'m mut Events, Profiles)> {
+    let program = Arc::new(Program::decode(module));
+    Interp::observed(program, (events, profile.then(Default::default)))
+}
+
+/// The profiles `interp` collected.
+fn decoded_profiles(
+    interp: Interp<(&mut Events, Profiles)>,
+) -> (Option<InstMix>, Option<HotProfile>) {
+    interp.into_observer().1.unzip()
 }
 
 /// The host's observable state after a run.
@@ -927,9 +984,10 @@ struct Observed {
 }
 
 /// Run `module` under one interpreter type (both share the method names
-/// used here) and collect what it makes observable.
+/// used here), built by `$interp` and giving up its profiles to
+/// `$profiles`, and collect what it makes observable.
 macro_rules! observe {
-    ($interp:expr, $module:expr, $entry:expr, $w:expr, $input:expr, $mode:expr, $budget:expr, $profile:expr) => {{
+    ($interp:expr, $profiles:expr, $module:expr, $entry:expr, $w:expr, $input:expr, $mode:expr, $budget:expr, $profile:expr) => {{
         let mut events = Events::default();
         let mut host = match $mode {
             Mode::NoHost => None,
@@ -940,17 +998,12 @@ macro_rules! observe {
             Mode::Engine(m, t, e) => Some(EngineInjector::inject(m, t, e)),
             _ => None,
         };
-        let mut interp = $interp($module);
+        let mut interp = $interp($module, &mut events, $profile);
         interp.set_budget($budget);
         let setup = $w.setup(&mut interp.mem, $input).expect("setup");
         interp.set_memory_limit(4 << 20);
-        interp.set_trace_sink(&mut events);
         if let Some(inj) = injector.as_mut() {
             interp.set_engine_injector(inj);
-        }
-        if $profile {
-            interp.enable_profiling();
-            interp.enable_hotspots();
         }
         let result = match host.as_mut() {
             Some(h) => interp.run($entry, &setup.args, h),
@@ -963,14 +1016,13 @@ macro_rules! observe {
             .map(|r| interp.mem.snapshot(r.addr, r.bytes))
             .collect();
         let allocated = interp.mem.allocated_bytes();
-        let mix = interp.take_mix();
-        let hot = interp.take_hotspots().map(|h| {
+        let (mix, hot) = $profiles(interp);
+        let hot = hot.map(|h| {
             h.sites()
                 .into_iter()
                 .map(|s| (s.func, s.loc, s.opcode, s.count))
                 .collect()
         });
-        drop(interp);
         Observed {
             result,
             executed,
@@ -1006,7 +1058,8 @@ fn check(
     profile: bool,
 ) -> Result<(), String> {
     let reference = observe!(
-        reference::RefInterp::new,
+        reference::observed,
+        reference::profiles,
         module,
         entry,
         w,
@@ -1015,7 +1068,17 @@ fn check(
         budget,
         profile
     );
-    let decoded = observe!(Interp::new, module, entry, w, input, mode, budget, profile);
+    let decoded = observe!(
+        decoded_interp,
+        decoded_profiles,
+        module,
+        entry,
+        w,
+        input,
+        mode,
+        budget,
+        profile
+    );
     prop_assert!(
         reference == decoded,
         "{name} input {input} {mode:?} budget {budget}: decoded run differs\nreference: {:?}\ndecoded:   {:?}",

@@ -3,9 +3,9 @@
 
 use spmdc::VectorIsa;
 use vbench::{study_benchmarks, Scale};
-use vexec::{Interp, NoHost};
+use vexec::{InstMix, Interp, NoHost};
 use vir::analysis::SiteCategory;
-use vulfi::workload::{snapshot_outputs, Workload};
+use vulfi::workload::{observed_golden_run, snapshot_outputs, Workload};
 use vulfi::{prepare, run_campaign, VulfiHost};
 
 #[test]
@@ -164,11 +164,7 @@ fn dynamic_instruction_mix_profiles_vector_share() {
     // Dynamic Fig. 10: vector instructions dominate the executed stream of
     // a foreach-vectorized kernel.
     let w = vbench::study_benchmark("Blackscholes", VectorIsa::Avx, Scale::Test).unwrap();
-    let mut interp = Interp::new(w.module());
-    interp.enable_profiling();
-    let setup = w.setup(&mut interp.mem, 0).unwrap();
-    let r = interp.run(w.entry(), &setup.args, &mut NoHost).unwrap();
-    let mix = interp.take_mix().unwrap();
+    let (r, out, mix) = observed_golden_run(&w, 0, InstMix::default()).unwrap();
     assert_eq!(mix.total, r.dyn_insts, "profile covers every instruction");
     assert!(
         mix.vector_pct() > 40.0,
@@ -177,10 +173,9 @@ fn dynamic_instruction_mix_profiles_vector_share() {
     );
     assert!(mix.by_opcode.contains_key("fmul"));
     assert!(mix.by_opcode.contains_key("condbr"));
-    // Second run without profiling: same dynamic count, no mix.
-    let mut interp2 = Interp::new(w.module());
-    let setup2 = w.setup(&mut interp2.mem, 0).unwrap();
-    let r2 = interp2.run(w.entry(), &setup2.args, &mut NoHost).unwrap();
-    assert_eq!(r.dyn_insts, r2.dyn_insts);
-    assert!(interp2.take_mix().is_none());
+    // Second run without an observer: same result, dynamic count and
+    // output.
+    let (r2, out2, ()) = observed_golden_run(&w, 0, ()).unwrap();
+    assert_eq!(r, r2);
+    assert_eq!(out, out2);
 }
