@@ -64,7 +64,7 @@ fn main() {
                     &opts.study,
                     &store,
                     RunOptions {
-                        progress: stderr_progress(),
+                        hook: stderr_progress(),
                         ..RunOptions::default()
                     },
                 )

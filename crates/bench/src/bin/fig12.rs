@@ -82,7 +82,7 @@ fn main() {
                     &cell_cfg,
                     &store,
                     RunOptions {
-                        progress: stderr_progress(),
+                        hook: stderr_progress(),
                         ..RunOptions::default()
                     },
                 )

@@ -196,10 +196,10 @@ pub fn open_store(opts: &HarnessOpts) -> vulfi_orch::Store {
 
 /// Per-shard progress callback keeping a live status line on stderr —
 /// only when stderr is a terminal, so piped/CI output stays clean.
-pub fn stderr_progress() -> Option<vulfi_orch::ProgressFn> {
+pub fn stderr_progress() -> Option<vulfi_orch::RunHook> {
     use std::io::IsTerminal as _;
     if std::io::stderr().is_terminal() {
-        Some(Box::new(|s: &vulfi_orch::ProgressSnapshot| {
+        Some(vulfi_orch::progress_hook(|s| {
             eprint!("\r\x1b[K{}", s.render_line());
         }))
     } else {

@@ -137,7 +137,7 @@ static COMMAND_TABLE: &[Command] = &[
     Command { name: "bench", sub: Some("trend"), run: bench_trend,
         usage: "[-o REPORT.json] [--bench NAME] [--json]" },
     Command { name: "serve", sub: None, run: serve_cmd,
-        usage: "[--addr HOST:PORT] [--store DIR] [--workers N] [--lease-ttl-ms N]" },
+        usage: "[--addr HOST:PORT] [--store DIR] [--workers N]" },
     Command { name: "submit", sub: None, run: submit_cmd,
         usage: "--bench NAME [--addr HOST:PORT] [--isa avx|sse] [--category CAT] \
                 [--scale test|paper]\n[--experiments N] [--campaigns N] [--seed N] \
@@ -208,10 +208,8 @@ struct Flags {
     check: Option<String>,
     /// `serve`/`submit`/`status`/`shutdown`: daemon address.
     addr: String,
-    /// `serve`: worker threads collaborating on the active study.
+    /// `serve`: threads executing the active study's shards.
     workers: usize,
-    /// `serve`: shard lease TTL before a silent worker's shard re-runs.
-    lease_ttl_ms: u64,
     /// `submit`: tenant name recorded with the job.
     tenant: Option<String>,
     /// `submit`: poll the study to completion before exiting.
@@ -231,7 +229,7 @@ struct Flags {
     deny: bool,
     /// `lint`: lint every built-in study benchmark instead of a file.
     suite: bool,
-    /// `profile`: per-site hotspot table with attributed wall time.
+    /// `profile`: per-opcode and per-site dynamic-count hotspot tables.
     hotspots: bool,
     /// `trace export`: emit Chrome trace-event JSON (Perfetto-loadable).
     chrome: bool,
@@ -271,7 +269,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         check: None,
         addr: "127.0.0.1:7070".to_string(),
         workers: 2,
-        lease_ttl_ms: 60_000,
         tenant: None,
         wait: false,
         scale: "test".to_string(),
@@ -376,11 +373,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     .parse::<usize>()
                     .map_err(|_| "--workers needs a number".to_string())?
                     .max(1)
-            }
-            "--lease-ttl-ms" => {
-                f.lease_ttl_ms = val(a)?
-                    .parse()
-                    .map_err(|_| "--lease-ttl-ms needs a number".to_string())?
             }
             "--tenant" => f.tenant = Some(val(a)?),
             "--scale" => f.scale = val(a)?,
@@ -760,8 +752,7 @@ fn profile_cmd(flags: &Flags) -> Result<(), String> {
             println!("  {active:>2} active lane(s): {n:>10} inst(s)");
         }
     }
-    if let Some(mut hot) = hot {
-        hot.finish();
+    if let Some(hot) = hot {
         print_hotspots(&hot, flags)?;
     }
     Ok(())
@@ -997,7 +988,6 @@ fn run_study_cmd(flags: &Flags) -> Result<(), String> {
                 ));
             }
         }
-        let progress: Option<vulfi_orch::ProgressFn> = Some(make_progress_reporter(flags.json));
         let out = vulfi_orch::run_study_persistent(
             &prog,
             w,
@@ -1008,7 +998,7 @@ fn run_study_cmd(flags: &Flags) -> Result<(), String> {
             vulfi_orch::RunOptions {
                 shard_size: flags.shard_size,
                 max_shards: None,
-                progress,
+                hook: Some(make_progress_reporter(flags.json)),
                 trace: flags.trace.as_ref().map(std::path::PathBuf::from),
             },
         )
@@ -1299,10 +1289,10 @@ fn results_merge(flags: &Flags) -> Result<(), String> {
 ///   folded in from the global registry), redrawn in place at most
 ///   ~4×/s and always for the final snapshot.
 /// - otherwise: one plain status line per shard.
-fn make_progress_reporter(json: bool) -> vulfi_orch::ProgressFn {
+fn make_progress_reporter(json: bool) -> vulfi_orch::RunHook {
     use std::io::{IsTerminal as _, Write as _};
     if json {
-        return Box::new(|s: &vulfi_orch::ProgressSnapshot| {
+        return vulfi_orch::progress_hook(|s| {
             if let Ok(line) = serde_json::to_string(s) {
                 let mut err = std::io::stderr().lock();
                 let _ = writeln!(err, "{line}");
@@ -1312,7 +1302,7 @@ fn make_progress_reporter(json: bool) -> vulfi_orch::ProgressFn {
     let tty = std::io::stderr().is_terminal();
     // (time of last redraw, lines the last block occupied)
     let state = std::sync::Mutex::new((None::<std::time::Instant>, 0usize));
-    Box::new(move |s: &vulfi_orch::ProgressSnapshot| {
+    vulfi_orch::progress_hook(move |s| {
         if !tty {
             eprintln!("{}", s.render_line());
             return;
@@ -1526,35 +1516,31 @@ fn trace_export(flags: &Flags) -> Result<(), String> {
 }
 
 /// `vulfi profile --hotspots`: the self-profiler's site table — opcodes
-/// ranked by dynamic count with batched wall time attributed per static
-/// site. `-o` additionally writes the folded-stack (flamegraph) text.
+/// ranked by exact dynamic count, then the hottest static sites. `-o`
+/// additionally writes the folded-stack (flamegraph) text.
 fn print_hotspots(hot: &vexec::HotProfile, flags: &Flags) -> Result<(), String> {
     let total = hot.total().max(1);
-    let wall = hot.wall_ns().max(1);
-    println!("hotspots (dynamic count × attributed wall time):");
+    println!("hotspots (dynamic count):");
     println!(
-        "  {:16} {:>12} {:>7} {:>10} {:>7} {:>6}",
-        "opcode", "count", "%count", "time(ms)", "%time", "sites"
+        "  {:16} {:>12} {:>7} {:>6}",
+        "opcode", "count", "%count", "sites"
     );
     for h in hot.hotspots().into_iter().take(flags.top) {
         println!(
-            "  {:16} {:>12} {:>6.1}% {:>10.3} {:>6.1}% {:>6}",
+            "  {:16} {:>12} {:>6.1}% {:>6}",
             h.opcode,
             h.count,
             100.0 * h.count as f64 / total as f64,
-            h.wall_ns as f64 / 1e6,
-            100.0 * h.wall_ns as f64 / wall as f64,
             h.sites
         );
     }
     println!("hottest sites:");
     for s in hot.sites().into_iter().take(flags.top) {
         println!(
-            "  {:>24} {:12} {:>12} {:>9.3}ms",
+            "  {:>24} {:12} {:>12}",
             format!("{}/{}", s.func, s.loc),
             s.opcode,
             s.count,
-            s.wall_ns as f64 / 1e6
         );
     }
     if let Some(out) = &flags.out {
@@ -1591,7 +1577,7 @@ fn events_tail(flags: &Flags) -> Result<(), String> {
 }
 
 /// `vulfi events summarize`: fold the ops log into per-job lifecycles
-/// (submit → lease → shards → merge), reconstructed from the log alone.
+/// (submit → start → shards → merge), reconstructed from the log alone.
 fn events_summarize(flags: &Flags) -> Result<(), String> {
     let ops = vulfi_orch::OpsLog::open(&flags.store).map_err(|e| e.to_string())?;
     let s = ops.summarize().map_err(|e| e.to_string())?;
@@ -2001,7 +1987,7 @@ fn gauntlet_run(flags: &Flags) -> Result<(), String> {
                 vulfi_orch::RunOptions {
                     shard_size: spec.shard_size,
                     max_shards: None,
-                    progress: None,
+                    hook: None,
                     trace: flags.trace.as_ref().map(std::path::PathBuf::from),
                 },
             )
@@ -2546,14 +2532,13 @@ fn serve_cmd(flags: &Flags) -> Result<(), String> {
         addr: flags.addr.clone(),
         store: std::path::PathBuf::from(&flags.store),
         workers: flags.workers,
-        lease_ttl: std::time::Duration::from_millis(flags.lease_ttl_ms.max(1)),
     };
     vulfi_serve::install_shutdown_signals();
     let daemon = vulfi_serve::Daemon::bind(&cfg)?;
     let addr = daemon.local_addr()?;
     println!(
-        "vulfi serve listening on {addr} ({} worker(s), store {}, lease TTL {}ms)",
-        flags.workers, flags.store, flags.lease_ttl_ms
+        "vulfi serve listening on {addr} ({} worker(s), store {})",
+        flags.workers, flags.store
     );
     // Shell scripts discover ephemeral ports from the store, not stdout.
     eprintln!("address also written to {}/serve.addr", flags.store);
@@ -3077,8 +3062,6 @@ export void scale(uniform float a[], uniform int n, uniform float s) {
             "127.0.0.1:0",
             "--workers",
             "4",
-            "--lease-ttl-ms",
-            "500",
             "--tenant",
             "alice",
             "--scale",
@@ -3091,7 +3074,6 @@ export void scale(uniform float a[], uniform int n, uniform float s) {
         .unwrap();
         assert_eq!(f.addr, "127.0.0.1:0");
         assert_eq!(f.workers, 4);
-        assert_eq!(f.lease_ttl_ms, 500);
         assert_eq!(f.tenant.as_deref(), Some("alice"));
         assert_eq!(f.scale, "paper");
         assert!(f.wait && f.report);
@@ -3335,7 +3317,7 @@ export void scale(uniform float a[], uniform int n, uniform float s) {
             vulfi_orch::RunOptions {
                 shard_size: 5,
                 max_shards: Some(1),
-                progress: None,
+                hook: None,
                 trace: None,
             },
         )

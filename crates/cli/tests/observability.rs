@@ -120,6 +120,14 @@ fn study_json_stream_metrics_and_trace_tools() {
         .find(|s| s.name == "vulfi_shard_appends_total")
         .expect("shard append counter present");
     assert!(appends.value >= 12.0, "12 shards were appended");
+    let durations = samples
+        .iter()
+        .find(|s| s.name == "vulfi_shard_duration_seconds_count")
+        .expect("shard duration histogram present");
+    // 5 campaigns of 12 split 5 + 5 + 2: every executed shard is timed
+    // once, by the same runner that counts its append.
+    assert_eq!(durations.value, 15.0, "every executed shard is timed once");
+    assert_eq!(durations.value, appends.value);
     assert!(
         samples
             .iter()
@@ -157,36 +165,6 @@ fn study_json_stream_metrics_and_trace_tools() {
     assert_ok(&fsck, "vulfi fsck");
 }
 
-/// `vulfi profile` stdout with the wall-time columns of its hotspot and
-/// site tables dropped: everything left is deterministic.
-fn without_wall_times(stdout: &str) -> String {
-    let mut out = String::new();
-    let mut table = "";
-    for line in stdout.lines() {
-        if line.starts_with("hotspots") || line.starts_with("hottest sites") {
-            table = line;
-            out.push_str(line);
-            out.push('\n');
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        // Hotspot rows: opcode count %count time %time sites. Site rows:
-        // func/loc opcode count time.
-        let kept: Vec<&str> = if table.starts_with("hotspots") && fields.len() == 6 {
-            vec![fields[0], fields[1], fields[2], fields[5]]
-        } else if table.starts_with("hottest sites") && fields.len() == 4 {
-            fields[..3].to_vec()
-        } else {
-            out.push_str(line);
-            out.push('\n');
-            continue;
-        };
-        out.push_str(&kept.join(" "));
-        out.push('\n');
-    }
-    out
-}
-
 #[test]
 fn profile_output_matches_the_committed_fixtures() {
     let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/profile");
@@ -209,7 +187,7 @@ fn profile_output_matches_the_committed_fixtures() {
             folded.to_str().unwrap(),
         ]);
         assert_ok(&out, "vulfi profile --hotspots");
-        let stdout = without_wall_times(&String::from_utf8(out.stdout).unwrap());
+        let stdout = String::from_utf8(out.stdout).unwrap();
         let want = std::fs::read_to_string(fixtures.join(format!("{case}.out"))).unwrap();
         assert_eq!(stdout, want, "{case}: profile output moved");
         let got = std::fs::read_to_string(&folded).unwrap();

@@ -86,6 +86,13 @@ fn serv_typo_exits_nonzero_with_suggestion_and_usage() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown command 'frobnicate'"), "{stderr}");
     assert!(!stderr.contains("did you mean"), "{stderr}");
+
+    // The lease TTL went with the lease board: the flag is unknown.
+    let out = vulfi(&["serve", "--lease-ttl-ms", "5"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --lease-ttl-ms"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
 }
 
 /// The dashboard must render zero-JS HTML before, during, and after a
@@ -146,6 +153,16 @@ fn dashboard_and_ops_events_reconstruct_the_lifecycle() {
     assert!(html.contains("Blackscholes"), "{html}");
     assert!(html.contains(&key[..12]), "{html}");
     assert!(html.contains("dash"), "tenant must be shown: {html}");
+
+    // The served study fed the same shard metrics as `vulfi study`.
+    let (status, text) = client.get_text("/metrics").expect("metrics");
+    assert_eq!(status, 200);
+    let appends = vulfi_orch::parse_prometheus(&text)
+        .expect("metrics parse as Prometheus text")
+        .into_iter()
+        .find(|s| s.name == "vulfi_shard_appends_total")
+        .expect("shard append counter present");
+    assert_eq!(appends.value, 4.0, "{text}");
 
     // Machine-readable slice of the ops log for this study.
     let (status, doc) = client

@@ -5,10 +5,10 @@
 //! one append-only, CRC-checksummed JSONL stream
 //! (`<store>/events/ops.jsonl`, sharing the [`CheckedLog`] machinery
 //! with the shard, trace, and queue logs) recording everything the
-//! service did and when — job lifecycle, lease grants, per-shard
+//! service did and when — job lifecycle, shard starts, per-shard
 //! durations, merges, fsck actions, engine faults. Every event carries
 //! its correlation IDs (job id, study key, worker id, shard range) so
-//! the full submit → lease → shards → merge lifecycle of any job can be
+//! the full submit → start → shards → merge lifecycle of any job can be
 //! reconstructed from the log alone (`vulfi events summarize`), long
 //! after the daemon and its TTY output are gone.
 //!
@@ -32,12 +32,13 @@ pub enum OpsKind {
     Submitted,
     /// The daemon promoted the job to the active study.
     Started,
-    /// A worker leased a shard range.
+    /// A runner thread started a shard range. The name predates the
+    /// single runner and stays so that old and new logs decode alike.
     LeaseGranted,
-    /// A lease expired or a dead daemon's job went back to the queue.
+    /// A dead daemon's job went back to the queue.
     Requeued,
-    /// A worker durably appended one executed shard (`wall_ns` is the
-    /// shard's execution time).
+    /// A runner thread durably appended one executed shard (`wall_ns` is
+    /// the shard's execution time).
     ShardDone,
     /// All shards landed and merged into the study result.
     Merged,

@@ -40,7 +40,6 @@ pub mod analytics;
 pub mod crc;
 pub mod events;
 pub mod key;
-pub mod lease;
 pub mod metrics;
 pub mod observe;
 pub mod plan;
@@ -60,7 +59,6 @@ pub use analytics::{
 pub use crc::crc32;
 pub use events::{summarize_events, JobLifecycle, OpsEvent, OpsKind, OpsLog, OpsSummary};
 pub use key::{study_key, StudyKey};
-pub use lease::{Lease, LeaseBoard, LeaseStats};
 pub use metrics::{
     parse_prometheus, render_json, render_prometheus, Metrics, MetricsSnapshot, PromSample,
 };
@@ -68,7 +66,8 @@ pub use observe::{humanize, Progress, ProgressSnapshot};
 pub use plan::{covered_experiments, merge, merged_dyn_insts, missing_jobs, plan_shards, ShardJob};
 pub use queue::{JobQueue, JobRecord, JobState};
 pub use run::{
-    run_shard, run_study_persistent, set_jobs, verify_soundness, ProgressFn, RunOptions, RunOutcome,
+    progress_hook, run_shard, run_study_persistent, set_jobs, verify_soundness, RunEvent, RunHook,
+    RunOptions, RunOutcome,
 };
 pub use scenario::{
     cell_verdict, check_invariant, parse_scenario, render_verdicts, render_verdicts_json,

@@ -138,7 +138,8 @@ pub struct Metrics {
     append_latency: Histogram,
     /// Per-category propagation-distance histograms.
     propagation: [Histogram; 3],
-    /// Whole-shard execution time (lease → durable append).
+    /// Whole-shard execution time, observed by `run_shard` (every
+    /// driver's one execution path), excluding the append.
     shard_duration: Histogram,
     /// Submit → start wait of served jobs.
     queue_wait: Histogram,

@@ -20,12 +20,41 @@ use crate::store::{Manifest, ShardRecord, Store};
 use crate::tracestore::{TraceShard, TraceStore};
 use crate::OrchError;
 
-/// Callback invoked (serialized, under the runner's lock) after every
-/// completed shard, and once more with the final state before the
-/// runner returns — consumers always observe the finished snapshot
-/// (`done == total` on a completed study) even if the last shard's
-/// callback was lost or no shard ran at all.
-pub type ProgressFn = Box<dyn Fn(&ProgressSnapshot) + Send + Sync>;
+/// What a [`RunOptions::hook`] is told, on the thread it concerns.
+pub enum RunEvent<'a> {
+    /// This thread is about to execute the shard. Returning `false`
+    /// leaves the shard pending in the store, exactly as a `max_shards`
+    /// cutoff would: a later resume runs it.
+    Start(ShardJob),
+    /// A shard's record is durably appended (serialized under the
+    /// runner's lock). `engine_faults` counts the engine panics it
+    /// contained as Crash records.
+    Appended {
+        record: &'a ShardRecord,
+        engine_faults: u64,
+        progress: &'a ProgressSnapshot,
+    },
+    /// The run is over. Sent once, even when every shard was reused, so
+    /// the last snapshot a consumer sees reports `done == total` on a
+    /// completed study.
+    Finished(&'a ProgressSnapshot),
+}
+
+/// The runner's one observer. Its return value only matters for
+/// [`RunEvent::Start`]; a panic inside it is contained (the shard runs,
+/// the study continues).
+pub type RunHook = Box<dyn Fn(RunEvent<'_>) -> bool + Send + Sync>;
+
+/// A hook that only reports progress snapshots and never holds a shard
+/// back.
+pub fn progress_hook(f: impl Fn(&ProgressSnapshot) + Send + Sync + 'static) -> RunHook {
+    Box::new(move |ev| {
+        if let RunEvent::Appended { progress, .. } | RunEvent::Finished(progress) = ev {
+            f(progress);
+        }
+        true
+    })
+}
 
 pub struct RunOptions {
     /// Experiments per shard.
@@ -34,7 +63,7 @@ pub struct RunOptions {
     /// the rest pending in the store (tests use this to simulate a killed
     /// run; incremental batch jobs can use it as a work quantum).
     pub max_shards: Option<usize>,
-    pub progress: Option<ProgressFn>,
+    pub hook: Option<RunHook>,
     /// Record per-experiment trace spans under this trace-store root
     /// (`vulfi study --trace <dir>`). Tracing is observational: the
     /// persisted results and the study key are bit-identical with or
@@ -47,9 +76,18 @@ impl Default for RunOptions {
         RunOptions {
             shard_size: 25,
             max_shards: None,
-            progress: None,
+            hook: None,
             trace: None,
         }
+    }
+}
+
+/// Call `hook` (if any) with a panic fence: reporting is best-effort and
+/// a panicking hook neither kills the study nor holds a shard back.
+fn notify(hook: &Option<RunHook>, ev: RunEvent<'_>) -> bool {
+    match hook {
+        Some(h) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h(ev))).unwrap_or(true),
+        None => true,
     }
 }
 
@@ -75,12 +113,10 @@ pub struct RunOutcome {
 /// Execute one shard of a study: derive the campaign seed, run the
 /// experiment range through [`vulfi::run_range`] against the study's
 /// `golden` set (pruned when asked, traced when the set is), and bump the
-/// global metrics, engine faults included — the single execution path
-/// shared by the in-process runner below and the `vulfi serve` worker
-/// pool. Callers append the returned record to the
-/// store themselves (the runner under its sink lock; a service worker
-/// after its lease). The returned count is the engine panics this shard
-/// contained as Crash records.
+/// global metrics (shard duration and engine faults included). The
+/// runner below appends the returned record under its sink lock. The
+/// returned count is the engine panics this shard contained as Crash
+/// records.
 ///
 /// Determinism contract: the record depends only on
 /// `(prog, workload, cfg.seed, job)` — never on who ran it, when, or
@@ -115,13 +151,15 @@ pub fn run_shard(
         }
     }
     metrics.add_engine_faults(run.engine_faults);
+    let wall_ns = shard_start.elapsed().as_nanos() as u64;
+    metrics.observe_shard_duration(wall_ns);
     Ok((
         ShardRecord {
             campaign: job.campaign,
             start: job.start,
             end: job.end,
             experiments: run.experiments,
-            wall_ns: shard_start.elapsed().as_nanos() as u64,
+            wall_ns,
         },
         run.spans,
         run.engine_faults,
@@ -225,15 +263,18 @@ pub fn run_study_persistent(
     }
 
     // One lock serializes the append-only logs, the progress counters,
-    // and the user's callback; experiment execution itself runs outside
-    // it.
+    // and the hook's `Appended` events; experiment execution itself runs
+    // outside it.
     let sink = Mutex::new((&study, progress));
-    let executed_shards = missing.len();
     let metrics = crate::metrics::global();
-    let results: Result<Vec<()>, OrchError> = missing
+    let results: Result<Vec<bool>, OrchError> = missing
         .into_par_iter()
         .map(|job| {
-            let (rec, spans, _) = run_shard(prog, workload, cfg, job, &golden, prune_ctx.as_ref())?;
+            if !notify(&opts.hook, RunEvent::Start(job)) {
+                return Ok(false);
+            }
+            let (rec, spans, engine_faults) =
+                run_shard(prog, workload, cfg, job, &golden, prune_ctx.as_ref())?;
             // Recover the guard on poison: a panic in another worker (or
             // in a user callback) must not cascade into losing this
             // shard's append — the counters it protects stay coherent
@@ -266,16 +307,18 @@ pub fn run_study_persistent(
                 progress.counts.add(e);
                 progress.dyn_insts += e.golden_dyn_insts;
             }
-            if let Some(cb) = &opts.progress {
-                // A panicking observer must not kill the study: the
-                // shard is already persisted; reporting is best-effort.
-                let snap = progress.snapshot();
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cb(&snap)));
-            }
-            Ok(())
+            notify(
+                &opts.hook,
+                RunEvent::Appended {
+                    record: &rec,
+                    engine_faults,
+                    progress: &progress.snapshot(),
+                },
+            );
+            Ok(true)
         })
         .collect();
-    results?;
+    let executed_shards = results?.into_iter().filter(|&ran| ran).count();
 
     let (_, progress) = sink
         .into_inner()
@@ -295,13 +338,7 @@ pub fn run_study_persistent(
         }
     }
     let final_snapshot = progress.snapshot();
-    if let Some(cb) = &opts.progress {
-        // Always emit the final state, even when every shard was reused
-        // (the per-shard callback never fired) — consumers of the stream
-        // can rely on the last snapshot reporting `done == total` for a
-        // completed study.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cb(&final_snapshot)));
-    }
+    notify(&opts.hook, RunEvent::Finished(&final_snapshot));
     Ok(RunOutcome {
         key,
         total_shards: plan.len(),

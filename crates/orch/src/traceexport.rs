@@ -6,7 +6,7 @@
 //! ```text
 //! request     submit → terminal      (one per job, from the ops log)
 //! └─ job      start → merge          (the active-study window)
-//!    └─ shard lease → durable append (one per ShardDone event)
+//!    └─ shard start → durable append (one per ShardDone event)
 //!       └─ experiment               (spans from the trace store)
 //! ```
 //!

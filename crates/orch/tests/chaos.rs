@@ -134,7 +134,7 @@ fn panicking_experiments_stay_contained_resumable_and_bit_identical() {
         RunOptions {
             shard_size: 5,
             max_shards: Some(2),
-            progress: None,
+            hook: None,
             trace: None,
         },
     )
@@ -150,7 +150,7 @@ fn panicking_experiments_stay_contained_resumable_and_bit_identical() {
         RunOptions {
             shard_size: 5,
             max_shards: None,
-            progress: None,
+            hook: None,
             trace: None,
         },
     )
@@ -264,7 +264,7 @@ fn panicking_progress_observer_does_not_lose_the_study() {
         RunOptions {
             shard_size: 5,
             max_shards: None,
-            progress: Some(Box::new(|_| panic!("chaos: observer down"))),
+            hook: Some(Box::new(|_| panic!("chaos: observer down"))),
             trace: None,
         },
     )
@@ -318,7 +318,7 @@ fn kill_corrupt_fsck_resume_loop_always_converges_bit_identically() {
             RunOptions {
                 shard_size: 5,
                 max_shards: Some(2),
-                progress: None,
+                hook: None,
                 trace: None,
             },
         );
@@ -366,7 +366,7 @@ fn kill_corrupt_fsck_resume_loop_always_converges_bit_identically() {
             RunOptions {
                 shard_size: 5,
                 max_shards: None,
-                progress: None,
+                hook: None,
                 trace: None,
             },
         )
@@ -500,7 +500,7 @@ proptest! {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Store::open(&dir).unwrap();
-        let opts = || RunOptions { shard_size: 3, max_shards: None, progress: None, trace: None };
+        let opts = || RunOptions { shard_size: 3, max_shards: None, hook: None, trace: None };
         run_study_persistent(&prog, &w, "vector sum", "avx", &cfg, &store, opts()).unwrap();
 
         let key = vulfi_orch::study_key(&prog, "vector sum", "avx", &cfg);

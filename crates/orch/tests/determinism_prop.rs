@@ -61,7 +61,7 @@ proptest! {
             "sse",
             &cfg,
             &store,
-            RunOptions { shard_size, max_shards: None, progress: None, trace: None },
+            RunOptions { shard_size, max_shards: None, hook: None, trace: None },
         )
         .unwrap();
         set_jobs(0);

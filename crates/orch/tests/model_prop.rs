@@ -87,7 +87,7 @@ proptest! {
             "sse",
             &cfg,
             &store,
-            RunOptions { shard_size, max_shards: None, progress: None, trace: None },
+            RunOptions { shard_size, max_shards: None, hook: None, trace: None },
         )
         .unwrap();
         set_jobs(0);
@@ -147,7 +147,7 @@ fn single_bit_flip_matches_pre_model_fixture() {
         RunOptions {
             shard_size: 5,
             max_shards: None,
-            progress: None,
+            hook: None,
             trace: None,
         },
     )

@@ -68,7 +68,7 @@ fn killed_study_resumes_and_matches_uninterrupted_run() {
         RunOptions {
             shard_size: 5,
             max_shards: Some(2),
-            progress: None,
+            hook: None,
             trace: None,
         },
     )
@@ -91,7 +91,7 @@ fn killed_study_resumes_and_matches_uninterrupted_run() {
         RunOptions {
             shard_size: 5,
             max_shards: None,
-            progress: None,
+            hook: None,
             trace: None,
         },
     )
@@ -139,7 +139,7 @@ fn result_is_independent_of_threads_and_shard_size() {
             RunOptions {
                 shard_size,
                 max_shards: None,
-                progress: None,
+                hook: None,
                 trace: None,
             },
         )
@@ -168,7 +168,7 @@ fn progress_callback_reports_monotone_counts() {
         RunOptions {
             shard_size: 6,
             max_shards: None,
-            progress: Some(Box::new(move |snap| {
+            hook: Some(vulfi_orch::progress_hook(move |snap| {
                 sink.lock().unwrap().push((snap.done, snap.counts.total()));
             })),
             trace: None,
@@ -196,6 +196,74 @@ fn progress_callback_reports_monotone_counts() {
     assert!(out.dyn_insts > 0);
 }
 
+/// A hook that declines `Start` (how `vulfi serve` drains on shutdown)
+/// leaves those shards pending; every shard it let start is appended
+/// once, `Finished` comes once, and a resume completes the study
+/// bit-identically.
+#[test]
+fn hook_holds_shards_back_for_a_resume() {
+    use std::sync::{Arc, Mutex};
+    use vulfi_orch::RunEvent;
+
+    let w = workload();
+    let cfg = cfg();
+    let prog = prepare(&w, SiteCategory::PureData).unwrap();
+    let reference = run_study(&prog, &w, &cfg).unwrap();
+    let store = Store::open(temp_store("hook")).unwrap();
+    let total = plan_shards(&cfg, 5).len();
+
+    // (started, appended, finished events)
+    let seen = Arc::new(Mutex::new((Vec::new(), Vec::new(), 0usize)));
+    let sink = Arc::clone(&seen);
+    let first = run_study_persistent(
+        &prog,
+        &w,
+        "vector sum",
+        "avx",
+        &cfg,
+        &store,
+        RunOptions {
+            shard_size: 5,
+            hook: Some(Box::new(move |ev| {
+                let mut s = sink.lock().unwrap();
+                match ev {
+                    RunEvent::Start(_) if s.0.len() == 3 => return false,
+                    RunEvent::Start(job) => s.0.push((job.campaign, job.start)),
+                    RunEvent::Appended { record, .. } => s.1.push((record.campaign, record.start)),
+                    RunEvent::Finished(_) => s.2 += 1,
+                }
+                true
+            })),
+            ..RunOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(first.executed_shards, 3);
+    assert_eq!(first.pending_shards, total - 3);
+    assert!(first.result.is_none());
+    let (mut started, mut appended, finished) = seen.lock().unwrap().clone();
+    started.sort();
+    appended.sort();
+    assert_eq!(started, appended, "each started shard is appended once");
+    assert_eq!(finished, 1);
+
+    let second = run_study_persistent(
+        &prog,
+        &w,
+        "vector sum",
+        "avx",
+        &cfg,
+        &store,
+        RunOptions {
+            shard_size: 5,
+            ..RunOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(second.executed_shards, total - 3);
+    assert_identical(&second.result.unwrap(), &reference);
+}
+
 #[test]
 fn store_skips_truncated_trailing_line() {
     let w = workload();
@@ -214,7 +282,7 @@ fn store_skips_truncated_trailing_line() {
         RunOptions {
             shard_size: 5,
             max_shards: Some(2),
-            progress: None,
+            hook: None,
             trace: None,
         },
     )

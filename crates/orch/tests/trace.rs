@@ -47,7 +47,7 @@ fn opts(trace: Option<PathBuf>, max_shards: Option<usize>) -> RunOptions {
     RunOptions {
         shard_size: 5,
         max_shards,
-        progress: None,
+        hook: None,
         trace,
     }
 }

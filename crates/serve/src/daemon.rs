@@ -1,17 +1,20 @@
-//! The injection daemon: accept loop, persistent queue, worker pool.
+//! The injection daemon: accept loop, persistent queue, one runner.
 //!
 //! ## Execution model
 //!
-//! The daemon runs **one study at a time**, in submission order, with
-//! every worker thread collaborating on it through a shared
-//! [`LeaseBoard`]. Workers are *shared-nothing*: each one compiles and
-//! instruments the submitted benchmark itself from the [`StudySpec`]
-//! names (never from bytes shipped over the wire), which is exactly what
-//! makes the scheme extendable to multi-host fleets — every executor
-//! deterministically reproduces the same instrumented module, and the
-//! content-addressed study key pins that identity. A worker whose
-//! self-derived key disagrees with the submitted one fails the job
-//! instead of contaminating the store.
+//! The daemon runs **one study at a time**, in submission order, on a
+//! single runner thread. The runner compiles and instruments the
+//! submitted benchmark from the [`StudySpec`] names (never from bytes
+//! shipped over the wire), checks that the content-addressed key it
+//! derives equals the key admitted at submit time (a mismatch fails the
+//! job instead of contaminating the store), and then hands the study to
+//! [`run_study_persistent`] — the same call `vulfi study` makes. That
+//! call plans the missing shards, fans them out over `--workers`
+//! threads, appends each one as it lands and merges the result. The
+//! daemon only watches it through a [`RunHook`]: it narrates shard
+//! starts and appends to the ops log, keeps the latest progress snapshot
+//! for the status routes, and holds back every shard not yet started
+//! once shutdown is requested.
 //!
 //! ## Crash and restart semantics
 //!
@@ -22,26 +25,26 @@
 //! - shard results land in the study store the moment each shard
 //!   finishes — the append *is* the checkpoint, so a `kill -9` loses at
 //!   most in-flight shards;
-//! - the lease board is deliberately **not** persisted: it is rebuilt
-//!   from `missing_jobs` against the store, so recovery re-runs exactly
-//!   the shards that never landed. Determinism (experiment RNG keyed by
-//!   `(campaign, index)`) makes any re-run byte-identical, which is why
-//!   the merged result of a killed-and-restarted service matches a
-//!   plain `vulfi study` bit for bit.
+//! - a re-queued job runs through `run_study_persistent` again, which
+//!   re-runs exactly the shards that never landed. Determinism
+//!   (experiment RNG keyed by `(campaign, index)`) makes any re-run
+//!   byte-identical, which is why the merged result of a
+//!   killed-and-restarted service matches a plain `vulfi study` bit for
+//!   bit.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 use serde::Value;
 use spmdc::VectorIsa;
 use vulfi::{OutcomeCounts, StudySpec, Workload};
 use vulfi_orch::{
-    covered_experiments, load_cells, merge, missing_jobs, plan_shards, run_shard, JobQueue,
-    JobRecord, LeaseBoard, Manifest, OpsEvent, OpsKind, OpsLog, Progress, Store, StudyKey,
-    StudyStore,
+    covered_experiments, load_cells, merge, plan_shards, run_study_persistent, JobQueue, JobRecord,
+    Manifest, OpsEvent, OpsKind, OpsLog, ProgressSnapshot, RunEvent, RunHook, RunOptions, Store,
+    StudyKey, StudyStore,
 };
 
 use crate::http::{read_request, respond, respond_error, respond_json, Request};
@@ -54,11 +57,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// Store root shared with `vulfi study` / `vulfi results`.
     pub store: PathBuf,
-    /// Worker threads collaborating on the active study.
+    /// Threads executing the active study's shards.
     pub workers: usize,
-    /// Shard lease TTL: how long a silent worker may hold a shard before
-    /// it is re-queued for the others.
-    pub lease_ttl: Duration,
 }
 
 impl Default for ServeConfig {
@@ -67,7 +67,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:7070".to_string(),
             store: PathBuf::from("results/store"),
             workers: 2,
-            lease_ttl: Duration::from_secs(60),
         }
     }
 }
@@ -76,8 +75,8 @@ impl Default for ServeConfig {
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
 /// Route SIGINT and SIGTERM into a graceful shutdown: the accept loop
-/// stops taking connections and the workers finish (and durably append)
-/// their current shards before exiting.
+/// stops taking connections and the runner lets in-flight shards finish
+/// (and durably append) before it exits.
 #[cfg(unix)]
 pub fn install_shutdown_signals() {
     extern "C" fn on_signal(_sig: i32) {
@@ -97,30 +96,29 @@ pub fn install_shutdown_signals() {
 #[cfg(not(unix))]
 pub fn install_shutdown_signals() {}
 
-/// The study every worker is currently collaborating on.
+/// The study the runner is executing.
 struct ActiveStudy {
     job: u64,
     key: StudyKey,
-    spec: StudySpec,
-    board: Mutex<LeaseBoard>,
-    /// Guards the shard log append *and* the progress fold, so the
-    /// status endpoint always sees counts consistent with the store.
-    progress: Mutex<Progress>,
-    finished: AtomicBool,
+    /// The runner hook's latest snapshot; `None` until the first shard
+    /// lands.
+    progress: Mutex<Option<ProgressSnapshot>>,
 }
 
 struct Shared {
     store: Store,
     queue: Mutex<JobQueue>,
+    /// Signalled, under the queue lock, when a job is queued or shutdown
+    /// is requested: the idle runner waits on it instead of polling.
+    work: Condvar,
     active: Mutex<Option<Arc<ActiveStudy>>>,
     shutdown: AtomicBool,
-    lease_ttl: Duration,
     /// Operational event stream. Appends are serialized here so
-    /// concurrent workers never interleave half-lines.
+    /// concurrent shard threads never interleave half-lines.
     ops: Mutex<OpsLog>,
 }
 
-/// Ignore mutex poisoning: a panicking worker already failed its job via
+/// Ignore mutex poisoning: a panicking runner already failed its job via
 /// `catch_unwind`; the data under these locks is updated atomically per
 /// shard, so the daemon keeps serving.
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -136,66 +134,63 @@ impl Shared {
         }
     }
 
-    /// The in-flight study, promoting the oldest queued job when nothing
-    /// is active. Returns `None` when the queue is empty.
-    fn current_or_next(&self) -> Result<Option<Arc<ActiveStudy>>, String> {
-        let mut active = relock(&self.active);
-        if let Some(a) = active.as_ref() {
-            if !a.finished.load(Ordering::SeqCst) {
-                return Ok(Some(a.clone()));
-            }
-        }
-        let mut queue = relock(&self.queue);
-        let Some(job) = queue.next_queued().map_err(|e| e.to_string())? else {
-            *active = None;
-            return Ok(None);
-        };
-        let key = StudyKey(
-            job.key
-                .clone()
-                .ok_or_else(|| format!("job {} has no study key", job.id))?,
-        );
-        let cfg = job.spec.study_config();
-        let study = self.store.study(&key);
-        let done = study.shards().map_err(|e| e.to_string())?;
-        // Heal the expected kill artifact (torn trailing shard line)
-        // before anyone appends past it.
-        study.trim_torn_tail().map_err(|e| e.to_string())?;
-        let plan = plan_shards(&cfg, job.spec.shard_size);
-        let missing = missing_jobs(&plan, &done, &cfg);
-        let mut progress =
-            Progress::start((cfg.max_campaigns * cfg.experiments_per_campaign) as u64);
-        progress.resumed = covered_experiments(&done, &cfg) as u64;
-        for rec in &done {
-            for e in &rec.experiments {
-                progress.counts.add(e);
-                progress.dyn_insts += e.golden_dyn_insts;
-            }
-        }
-        queue.started(job.id, &key.0).map_err(|e| e.to_string())?;
-        drop(queue);
-        let started = OpsEvent::new(OpsKind::Started).job(job.id).key(&key.0);
-        let wait_ms = started.unix_ms.saturating_sub(job.submitted_unix_ms);
-        vulfi_orch::metrics::global().observe_queue_wait(wait_ms.saturating_mul(1_000_000));
-        self.ops_emit(started.wall_ns(wait_ms.saturating_mul(1_000_000)));
-        let a = Arc::new(ActiveStudy {
-            job: job.id,
-            key,
-            spec: job.spec.clone(),
-            board: Mutex::new(LeaseBoard::new(missing, self.lease_ttl)),
-            progress: Mutex::new(progress),
-            finished: AtomicBool::new(false),
-        });
-        *active = Some(a.clone());
-        Ok(Some(a))
+    /// Stop taking new shards and wake the runner if it is idle.
+    fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _queue = relock(&self.queue);
+        self.work.notify_all();
     }
 
-    /// Mark the active study failed (first caller wins) and clear it so
-    /// the queue can advance.
-    fn fail_active(&self, active: &Arc<ActiveStudy>, error: &str) {
-        if active.finished.swap(true, Ordering::SeqCst) {
-            return;
+    /// Block until a job is queued, then promote the oldest one to the
+    /// active study. `None` once shutdown is requested.
+    fn start_next(&self) -> Option<(Arc<ActiveStudy>, StudySpec)> {
+        let mut queue = relock(&self.queue);
+        let (job, key) = loop {
+            if self.shutdown.load(Ordering::SeqCst) {
+                return None;
+            }
+            if let Ok(Some(job)) = queue.next_queued() {
+                let key = job.key.clone().unwrap_or_default();
+                match queue.started(job.id, &key) {
+                    Ok(()) => break (job, key),
+                    Err(e) => eprintln!("vulfi-serve: starting job {}: {e}", job.id),
+                }
+            }
+            queue = self
+                .work
+                .wait(queue)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        };
+        drop(queue);
+        let started = OpsEvent::new(OpsKind::Started).job(job.id).key(&key);
+        let wait_ns = started
+            .unix_ms
+            .saturating_sub(job.submitted_unix_ms)
+            .saturating_mul(1_000_000);
+        vulfi_orch::metrics::global().observe_queue_wait(wait_ns);
+        self.ops_emit(started.wall_ns(wait_ns));
+        let active = Arc::new(ActiveStudy {
+            job: job.id,
+            key: StudyKey(key),
+            progress: Mutex::new(None),
+        });
+        *relock(&self.active) = Some(active.clone());
+        Some((active, job.spec))
+    }
+
+    fn complete(&self, active: &ActiveStudy) {
+        for kind in [OpsKind::Merged, OpsKind::Completed] {
+            self.ops_emit(OpsEvent::new(kind).job(active.job).key(&active.key.0));
         }
+        if let Err(e) = relock(&self.queue).completed(active.job) {
+            eprintln!(
+                "vulfi-serve: recording completion of job {}: {e}",
+                active.job
+            );
+        }
+    }
+
+    fn fail(&self, active: &ActiveStudy, error: &str) {
         if let Err(e) = relock(&self.queue).failed(active.job, error) {
             eprintln!("vulfi-serve: recording failure of job {}: {e}", active.job);
         }
@@ -205,14 +200,6 @@ impl Shared {
                 .key(&active.key.0)
                 .detail(error),
         );
-        self.clear_active(active.job);
-    }
-
-    fn clear_active(&self, job: u64) {
-        let mut g = relock(&self.active);
-        if g.as_ref().is_some_and(|a| a.job == job) {
-            *g = None;
-        }
     }
 }
 
@@ -263,7 +250,7 @@ pub fn spec_from_value(doc: &Value) -> Result<StudySpec, String> {
 
 /// Build the spec's workload (with detectors woven in when asked) and
 /// hand it to `f`. Centralizing this is what guarantees the submit
-/// handler and every worker derive the same instrumented module and
+/// handler and the runner derive the same instrumented module and
 /// therefore the same study key.
 pub fn with_workload<T>(
     spec: &StudySpec,
@@ -293,7 +280,8 @@ pub fn with_workload<T>(
 
 /// Compile the spec's workload, derive its content-addressed key, and
 /// make sure the store has a manifest for it. This is the submit-time
-/// half of the determinism contract; workers re-derive and cross-check.
+/// half of the determinism contract; the runner re-derives and
+/// cross-checks.
 pub fn realize_key(spec: &StudySpec, store: &Store) -> Result<StudyKey, String> {
     let category = spec.site_category()?;
     let cfg = spec.study_config();
@@ -338,7 +326,7 @@ pub struct DaemonHandle {
 impl DaemonHandle {
     /// Ask the daemon to shut down gracefully.
     pub fn stop(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.request_shutdown();
     }
 }
 
@@ -380,8 +368,8 @@ impl Daemon {
                 store,
                 queue: Mutex::new(queue),
                 active: Mutex::new(None),
+                work: Condvar::new(),
                 shutdown: AtomicBool::new(false),
-                lease_ttl: cfg.lease_ttl,
                 ops: Mutex::new(ops),
             }),
             workers: cfg.workers.max(1),
@@ -400,20 +388,16 @@ impl Daemon {
     }
 
     /// Serve until shut down (signal, `POST /shutdown`, or
-    /// [`DaemonHandle::stop`]), then drain the workers. In-flight shards
-    /// finish and append before workers exit; anything never started is
+    /// [`DaemonHandle::stop`]), then drain the runner. In-flight shards
+    /// finish and append before it exits; anything never started is
     /// re-run by the next daemon via queue recovery.
     pub fn run(self) -> Result<(), String> {
-        let mut workers = Vec::new();
-        for i in 0..self.workers {
-            let shared = self.shared.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("vulfi-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
-                    .map_err(|e| e.to_string())?,
-            );
-        }
+        vulfi_orch::set_jobs(self.workers);
+        let shared = self.shared.clone();
+        let runner = std::thread::Builder::new()
+            .name("vulfi-runner".to_string())
+            .spawn(move || runner_loop(&shared))
+            .map_err(|e| e.to_string())?;
         loop {
             if SIGNALLED.load(Ordering::SeqCst) {
                 self.shared.shutdown.store(true, Ordering::SeqCst);
@@ -435,9 +419,8 @@ impl Daemon {
                 }
             }
         }
-        for w in workers {
-            let _ = w.join();
-        }
+        self.shared.request_shutdown();
+        let _ = runner.join();
         // A present serve.addr means "a daemon may be listening here";
         // remove it on the clean path only.
         let _ = std::fs::remove_file(&self.addr_file);
@@ -445,36 +428,34 @@ impl Daemon {
     }
 }
 
-/// One worker thread: collaborate on the active study (or promote the
-/// next queued job), isolating panics to the job they occurred in.
-fn worker_loop(shared: &Arc<Shared>, idx: usize) {
-    let name = format!("worker-{idx}");
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match shared.current_or_next() {
-            Ok(Some(active)) => {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    work_on(shared, &active, &name)
-                }));
-                match outcome {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => shared.fail_active(&active, &e),
-                    Err(_) => shared.fail_active(&active, "worker panicked"),
-                }
-            }
-            Ok(None) => std::thread::sleep(Duration::from_millis(20)),
-            Err(e) => {
-                eprintln!("vulfi-serve: {name}: {e}");
-                std::thread::sleep(Duration::from_millis(200));
-            }
+/// The runner thread: execute queued jobs one at a time, in submission
+/// order, isolating panics to the job they occurred in.
+fn runner_loop(shared: &Arc<Shared>) {
+    while let Some((active, spec)) = shared.start_next() {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute(shared, &active, &spec)
+        }));
+        match outcome {
+            Ok(Ok(true)) => shared.complete(&active),
+            // Shutdown held shards back: leave the job Running; the next
+            // daemon re-queues it and runs only the shards that never
+            // landed.
+            Ok(Ok(false)) if shared.shutdown.load(Ordering::SeqCst) => {}
+            Ok(Ok(false)) => shared.fail(&active, "study stopped before its merge completed"),
+            Ok(Err(e)) => shared.fail(&active, &e),
+            Err(_) => shared.fail(&active, "worker panicked"),
         }
+        *relock(&shared.active) = None;
     }
 }
 
-/// Execute shards of `active` until the study drains or shutdown is
-/// requested. Compiles its own copy of the workload (shared-nothing; see
-/// the module docs for why).
-fn work_on(shared: &Arc<Shared>, active: &Arc<ActiveStudy>, worker: &str) -> Result<(), String> {
-    let spec = &active.spec;
+/// Run `active` through [`run_study_persistent`]; `Ok(true)` once its
+/// result merged.
+fn execute(
+    shared: &Arc<Shared>,
+    active: &Arc<ActiveStudy>,
+    spec: &StudySpec,
+) -> Result<bool, String> {
     let category = spec.site_category()?;
     let cfg = spec.study_config();
     with_workload(spec, |w| {
@@ -483,136 +464,78 @@ fn work_on(shared: &Arc<Shared>, active: &Arc<ActiveStudy>, worker: &str) -> Res
         let derived = vulfi_orch::study_key(&prog, w.name(), &spec.isa, &cfg);
         if derived.0 != active.key.0 {
             return Err(format!(
-                "worker-derived key {derived} contradicts submitted key {} — refusing to \
+                "runner-derived key {derived} contradicts submitted key {} — refusing to \
                  contaminate the store",
                 active.key
             ));
         }
-        let study = shared.store.study(&active.key);
-        // Each worker derives its own prune context (analysis + census)
-        // and golden set, same shared-nothing stance as the workload
-        // compile above.
-        let prune_ctx = if cfg.prune {
-            Some(vulfi::build_prune_context(&prog, w).map_err(|e| e.to_string())?)
-        } else {
-            None
-        };
-        let golden = vulfi::GoldenSet::new(w, false);
-        loop {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                // Leave the job Running; the next daemon re-queues it
-                // and re-runs only the shards that never landed.
-                return Ok(());
-            }
-            if active.finished.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            let leased = relock(&active.board).lease(worker);
-            match leased {
-                Some(job) => {
-                    shared.ops_emit(
-                        OpsEvent::new(OpsKind::LeaseGranted)
-                            .job(active.job)
-                            .key(&active.key.0)
-                            .worker(worker)
-                            .shard(job.campaign as u64, job.start as u64, job.end as u64),
-                    );
-                    let shard_start = Instant::now();
-                    let (rec, _spans, faults) =
-                        run_shard(&prog, w, &cfg, job, &golden, prune_ctx.as_ref())
-                            .map_err(|e| e.to_string())?;
-                    {
-                        let mut p = relock(&active.progress);
-                        study.append_shard(&rec).map_err(|e| e.to_string())?;
-                        p.note_shard(rec.experiments.len() as u64);
-                        for e in &rec.experiments {
-                            p.counts.add(e);
-                            p.dyn_insts += e.golden_dyn_insts;
-                        }
-                    }
-                    relock(&active.board).complete(worker, job);
-                    let shard_ns = shard_start.elapsed().as_nanos() as u64;
-                    vulfi_orch::metrics::global().observe_shard_duration(shard_ns);
-                    shared.ops_emit(
-                        OpsEvent::new(OpsKind::ShardDone)
-                            .job(active.job)
-                            .key(&active.key.0)
-                            .worker(worker)
-                            .shard(job.campaign as u64, job.start as u64, job.end as u64)
-                            .wall_ns(shard_ns),
-                    );
-                    if faults > 0 {
-                        shared.ops_emit(
-                            OpsEvent::new(OpsKind::EngineFault)
-                                .job(active.job)
-                                .key(&active.key.0)
-                                .worker(worker)
-                                .detail(format!("{faults} engine fault(s) absorbed")),
-                        );
-                    }
-                }
-                None => {
-                    if relock(&active.board).drained() {
-                        finish_study(shared, active, &study, spec)?;
-                        return Ok(());
-                    }
-                    // Stragglers hold leases; wait for them (or for the
-                    // reaper) instead of spinning.
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        }
+        let out = run_study_persistent(
+            &prog,
+            w,
+            w.name(),
+            &spec.isa,
+            &cfg,
+            &shared.store,
+            RunOptions {
+                shard_size: spec.shard_size,
+                hook: Some(runner_hook(shared.clone(), active.clone())),
+                ..RunOptions::default()
+            },
+        )
+        .map_err(|e| e.to_string())?;
+        Ok(out.result.is_some())
     })
 }
 
-/// First worker to see the board drained merges and completes the job;
-/// everyone else observes `finished` and moves on.
-fn finish_study(
-    shared: &Arc<Shared>,
-    active: &Arc<ActiveStudy>,
-    study: &StudyStore,
-    spec: &StudySpec,
-) -> Result<(), String> {
-    if active.finished.swap(true, Ordering::SeqCst) {
-        return Ok(());
-    }
-    let cfg = spec.study_config();
-    let category = spec.site_category()?;
-    let done = study.shards().map_err(|e| e.to_string())?;
-    let outcome = match merge(&cfg, category, &done) {
-        Some(_) => {
-            let mut m = study.read_manifest().map_err(|e| e.to_string())?;
-            if !m.complete {
-                m.complete = true;
-                study.write_manifest(&m).map_err(|e| e.to_string())?;
+/// The daemon's view of a running study: hold back shards once shutdown
+/// is requested, narrate each shard's start and append to the ops log
+/// under the executing thread's label, and keep the latest snapshot for
+/// `GET /studies/:key` and `/dashboard`.
+fn runner_hook(shared: Arc<Shared>, active: Arc<ActiveStudy>) -> RunHook {
+    Box::new(move |ev| {
+        let worker = format!("worker-{}", rayon::current_thread_index().unwrap_or(0));
+        let shard = |kind, campaign: usize, start: usize, end: usize| {
+            OpsEvent::new(kind)
+                .job(active.job)
+                .key(&active.key.0)
+                .worker(&worker)
+                .shard(campaign as u64, start as u64, end as u64)
+        };
+        match ev {
+            RunEvent::Start(job) => {
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    return false;
+                }
+                shared.ops_emit(shard(
+                    OpsKind::LeaseGranted,
+                    job.campaign,
+                    job.start,
+                    job.end,
+                ));
             }
-            shared.ops_emit(
-                OpsEvent::new(OpsKind::Merged)
-                    .job(active.job)
-                    .key(&active.key.0),
-            );
-            shared.ops_emit(
-                OpsEvent::new(OpsKind::Completed)
-                    .job(active.job)
-                    .key(&active.key.0),
-            );
-            relock(&shared.queue).completed(active.job)
+            RunEvent::Appended {
+                record: r,
+                engine_faults,
+                progress,
+            } => {
+                shared.ops_emit(
+                    shard(OpsKind::ShardDone, r.campaign, r.start, r.end).wall_ns(r.wall_ns),
+                );
+                if engine_faults > 0 {
+                    shared.ops_emit(
+                        OpsEvent::new(OpsKind::EngineFault)
+                            .job(active.job)
+                            .key(&active.key.0)
+                            .worker(&worker)
+                            .detail(format!("{engine_faults} engine fault(s) absorbed")),
+                    );
+                }
+                *relock(&active.progress) = Some(progress.clone());
+            }
+            RunEvent::Finished(progress) => *relock(&active.progress) = Some(progress.clone()),
         }
-        // Drained board but incomplete merge: the store lost records
-        // between planning and now (external interference). Surface it.
-        None => {
-            shared.ops_emit(
-                OpsEvent::new(OpsKind::Failed)
-                    .job(active.job)
-                    .key(&active.key.0)
-                    .detail("board drained but merge incomplete"),
-            );
-            relock(&shared.queue).failed(active.job, "board drained but merge incomplete")
-        }
-    };
-    outcome.map_err(|e| e.to_string())?;
-    shared.clear_active(active.job);
-    Ok(())
+        true
+    })
 }
 
 fn opt_str(o: &Option<String>) -> Value {
@@ -671,7 +594,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: &mut TcpStream) {
         ("GET", ["studies", key, "report"]) => handle_report(shared, key, stream),
         ("GET", ["studies", key, "events"]) => handle_events(shared, key, stream),
         ("POST", ["shutdown"]) => {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.request_shutdown();
             respond_json(stream, 200, &serde_json::json!({ "ok": true }));
         }
         (_, ["studies"])
@@ -693,7 +616,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: &mut TcpStream) {
 /// and durably enqueue. Responds 202 with `{job, key, state}` — the key
 /// is usable immediately for status polling and is stable across
 /// resubmission of the same spec (a completed study is a cache hit: the
-/// worker finds no missing shards and completes the job instantly).
+/// runner finds no missing shards and completes the job instantly).
 fn handle_submit(shared: &Arc<Shared>, req: &Request, stream: &mut TcpStream) {
     let doc = match req.json() {
         Ok(d) => d,
@@ -715,6 +638,7 @@ fn handle_submit(shared: &Arc<Shared>, req: &Request, stream: &mut TcpStream) {
                 ev = ev.detail(t.clone());
             }
             shared.ops_emit(ev);
+            shared.work.notify_one();
             respond_json(
                 stream,
                 202,
@@ -804,8 +728,10 @@ fn study_status_fields(
         ("counts".to_string(), serde_json::to_value(&counts).unwrap()),
     ];
     let active = relock(&shared.active).clone();
-    if let Some(a) = active.filter(|a| a.key.0 == key.0) {
-        let snap = relock(&a.progress).snapshot();
+    let snap = active
+        .filter(|a| a.key.0 == key.0)
+        .and_then(|a| relock(&a.progress).clone());
+    if let Some(snap) = snap {
         fields.push((
             "progress".to_string(),
             serde_json::to_value(&snap).map_err(|e| e.to_string())?,
@@ -863,10 +789,38 @@ fn dash_row(out: &mut String, cells: &[String]) {
     out.push_str("</tr>\n");
 }
 
+/// The active-study panel: progress bar, rate, ETA, running outcome
+/// counts, and how many experiments ran versus came from the store.
+fn dash_progress(out: &mut String, job: u64, key: &str, snap: &ProgressSnapshot) {
+    let pct = if snap.total > 0 {
+        (snap.done as f64 / snap.total as f64 * 100.0).min(100.0)
+    } else {
+        0.0
+    };
+    out.push_str(&format!(
+        "<p>job {job} · <code>{key}</code> · {}/{} experiments \
+         <span class=\"bar\"><span style=\"width:{pct:.0}%\"></span></span> {pct:.1}%</p>\n",
+        snap.done, snap.total,
+    ));
+    let eta = if snap.eta_secs.is_finite() {
+        format!("{:.0}s", snap.eta_secs)
+    } else {
+        "?".to_string()
+    };
+    out.push_str(&format!(
+        "<p>{:.0} exp/s · ETA {eta} · SDC {} / Benign {} / Crash {}</p>\n",
+        snap.experiments_per_sec, snap.counts.sdc, snap.counts.benign, snap.counts.crash
+    ));
+    out.push_str(&format!(
+        "<p class=\"muted\">experiments: {} executed, {} resumed</p>\n",
+        snap.executed, snap.resumed
+    ));
+}
+
 /// `GET /dashboard`: a self-contained, auto-refreshing HTML view of the
-/// daemon — job table, active-study progress, lease board, and headline
-/// metrics. Zero JavaScript, zero external assets: the page is the
-/// markup, and `<meta http-equiv="refresh">` is the update loop.
+/// daemon — job table, active-study progress, and headline metrics.
+/// Zero JavaScript, zero external assets: the page is the markup, and
+/// `<meta http-equiv="refresh">` is the update loop.
 fn handle_dashboard(shared: &Arc<Shared>, stream: &mut TcpStream) {
     let jobs = match relock(&shared.queue).jobs() {
         Ok(j) => j,
@@ -917,38 +871,16 @@ fn handle_dashboard(shared: &Arc<Shared>, stream: &mut TcpStream) {
 
     out.push_str("<section id=\"active\">\n<h2>Active study</h2>\n");
     let active = relock(&shared.active).clone();
-    match active.filter(|a| !a.finished.load(Ordering::SeqCst)) {
+    match active {
         Some(a) => {
-            let snap = relock(&a.progress).snapshot();
-            let stats = relock(&a.board).stats();
-            let pct = if snap.total > 0 {
-                (snap.done as f64 / snap.total as f64 * 100.0).min(100.0)
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "<p>job {} · <code>{}</code> · {}/{} experiments \
-                 <span class=\"bar\"><span style=\"width:{:.0}%\"></span></span> {:.1}%</p>\n",
-                a.job,
-                esc(&a.key.0[..12.min(a.key.0.len())]),
-                snap.done,
-                snap.total,
-                pct,
-                pct
-            ));
-            let eta = if snap.eta_secs.is_finite() {
-                format!("{:.0}s", snap.eta_secs)
-            } else {
-                "?".to_string()
-            };
-            out.push_str(&format!(
-                "<p>{:.0} exp/s · ETA {eta} · SDC {} / Benign {} / Crash {}</p>\n",
-                snap.experiments_per_sec, snap.counts.sdc, snap.counts.benign, snap.counts.crash
-            ));
-            out.push_str(&format!(
-                "<p class=\"muted\">leases: {} granted, {} completed, {} abandoned, {} expired</p>\n",
-                stats.granted, stats.completed, stats.abandoned, stats.expired
-            ));
+            let key = esc(&a.key.0[..12.min(a.key.0.len())]);
+            match relock(&a.progress).clone() {
+                Some(snap) => dash_progress(&mut out, a.job, &key, &snap),
+                None => out.push_str(&format!(
+                    "<p>job {} · <code>{key}</code> · starting</p>\n",
+                    a.job
+                )),
+            }
         }
         None => out.push_str("<p class=\"muted\">idle — no active study</p>\n"),
     }

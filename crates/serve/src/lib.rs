@@ -3,9 +3,9 @@
 //! `vulfi study` is one blocking process owning one study. This crate
 //! turns the same orchestration layer into a **multi-tenant injection
 //! service**: a daemon that accepts study specifications over a small
-//! HTTP/1.1 + JSON API, queues them durably, and executes them with a
-//! pool of worker threads leasing shard ranges through the deterministic
-//! scheduler — so a study submitted over HTTP merges to a result
+//! HTTP/1.1 + JSON API, queues them durably, and executes them one at a
+//! time through `vulfi_orch::run_study_persistent`, the same call `vulfi
+//! study` makes — so a study submitted over HTTP merges to a result
 //! bit-identical to `vulfi study` on the same spec, even across daemon
 //! crashes and restarts mid-campaign.
 //!
@@ -28,7 +28,7 @@
 //! the API needs (see [`http`]).
 //!
 //! Operationally the daemon narrates itself: every lifecycle edge
-//! (submit, queue→active, lease grant, shard completion, requeue,
+//! (submit, queue→active, shard start, shard completion, requeue,
 //! merge, failure, absorbed engine faults) is appended to a
 //! crash-tolerant ops log at `<store>/events/ops.jsonl` with the
 //! correlation IDs needed to reconstruct any job's history offline —

@@ -20,7 +20,6 @@ fn start_daemon(store: &Path, workers: usize) -> (Client, std::thread::JoinHandl
         addr: "127.0.0.1:0".to_string(),
         store: store.to_path_buf(),
         workers,
-        lease_ttl: Duration::from_secs(60),
     })
     .expect("bind daemon");
     let addr = daemon.local_addr().unwrap().to_string();
@@ -77,9 +76,13 @@ fn wait_jobs_completed(client: &Client, n: usize, timeout: Duration) -> Vec<Valu
 }
 
 /// The reference result: the same spec through the in-process
-/// orchestrator into a separate store.
+/// orchestrator into a separate store. Each call gets its own store:
+/// tests run concurrently, and `temp_store` empties the directory it
+/// names.
 fn reference_result(spec: &StudySpec) -> vulfi::StudyResult {
-    let store = vulfi_orch::Store::open(temp_store("reference")).unwrap();
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = CALLS.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    let store = vulfi_orch::Store::open(temp_store(&format!("reference{n}"))).unwrap();
     let category = spec.site_category().unwrap();
     let cfg = spec.study_config();
     vulfi_serve::with_workload(spec, |w| {

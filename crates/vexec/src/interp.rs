@@ -1465,7 +1465,6 @@ exit:
         let r = observed(&m, &mut hot)
             .run("loop", &[RtVal::Scalar(Scalar::i32(10))], &mut NoHost)
             .unwrap();
-        hot.finish();
         assert_eq!(
             hot.total(),
             r.dyn_insts,

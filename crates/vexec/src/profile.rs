@@ -16,7 +16,6 @@
 //! state them.
 
 use std::collections::{BTreeMap, HashMap};
-use std::time::Instant;
 
 use crate::observe::{At, Observer, Step};
 use crate::program::Active;
@@ -141,13 +140,6 @@ impl Observer for InstMix {
     }
 }
 
-/// Recorded instructions per wall-clock sample. One `Instant::now()`
-/// amortized over this many dispatches keeps the per-instruction cost of
-/// hotspot profiling at a map increment; the batch's elapsed time is
-/// attributed to sites proportionally to how many of the batch's
-/// instructions each one executed.
-const HOT_BATCH: u64 = 4096;
-
 /// Where a hotspot site lives inside its function: a numbered
 /// instruction, or a block terminator (`br`/`condbr`/`ret`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -175,8 +167,6 @@ pub struct HotSite {
     pub opcode: &'static str,
     /// Dynamic executions of this site.
     pub count: u64,
-    /// Wall time attributed to this site by batch sampling.
-    pub wall_ns: u64,
 }
 
 /// Per-opcode rollup of the hotspot table.
@@ -184,29 +174,21 @@ pub struct HotSite {
 pub struct Hotspot {
     pub opcode: &'static str,
     pub count: u64,
-    pub wall_ns: u64,
     /// Static sites contributing to this opcode.
     pub sites: u64,
 }
 
-/// Hot-path profile: dynamic counts and batched wall-time attribution
-/// per static site. Purely observational — recording never touches
-/// execution state, so profiled runs stay bit-identical to bare runs
-/// (property-tested in the interpreter). Call [`HotProfile::finish`]
-/// after the run to attribute the last partial batch.
+/// Hot-path profile: exact dynamic counts per static site. Purely
+/// observational — recording never touches execution state, so profiled
+/// runs stay bit-identical to bare runs (property-tested in the
+/// interpreter).
 #[derive(Debug, Default)]
 pub struct HotProfile {
     /// `(function id, site)` → index into `sites`. The id is only ever a
     /// map key; exported views sort by `(func, loc)` so output is
     /// deterministic across runs.
     index: HashMap<(usize, HotLoc), usize>,
-    /// Each site, with its `count` at the last wall-time flush: the
-    /// delta is the site's share of the current batch.
-    sites: Vec<(HotSite, u64)>,
-    /// Instructions recorded since the last wall flush.
-    batch: u64,
-    /// When the current batch's first instruction was recorded.
-    batch_start: Option<Instant>,
+    sites: Vec<HotSite>,
 }
 
 impl HotProfile {
@@ -215,65 +197,27 @@ impl HotProfile {
     /// (the interpreter passes the function's index in its program);
     /// `func` is cloned once, on the site's first execution.
     pub fn record(&mut self, func_id: usize, func: &str, loc: HotLoc, opcode: &'static str) {
-        if self.batch == 0 {
-            self.batch_start = Some(Instant::now());
-        }
         let idx = *self.index.entry((func_id, loc)).or_insert_with(|| {
-            let func = func.to_string();
-            let site = HotSite {
-                func,
+            self.sites.push(HotSite {
+                func: func.to_string(),
                 loc,
                 opcode,
                 count: 0,
-                wall_ns: 0,
-            };
-            self.sites.push((site, 0));
+            });
             self.sites.len() - 1
         });
-        self.sites[idx].0.count += 1;
-        self.batch += 1;
-        if self.batch >= HOT_BATCH {
-            self.flush();
-        }
-    }
-
-    /// Distribute the elapsed batch wall time across the sites that
-    /// executed during it, proportional to their count deltas.
-    fn flush(&mut self) {
-        let elapsed = self
-            .batch_start
-            .map_or(0, |t| t.elapsed().as_nanos() as u64);
-        for (s, flushed) in &mut self.sites {
-            let delta = s.count - *flushed;
-            if delta > 0 {
-                if let Some(share) = (elapsed * delta).checked_div(self.batch) {
-                    s.wall_ns += share;
-                }
-                *flushed = s.count;
-            }
-        }
-        self.batch = 0;
-    }
-
-    /// Finish sampling: attribute the trailing partial batch.
-    pub fn finish(&mut self) {
-        self.flush();
+        self.sites[idx].count += 1;
     }
 
     /// Total recorded dynamic instructions.
     pub fn total(&self) -> u64 {
-        self.sites.iter().map(|(s, _)| s.count).sum()
-    }
-
-    /// Total attributed wall time.
-    pub fn wall_ns(&self) -> u64 {
-        self.sites.iter().map(|(s, _)| s.wall_ns).sum()
+        self.sites.iter().map(|s| s.count).sum()
     }
 
     /// Every site, sorted by descending dynamic count (ties broken by
     /// `(func, loc)` so the order is deterministic).
     pub fn sites(&self) -> Vec<HotSite> {
-        let mut v: Vec<HotSite> = self.sites.iter().map(|(s, _)| s.clone()).collect();
+        let mut v = self.sites.clone();
         v.sort_by(|a, b| {
             b.count
                 .cmp(&a.count)
@@ -286,15 +230,13 @@ impl HotProfile {
     /// Per-opcode hotspot table, descending by dynamic count.
     pub fn hotspots(&self) -> Vec<Hotspot> {
         let mut by_op: BTreeMap<&'static str, Hotspot> = BTreeMap::new();
-        for (s, _) in &self.sites {
+        for s in &self.sites {
             let h = by_op.entry(s.opcode).or_insert(Hotspot {
                 opcode: s.opcode,
                 count: 0,
-                wall_ns: 0,
                 sites: 0,
             });
             h.count += s.count;
-            h.wall_ns += s.wall_ns;
             h.sites += 1;
         }
         let mut v: Vec<Hotspot> = by_op.into_values().collect();
@@ -306,7 +248,7 @@ impl HotProfile {
     /// format flamegraph tooling consumes directly.
     pub fn folded(&self) -> String {
         let mut rolled: BTreeMap<(String, &'static str), u64> = BTreeMap::new();
-        for (s, _) in &self.sites {
+        for s in &self.sites {
             *rolled.entry((s.func.clone(), s.opcode)).or_insert(0) += s.count;
         }
         let mut out = String::new();
@@ -390,7 +332,6 @@ mod tests {
         h.record(0x1000, "kernel", HotLoc::Inst(7), "fmul");
         h.record(0x1000, "kernel", HotLoc::Term(0), "br");
         h.record(0x2000, "helper", HotLoc::Inst(4), "add");
-        h.finish();
         assert_eq!(h.total(), 6);
 
         let sites = h.sites();
@@ -406,35 +347,12 @@ mod tests {
     }
 
     #[test]
-    fn hot_profile_attributes_wall_time_to_executed_sites() {
-        let mut h = HotProfile::default();
-        // More than one batch, heavily skewed to one site: attributed
-        // time must land there and sum to (close to) the total.
-        for i in 0..(2 * HOT_BATCH + 17) {
-            if i % 8 == 0 {
-                h.record(0x1, "f", HotLoc::Inst(1), "add");
-            } else {
-                h.record(0x1, "f", HotLoc::Inst(0), "fmul");
-            }
-        }
-        h.finish();
-        let sites = h.sites();
-        assert_eq!(sites[0].opcode, "fmul");
-        assert!(
-            sites[0].wall_ns >= sites[1].wall_ns,
-            "the hot site must carry at least as much attributed time: {sites:?}"
-        );
-        assert_eq!(h.wall_ns(), sites.iter().map(|s| s.wall_ns).sum::<u64>());
-    }
-
-    #[test]
     fn hot_profile_folded_output_is_deterministic() {
         let mut h = HotProfile::default();
         h.record(7, "kernel", HotLoc::Inst(0), "fmul");
         h.record(7, "kernel", HotLoc::Inst(3), "fmul");
         h.record(7, "kernel", HotLoc::Term(1), "condbr");
         h.record(9, "aux", HotLoc::Inst(0), "load");
-        h.finish();
         assert_eq!(h.folded(), "aux;load 1\nkernel;condbr 1\nkernel;fmul 2\n");
     }
 }

@@ -134,8 +134,8 @@ mod reference {
             self.mix.take()
         }
 
-        /// Enable hot-path profiling: per-site dynamic counts with batched
-        /// wall-time attribution (see `HotProfile`). Independent of
+        /// Enable hot-path profiling: per-site dynamic counts (see
+        /// `HotProfile`). Independent of
         /// `enable_profiling`; both may be on at once. Like the
         /// mix and the trace sink, the hooks are purely observational —
         /// execution stays bit-identical .
@@ -143,12 +143,10 @@ mod reference {
             self.hot = Some(HotProfile::default());
         }
 
-        /// Take the collected hotspot profile (trailing partial wall-time
-        /// batch flushed), if hotspot profiling was enabled.
+        /// Take the collected hotspot profile, if hotspot profiling was
+        /// enabled.
         pub fn take_hotspots(&mut self) -> Option<HotProfile> {
-            let mut h = self.hot.take()?;
-            h.finish();
-            Some(h)
+            self.hot.take()
         }
 
         fn note_inst(&mut self, f: &Function, frame: &[Option<RtVal>], iid: vir::InstId) {
