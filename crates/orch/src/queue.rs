@@ -182,6 +182,15 @@ impl JobQueue {
         Ok(self.jobs.clone())
     }
 
+    /// The latest job submitted under study `key`: the same key can be
+    /// submitted repeatedly, and the newest submission wins.
+    pub fn latest_for_key(&self, key: &str) -> Option<&JobRecord> {
+        self.jobs
+            .iter()
+            .rev()
+            .find(|j| j.key.as_deref() == Some(key))
+    }
+
     /// Oldest queued job, if any.
     pub fn next_queued(&self) -> Result<Option<JobRecord>, OrchError> {
         Ok(self

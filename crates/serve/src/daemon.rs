@@ -112,6 +112,12 @@ struct Shared {
     /// is requested: the idle runner waits on it instead of polling.
     work: Condvar,
     active: Mutex<Option<Arc<ActiveStudy>>>,
+    /// Jobs the runner has settled (completed, failed or held back by
+    /// shutdown). Bumped with a notify on `settled_cv`, also on
+    /// shutdown: the idle accept loop naps on it, so a status poll
+    /// waiting for a job's result is answered as soon as it lands.
+    settled: Mutex<u64>,
+    settled_cv: Condvar,
     shutdown: AtomicBool,
     /// Operational event stream. Appends are serialized here so
     /// concurrent shard threads never interleave half-lines.
@@ -134,11 +140,29 @@ impl Shared {
         }
     }
 
-    /// Stop taking new shards and wake the runner if it is idle.
+    /// Stop taking new shards and wake the runner and the accept loop.
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        let _queue = relock(&self.queue);
-        self.work.notify_all();
+        {
+            let _queue = relock(&self.queue);
+            self.work.notify_all();
+        }
+        self.bump_settled();
+    }
+
+    /// Wake the accept loop from its nap.
+    fn bump_settled(&self) {
+        *relock(&self.settled) += 1;
+        self.settled_cv.notify_all();
+    }
+
+    /// Sleep up to `timeout`, or less once the settled count moves past
+    /// `seen`.
+    fn nap(&self, seen: u64, timeout: Duration) {
+        let settled = relock(&self.settled);
+        let _ = self
+            .settled_cv
+            .wait_timeout_while(settled, timeout, |n| *n == seen);
     }
 
     /// Block until a job is queued, then promote the oldest one to the
@@ -369,6 +393,8 @@ impl Daemon {
                 queue: Mutex::new(queue),
                 active: Mutex::new(None),
                 work: Condvar::new(),
+                settled: Mutex::new(0),
+                settled_cv: Condvar::new(),
                 shutdown: AtomicBool::new(false),
                 ops: Mutex::new(ops),
             }),
@@ -405,13 +431,16 @@ impl Daemon {
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
+            // Read before accepting, so a job that settles between an
+            // empty accept and the nap still cuts the nap short.
+            let settled = *relock(&self.shared.settled);
             match self.listener.accept() {
                 Ok((mut stream, _)) => {
                     let _ = stream.set_nonblocking(false);
                     handle_connection(&self.shared, &mut stream);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
+                    self.shared.nap(settled, Duration::from_millis(20));
                 }
                 Err(e) => {
                     eprintln!("vulfi-serve: accept: {e}");
@@ -446,6 +475,7 @@ fn runner_loop(shared: &Arc<Shared>) {
             Err(_) => shared.fail(&active, "worker panicked"),
         }
         *relock(&shared.active) = None;
+        shared.bump_settled();
     }
 }
 
@@ -653,15 +683,7 @@ fn handle_submit(shared: &Arc<Shared>, req: &Request, stream: &mut TcpStream) {
 /// store (running SDC/Benign/Crash counts, ETA) and the merged result
 /// once complete.
 fn handle_status(shared: &Arc<Shared>, key_str: &str, stream: &mut TcpStream) {
-    let jobs = match relock(&shared.queue).jobs() {
-        Ok(j) => j,
-        Err(e) => return respond_error(stream, 500, &e.to_string()),
-    };
-    // Latest submission wins: the same key can be submitted repeatedly.
-    let job = jobs
-        .iter()
-        .rev()
-        .find(|j| j.key.as_deref() == Some(key_str));
+    let job = relock(&shared.queue).latest_for_key(key_str).cloned();
     let key = StudyKey(key_str.to_string());
     let study = shared.store.study(&key);
     if job.is_none() && !study.exists() {
@@ -669,7 +691,7 @@ fn handle_status(shared: &Arc<Shared>, key_str: &str, stream: &mut TcpStream) {
     }
 
     let mut fields: Vec<(String, Value)> = vec![("key".to_string(), Value::Str(key_str.into()))];
-    if let Some(j) = job {
+    if let Some(j) = &job {
         fields.push(("job".to_string(), job_doc(j)));
         fields.push(("state".to_string(), Value::Str(j.state.name().to_string())));
     }
