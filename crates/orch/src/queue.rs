@@ -312,6 +312,11 @@ mod tests {
         assert_eq!(jobs[0].tenant.as_deref(), Some("alice"));
         assert_eq!(jobs[1].state, JobState::Failed);
         assert_eq!(jobs[1].error.as_deref(), Some("boom"));
+
+        let again = q.submit(&spec("vector sum"), "deadbeef", None).unwrap();
+        assert_eq!(q.latest_for_key("deadbeef").unwrap().id, again);
+        assert_eq!(q.latest_for_key("cafef00d").unwrap().id, b);
+        assert!(q.latest_for_key("missing").is_none());
     }
 
     #[test]
