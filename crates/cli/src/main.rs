@@ -2129,13 +2129,20 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
         let w = load_bench(name, flags.isa)?;
         let prog = vulfi::prepare(&w, flags.category.unwrap_or(SiteCategory::PureData))
             .map_err(|e| e.to_string())?;
-        let c =
-            vulfi::run_campaign(&prog, &w, experiments, flags.seed).map_err(|e| e.to_string())?;
-        let (exp_per_sec, wall_ns) = median_throughput(experiments, || {
-            vulfi::run_campaign(&prog, &w, experiments, flags.seed).map_err(|e| e.to_string())?;
-            Ok(())
-        })?;
-        let dyn_insts: u64 = c.experiments.iter().map(|e| e.golden_dyn_insts).sum();
+        // Both entries run sequentially through the range driver on the
+        // same seed (the records equal `run_campaign`'s), so "pruned vs
+        // full" compares like with like.
+        let run_full = || {
+            vulfi::run_experiment_range(&prog, &w, flags.seed, 0..experiments)
+                .map_err(|e| e.to_string())
+        };
+        let full = run_full()?;
+        let (exp_per_sec, wall_ns) = median_throughput(experiments, || run_full().map(drop))?;
+        let mut counts = vulfi::OutcomeCounts::default();
+        for e in &full {
+            counts.add(e);
+        }
+        let dyn_insts: u64 = full.iter().map(|e| e.golden_dyn_insts).sum();
         let dyn_insts_per_sec = exp_per_sec * dyn_insts as f64 / experiments.max(1) as f64;
         println!(
             "{:14} [{}]: {} experiments — {:.0} exp/s (median of {BENCH_WINDOWS} windows), \
@@ -2145,7 +2152,7 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
             experiments,
             exp_per_sec,
             dyn_insts_per_sec / 1e6,
-            c.counts.sdc_rate()
+            counts.sdc_rate()
         );
         // One profiled golden run per bench: the opcode-mix summary in
         // the recording is what lets the history tell *why* throughput
@@ -2173,7 +2180,7 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
             "exp_per_sec": exp_per_sec,
             "dyn_insts": dyn_insts,
             "dyn_insts_per_sec": dyn_insts_per_sec,
-            "sdc_rate": c.counts.sdc_rate(),
+            "sdc_rate": counts.sdc_rate(),
             "opcode_mix": mix_doc,
         }));
         // `--prune`: time the same experiment range with statically

@@ -36,9 +36,34 @@ fn assert_ok(out: &Output, what: &str) {
     );
 }
 
+/// A spawned `vulfi serve` that is killed and reaped when dropped, so a
+/// test that fails before `vulfi shutdown` leaves no daemon running.
+struct Daemon(Child);
+
+impl std::ops::Deref for Daemon {
+    type Target = Child;
+    fn deref(&self) -> &Child {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Daemon {
+    fn deref_mut(&mut self) -> &mut Child {
+        &mut self.0
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        // Both fail harmlessly once the daemon has exited and been reaped.
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Spawn `vulfi serve` on an ephemeral port and wait for it to publish
 /// its address in `<store>/serve.addr`.
-fn spawn_daemon(store: &Path, workers: &str) -> (Child, String) {
+fn spawn_daemon(store: &Path, workers: &str) -> (Daemon, String) {
     let addr_file = store.join("serve.addr");
     let _ = std::fs::remove_file(&addr_file);
     let child = Command::new(env!("CARGO_BIN_EXE_vulfi"))
@@ -55,6 +80,7 @@ fn spawn_daemon(store: &Path, workers: &str) -> (Child, String) {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn vulfi serve");
+    let child = Daemon(child);
     let deadline = Instant::now() + Duration::from_secs(30);
     let addr = loop {
         if let Ok(a) = std::fs::read_to_string(&addr_file) {

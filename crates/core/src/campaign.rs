@@ -31,7 +31,7 @@ use std::time::Instant;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use vexec::{Interp, Program, Trap};
+use vexec::{Interp, Memory, Program, Progress, Trap};
 use vir::analysis::SiteCategory;
 use vir::Module;
 
@@ -39,11 +39,11 @@ use crate::analyze::{analyze_module, PrunePlan};
 use crate::fault::FaultModel;
 use crate::faultlog::{panic_message, record_engine_fault, strict, EngineFault};
 use crate::instrument::{instrument_module, InstrumentOptions, Instrumented};
-use crate::runtime::{InjectionRecord, VulfiHost};
+use crate::runtime::{DetectorStats, InjectionRecord, VulfiHost};
 use crate::sites::StaticSite;
 use crate::stats::{study_converged, StudySummary};
 use crate::trace::{build_trace, ExperimentTrace, TraceCapture};
-use crate::workload::{snapshot_outputs, Workload};
+use crate::workload::{snapshot_outputs, SetupResult, Workload};
 
 /// Outcome classification of one experiment (paper §IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -186,6 +186,7 @@ struct Ran {
     span: Option<ExperimentTrace>,
     /// The engine panicked and `experiment` is the contained Crash.
     engine_fault: bool,
+    faulty: FaultyRun,
 }
 
 /// [`run_experiment`] with panic provenance `(campaign_seed, index)`, and
@@ -209,8 +210,10 @@ fn run_contained(
     let mut input = 0;
     let body =
         std::panic::AssertUnwindSafe(|| run_body(prog, engine, workload, golden, rng, &mut input));
-    let (experiment, capture, engine_fault) = match std::panic::catch_unwind(body) {
-        Ok(result) => result.map(|(experiment, capture)| (experiment, capture, false))?,
+    let (experiment, capture, faulty, engine_fault) = match std::panic::catch_unwind(body) {
+        Ok(result) => {
+            result.map(|(experiment, capture, faulty)| (experiment, capture, faulty, false))?
+        }
         Err(payload) => {
             let fault = EngineFault {
                 workload: workload.name().to_string(),
@@ -228,7 +231,8 @@ fn run_contained(
                 ..TraceCapture::default()
             };
             record_engine_fault(fault);
-            (no_injection(Outcome::Crash, input, 0, 0), capture, true)
+            let e = no_injection(Outcome::Crash, input, 0, 0);
+            (e, capture, FaultyRun::default(), true)
         }
     };
     let index = provenance.map_or(0, |(_, i)| i);
@@ -237,6 +241,7 @@ fn run_contained(
         experiment,
         span,
         engine_fault,
+        faulty,
     })
 }
 
@@ -253,7 +258,7 @@ fn run_body(
     goldens: &GoldenSet,
     rng: &mut ChaCha8Rng,
     drawn_input: &mut u64,
-) -> Result<(Experiment, TraceCapture), CampaignError> {
+) -> Result<(Experiment, TraceCapture, FaultyRun), CampaignError> {
     // The golden run draws nothing from the RNG, so the draws, and so the
     // record, are the same whichever experiment filled the input's slot.
     let draw = draw(rng, workload.num_inputs(), |input| {
@@ -266,36 +271,38 @@ fn run_body(
         // Nothing to inject into for this input: no dynamic site under
         // this category, or an empty engine-event census.
         let e = no_injection(Outcome::Benign, draw.input, 0, golden.dyn_insts);
-        return Ok((e, TraceCapture::default()));
+        return Ok((e, TraceCapture::default(), FaultyRun::default()));
     };
 
     // --- Faulty run -------------------------------------------------------
+    // Up to its first injection the faulty run is the golden run, so it
+    // forks from the last golden checkpoint before its target: it restores
+    // that state, and the counts the host, injector and tracer had there,
+    // instead of setting the input up and executing the prefix again.
+    let fork = golden.fork_point(engine, target);
+    let start = &golden.points[fork];
     // A traced set holds each golden run's architectural event stream
     // (stores, branch decisions, return value); the faulty run is compared
     // against it. The tracer only observes, so traced and untraced
     // experiments are bit-identical.
     let mut comparer = goldens
         .traced
-        .then(|| vexec::DivergenceTracer::compare(&golden.stream));
-    let mut injector = engine.map(|m| vexec::EngineInjector::inject(m, target, entropy));
+        .then(|| vexec::DivergenceTracer::compare_from(&golden.stream, start.cursor));
+    let mut injector =
+        engine.map(|m| vexec::EngineInjector::inject_from(m, target, entropy, start.events));
     // Under an engine model the host still serves detector checks; it
     // never injects.
     let mut host = match engine {
         Some(_) => VulfiHost::profile(),
         None => VulfiHost::inject_model(target, entropy, prog.model),
     };
+    host.dynamic_sites = start.sites;
+    host.detectors = start.detectors;
     let mut interp = Interp::observed(goldens.program(prog), comparer.as_mut());
-    interp.set_budget(
-        golden
-            .dyn_insts
-            .saturating_mul(prog.limits.hang_factor)
-            .saturating_add(prog.limits.hang_slack),
-    );
-    let setup = workload
-        .setup(&mut interp.mem, draw.input)
-        .map_err(|t| CampaignError(format!("setup failed: {t}")))?;
-    // Ceilings go on after setup: workload-provided buffers are
-    // legitimate; the ceilings bound what the *faulted program* does.
+    interp.set_budget(hang_budget(&prog.limits, golden.dyn_insts));
+    interp.restore(&start.state);
+    // Ceilings go on after the post-setup state: workload-provided buffers
+    // are legitimate; the ceilings bound what the *faulted program* does.
     if prog.limits.wall_ms > 0 {
         interp.set_wall_limit(std::time::Duration::from_millis(prog.limits.wall_ms));
     }
@@ -305,24 +312,68 @@ fn run_body(
     if let Some(inj) = injector.as_mut() {
         interp.set_engine_injector(inj);
     }
-    let result = interp.run(&prog.entry, &setup.args, &mut host);
-    let faulty_dyn_insts = interp.executed();
-    let outcome = match &result {
+    // Once the fault is in, the run pauses at each later golden checkpoint.
+    // A run whose state then equals the golden state runs on exactly as the
+    // golden run did, so it stops there, Benign with the golden result.
+    let later = if golden.reconverge {
+        &golden.points[fork + 1..]
+    } else {
+        &[]
+    };
+    let mut later = later.iter();
+    let end = loop {
+        let next = later.find(|p| p.state.executed() > interp.executed());
+        let until = next.map_or(u64::MAX, |p| p.state.executed());
+        match interp.run_to(until, &mut host) {
+            Ok(Progress::Paused) => {
+                let settled = match interp.engine_injector() {
+                    Some(inj) => inj.injection().is_some(),
+                    None => host.settled(),
+                };
+                let Some(p) = next.filter(|_| settled) else {
+                    continue;
+                };
+                // A traced run that has not diverged must also be at the
+                // golden event count, or its remaining events would be
+                // compared against the wrong golden ones.
+                let in_step = interp
+                    .observer()
+                    .as_ref()
+                    .is_none_or(|t| t.divergence().is_some() || t.events() == p.cursor);
+                if in_step && interp.matches(&p.state) {
+                    break Ok(End::Reconverged(p));
+                }
+            }
+            Ok(Progress::Done(r)) => break Ok(End::Returned(r)),
+            Err(t) => break Err(t),
+        }
+    };
+    let faulty = FaultyRun {
+        dyn_insts: interp.executed() - start.state.executed(),
+        reconverged: matches!(end, Ok(End::Reconverged(_))),
+    };
+    let (outcome, faulty_dyn_insts) = match &end {
         Err(Trap::HostError(m)) => return Err(CampaignError(format!("runtime bug: {m}"))),
-        Err(_) => Outcome::Crash,
-        Ok(r) => {
-            let out = snapshot_outputs(&interp.mem, &setup.outputs, &r.ret)
+        Err(_) => (Outcome::Crash, interp.executed()),
+        Ok(End::Reconverged(_)) => (Outcome::Benign, golden.dyn_insts),
+        Ok(End::Returned(r)) => {
+            let out = snapshot_outputs(&interp.mem, &golden.setup.outputs, &r.ret)
                 .map_err(|t| CampaignError(format!("faulty snapshot failed: {t}")))?;
-            if out == golden.outputs {
+            let outcome = if out == golden.outputs {
                 Outcome::Benign
             } else {
                 Outcome::Sdc
-            }
+            };
+            (outcome, interp.executed())
         }
     };
     drop(interp);
 
-    let detected = host.detectors.detected();
+    // A reconverged run's remaining checks are the golden run's after the
+    // checkpoint.
+    let detected = host.detectors.detected()
+        || matches!(end, Ok(End::Reconverged(p))
+            if golden.detectors.violations > p.detectors.violations);
     let (injection, injected_at) = match injector.and_then(|inj| inj.injection()) {
         // Engine faults have no static site or lane; site_id 0 marks the
         // synthetic provenance, occurrence is the index in the event census.
@@ -343,15 +394,16 @@ fn run_body(
     let capture = match comparer {
         Some(mut t) => {
             // A clean exit that consumed fewer events than golden is a
-            // divergence by omission at the end of the run.
-            if result.is_ok() {
+            // divergence by omission at the end of the run. A reconverged
+            // run's remaining events are the golden ones, so it has none.
+            if let Ok(End::Returned(_)) = end {
                 t.finish(faulty_dyn_insts);
             }
             TraceCapture {
                 injected_at,
                 divergence: t.divergence().map(|d| d.dyn_index),
                 faulty_dyn_insts,
-                trap: result.as_ref().err().map(|t| t.to_string()),
+                trap: end.as_ref().err().map(|t| t.to_string()),
             }
         }
         None => TraceCapture::default(),
@@ -364,7 +416,31 @@ fn run_body(
         dynamic_sites: draw.n,
         golden_dyn_insts: golden.dyn_insts,
     };
-    Ok((experiment, capture))
+    Ok((experiment, capture, faulty))
+}
+
+/// How a faulty run ended, short of a trap.
+enum End<'g> {
+    /// The program returned.
+    Returned(vexec::ExecResult),
+    /// Its state matched this golden checkpoint's.
+    Reconverged(&'g GoldenPoint),
+}
+
+/// What one faulty run actually interpreted: the dynamic instructions
+/// after the checkpoint it forked from, up to its end or reconvergence.
+#[derive(Debug, Clone, Copy, Default)]
+struct FaultyRun {
+    dyn_insts: u64,
+    reconverged: bool,
+}
+
+/// The faulty run's dynamic instruction budget, for a golden run of
+/// `golden_insts`.
+fn hang_budget(limits: &ResourceLimits, golden_insts: u64) -> u64 {
+    golden_insts
+        .saturating_mul(limits.hang_factor)
+        .saturating_add(limits.hang_slack)
 }
 
 /// A fault-free run of one input.
@@ -376,40 +452,114 @@ struct Golden {
     host: VulfiHost,
     /// The engine model's event census (0 without an engine model).
     engine_events: u64,
+    setup: SetupResult,
+    /// The run's checkpoints, if [`Watch::checkpoints`] asked for them.
+    points: Vec<GoldenPoint>,
+    /// The memory at the end of the run.
+    mem: Memory,
 }
 
+/// What a golden run keeps an eye on besides its host: a golden-set slot
+/// records the divergence stream (traced sets), counts the engine model's
+/// events and keeps checkpoints; the prune census and Table I need none.
+#[derive(Default)]
+struct Watch<'r> {
+    recorder: Option<&'r mut vexec::DivergenceTracer<'static>>,
+    engine: Option<vexec::EngineModel>,
+    checkpoints: bool,
+}
+
+/// Dynamic instructions between golden checkpoints at first; the
+/// interval doubles each time the checkpoints after the first are thinned.
+const CHECKPOINT_INTERVAL: u64 = 1024;
+/// Checkpoints a golden run keeps after the post-setup one, at most.
+const MAX_CHECKPOINTS: usize = 64;
+/// Bytes a golden run's checkpoints may hold, give or take one: a
+/// checkpoint copies every live register word, which instrumented kernels
+/// have thousands of (up to 127 KiB a checkpoint at `Scale::Test`), so
+/// big checkpoints come fewer. The post-setup one is kept whatever its
+/// size.
+const CHECKPOINT_BYTES: usize = 256 << 10;
+
 /// The one golden run: set up `input`, run `entry` of `program` under
-/// `host` with an optional divergence `recorder` and engine-event counter,
-/// and snapshot the outputs. Never resource-limited: a trap here is a
-/// workload bug.
+/// `host` and `watch`, and snapshot the outputs. Never resource-limited: a
+/// trap here is a workload bug.
+///
+/// With [`Watch::checkpoints`] the run pauses at every multiple of the
+/// checkpoint interval, starting at 0, and keeps a [`GoldenPoint`] there.
+/// After the post-setup checkpoint it keeps at most 64, and no more than
+/// fit in [`CHECKPOINT_BYTES`] at the post-setup checkpoint's size. When
+/// one more would be taken, every other one after the post-setup one is
+/// dropped and the interval doubles, so a run of any length keeps its
+/// checkpoints spread evenly.
 fn golden_run(
     program: Arc<Program>,
     entry: &str,
     workload: &dyn Workload,
     input: u64,
     mut host: VulfiHost,
-    recorder: Option<&mut vexec::DivergenceTracer>,
-    engine: Option<vexec::EngineModel>,
+    watch: Watch,
 ) -> Result<Golden, CampaignError> {
-    let mut counter = engine.map(vexec::EngineInjector::count);
-    let mut interp = Interp::observed(program, recorder);
+    let mut counter = watch.engine.map(vexec::EngineInjector::count);
+    let mut interp = Interp::observed(program, watch.recorder);
     let setup = workload
         .setup(&mut interp.mem, input)
         .map_err(|t| CampaignError(format!("setup failed: {t}")))?;
     if let Some(c) = counter.as_mut() {
         interp.set_engine_injector(c);
     }
-    let run = interp
-        .run(entry, &setup.args, &mut host)
-        .map_err(|t| CampaignError(format!("golden run of {} trapped: {t}", workload.name())))?;
+    let trapped =
+        |t: Trap| CampaignError(format!("golden run of {} trapped: {t}", workload.name()));
+    interp.start(entry, &setup.args).map_err(trapped)?;
+    let mut points: Vec<GoldenPoint> = Vec::new();
+    let mut room = MAX_CHECKPOINTS;
+    let mut interval = CHECKPOINT_INTERVAL;
+    let mut until = if watch.checkpoints { 0 } else { u64::MAX };
+    let run = loop {
+        match interp.run_to(until, &mut host).map_err(trapped)? {
+            Progress::Done(run) => break run,
+            Progress::Paused => {
+                if points.len() > room {
+                    // Keep the post-setup checkpoint and the ones at
+                    // multiples of twice the interval.
+                    let mut i = 0;
+                    points.retain(|_| {
+                        i += 1;
+                        i % 2 == 1
+                    });
+                    interval *= 2;
+                }
+                if until % interval == 0 {
+                    points.push(GoldenPoint {
+                        state: interp.checkpoint(),
+                        sites: host.dynamic_sites,
+                        detectors: host.detectors,
+                        events: interp.engine_injector().map_or(0, |c| c.events()),
+                        cursor: interp.observer().as_ref().map_or(0, |r| r.events()),
+                    });
+                }
+                if let [first] = &points[..] {
+                    room = room.min(CHECKPOINT_BYTES / first.state.bytes().max(1));
+                }
+                until = match room {
+                    0 => u64::MAX,
+                    _ => (interp.executed() / interval + 1) * interval,
+                };
+            }
+        }
+    };
     let outputs = snapshot_outputs(&interp.mem, &setup.outputs, &run.ret)
         .map_err(|t| CampaignError(format!("golden snapshot failed: {t}")))?;
+    let mem = std::mem::take(&mut interp.mem);
     drop(interp);
     Ok(Golden {
         dyn_insts: run.dyn_insts,
         outputs,
         host,
         engine_events: counter.map_or(0, |c| c.events()),
+        setup,
+        points,
+        mem,
     })
 }
 
@@ -421,6 +571,18 @@ fn golden_run(
 /// same way), while a golden trap is cached as the [`CampaignError`] it
 /// always is. A traced set also keeps each input's divergence event
 /// stream, which traced experiments compare their faulty runs against.
+///
+/// A slot also keeps checkpoints of its golden run: the post-setup state,
+/// then up to 64 more (fewer when they are big) at a power-of-two interval
+/// of dynamic instructions (see [`golden_run`]), each with the host's site and detector counts,
+/// the engine model's event count and the event-stream position there. A
+/// faulty run forks from the last checkpoint before its target (so
+/// `Workload::setup` runs once per input, for the golden run) and, once
+/// its fault is in, stops as Benign at the first later checkpoint whose
+/// state it matches. Only checkpoints a full faulty run reaches without
+/// tripping a ceiling are kept, and reconvergence is off when the rest of
+/// the golden run would trip one, so the records are those of a full
+/// re-execution.
 ///
 /// The set also holds the study's decoded program, which every golden
 /// and faulty run executes: decoded by the first run that needs it, so a
@@ -445,6 +607,44 @@ struct GoldenInput {
     n: u64,
     /// The divergence fingerprint stream; empty unless the set is traced.
     stream: Vec<u64>,
+    /// The input's setup, whose output regions a faulty run snapshots.
+    setup: SetupResult,
+    /// The usable checkpoints, in count order; the first is the
+    /// post-setup state.
+    points: Vec<GoldenPoint>,
+    /// Detector counts at the end of the golden run.
+    detectors: DetectorStats,
+    /// Does the rest of the golden run fit the faulty run's ceilings from
+    /// every checkpoint, so that a faulty run may stop where it
+    /// reconverges?
+    reconverge: bool,
+}
+
+/// The golden run paused at one checkpoint.
+struct GoldenPoint {
+    state: vexec::Checkpoint,
+    /// Dynamic fault sites counted before it.
+    sites: u64,
+    detectors: DetectorStats,
+    /// Engine-model events counted before it.
+    events: u64,
+    /// Divergence events recorded before it (traced sets).
+    cursor: u64,
+}
+
+impl GoldenInput {
+    /// The last checkpoint strictly before the target: before the
+    /// target-th dynamic site under a value model, the target-th event
+    /// under an engine model, the target-th instruction for a memory cell.
+    /// The post-setup checkpoint always is.
+    fn fork_point(&self, engine: Option<vexec::EngineModel>, target: u64) -> usize {
+        let before = |p: &GoldenPoint| match engine {
+            None => p.sites < target,
+            Some(vexec::EngineModel::MemoryCell) => p.state.executed() < target,
+            Some(_) => p.events < target,
+        };
+        self.points.partition_point(before).max(1) - 1
+    }
 }
 
 impl GoldenSet {
@@ -481,25 +681,49 @@ impl GoldenSet {
             .ok_or_else(|| CampaignError(format!("golden set has no slot for input {input}")))?;
         let fill = || {
             let mut recorder = self.traced.then(vexec::DivergenceTracer::record);
-            let g = golden_run(
-                self.program(prog),
+            let watch = Watch {
+                recorder: recorder.as_mut(),
+                engine,
+                checkpoints: true,
+            };
+            let program = self.program(prog);
+            let mut g = golden_run(
+                program,
                 &prog.entry,
                 workload,
                 input,
                 VulfiHost::profile(),
-                recorder.as_mut(),
-                engine,
+                watch,
             )?;
             let n = match engine {
                 None => g.host.dynamic_sites,
                 Some(vexec::EngineModel::MemoryCell) => g.dyn_insts,
                 Some(_) => g.engine_events,
             };
+            // A full faulty run reaches a checkpoint only within its hang
+            // budget and with every allocation so far under its memory
+            // ceiling (the wall clock is nondeterministic already, so it
+            // is exempt). Both grow along the run, so the usable
+            // checkpoints are a prefix; the post-setup one is where every
+            // faulty run begins anyway.
+            let budget = hang_budget(&prog.limits, g.dyn_insts);
+            let mem_bytes = prog.limits.mem_bytes;
+            let fits = |m: &Memory| mem_bytes == 0 || m.fits(mem_bytes);
+            let usable = g
+                .points
+                .iter()
+                .skip(1)
+                .take_while(|p| p.state.executed() <= budget && fits(p.state.memory()));
+            g.points.truncate(1 + usable.count());
             Ok(GoldenInput {
                 dyn_insts: g.dyn_insts,
                 outputs: g.outputs,
                 n,
                 stream: recorder.map(|r| r.into_stream()).unwrap_or_default(),
+                setup: g.setup,
+                points: g.points,
+                detectors: g.host.detectors,
+                reconverge: g.dyn_insts <= budget && fits(&g.mem),
             })
         };
         slot.get_or_init(fill).as_ref().map_err(Clone::clone)
@@ -655,6 +879,13 @@ pub struct RangeRun {
     /// Engine panics contained as Crash records in this range (each is
     /// also in the process-wide [`crate::engine_faults`] log).
     pub engine_faults: u64,
+    /// Dynamic instructions the faulty runs actually interpreted: each
+    /// from the golden checkpoint it forked from to its end or
+    /// reconvergence. A record's logical faulty run is longer.
+    pub interpreted_dyn_insts: u64,
+    /// Experiments whose faulty run stopped early because it reconverged
+    /// with the golden run.
+    pub reconverged: u64,
 }
 
 /// The range driver: run experiments `range` of the campaign seeded
@@ -681,12 +912,16 @@ pub fn run_range(
         experiments: Vec::with_capacity(range.len()),
         spans: Vec::with_capacity(if golden.traced { range.len() } else { 0 }),
         engine_faults: 0,
+        interpreted_dyn_insts: 0,
+        reconverged: 0,
     };
     for i in range {
         let ran = step(i)?;
         run.experiments.push(ran.experiment);
         run.spans.extend(ran.span);
         run.engine_faults += u64::from(ran.engine_fault);
+        run.interpreted_dyn_insts += ran.faulty.dyn_insts;
+        run.reconverged += u64::from(ran.faulty.reconverged);
     }
     Ok(run)
 }
@@ -720,6 +955,7 @@ fn stepper<'a>(
                     experiment,
                     span: None,
                     engine_fault: false,
+                    faulty: FaultyRun::default(),
                 });
             }
         }
@@ -810,7 +1046,8 @@ pub fn build_prune_context(
         .map(|input| {
             let host = VulfiHost::profile_logging();
             let program = Arc::clone(&program);
-            let golden = golden_run(program, &prog.entry, workload, input, host, None, None)?;
+            let watch = Watch::default();
+            let golden = golden_run(program, &prog.entry, workload, input, host, watch)?;
             Ok(InputCensus {
                 golden_dyn_insts: golden.dyn_insts,
                 trace: golden.host.site_log.unwrap_or_default(),
@@ -1017,7 +1254,7 @@ pub fn measure_dyn_insts(
 ) -> Result<u64, CampaignError> {
     let host = VulfiHost::profile();
     let program = Arc::new(Program::decode(module));
-    golden_run(program, entry, workload, input, host, None, None).map(|g| g.dyn_insts)
+    golden_run(program, entry, workload, input, host, Watch::default()).map(|g| g.dyn_insts)
 }
 
 #[cfg(test)]
@@ -1305,16 +1542,13 @@ exit:
         let prog = prepare(&w, SiteCategory::PureData).unwrap();
         let golden = GoldenSet::new(&w, false);
         let run = run_range(&prog, &w, &golden, campaign_seed(0x601D, 0), 0..30, None).unwrap();
-        // An experiment with a non-empty census executes one faulty run.
-        let faulty = run
-            .experiments
-            .iter()
-            .filter(|e| e.dynamic_sites > 0)
-            .count() as u64;
+        // Faulty runs fork from the golden run's post-setup checkpoint, so
+        // only the golden runs set their input up.
         let inputs: std::collections::BTreeSet<u64> =
             run.experiments.iter().map(|e| e.input).collect();
         assert!(inputs.len() > 1, "the campaign must draw several inputs");
-        assert_eq!(w.setups(), faulty + inputs.len() as u64);
+        assert!(run.interpreted_dyn_insts > 0, "the faulty runs executed");
+        assert_eq!(w.setups(), inputs.len() as u64);
     }
 
     #[test]

@@ -160,6 +160,13 @@ impl VulfiHost {
         }
     }
 
+    /// Is the injection over: the fault applied, and no second flip of a
+    /// temporal pair still pending? From then on the host never changes
+    /// a value again.
+    pub fn settled(&self) -> bool {
+        self.injection.is_some() && self.second_due.is_none()
+    }
+
     fn handle_inject(
         &mut self,
         name: &str,

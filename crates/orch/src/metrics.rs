@@ -134,6 +134,11 @@ pub struct Metrics {
     by_model: [[AtomicU64; 3]; 7],
     shard_appends: AtomicU64,
     engine_faults: AtomicU64,
+    /// Faulty-run dynamic instructions actually interpreted, from each
+    /// run's fork checkpoint to its end or reconvergence.
+    faulty_dyn_insts_executed: AtomicU64,
+    /// Experiments whose faulty run stopped at a reconvergence.
+    reconverged: AtomicU64,
     store_retries: AtomicU64,
     append_latency: Histogram,
     /// Per-category propagation-distance histograms.
@@ -158,6 +163,8 @@ impl Metrics {
             by_model: Default::default(),
             shard_appends: AtomicU64::new(0),
             engine_faults: AtomicU64::new(0),
+            faulty_dyn_insts_executed: AtomicU64::new(0),
+            reconverged: AtomicU64::new(0),
             store_retries: AtomicU64::new(0),
             append_latency: Histogram::new(&LATENCY_BOUNDS_NS),
             propagation: [
@@ -190,6 +197,14 @@ impl Metrics {
     /// Count engine faults (panics contained by the experiment runner).
     pub fn add_engine_faults(&self, n: u64) {
         self.engine_faults.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Count what a range's faulty runs executed: `insts` interpreted
+    /// dynamic instructions, and `reconverged` runs that stopped early.
+    pub fn add_faulty_runs(&self, insts: u64, reconverged: u64) {
+        self.faulty_dyn_insts_executed
+            .fetch_add(insts, Ordering::Relaxed);
+        self.reconverged.fetch_add(reconverged, Ordering::Relaxed);
     }
 
     /// Count one retried store I/O operation.
@@ -241,6 +256,8 @@ impl Metrics {
             by_model,
             shard_appends: self.shard_appends.load(Ordering::Relaxed),
             engine_faults: self.engine_faults.load(Ordering::Relaxed),
+            faulty_dyn_insts_executed: self.faulty_dyn_insts_executed.load(Ordering::Relaxed),
+            reconverged: self.reconverged.load(Ordering::Relaxed),
             store_retries: self.store_retries.load(Ordering::Relaxed),
             append_latency_seconds: self.append_latency.snapshot(1e-9),
             shard_duration_seconds: self.shard_duration.snapshot(1e-9),
@@ -309,6 +326,8 @@ pub struct MetricsSnapshot {
     pub by_model: Vec<ModelCell>,
     pub shard_appends: u64,
     pub engine_faults: u64,
+    pub faulty_dyn_insts_executed: u64,
+    pub reconverged: u64,
     pub store_retries: u64,
     pub append_latency_seconds: HistogramSnapshot,
     pub shard_duration_seconds: HistogramSnapshot,
@@ -373,6 +392,16 @@ pub fn render_prometheus(s: &MetricsSnapshot) -> String {
     out.push_str(&format!("vulfi_shard_appends_total {}\n", s.shard_appends));
     out.push_str("# TYPE vulfi_engine_faults_total counter\n");
     out.push_str(&format!("vulfi_engine_faults_total {}\n", s.engine_faults));
+    out.push_str("# TYPE vulfi_faulty_dyn_insts_executed_total counter\n");
+    out.push_str(&format!(
+        "vulfi_faulty_dyn_insts_executed_total {}\n",
+        s.faulty_dyn_insts_executed
+    ));
+    out.push_str("# TYPE vulfi_reconverged_experiments_total counter\n");
+    out.push_str(&format!(
+        "vulfi_reconverged_experiments_total {}\n",
+        s.reconverged
+    ));
     out.push_str("# TYPE vulfi_store_retries_total counter\n");
     out.push_str(&format!("vulfi_store_retries_total {}\n", s.store_retries));
     out.push_str("# TYPE vulfi_shard_append_latency_seconds histogram\n");
@@ -576,6 +605,8 @@ mod tests {
         m.observe_shard_append(500_000);
         m.observe_shard_append(3_000_000_000); // 3 s
         m.inc_store_retries();
+        m.add_faulty_runs(1_200, 1);
+        m.add_faulty_runs(800, 0);
         m.observe_propagation(SiteCategory::Control, 123);
         m.observe_shard_duration(5_000_000_000); // 5 s shard
         m.observe_queue_wait(50_000_000); // 50 ms wait
@@ -592,6 +623,10 @@ mod tests {
         );
         assert_eq!(c.value, 1.0);
         let c = find(&samples, "vulfi_store_retries_total", &[]);
+        assert_eq!(c.value, 1.0);
+        let c = find(&samples, "vulfi_faulty_dyn_insts_executed_total", &[]);
+        assert_eq!(c.value, 2_000.0);
+        let c = find(&samples, "vulfi_reconverged_experiments_total", &[]);
         assert_eq!(c.value, 1.0);
 
         // Histogram: buckets are cumulative, +Inf equals _count, _sum in

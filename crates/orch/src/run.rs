@@ -113,7 +113,8 @@ pub struct RunOutcome {
 /// Execute one shard of a study: derive the campaign seed, run the
 /// experiment range through [`vulfi::run_range`] against the study's
 /// `golden` set (pruned when asked, traced when the set is), and bump the
-/// global metrics (shard duration and engine faults included). The
+/// global metrics (shard duration, engine faults and the faulty
+/// instructions actually interpreted included). The
 /// runner below appends the returned record under its sink lock. The
 /// returned count is the engine panics this shard contained as Crash
 /// records.
@@ -151,6 +152,7 @@ pub fn run_shard(
         }
     }
     metrics.add_engine_faults(run.engine_faults);
+    metrics.add_faulty_runs(run.interpreted_dyn_insts, run.reconverged);
     let wall_ns = shard_start.elapsed().as_nanos() as u64;
     metrics.observe_shard_duration(wall_ns);
     Ok((

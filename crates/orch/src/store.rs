@@ -311,8 +311,11 @@ impl CheckedLog {
             .metadata()
             .map_err(|e| OrchError(format!("stat {}: {e}", self.path.display())))?
             .len();
+        let mut attempted = false;
         with_io_retry(|| {
-            f.set_len(before)?;
+            if std::mem::replace(&mut attempted, true) {
+                f.set_len(before)?;
+            }
             f.write_all(payload.as_bytes())?;
             f.flush()
         })

@@ -10,7 +10,7 @@ use vir::Module;
 use vulfi::{prepare, SetupResult, StudyConfig, Workload};
 use vulfi_orch::{run_study_persistent, set_jobs, RunOptions, Store};
 
-/// Counts `setup` calls: one per golden run plus one per faulty run.
+/// Counts `setup` calls: one per golden run.
 struct CountingWorkload {
     inner: vbench::SpmdWorkload,
     setups: AtomicU64,
@@ -66,10 +66,9 @@ fn shard_size_one_study_runs_each_golden_once() {
     let shards = store.study(&out.key).shards().unwrap();
     let experiments: Vec<_> = shards.iter().flat_map(|s| &s.experiments).collect();
     assert_eq!(experiments.len(), 24);
-    // An experiment with a non-empty census executes one faulty run; every
-    // other setup call is a golden run.
-    let faulty = experiments.iter().filter(|e| e.dynamic_sites > 0).count() as u64;
-    let golden = w.setups.load(Ordering::SeqCst) - faulty;
+    // A faulty run forks from its input's post-setup golden checkpoint,
+    // so every setup call is a golden run.
+    let golden = w.setups.load(Ordering::SeqCst);
     let inputs: std::collections::BTreeSet<u64> = experiments.iter().map(|e| e.input).collect();
     assert!(golden <= w.num_inputs(), "{golden} golden runs");
     assert_eq!(

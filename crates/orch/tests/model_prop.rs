@@ -13,25 +13,13 @@ use std::sync::OnceLock;
 use vir::analysis::SiteCategory;
 use vulfi::{
     build_prune_context, campaign_seed, prepare, run_experiment_range, run_experiment_range_pruned,
-    run_experiment_range_traced, run_study, Experiment, ExperimentTrace, FaultModel, StudyConfig,
-    StudyResult, Workload,
+    run_experiment_range_traced, run_study, Experiment, ExperimentTrace, StudyConfig, StudyResult,
+    Workload,
 };
 use vulfi_orch::{run_study_persistent, set_jobs, RunOptions, Store};
 
-/// One representative of each fault-model kind, parameters included, so
-/// a regression in any variant's RNG discipline fails the property.
-const MODELS: [FaultModel; 7] = [
-    FaultModel::SingleBitFlip,
-    FaultModel::MultiBitBurst { width: 3 },
-    FaultModel::StuckAt {
-        bit: 5,
-        value: true,
-    },
-    FaultModel::MaskCorrupt,
-    FaultModel::AddressLine { bit: 2 },
-    FaultModel::TemporalPair { gap: 4 },
-    FaultModel::MemoryCell,
-];
+mod common;
+use common::MODELS;
 
 fn workload() -> &'static vbench::SpmdWorkload {
     static W: OnceLock<vbench::SpmdWorkload> = OnceLock::new();

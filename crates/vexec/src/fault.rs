@@ -90,11 +90,22 @@ impl EngineInjector {
     /// Inject mode: corrupt the `target`-th event (1-based) using
     /// `entropy` for every random choice.
     pub fn inject(model: EngineModel, target: u64, entropy: u64) -> EngineInjector {
+        EngineInjector::inject_from(model, target, entropy, 0)
+    }
+
+    /// [`EngineInjector::inject`] for a run resumed from a checkpoint
+    /// that had already seen `events` of the census.
+    pub fn inject_from(
+        model: EngineModel,
+        target: u64,
+        entropy: u64,
+        events: u64,
+    ) -> EngineInjector {
         EngineInjector {
             model,
             target: target.max(1),
             entropy,
-            events: 0,
+            events,
             injection: None,
         }
     }

@@ -14,6 +14,15 @@
 //! [`Interp::with_program`] shares a program decoded earlier, which is how
 //! a study decodes each module once for all of its runs.
 //!
+//! A run can also stop part-way: [`Interp::start`] sets a call up and
+//! [`Interp::run_to`] runs it to the first safe point at or after a
+//! dynamic instruction count, where [`Interp::checkpoint`] copies its
+//! state. [`Interp::restore`] continues from such a copy, in this or
+//! another interpreter, and [`Interp::matches`] compares a paused run with
+//! one. A campaign forks each faulty run from a checkpoint of its golden
+//! run this way, and stops it early once its state equals a later one.
+//! [`Interp::run`] is `start` plus an unbounded `run_to`.
+//!
 //! Host functions — VULFI's runtime injection API, the detector runtime,
 //! and anything else declared but not defined — are dispatched through the
 //! [`HostEnv`] trait, mirroring how an instrumented native binary links
@@ -70,12 +79,67 @@ const MAX_DEPTH: usize = 64;
 /// runaway loop overshoots its deadline by microseconds, not seconds.
 const WALL_CHECK_MASK: u64 = (1 << 13) - 1;
 
-/// A suspended caller: where its frame starts and where it resumes.
+/// A frame: its function, where its words start in the register arena,
+/// and where it resumes (the innermost frame's `pc` is the next
+/// instruction; a caller's is the one after its call).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Frame {
     func: usize,
     base: usize,
     block: usize,
     pc: usize,
+}
+
+/// Why [`Interp::exec`] stopped early: a trap, or a pause at a safe point.
+enum Halt {
+    Trap(Trap),
+    Pause,
+}
+
+impl From<Trap> for Halt {
+    fn from(t: Trap) -> Halt {
+        Halt::Trap(t)
+    }
+}
+
+/// Where [`Interp::run_to`] handed back control.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Progress {
+    /// Paused at a safe point; [`Interp::run_to`] continues the run.
+    Paused,
+    /// The run returned.
+    Done(ExecResult),
+}
+
+/// A paused run's state: what [`Interp::restore`] continues from. It
+/// holds the dynamic instruction count, the memory, the live register
+/// words and the frames, innermost last; never a phi group's half-read
+/// inputs, since a run only pauses at a safe point.
+#[derive(Debug, Clone)]
+pub struct Checkpoint {
+    executed: u64,
+    mem: Memory,
+    regs: Vec<u64>,
+    frames: Vec<Frame>,
+}
+
+impl Checkpoint {
+    /// Dynamic instructions executed before the pause.
+    pub fn executed(&self) -> u64 {
+        self.executed
+    }
+
+    /// The memory at the pause.
+    pub fn memory(&self) -> &Memory {
+        &self.mem
+    }
+
+    /// The bytes it holds: its memory image, register words and frames.
+    pub fn bytes(&self) -> usize {
+        self.mem.bytes()
+            + std::mem::size_of_val(&self.regs[..])
+            + std::mem::size_of_val(&self.frames[..])
+    }
 }
 
 /// The interpreter. One instance executes programs from one module,
@@ -84,6 +148,8 @@ pub struct Interp<'m, O = ()> {
     program: Arc<Program>,
     pub mem: Memory,
     budget: u64,
+    /// `min(budget, pause count)`: the one bound `tick` compares against.
+    limit: u64,
     executed: u64,
     deadline: Option<Instant>,
     obs: O,
@@ -121,6 +187,7 @@ impl<'m, O: Observer> Interp<'m, O> {
             program,
             mem: Memory::default(),
             budget: u64::MAX / 2,
+            limit: u64::MAX / 2,
             executed: 0,
             deadline: None,
             obs,
@@ -194,6 +261,16 @@ impl<'m, O: Observer> Interp<'m, O> {
         self.executed
     }
 
+    /// The observer, as it stands mid-run.
+    pub fn observer(&self) -> &O {
+        &self.obs
+    }
+
+    /// The installed engine injector, if any.
+    pub fn engine_injector(&self) -> Option<&EngineInjector> {
+        self.fault.as_deref()
+    }
+
     /// Give up the interpreter, keeping what its observer saw.
     pub fn into_observer(self) -> O {
         self.obs
@@ -206,6 +283,16 @@ impl<'m, O: Observer> Interp<'m, O> {
         args: &[RtVal],
         host: &mut dyn HostEnv,
     ) -> Result<ExecResult, Trap> {
+        self.start(func, args)?;
+        match self.run_to(u64::MAX, host)? {
+            Progress::Done(r) => Ok(r),
+            Progress::Paused => Err(Trap::EngineFault("paused without a pause count".into())),
+        }
+    }
+
+    /// Set up a call of `func` with `args` for [`Interp::run_to`],
+    /// executing nothing.
+    pub fn start(&mut self, func: &str, args: &[RtVal]) -> Result<(), Trap> {
         let program = Arc::clone(&self.program);
         let fi = program
             .function(func)
@@ -228,7 +315,38 @@ impl<'m, O: Observer> Interp<'m, O> {
             let at = s.off as usize;
             store_val(&mut self.regs[at..at + s.lanes()], s.ty, a);
         }
-        let ret = self.exec(&program, fi, host)?;
+        // A `pc` before the entry block's body: the call has not entered
+        // its block yet (see `exec`).
+        let pc = f.blocks.first().map_or(0, |b| b.start as usize);
+        self.frames.push(Frame {
+            func: fi,
+            base: 0,
+            block: 0,
+            pc,
+        });
+        Ok(())
+    }
+
+    /// Run the call that [`Interp::start`] set up, or that a pause or
+    /// [`Interp::restore`] left, until the first *safe point* at or after
+    /// `until` dynamic instructions, or to its return. A safe point is
+    /// the moment before an instruction or terminator is counted, outside
+    /// a block's phi group; a paused run's state is then exactly its
+    /// [`Interp::checkpoint`]. Pausing and continuing changes nothing
+    /// about the run: its traps, counts and events are those of
+    /// [`Interp::run`].
+    pub fn run_to(&mut self, until: u64, host: &mut dyn HostEnv) -> Result<Progress, Trap> {
+        let cur = self
+            .frames
+            .pop()
+            .ok_or_else(|| Trap::EngineFault("no started or paused call to run".into()))?;
+        self.limit = self.budget.min(until);
+        let program = Arc::clone(&self.program);
+        let ret = match self.exec(&program, cur, host) {
+            Ok(ret) => ret,
+            Err(Halt::Pause) => return Ok(Progress::Paused),
+            Err(Halt::Trap(t)) => return Err(t),
+        };
         self.obs.event(self.executed, || TraceEvent::Ret {
             bits: match &ret {
                 None => 0,
@@ -238,21 +356,57 @@ impl<'m, O: Observer> Interp<'m, O> {
                     .fold(0, |acc, s| fold_bits(acc, s.bits)),
             },
         });
-        Ok(ExecResult {
+        Ok(Progress::Done(ExecResult {
             ret,
             dyn_insts: self.executed,
-        })
+        }))
     }
 
-    fn tick(&mut self) -> Result<(), Trap> {
+    /// The state of a run paused by [`Interp::run_to`].
+    pub fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            executed: self.executed,
+            mem: self.mem.clone(),
+            regs: self.regs.clone(),
+            frames: self.frames.clone(),
+        }
+    }
+
+    /// Make this interpreter's run the paused run `cp` holds, for
+    /// [`Interp::run_to`] to continue. The memory comes with the ceiling
+    /// it had; set a different one afterwards.
+    pub fn restore(&mut self, cp: &Checkpoint) {
+        self.executed = cp.executed;
+        self.mem = cp.mem.clone();
+        self.regs.clear();
+        self.regs.extend_from_slice(&cp.regs);
+        self.frames.clear();
+        self.frames.extend_from_slice(&cp.frames);
+    }
+
+    /// Is this paused run in exactly `cp`'s state: the same count,
+    /// frames, register words and memory (see [`Memory::same_contents`])?
+    /// Equal states run on identically, so a run that matches a
+    /// checkpoint of another run finishes as that run does.
+    pub fn matches(&self, cp: &Checkpoint) -> bool {
+        self.executed == cp.executed
+            && self.frames == cp.frames
+            && self.regs == cp.regs
+            && self.mem.same_contents(&cp.mem)
+    }
+
+    /// Count one instruction or terminator. `at` is the running frame
+    /// when this is a safe point to pause at, `None` inside a phi group.
+    #[inline]
+    fn tick(&mut self, at: Option<&Frame>) -> Result<(), Halt> {
         self.executed += 1;
-        if self.executed > self.budget {
-            return Err(Trap::HangBudget);
+        if self.executed > self.limit {
+            self.over_limit(at)?;
         }
         if self.executed & WALL_CHECK_MASK == 0 {
             if let Some(deadline) = self.deadline {
                 if Instant::now() >= deadline {
-                    return Err(Trap::WallClock);
+                    return Err(Trap::WallClock.into());
                 }
             }
         }
@@ -262,40 +416,65 @@ impl<'m, O: Observer> Interp<'m, O> {
         Ok(())
     }
 
-    /// Run function `fi`, whose frame the caller has set up at the bottom
-    /// of the arena, to its return. Being generic over the observer, this
+    /// `tick` passed `limit`: past the budget that is a hang; otherwise
+    /// it is the pause count, and a safe point uncounts the tick and
+    /// parks the running frame `at`, while a phi group runs on to the
+    /// next safe point.
+    #[cold]
+    #[inline(never)]
+    fn over_limit(&mut self, at: Option<&Frame>) -> Result<(), Halt> {
+        if self.executed > self.budget {
+            return Err(Trap::HangBudget.into());
+        }
+        match at {
+            Some(cur) => {
+                self.executed -= 1;
+                self.frames.push(*cur);
+                Err(Halt::Pause)
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// Run frame `cur`, the innermost, to the return of the outermost
+    /// frame. `cur` either has not entered its block yet (its `pc` lies
+    /// before the block's body: a fresh call) or resumes at its `pc` (a
+    /// paused or restored run). Being generic over the observer, this
     /// loop is compiled in the crate that picks one, so the helpers it
     /// calls per lane or per host call are `#[inline]` to stay inlinable.
     fn exec(
         &mut self,
         prog: &Program,
-        mut fi: usize,
+        mut cur: Frame,
         host: &mut dyn HostEnv,
-    ) -> Result<Option<RtVal>, Trap> {
-        let mut base = 0;
-        let mut block = 0;
+    ) -> Result<Option<RtVal>, Halt> {
         let mut prev = None;
+        let mut resuming = cur.pc >= prog.funcs[cur.func].blocks[cur.block].body as usize;
         'enter: loop {
-            // Enter `block` of `fi` from `prev`: phis read the incoming
-            // frame all at once, then the body starts.
-            let f = &prog.funcs[fi];
-            let b = &f.blocks[block];
-            self.phis(fi, f, b, base, prev)?;
-            let mut pc = b.body as usize;
+            // Enter `cur.block` from `prev`: phis read the incoming frame
+            // all at once, then the body starts.
+            if !resuming {
+                let f = &prog.funcs[cur.func];
+                let b = &f.blocks[cur.block];
+                self.phis(cur.func, f, b, cur.base, prev)?;
+                cur.pc = b.body as usize;
+            }
+            resuming = false;
             'resume: loop {
-                let f = &prog.funcs[fi];
-                let b = &f.blocks[block];
-                while pc < b.end as usize {
-                    self.tick()?;
+                let f = &prog.funcs[cur.func];
+                let b = &f.blocks[cur.block];
+                while cur.pc < b.end as usize {
+                    self.tick(Some(&cur))?;
+                    let (fi, pc, base) = (cur.func, cur.pc, cur.base);
                     self.obs.step(Step(fi, f, At::Inst(pc, &self.regs, base)));
                     let inst = &f.insts[pc];
                     if let Op::Call { func, args, .. } = inst.op {
                         if self.frames.len() + 1 >= MAX_DEPTH {
-                            return Err(Trap::StackOverflow);
+                            return Err(Trap::StackOverflow.into());
                         }
                         let callee = &prog.funcs[func as usize];
                         if args.len as usize > callee.arg_slots.len() {
-                            return Err(too_few_slots(callee, args.len as usize));
+                            return Err(too_few_slots(callee, args.len as usize).into());
                         }
                         let new_base = self.regs.len();
                         self.regs.extend_from_slice(&callee.frame);
@@ -305,24 +484,26 @@ impl<'m, O: Observer> Interp<'m, O> {
                             self.regs
                                 .copy_within(src..src + n, new_base + p.off as usize);
                         }
-                        self.frames.push(Frame {
-                            func: fi,
-                            base,
-                            block,
-                            pc: pc + 1,
-                        });
-                        (fi, base, block, prev) = (func as usize, new_base, 0, None);
+                        self.frames.push(Frame { pc: pc + 1, ..cur });
+                        cur = Frame {
+                            func: func as usize,
+                            base: new_base,
+                            block: 0,
+                            pc: 0,
+                        };
+                        prev = None;
                         continue 'enter;
                     }
                     self.exec_op(f, &inst.op, inst.dst as usize, base, host)?;
-                    pc += 1;
+                    cur.pc += 1;
                 }
 
-                self.tick()?;
+                self.tick(Some(&cur))?;
+                let (fi, block, base) = (cur.func, cur.block, cur.base);
                 match b.term {
                     Term::Br(t) => {
                         self.obs.step(Step(fi, f, At::Term(block as u32, "br")));
-                        (prev, block) = (Some(block), t as usize);
+                        (prev, cur.block) = (Some(block), t as usize);
                         continue 'enter;
                     }
                     Term::CondBr {
@@ -333,9 +514,9 @@ impl<'m, O: Observer> Interp<'m, O> {
                         self.obs.step(Step(fi, f, At::Term(block as u32, "condbr")));
                         let taken = self.regs[base + cond as usize] & 1 == 1;
                         prev = Some(block);
-                        block = if taken { on_true } else { on_false } as usize;
+                        cur.block = if taken { on_true } else { on_false } as usize;
                         self.obs.event(self.executed, || TraceEvent::Branch {
-                            block: block as u32,
+                            block: cur.block as u32,
                         });
                         continue 'enter;
                     }
@@ -354,11 +535,11 @@ impl<'m, O: Observer> Interp<'m, O> {
                                 .copy_within(src..src + s.lanes(), caller.base + call.dst as usize);
                         }
                         self.regs.truncate(base);
-                        (fi, base, block, pc) = (caller.func, caller.base, caller.block, caller.pc);
+                        cur = caller;
                         continue 'resume;
                     }
-                    Term::Unreachable => return Err(Trap::Unreachable),
-                    Term::Trap(ref t) => return Err((**t).clone()),
+                    Term::Unreachable => return Err(Trap::Unreachable.into()),
+                    Term::Trap(ref t) => return Err((**t).clone().into()),
                 }
             }
         }
@@ -372,18 +553,18 @@ impl<'m, O: Observer> Interp<'m, O> {
         b: &DBlock,
         base: usize,
         prev: Option<usize>,
-    ) -> Result<(), Trap> {
+    ) -> Result<(), Halt> {
         if b.start == b.body {
             return Ok(());
         }
         self.phi_buf.clear();
         for pc in b.start as usize..b.body as usize {
-            self.tick()?;
+            self.tick(None)?;
             self.obs.step(Step(fi, f, At::Inst(pc, &self.regs, base)));
             let (arms, n) = match &f.insts[pc].op {
                 Op::Phi { arms, n } => (*arms, *n as usize),
-                Op::Trap(t) => return Err((**t).clone()),
-                _ => return Err(Trap::EngineFault("non-phi in a block header".into())),
+                Op::Trap(t) => return Err((**t).clone().into()),
+                _ => return Err(Trap::EngineFault("non-phi in a block header".into()).into()),
             };
             let pb = prev.ok_or_else(|| Trap::HostError("phi in entry block at runtime".into()))?;
             let &(_, src) = f.arms[arms.range()]
@@ -1167,6 +1348,93 @@ entry:
         );
         let e = run_i32(src, "forever", &[RtVal::Scalar(Scalar::i32(5))]);
         assert_eq!(e, Err(Trap::StackOverflow));
+    }
+
+    /// A loop that stores and calls, so a pause can land in a callee, at a
+    /// phi-group block or at a terminator.
+    const WALK: &str = r#"
+define i32 @inc(i32 %x) {
+entry:
+  %r = add i32 %x, 1
+  ret i32 %r
+}
+
+define i32 @walk(ptr %a, i32 %n) {
+entry:
+  br label %header
+header:
+  %i = phi i32 [ 0, %entry ], [ %i2, %body ]
+  %acc = phi i32 [ 0, %entry ], [ %acc2, %body ]
+  %cond = icmp slt i32 %i, %n
+  br i1 %cond, label %body, label %exit
+body:
+  %p = getelementptr i32, ptr %a, i32 %i
+  store i32 %acc, ptr %p
+  %acc2 = call i32 @inc(i32 %acc)
+  %i2 = call i32 @inc(i32 %i)
+  br label %header
+exit:
+  ret i32 %acc
+}
+"#;
+
+    /// `walk` started over a fresh 8-word array, with the array's address.
+    fn start_walk(m: &Module) -> (Interp<'_>, u64) {
+        let mut interp = Interp::new(m);
+        let a = interp.mem.alloc_i32_slice(&[0; 8]).unwrap();
+        let args = [RtVal::Scalar(Scalar::ptr(a)), RtVal::Scalar(Scalar::i32(8))];
+        interp.start("walk", &args).unwrap();
+        (interp, a)
+    }
+
+    #[test]
+    fn pausing_and_restoring_change_nothing() {
+        let m = parse_module(WALK).unwrap();
+        let (mut whole, a) = start_walk(&m);
+        let want = match whole.run_to(u64::MAX, &mut NoHost).unwrap() {
+            Progress::Done(r) => r,
+            Progress::Paused => panic!("paused without a pause count"),
+        };
+        let want_mem = whole.mem.read_i32_slice(a, 8).unwrap();
+        for c in 0..want.dyn_insts {
+            let (mut interp, _) = start_walk(&m);
+            assert_eq!(interp.run_to(c, &mut NoHost).unwrap(), Progress::Paused);
+            // The first safe point at or after `c`: at most a phi group on.
+            assert!(
+                (c..c + 3).contains(&interp.executed()),
+                "paused at {}",
+                interp.executed()
+            );
+            let cp = interp.checkpoint();
+            assert!(interp.matches(&cp));
+            // A fresh interpreter continues from the copy exactly as the
+            // paused one continues itself.
+            let mut restored = Interp::new(&m);
+            restored.restore(&cp);
+            for run in [&mut interp, &mut restored] {
+                assert_eq!(
+                    run.run_to(u64::MAX, &mut NoHost).unwrap(),
+                    Progress::Done(want.clone())
+                );
+                assert_eq!(run.mem.read_i32_slice(a, 8).unwrap(), want_mem);
+            }
+        }
+        // A diverged run no longer matches: one flipped array word.
+        let (mut interp, _) = start_walk(&m);
+        interp.run_to(want.dyn_insts / 2, &mut NoHost).unwrap();
+        let cp = interp.checkpoint();
+        interp.mem.write_scalar(a, Scalar::i32(-1)).unwrap();
+        assert!(!interp.matches(&cp));
+    }
+
+    #[test]
+    fn a_pause_past_the_budget_is_the_hang_trap() {
+        let m = parse_module(WALK).unwrap();
+        let (mut interp, _) = start_walk(&m);
+        interp.set_budget(40);
+        assert_eq!(interp.run_to(20, &mut NoHost).unwrap(), Progress::Paused);
+        assert_eq!(interp.run_to(u64::MAX, &mut NoHost), Err(Trap::HangBudget));
+        assert_eq!(interp.executed(), 41, "the same count as an unpaused run");
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod trace;
 pub mod value;
 
 pub use fault::{EngineInjection, EngineInjector, EngineModel};
-pub use interp::{ExecResult, HostEnv, Interp, NoHost};
+pub use interp::{Checkpoint, ExecResult, HostEnv, Interp, NoHost, Progress};
 pub use mem::{Memory, Trap};
 pub use observe::{Observer, Step};
 pub use profile::{HotLoc, HotProfile, HotSite, Hotspot, InstMix};

@@ -69,7 +69,7 @@ impl std::fmt::Display for Trap {
 
 impl std::error::Error for Trap {}
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Region {
     base: u64,
     size: u64,
@@ -144,6 +144,11 @@ impl Memory {
         Ok(base)
     }
 
+    /// The bytes this memory holds: its image and its allocation table.
+    pub(crate) fn bytes(&self) -> usize {
+        self.data.len() + std::mem::size_of_val(&self.regions[..])
+    }
+
     /// Total bytes currently allocated.
     pub fn allocated_bytes(&self) -> u64 {
         self.regions.iter().map(|r| r.size).sum()
@@ -174,6 +179,21 @@ impl Memory {
         let after = before ^ (1u8 << (bit % 8));
         self.data[off] = after;
         Some((addr, before, after))
+    }
+
+    /// Do two memories hold the same allocations and bytes, with the same
+    /// next allocation address? The ceiling and the host clock are not
+    /// compared: neither changes what the memory holds.
+    pub fn same_contents(&self, other: &Memory) -> bool {
+        self.next == other.next && self.regions == other.regions && self.data == other.data
+    }
+
+    /// Does every allocation end under a ceiling of `bytes` (as
+    /// [`Memory::set_limit`] sets it), so that allocating them again
+    /// under that ceiling would not trap?
+    pub fn fits(&self, bytes: u64) -> bool {
+        let limit = BASE_ADDR.saturating_add(bytes);
+        self.regions.last().is_none_or(|r| r.base + r.size <= limit)
     }
 
     /// Cap the address space at `bytes` beyond the base address. Future

@@ -106,9 +106,20 @@ impl<'g> DivergenceTracer<'g> {
     /// Faulty-run mode: compare against `golden` (from
     /// [`DivergenceTracer::into_stream`]).
     pub fn compare(golden: &'g [u64]) -> DivergenceTracer<'g> {
-        let mode = TracerMode::Compare { golden, cursor: 0 };
+        DivergenceTracer::compare_from(golden, 0)
+    }
+
+    /// [`DivergenceTracer::compare`] for a run resumed from a golden
+    /// checkpoint taken after the first `cursor` events of `golden`,
+    /// which the run before the checkpoint matched by construction.
+    pub fn compare_from(golden: &'g [u64], cursor: u64) -> DivergenceTracer<'g> {
+        let mode = TracerMode::Compare {
+            golden,
+            cursor: cursor as usize,
+        };
         DivergenceTracer {
             mode,
+            events: cursor,
             ..DivergenceTracer::record()
         }
     }

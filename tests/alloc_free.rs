@@ -6,7 +6,9 @@
 //! run and an injecting faulty run on one AVX and one SSE paper
 //! benchmark, the faulty run both bare and observed by a divergence
 //! tracer comparing against the golden event stream, as a traced study
-//! runs it. What remains is per run (the simulated memory growing for an
+//! runs it, and a faulty run restored from a golden checkpoint and resumed
+//! through `Interp::run_to`, pausing on the way, as a forked faulty run
+//! does. What remains is per run (the simulated memory growing for an
 //! `alloca`, a host-visible vector argument), never per instruction.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -15,7 +17,7 @@ use std::sync::Arc;
 
 use spmdc::VectorIsa;
 use vbench::{study_benchmark, Scale};
-use vexec::{DivergenceTracer, Interp, Observer, Program};
+use vexec::{DivergenceTracer, Interp, Observer, Program, Progress};
 use vir::analysis::SiteCategory;
 use vulfi::workload::Workload;
 use vulfi::{prepare, VulfiHost};
@@ -108,6 +110,7 @@ fn golden_and_faulty_runs_allocate_nothing_per_instruction() {
             allocs * 1000 < MAX_ALLOCS_PER_KINST * insts,
             "{name}/{isa} golden: {allocs} allocations in {insts} dyn insts"
         );
+        let golden_insts = insts;
 
         // Flip a bit half-way through the census, under the campaign's
         // hang budget; whatever the outcome, no per-instruction
@@ -150,6 +153,38 @@ fn golden_and_faulty_runs_allocate_nothing_per_instruction() {
         assert!(
             allocs * 1000 < MAX_ALLOCS_PER_KINST * insts,
             "{name}/{isa} traced faulty: {allocs} allocations in {insts} dyn insts"
+        );
+
+        // A faulty run forked from a golden checkpoint half-way through,
+        // resumed to its end with a pause every 1,024 dyn insts. The
+        // restore copies the checkpoint once, outside the count.
+        let mut interp = Interp::with_program(Arc::clone(&program));
+        let setup = w.setup(&mut interp.mem, 0).expect("setup");
+        interp.start(&prog.entry, &setup.args).expect("start");
+        let mut golden = VulfiHost::profile();
+        let paused = interp
+            .run_to(golden_insts / 2, &mut golden)
+            .expect("golden prefix");
+        assert_eq!(paused, Progress::Paused, "{name}/{isa}: no pause");
+        let checkpoint = interp.checkpoint();
+        let mut faulty = VulfiHost::inject(golden.dynamic_sites + 1, 0x5eed);
+        faulty.dynamic_sites = golden.dynamic_sites;
+        let mut interp = Interp::with_program(Arc::clone(&program));
+        interp.set_budget(budget);
+        interp.restore(&checkpoint);
+        let (end, allocs) = count(|| loop {
+            let next = interp.executed() + 1024;
+            match interp.run_to(next, &mut faulty) {
+                Ok(Progress::Paused) => continue,
+                other => break other,
+            }
+        });
+        let insts = interp.executed() - checkpoint.executed();
+        assert!(faulty.injection.is_some(), "{name}/{isa}: nothing injected");
+        assert!(insts > 0, "{name}/{isa}: {end:?}");
+        assert!(
+            allocs * 1000 < MAX_ALLOCS_PER_KINST * insts,
+            "{name}/{isa} restored faulty: {allocs} allocations in {insts} dyn insts"
         );
     }
 }
