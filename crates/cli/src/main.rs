@@ -2132,17 +2132,15 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
         // Both entries run sequentially through the range driver on the
         // same seed (the records equal `run_campaign`'s), so "pruned vs
         // full" compares like with like.
-        let run_full = || {
-            vulfi::run_experiment_range(&prog, &w, flags.seed, 0..experiments)
+        let run = |prune: Option<&vulfi::PruneContext>| {
+            let golden = vulfi::GoldenSet::new(&w, false);
+            vulfi::run_range(&prog, &w, &golden, flags.seed, 0..experiments, prune)
                 .map_err(|e| e.to_string())
         };
-        let full = run_full()?;
-        let (exp_per_sec, wall_ns) = median_throughput(experiments, || run_full().map(drop))?;
-        let mut counts = vulfi::OutcomeCounts::default();
-        for e in &full {
-            counts.add(e);
-        }
-        let dyn_insts: u64 = full.iter().map(|e| e.golden_dyn_insts).sum();
+        let full = run(None)?;
+        let (exp_per_sec, wall_ns) = median_throughput(experiments, || run(None).map(drop))?;
+        let counts = outcome_counts(&full.experiments);
+        let dyn_insts: u64 = full.experiments.iter().map(|e| e.golden_dyn_insts).sum();
         let dyn_insts_per_sec = exp_per_sec * dyn_insts as f64 / experiments.max(1) as f64;
         println!(
             "{:14} [{}]: {} experiments — {:.0} exp/s (median of {BENCH_WINDOWS} windows), \
@@ -2181,6 +2179,8 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
             "dyn_insts": dyn_insts,
             "dyn_insts_per_sec": dyn_insts_per_sec,
             "sdc_rate": counts.sdc_rate(),
+            "outcomes": outcomes_doc(&counts),
+            "interpreted_dyn_insts": full.interpreted_dyn_insts,
             "opcode_mix": mix_doc,
         }));
         // `--prune`: time the same experiment range with statically
@@ -2195,17 +2195,11 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
             let setup = std::time::Instant::now();
             let ctx = vulfi::build_prune_context(&prog, &w).map_err(|e| e.to_string())?;
             let setup_ns = setup.elapsed().as_nanos() as u64;
-            let run = || {
-                vulfi::run_experiment_range_pruned(&prog, &w, &ctx, flags.seed, 0..experiments)
-                    .map_err(|e| e.to_string())
-            };
-            let exps = run()?;
+            let pruned = run(Some(&ctx))?;
             let (pruned_exp_per_sec, pruned_wall_ns) =
-                median_throughput(experiments, || run().map(drop))?;
-            let mut counts = vulfi::OutcomeCounts::default();
-            for e in &exps {
-                counts.add(e);
-            }
+                median_throughput(experiments, || run(Some(&ctx)).map(drop))?;
+            let exps = &pruned.experiments;
+            let counts = outcome_counts(exps);
             let discharged = exps
                 .iter()
                 .filter(|e| e.injection.is_none() && e.dynamic_sites > 0)
@@ -2231,6 +2225,8 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
                 "dyn_insts_per_sec": pruned_exp_per_sec * pruned_dyn_insts as f64
                     / experiments.max(1) as f64,
                 "sdc_rate": counts.sdc_rate(),
+                "outcomes": outcomes_doc(&counts),
+                "interpreted_dyn_insts": pruned.interpreted_dyn_insts,
                 "prune": true,
                 "static_discharged": discharged as u64,
                 "static_discharged_pct": discharged_pct,
@@ -2318,13 +2314,36 @@ fn median_throughput(
 /// The deterministic counters of a bench entry, as JSON paths. They
 /// follow from the program, the seed and the experiment count alone, so
 /// `--check` holds them to the baseline exactly: a moved counter is a
-/// behaviour change (or a deliberate re-record), never noise.
-const BENCH_COUNTERS: [&str; 4] = [
+/// behaviour change (or a deliberate re-record), never noise. A counter
+/// the baseline lacks is not checked.
+const BENCH_COUNTERS: [&str; 8] = [
     "dyn_insts",
     "sdc_rate",
     "static_discharged",
     "opcode_mix.golden_dyn_insts",
+    "outcomes.sdc",
+    "outcomes.benign",
+    "outcomes.crash",
+    "interpreted_dyn_insts",
 ];
+
+/// The outcome tally of `experiments`.
+fn outcome_counts(experiments: &[vulfi::Experiment]) -> vulfi::OutcomeCounts {
+    let mut counts = vulfi::OutcomeCounts::default();
+    for e in experiments {
+        counts.add(e);
+    }
+    counts
+}
+
+/// A bench entry's `outcomes` counters.
+fn outcomes_doc(counts: &vulfi::OutcomeCounts) -> serde_json::Value {
+    serde_json::json!({
+        "sdc": counts.sdc,
+        "benign": counts.benign,
+        "crash": counts.crash,
+    })
+}
 
 /// `vulfi bench --check BASELINE`: compare this run against a recorded
 /// `BENCH_report.json`. Every deterministic counter the baseline records

@@ -431,17 +431,17 @@ entry:
 
     #[test]
     fn instrumented_module_executes_transparently_without_injection() {
-        use vexec::{HostEnv, Interp, Memory, RtVal, Scalar, Trap};
+        use vexec::{HostCall, HostEnv, Interp, RtVal, Scalar, Trap};
         struct Passthrough;
         impl HostEnv for Passthrough {
-            fn call(
-                &mut self,
-                name: &str,
-                args: &[RtVal],
-                _mem: &mut Memory,
-            ) -> Result<Option<RtVal>, Trap> {
+            fn resolve(&self, name: &str) -> Option<u32> {
                 assert!(name.starts_with("vulfi.inject."));
-                Ok(Some(args[0].clone()))
+                Some(0)
+            }
+
+            fn call(&mut self, _: u32, call: HostCall<'_>) -> Result<bool, Trap> {
+                call.ret.copy_from_slice(call.args.get(0).unwrap().words);
+                Ok(true)
             }
         }
         let mut m = parse(SCALAR_LOOP);

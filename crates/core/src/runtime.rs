@@ -6,8 +6,14 @@
 //! *dynamic fault site* is one active-lane execution of one instrumented
 //! static site — calls whose execution-mask element is off are **not**
 //! fault sites and pass through uncounted.
+//!
+//! [`VulfiHost`] resolves `vulfi.inject.*` and `vulfi.check.*` to callee
+//! ids once per program (see [`vexec::HostEnv`]) and works on the
+//! caller's lane words: a call compares no string, builds no `RtVal` and
+//! allocates nothing.
 
-use vexec::{HostEnv, Memory, RtVal, Trap};
+use vexec::{HostArgs, HostCall, HostEnv, Scalar, Trap};
+use vir::ScalarTy;
 
 use crate::fault::FaultModel;
 
@@ -99,11 +105,11 @@ pub struct VulfiHost {
     /// Dynamic fault sites observed so far (active lanes only).
     pub dynamic_sites: u64,
     pub injection: Option<InjectionRecord>,
-    /// Dynamic instruction count at the moment of injection (from the
-    /// interpreter's host clock). Observability only — not serialized
-    /// with the experiment record.
+    /// Dynamic instruction count at the moment of injection.
+    /// Observability only — not serialized with the experiment record.
     pub injection_at: Option<u64>,
-    /// Host-clock deadline for the second flip of a temporal pair.
+    /// Dynamic-instruction deadline for the second flip of a temporal
+    /// pair.
     second_due: Option<u64>,
     pub detectors: DetectorStats,
     /// When present, every counted dynamic site is appended as
@@ -167,134 +173,186 @@ impl VulfiHost {
         self.injection.is_some() && self.second_due.is_none()
     }
 
-    fn handle_inject(
-        &mut self,
-        name: &str,
-        args: &[RtVal],
-        mem: &Memory,
-    ) -> Result<Option<RtVal>, Trap> {
-        let bad = |m: &str| Trap::HostError(format!("@{name}: {m}"));
+    /// `vulfi.inject.*(value, mask, site, lane)`: count an active lane
+    /// as a dynamic fault site and return the value, corrupted at the
+    /// target site.
+    fn inject_lane(&mut self, call: HostCall<'_>) -> Result<bool, Trap> {
+        let bad = |m: &str| Trap::HostError(format!("@{}: {m}", call.name));
+        let args = call.args;
         if args.len() < 4 {
             return Err(bad("expects (value, mask, site, lane)"));
         }
-        let val = match &args[0] {
-            RtVal::Scalar(s) => *s,
-            RtVal::Vector(..) => return Err(bad("value must be scalar (per-lane calls)")),
+        let scalar = |i: usize, what: &str| match args.get(i) {
+            Some(a) if !a.ty.is_vector() => a.lane(0).ok_or_else(|| bad(what)),
+            _ => Err(bad(what)),
         };
-        let mask = match &args[1] {
-            RtVal::Scalar(s) => *s,
-            RtVal::Vector(..) => return Err(bad("mask must be scalar")),
-        };
-        if !mask.mask_active() {
+        let val = scalar(0, "value must be scalar (per-lane calls)")?;
+        let mask = scalar(1, "mask must be scalar")?;
+        let out = self
+            .inject_value(val, mask.mask_active(), args, call.executed)
+            .unwrap_or(val);
+        if let Some(w) = call.ret.first_mut() {
+            *w = out.bits;
+        }
+        Ok(true)
+    }
+
+    /// Count a lane holding `val` as a dynamic fault site when it is
+    /// `active`, and return its corrupted value when this call, at dyn
+    /// inst `executed`, injects. `args` holds the site and lane ids.
+    fn inject_value(
+        &mut self,
+        val: Scalar,
+        active: bool,
+        args: HostArgs<'_>,
+        executed: u64,
+    ) -> Option<Scalar> {
+        if !active {
             // Masked-off lane: not a fault site (paper §II-D).
-            return Ok(Some(RtVal::Scalar(val)));
+            return None;
         }
         self.dynamic_sites += 1;
+        let coordinate = || {
+            let word = |i| args.scalar(i).map_or(0, |s| s.bits as u32);
+            (word(2), word(3))
+        };
         if let Some(log) = &mut self.site_log {
-            log.push((
-                args[2].lane(0).as_u64() as u32,
-                args[3].lane(0).as_u64() as u32,
-            ));
+            log.push(coordinate());
         }
-        if let RunMode::Inject {
+        let RunMode::Inject {
             target,
             bit_entropy,
         } = self.mode
-        {
-            if self.dynamic_sites == target && self.injection.is_none() {
-                let (flipped, bit) = self.model.mutate_value(val, bit_entropy);
-                self.injection = Some(InjectionRecord {
-                    site_id: args[2].lane(0).as_u64() as u32,
-                    lane: args[3].lane(0).as_u64() as u32,
-                    occurrence: self.dynamic_sites,
-                    bit,
-                    bits_before: val.bits,
-                    bits_after: flipped.bits,
-                    model: self.model,
-                });
-                self.injection_at = Some(mem.host_clock());
-                if let FaultModel::TemporalPair { gap } = self.model {
-                    self.second_due = Some(mem.host_clock().saturating_add(gap));
-                }
-                return Ok(Some(RtVal::Scalar(flipped)));
+        else {
+            return None;
+        };
+        if self.dynamic_sites == target && self.injection.is_none() {
+            let (flipped, bit) = self.model.mutate_value(val, bit_entropy);
+            let (site_id, lane) = coordinate();
+            self.injection = Some(InjectionRecord {
+                site_id,
+                lane,
+                occurrence: self.dynamic_sites,
+                bit,
+                bits_before: val.bits,
+                bits_after: flipped.bits,
+                model: self.model,
+            });
+            self.injection_at = Some(executed);
+            if let FaultModel::TemporalPair { gap } = self.model {
+                self.second_due = Some(executed.saturating_add(gap));
             }
-            // Second flip of a temporal pair: the next active site once
-            // the dynamic-instruction clock has advanced past the gap.
-            // Only the primary is recorded; the pair shares one entropy
-            // draw (high half selects the second bit).
-            if let Some(due) = self.second_due {
-                if self.injection.is_some() && mem.host_clock() >= due {
-                    self.second_due = None;
-                    let bit = ((bit_entropy >> 32) % val.ty.bits() as u64) as u32;
-                    return Ok(Some(RtVal::Scalar(val.flip_bit(bit))));
-                }
-            }
+            return Some(flipped);
         }
-        Ok(Some(RtVal::Scalar(val)))
+        // Second flip of a temporal pair: the next active site once the
+        // dynamic-instruction count has advanced past the gap. Only the
+        // primary is recorded; the pair shares one entropy draw (high
+        // half selects the second bit).
+        let due = self.second_due?;
+        if self.injection.is_some() && executed >= due {
+            self.second_due = None;
+            let bit = ((bit_entropy >> 32) % val.ty.bits() as u64) as u32;
+            return Some(val.flip_bit(bit));
+        }
+        None
     }
 
-    fn handle_check(&mut self, name: &str, args: &[RtVal]) -> Result<Option<RtVal>, Trap> {
-        match name {
-            // checkInvariantsForeachFullBody(new_counter, aligned_end, Vl, id)
-            // — the three invariants of paper Fig. 8, checked on loop exit.
-            "vulfi.check.foreach" => {
-                if args.len() < 3 {
-                    return Err(Trap::HostError(
-                        "@vulfi.check.foreach expects (new_counter, aligned_end, Vl)".into(),
-                    ));
-                }
-                let nc = args[0].lane(0).as_i64();
-                let ae = args[1].lane(0).as_i64();
-                let vl = args[2].lane(0).as_i64();
-                self.detectors.checks += 1;
-                let ok = vl > 0 && nc >= 0 && nc <= ae && nc % vl == 0;
-                if !ok {
-                    self.detectors.violations += 1;
-                }
-                Ok(None)
-            }
-            // checkUniformBroadcast(vec) — all lanes must hold one value
-            // (paper §III-B).
-            "vulfi.check.uniform" => {
-                let v = &args[0];
-                self.detectors.checks += 1;
-                let first = v.lane(0).bits;
-                // An XOR-reduction in spirit: any differing lane trips it.
-                if (1..v.num_lanes()).any(|i| v.lane(i).bits != first) {
-                    self.detectors.violations += 1;
-                }
-                Ok(None)
-            }
-            other => Err(Trap::UnknownFunction(other.to_string())),
+    /// checkInvariantsForeachFullBody(new_counter, aligned_end, Vl, id):
+    /// the three invariants of paper Fig. 8, checked on loop exit.
+    fn check_foreach(&mut self, args: HostArgs<'_>) -> Result<bool, Trap> {
+        if args.len() < 3 {
+            return Err(Trap::HostError(
+                "@vulfi.check.foreach expects (new_counter, aligned_end, Vl)".into(),
+            ));
         }
+        let int = |i| args.scalar(i).map_or(0, Scalar::as_i64);
+        let (nc, ae, vl) = (int(0), int(1), int(2));
+        self.detectors.checks += 1;
+        let ok = vl > 0 && nc >= 0 && nc <= ae && nc % vl == 0;
+        if !ok {
+            self.detectors.violations += 1;
+        }
+        Ok(false)
+    }
+
+    /// checkUniformBroadcast(vec): all lanes must hold one value (paper
+    /// §III-B).
+    fn check_uniform(&mut self, args: HostArgs<'_>) -> Result<bool, Trap> {
+        let Some(v) = args.get(0) else {
+            return Err(Trap::HostError("@vulfi.check.uniform expects (vec)".into()));
+        };
+        self.detectors.checks += 1;
+        // An XOR-reduction in spirit: any differing lane trips it.
+        if let Some((first, rest)) = v.words.split_first() {
+            let mask = v.ty.elem().map_or(0, ScalarTy::bit_mask);
+            if rest.iter().any(|w| (w ^ first) & mask != 0) {
+                self.detectors.violations += 1;
+            }
+        }
+        Ok(false)
     }
 }
 
+/// [`VulfiHost`]'s callee ids.
+const INJECT: u32 = 0;
+const CHECK_FOREACH: u32 = 1;
+const CHECK_UNIFORM: u32 = 2;
+
 impl HostEnv for VulfiHost {
-    fn call(
-        &mut self,
-        name: &str,
-        args: &[RtVal],
-        mem: &mut Memory,
-    ) -> Result<Option<RtVal>, Trap> {
+    fn resolve(&self, name: &str) -> Option<u32> {
         if name.starts_with("vulfi.inject.") {
-            return self.handle_inject(name, args, mem);
+            return Some(INJECT);
         }
-        if name.starts_with("vulfi.check.") {
-            return self.handle_check(name, args);
+        match name {
+            "vulfi.check.foreach" => Some(CHECK_FOREACH),
+            "vulfi.check.uniform" => Some(CHECK_UNIFORM),
+            _ => None,
         }
-        Err(Trap::UnknownFunction(name.to_string()))
+    }
+
+    fn call(&mut self, id: u32, call: HostCall<'_>) -> Result<bool, Trap> {
+        match id {
+            INJECT => self.inject_lane(call),
+            CHECK_FOREACH => self.check_foreach(call.args),
+            CHECK_UNIFORM => self.check_uniform(call.args),
+            _ => Err(Trap::UnknownFunction(call.name.to_string())),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vexec::{Memory, Scalar};
+    use vexec::{Interp, Memory, RtVal, Slot};
 
-    fn call(h: &mut VulfiHost, name: &str, args: Vec<RtVal>) -> Result<Option<RtVal>, Trap> {
-        let mut mem = Memory::default();
-        h.call(name, &args, &mut mem)
+    /// Call `name` on `args` laid out in one run of words, as the
+    /// interpreter would; the value it returns has the first argument's
+    /// type.
+    fn call(h: &mut VulfiHost, name: &str, args: Vec<RtVal>) -> Result<Option<Scalar>, Trap> {
+        let (mut slots, mut words) = (Vec::new(), Vec::new());
+        for a in &args {
+            slots.push(Slot {
+                off: words.len() as u32,
+                ty: a.ty(),
+            });
+            words.extend(a.lanes().iter().map(|s| s.bits));
+        }
+        let id = h
+            .resolve(name)
+            .ok_or_else(|| Trap::UnknownFunction(name.to_string()))?;
+        let mut ret = [0];
+        let wrote = h.call(
+            id,
+            HostCall {
+                name,
+                args: HostArgs::new(&slots, &words),
+                ret: &mut ret,
+                executed: 0,
+                mem: &mut Memory::default(),
+            },
+        )?;
+        let ty = args.first().map_or(ScalarTy::I64, |a| a.lane(0).ty);
+        Ok(wrote.then(|| Scalar::new(ty, ret[0])))
     }
 
     fn inject_args(v: f32, mask_on: bool) -> Vec<RtVal> {
@@ -332,15 +390,15 @@ mod tests {
         let r1 = call(&mut h, "vulfi.inject.f32", inject_args(1.0, true))
             .unwrap()
             .unwrap();
-        assert_eq!(r1.scalar().as_f32(), 1.0, "first occurrence untouched");
+        assert_eq!(r1.as_f32(), 1.0, "first occurrence untouched");
         let r2 = call(&mut h, "vulfi.inject.f32", inject_args(1.0, true))
             .unwrap()
             .unwrap();
-        assert_eq!(r2.scalar().as_f32(), -1.0, "sign bit flipped");
+        assert_eq!(r2.as_f32(), -1.0, "sign bit flipped");
         let r3 = call(&mut h, "vulfi.inject.f32", inject_args(1.0, true))
             .unwrap()
             .unwrap();
-        assert_eq!(r3.scalar().as_f32(), 1.0, "only one injection ever");
+        assert_eq!(r3.as_f32(), 1.0, "only one injection ever");
         let rec = h.injection.unwrap();
         assert_eq!(rec.site_id, 7);
         assert_eq!(rec.lane, 3);
@@ -354,7 +412,7 @@ mod tests {
         let r = call(&mut h, "vulfi.inject.f32", inject_args(1.0, false))
             .unwrap()
             .unwrap();
-        assert_eq!(r.scalar().as_f32(), 1.0);
+        assert_eq!(r.as_f32(), 1.0);
         assert!(h.injection.is_none(), "masked lane must not be injected");
         call(&mut h, "vulfi.inject.f32", inject_args(1.0, true)).unwrap();
         assert!(h.injection.is_some());
@@ -370,7 +428,7 @@ mod tests {
             RtVal::Scalar(Scalar::i32(0)),
         ];
         let r = call(&mut h, "vulfi.inject.i32", args).unwrap().unwrap();
-        assert_eq!(r.scalar().as_u64(), 1 << 5);
+        assert_eq!(r.as_u64(), 1 << 5);
     }
 
     #[test]
@@ -411,6 +469,26 @@ mod tests {
         let corrupted = RtVal::Vector(vir::ScalarTy::F32, lanes);
         call(&mut h, "vulfi.check.uniform", vec![corrupted]).unwrap();
         assert_eq!(h.detectors.violations, 1);
+    }
+
+    #[test]
+    fn uniform_check_without_arguments_is_a_host_error() {
+        let mut h = VulfiHost::profile();
+        assert_eq!(
+            call(&mut h, "vulfi.check.uniform", vec![]),
+            Err(Trap::HostError("@vulfi.check.uniform expects (vec)".into()))
+        );
+        // The same through the interpreter, from a module the verifier
+        // accepts.
+        let src = "declare void @vulfi.check.uniform(...)\n\ndefine void @f() {\nentry:\n  call void @vulfi.check.uniform()\n  ret void\n}\n";
+        let m = vir::parser::parse_module(src).unwrap();
+        vir::verify::verify_module(&m).unwrap();
+        let e = Interp::new(&m).run("f", &[], &mut h);
+        assert_eq!(
+            e,
+            Err(Trap::HostError("@vulfi.check.uniform expects (vec)".into()))
+        );
+        assert_eq!(h.detectors.checks, 0);
     }
 
     #[test]

@@ -26,12 +26,16 @@
 //! Host functions — VULFI's runtime injection API, the detector runtime,
 //! and anything else declared but not defined — are dispatched through the
 //! [`HostEnv`] trait, mirroring how an instrumented native binary links
-//! against the fault-injection runtime library. [`RtVal`] appears only at
-//! that boundary and at [`Interp::run`]'s arguments and result.
+//! against the fault-injection runtime library. A host resolves each
+//! callee name to an id once per program and host type; a call passes
+//! that id, its arguments as typed views of the caller's register words,
+//! and the result lanes to write ([`HostCall`]). [`RtVal`] appears only
+//! in [`Interp::run`]'s arguments and result.
 //! Profiles and traces watch a run through one [`Observer`] type
 //! parameter (see [`crate::observe`]); the engine injector, which perturbs
 //! the run, is a field instead (see [`Interp::set_engine_injector`]).
 
+use std::any::Any;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,27 +43,125 @@ use vir::intrinsics::MathOp;
 use vir::{BinOp, CastOp, FCmpPred, ICmpPred, Module, ScalarTy, Type};
 
 use crate::fault::EngineInjector;
+use crate::kernel::DivByZero;
 use crate::mem::{Memory, Trap};
 use crate::observe::{At, Observer, Step};
-use crate::program::{DBlock, Func, Op, Program, Slot, Term};
+use crate::program::{DBlock, Func, Op, Program, Slot, Term, NO_CALLEE};
 use crate::trace::{fold_bits, TraceEvent};
 use crate::value::{RtVal, Scalar};
 
-/// Host-function dispatcher.
-pub trait HostEnv {
-    /// Handle a call to an external function. Return `Ok(None)` for void
-    /// functions. `mem` allows host functions to inspect program memory.
-    fn call(&mut self, name: &str, args: &[RtVal], mem: &mut Memory)
-        -> Result<Option<RtVal>, Trap>;
+/// Host-function dispatcher: the functions a program declares but does
+/// not define.
+pub trait HostEnv: Any {
+    /// This host's id for the function `name`, or `None` when it has no
+    /// such function (a call to it then traps with
+    /// [`Trap::UnknownFunction`] when, and only when, it executes). The
+    /// answer must depend on the name and the host's type alone: a
+    /// program keeps it for every later run under a host of that type.
+    fn resolve(&self, name: &str) -> Option<u32>;
+
+    /// Run function `id` (an id [`HostEnv::resolve`] returned). Return
+    /// `Ok(true)` when it produced the call's value in `call.ret`, and
+    /// `Ok(false)` when it produced none, which a non-void call turns
+    /// into a [`Trap::HostError`].
+    fn call(&mut self, id: u32, call: HostCall<'_>) -> Result<bool, Trap>;
 }
 
-/// A host environment that rejects every call.
+/// One host call.
+pub struct HostCall<'a> {
+    /// The callee's name, as the program declares it.
+    pub name: &'a str,
+    pub args: HostArgs<'a>,
+    /// The result lanes, zeroed, one word per lane (none for a void
+    /// call). The interpreter masks them to the element width after the
+    /// call.
+    pub ret: &'a mut [u64],
+    /// Dynamic instructions executed so far, the call included.
+    pub executed: u64,
+    pub mem: &'a mut Memory,
+}
+
+/// A host call's arguments: typed runs of lane words, read in place from
+/// the caller's frame.
+#[derive(Clone, Copy)]
+pub struct HostArgs<'a> {
+    slots: &'a [Slot],
+    /// The words before the result lanes; a slot's offset counts from
+    /// the start of `lo` and continues into `hi` past `skip` words.
+    lo: &'a [u64],
+    skip: usize,
+    hi: &'a [u64],
+}
+
+/// One argument of a host call.
+#[derive(Debug, Clone, Copy)]
+pub struct HostArg<'a> {
+    pub ty: Type,
+    /// One word per lane, masked to the element width.
+    pub words: &'a [u64],
+}
+
+impl<'a> HostArgs<'a> {
+    /// Arguments laid out in one run of `words`, each at its slot.
+    pub fn new(slots: &'a [Slot], words: &'a [u64]) -> HostArgs<'a> {
+        HostArgs {
+            slots,
+            lo: words,
+            skip: 0,
+            hi: &[],
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Argument `i`, if there is one.
+    pub fn get(&self, i: usize) -> Option<HostArg<'a>> {
+        let s = self.slots.get(i)?;
+        let (at, n) = (s.off as usize, s.lanes());
+        let words = match at.checked_sub(self.lo.len()) {
+            None => self.lo.get(at..at + n)?,
+            Some(past) => self.hi.get(past.checked_sub(self.skip)?..)?.get(..n)?,
+        };
+        Some(HostArg { ty: s.ty, words })
+    }
+
+    /// Lane 0 of argument `i`.
+    pub fn scalar(&self, i: usize) -> Option<Scalar> {
+        self.get(i)?.lane(0)
+    }
+}
+
+impl HostArg<'_> {
+    /// Lane `i`.
+    pub fn lane(&self, i: usize) -> Option<Scalar> {
+        Some(Scalar::new(self.ty.elem()?, *self.words.get(i)?))
+    }
+}
+
+/// A host environment that defines no function.
 pub struct NoHost;
 
 impl HostEnv for NoHost {
-    fn call(&mut self, name: &str, _: &[RtVal], _: &mut Memory) -> Result<Option<RtVal>, Trap> {
-        Err(Trap::UnknownFunction(name.to_string()))
+    fn resolve(&self, _: &str) -> Option<u32> {
+        None
     }
+
+    fn call(&mut self, _: u32, call: HostCall<'_>) -> Result<bool, Trap> {
+        Err(Trap::UnknownFunction(call.name.to_string()))
+    }
+}
+
+/// A run's host and its ids for the program's host callees.
+struct Host<'a> {
+    env: &'a mut dyn HostEnv,
+    names: &'a [String],
+    ids: &'a [u32],
 }
 
 /// Result of a completed execution.
@@ -160,8 +262,6 @@ pub struct Interp<'m, O = ()> {
     frames: Vec<Frame>,
     /// A block's phi results, held until every phi has read its input.
     phi_buf: Vec<u64>,
-    /// Host-call arguments, reused call to call.
-    host_args: Vec<RtVal>,
     /// A masked intrinsic's mask as the engine injector left it.
     mask_buf: Vec<u64>,
 }
@@ -195,7 +295,6 @@ impl<'m, O: Observer> Interp<'m, O> {
             regs: Vec::with_capacity(words),
             frames: Vec::new(),
             phi_buf: Vec::new(),
-            host_args: Vec::new(),
             mask_buf: Vec::new(),
         }
     }
@@ -342,7 +441,13 @@ impl<'m, O: Observer> Interp<'m, O> {
             .ok_or_else(|| Trap::EngineFault("no started or paused call to run".into()))?;
         self.limit = self.budget.min(until);
         let program = Arc::clone(&self.program);
-        let ret = match self.exec(&program, cur, host) {
+        let ids = program.host_ids(host);
+        let mut host = Host {
+            env: host,
+            names: &program.hosts,
+            ids: &ids,
+        };
+        let ret = match self.exec(&program, cur, &mut host) {
             Ok(ret) => ret,
             Err(Halt::Pause) => return Ok(Progress::Paused),
             Err(Halt::Trap(t)) => return Err(t),
@@ -441,12 +546,12 @@ impl<'m, O: Observer> Interp<'m, O> {
     /// before the block's body: a fresh call) or resumes at its `pc` (a
     /// paused or restored run). Being generic over the observer, this
     /// loop is compiled in the crate that picks one, so the helpers it
-    /// calls per lane or per host call are `#[inline]` to stay inlinable.
+    /// calls per lane are `#[inline]` to stay inlinable.
     fn exec(
         &mut self,
         prog: &Program,
         mut cur: Frame,
-        host: &mut dyn HostEnv,
+        host: &mut Host,
     ) -> Result<Option<RtVal>, Halt> {
         let mut prev = None;
         let mut resuming = cur.pc >= prog.funcs[cur.func].blocks[cur.block].body as usize;
@@ -594,32 +699,14 @@ impl<'m, O: Observer> Interp<'m, O> {
         op: &Op,
         dst: usize,
         base: usize,
-        host: &mut dyn HostEnv,
+        host: &mut Host,
     ) -> Result<(), Trap> {
         let at = |off: u32| base + off as usize;
         let dst = base + dst;
         let r = &mut self.regs;
         match *op {
-            Op::Bin { op, ty, n, a, b } => {
-                for i in 0..n as usize {
-                    let x = Scalar::new(ty, r[at(a) + i]);
-                    let y = Scalar::new(ty, r[at(b) + i]);
-                    r[dst + i] = eval_bin(op, x, y)?.bits;
-                }
-            }
-            Op::ICmp { pred, ty, n, a, b } => {
-                for i in 0..n as usize {
-                    let x = Scalar::new(ty, r[at(a) + i]);
-                    let y = Scalar::new(ty, r[at(b) + i]);
-                    r[dst + i] = eval_icmp(pred, x, y) as u64;
-                }
-            }
-            Op::FCmp { pred, ty, n, a, b } => {
-                for i in 0..n as usize {
-                    let x = Scalar::new(ty, r[at(a) + i]);
-                    let y = Scalar::new(ty, r[at(b) + i]);
-                    r[dst + i] = eval_fcmp(pred, x, y) as u64;
-                }
+            Op::Lanes { kernel, n, a, b } => {
+                kernel(r, dst, at(a), at(b), n as usize).map_err(|DivByZero| Trap::DivByZero)?;
             }
             Op::Select { c, t, e, n } => {
                 let src = if r[at(c)] & 1 == 1 { at(t) } else { at(e) };
@@ -629,11 +716,6 @@ impl<'m, O: Observer> Interp<'m, O> {
                 for i in 0..n as usize {
                     let arm = if r[at(c) + i] & 1 == 1 { t } else { e };
                     r[dst + i] = r[at(arm) + i];
-                }
-            }
-            Op::Cast { op, from, to, n, v } => {
-                for i in 0..n as usize {
-                    r[dst + i] = eval_cast(op, Scalar::new(from, r[at(v) + i]), to).bits;
                 }
             }
             Op::Alloca {
@@ -679,44 +761,51 @@ impl<'m, O: Observer> Interp<'m, O> {
                 let i = r[at(idx)] as usize % n as usize;
                 r[dst] = r[at(vec) + i];
             }
+            Op::ExtractAt { src } => r[dst] = r[at(src)],
             Op::Insert { n, vec, elt, idx } => {
                 let i = r[at(idx)] as usize % n as usize;
                 r.copy_within(at(vec)..at(vec) + n as usize, dst);
                 r[dst + i] = r[at(elt)];
+            }
+            Op::InsertAt { n, vec, elt, lane } => {
+                r.copy_within(at(vec)..at(vec) + n as usize, dst);
+                r[dst + lane as usize] = r[at(elt)];
             }
             Op::Shuffle { srcs } => {
                 for (k, s) in f.pool[srcs.range()].iter().enumerate() {
                     r[dst + k] = r[at(s.off)];
                 }
             }
-            Op::Host { name, args, ret } => {
-                // Reuse the argument vector, and each vector argument's
-                // lane buffer, from the previous host call.
-                let mut argv = std::mem::take(&mut self.host_args);
-                argv.truncate(args.len as usize);
-                for (k, s) in f.pool[args.range()].iter().enumerate() {
-                    let words = &self.regs[at(s.off)..at(s.off) + s.lanes()];
-                    match argv.get_mut(k) {
-                        Some(v) => refill_val(v, s.ty, words),
-                        None => argv.push(new_val(s.ty, words)),
-                    }
+            Op::Host { callee, args, ret } => {
+                let name = &host.names[callee as usize];
+                let id = host.ids[callee as usize];
+                if id == NO_CALLEE {
+                    return Err(Trap::UnknownFunction(name.clone()));
                 }
-                // Mirror the dynamic-instruction clock into memory so host
-                // environments (e.g. the fault injector) can timestamp
-                // their actions without a wider interface.
-                self.mem.set_host_clock(self.executed);
-                let callee = &f.names[name as usize];
-                let out = host.call(callee, &argv, &mut self.mem);
-                self.host_args = argv;
-                match out? {
-                    // A void call's value, if any, is dropped.
-                    Some(v) => store_val(&mut self.regs[dst..dst + ret.lanes() as usize], ret, &v),
-                    None if !ret.is_void() => {
-                        return Err(Trap::HostError(format!(
-                            "host @{callee} returned nothing for a non-void call"
-                        )));
-                    }
-                    None => {}
+                let n = ret.lanes() as usize;
+                let (lo, rest) = self.regs.split_at_mut(dst);
+                let (out, hi) = rest.split_at_mut(n);
+                out.fill(0);
+                let call = HostCall {
+                    name,
+                    args: HostArgs {
+                        slots: &f.pool[args.range()],
+                        lo: &lo[base..],
+                        skip: n,
+                        hi,
+                    },
+                    ret: out,
+                    executed: self.executed,
+                    mem: &mut self.mem,
+                };
+                if !host.env.call(id, call)? && !ret.is_void() {
+                    return Err(Trap::HostError(format!(
+                        "host @{name} returned nothing for a non-void call"
+                    )));
+                }
+                let mask = ret.elem().map_or(0, ScalarTy::bit_mask);
+                for w in &mut self.regs[dst..dst + n] {
+                    *w &= mask;
                 }
             }
             Op::MaskLoad {
@@ -810,7 +899,7 @@ fn too_few_slots(f: &Func, args: usize) -> Trap {
     ))
 }
 
-/// Lane `i` of a host value, zero past its end.
+/// Lane `i` of a run argument, zero past its end.
 fn lane_word(v: &RtVal, i: usize) -> u64 {
     match v {
         RtVal::Scalar(s) if i == 0 => s.bits,
@@ -819,9 +908,8 @@ fn lane_word(v: &RtVal, i: usize) -> u64 {
     }
 }
 
-/// Write a host value into `out`, lane by lane, masked to `ty`'s element
-/// width (nothing for `void`).
-#[inline]
+/// Write a run argument into `out`, lane by lane, masked to `ty`'s
+/// element width.
 fn store_val(out: &mut [u64], ty: Type, v: &RtVal) {
     let mask = ty.elem().map_or(0, ScalarTy::bit_mask);
     for (i, w) in out.iter_mut().enumerate() {
@@ -829,7 +917,7 @@ fn store_val(out: &mut [u64], ty: Type, v: &RtVal) {
     }
 }
 
-/// Slot `s` of the frame at `base` as a host value.
+/// Slot `s` of the frame at `base` as a run's result.
 fn load_val(regs: &[u64], base: usize, s: Slot) -> RtVal {
     let at = base + s.off as usize;
     new_val(s.ty, &regs[at..at + s.lanes()])
@@ -839,19 +927,6 @@ fn new_val(ty: Type, words: &[u64]) -> RtVal {
     match ty {
         Type::Vector(e, _) => RtVal::Vector(e, words.to_vec()),
         _ => RtVal::Scalar(Scalar::new(ty.elem().unwrap_or(ScalarTy::I64), words[0])),
-    }
-}
-
-/// Overwrite `v` with `words` of type `ty`, reusing its lane buffer.
-#[inline]
-fn refill_val(v: &mut RtVal, ty: Type, words: &[u64]) {
-    match (v, ty) {
-        (RtVal::Vector(e, ws), Type::Vector(elem, _)) => {
-            *e = elem;
-            ws.clear();
-            ws.extend_from_slice(words);
-        }
-        (v, _) => *v = new_val(ty, words),
     }
 }
 
@@ -964,7 +1039,6 @@ pub fn eval_icmp(pred: ICmpPred, a: Scalar, b: Scalar) -> bool {
 }
 
 /// One scalar float comparison.
-#[inline]
 pub fn eval_fcmp(pred: FCmpPred, a: Scalar, b: Scalar) -> bool {
     let (x, y) = (a.as_float(), b.as_float());
     let unordered = x.is_nan() || y.is_nan();
@@ -1437,37 +1511,132 @@ exit:
         assert_eq!(interp.executed(), 41, "the same count as an unpaused run");
     }
 
-    #[test]
-    fn host_calls_dispatch() {
-        struct Doubler;
-        impl HostEnv for Doubler {
-            fn call(
-                &mut self,
-                name: &str,
-                args: &[RtVal],
-                _mem: &mut Memory,
-            ) -> Result<Option<RtVal>, Trap> {
-                assert_eq!(name, "ext.double");
-                Ok(Some(RtVal::Scalar(Scalar::i32(
-                    args[0].scalar().as_i64() as i32 * 2,
-                ))))
+    /// Doubles an `i32` as `ext.double`; `ext.nothing` returns nothing.
+    struct Doubler;
+
+    impl HostEnv for Doubler {
+        fn resolve(&self, name: &str) -> Option<u32> {
+            match name {
+                "ext.double" => Some(7),
+                "ext.nothing" => Some(8),
+                _ => None,
             }
         }
-        let src = r#"
+
+        fn call(&mut self, id: u32, call: HostCall<'_>) -> Result<bool, Trap> {
+            match (id, call.name) {
+                (7, "ext.double") => {
+                    let x = call.args.scalar(0).unwrap().as_i64();
+                    call.ret[0] = (x as i32 * 2) as u32 as u64;
+                    Ok(true)
+                }
+                (8, "ext.nothing") => Ok(false),
+                other => panic!("called {other:?}"),
+            }
+        }
+    }
+
+    const HOST_CALLS: &str = r#"
 declare i32 @ext.double(i32)
+declare i32 @ext.nothing(i32)
+declare i32 @ext.missing(i32)
 
 define i32 @f(i32 %x) {
 entry:
   %r = call i32 @ext.double(i32 %x)
   ret i32 %r
 }
+
+define i32 @g(i32 %x) {
+entry:
+  %r = call i32 @ext.nothing(i32 %x)
+  ret i32 %r
+}
+
+define i32 @h(i32 %x) {
+entry:
+  %r = call i32 @ext.missing(i32 %x)
+  ret i32 %r
+}
 "#;
-        let m = parse_module(src).unwrap();
+
+    #[test]
+    fn host_calls_dispatch() {
+        let m = parse_module(HOST_CALLS).unwrap();
         let mut interp = Interp::new(&m);
         let r = interp
             .run("f", &[RtVal::Scalar(Scalar::i32(21))], &mut Doubler)
             .unwrap();
         assert_eq!(r.ret.unwrap().scalar().as_i64(), 42);
+    }
+
+    #[test]
+    fn a_non_void_host_call_that_writes_nothing_traps() {
+        let m = parse_module(HOST_CALLS).unwrap();
+        let e = Interp::new(&m).run("g", &[RtVal::Scalar(Scalar::i32(1))], &mut Doubler);
+        assert_eq!(
+            e,
+            Err(Trap::HostError(
+                "host @ext.nothing returned nothing for a non-void call".into()
+            ))
+        );
+    }
+
+    #[test]
+    fn unknown_host_functions_trap_only_when_called() {
+        let m = parse_module(HOST_CALLS).unwrap();
+        let program = Arc::new(Program::decode(&m));
+        let x = [RtVal::Scalar(Scalar::i32(5))];
+        let e = Interp::with_program(Arc::clone(&program)).run("h", &x, &mut Doubler);
+        assert_eq!(e, Err(Trap::UnknownFunction("ext.missing".into())));
+        // The same program under another host type resolves anew: NoHost
+        // defines nothing, and Doubler still finds its functions after.
+        let e = Interp::with_program(Arc::clone(&program)).run("f", &x, &mut NoHost);
+        assert_eq!(e, Err(Trap::UnknownFunction("ext.double".into())));
+        let r = Interp::with_program(program)
+            .run("f", &x, &mut Doubler)
+            .unwrap();
+        assert_eq!(r.ret.unwrap().scalar().as_i64(), 10);
+    }
+
+    #[test]
+    fn a_host_call_reading_its_own_result_traps() {
+        let src = "declare i32 @ext.double(i32)\n\ndefine i32 @f() {\nentry:\n  %r = call i32 @ext.double(i32 %r)\n  ret i32 %r\n}\n";
+        let m = parse_module(src).unwrap();
+        let e = Interp::new(&m).run("f", &[], &mut Doubler);
+        assert!(matches!(e, Err(Trap::EngineFault(_))), "{e:?}");
+    }
+
+    /// Lanes `10, 11, 12, 13` through `extractelement`/`insertelement`
+    /// at index `idx`: the lane read, and the vector with 99 written.
+    fn lane_ops(idx: &str, args: &[RtVal]) -> (i64, Vec<i64>) {
+        let params = if args.is_empty() { "" } else { "i32 %i" };
+        let src = format!(
+            "define i32 @x({params}) {{\nentry:\n  %e = extractelement <4 x i32> <i32 10, i32 11, i32 12, i32 13>, i32 {idx}\n  ret i32 %e\n}}\n\n\
+             define <4 x i32> @y({params}) {{\nentry:\n  %v = insertelement <4 x i32> <i32 10, i32 11, i32 12, i32 13>, i32 99, i32 {idx}\n  ret <4 x i32> %v\n}}\n"
+        );
+        let m = parse_module(&src).unwrap();
+        vir::verify::verify_module(&m).unwrap();
+        let e = Interp::new(&m).run("x", args, &mut NoHost).unwrap();
+        let v = Interp::new(&m).run("y", args, &mut NoHost).unwrap();
+        let lanes = v.ret.unwrap().lanes().iter().map(|s| s.as_i64()).collect();
+        (e.ret.unwrap().scalar().as_i64(), lanes)
+    }
+
+    #[test]
+    fn constant_lanes_wrap_like_runtime_ones() {
+        // Index 6 of 4 lanes is lane 2, at decode as at run time.
+        assert_eq!(lane_ops("6", &[]), (12, vec![10, 11, 99, 13]));
+        let six = [RtVal::Scalar(Scalar::i32(6))];
+        assert_eq!(lane_ops("%i", &six), (12, vec![10, 11, 99, 13]));
+        // A negative index is its unsigned bits: 0xffff_fffd % 4 = 1.
+        assert_eq!(lane_ops("-3", &[]), (11, vec![10, 99, 12, 13]));
+        let minus_three = [RtVal::Scalar(Scalar::i32(-3))];
+        assert_eq!(lane_ops("%i", &minus_three), (11, vec![10, 99, 12, 13]));
+        // Zero and undef select lane 0.
+        assert_eq!(lane_ops("0", &[]), (10, vec![99, 11, 12, 13]));
+        assert_eq!(lane_ops("undef", &[]), (10, vec![99, 11, 12, 13]));
+        assert_eq!(lane_ops("3", &[]), (13, vec![10, 11, 12, 99]));
     }
 
     #[test]

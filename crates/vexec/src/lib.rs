@@ -11,7 +11,8 @@
 //! - **dynamic instruction accounting** (the paper's Table I metric) and a
 //!   hang budget that converts fault-induced infinite loops into traps;
 //! - a [`interp::HostEnv`] callback interface through which VULFI's runtime
-//!   injection API and the detector runtime are linked in;
+//!   injection API and the detector runtime are linked in, each callee
+//!   resolved to an id once and called on the caller's lane words;
 //! - one [`Observer`] type parameter through which the instruction-mix and
 //!   hotspot profiles and the divergence tracer watch a run.
 //!
@@ -41,6 +42,7 @@
 
 pub mod fault;
 pub mod interp;
+mod kernel;
 pub mod mem;
 pub mod observe;
 pub mod opt;
@@ -50,10 +52,12 @@ pub mod trace;
 pub mod value;
 
 pub use fault::{EngineInjection, EngineInjector, EngineModel};
-pub use interp::{Checkpoint, ExecResult, HostEnv, Interp, NoHost, Progress};
+pub use interp::{
+    Checkpoint, ExecResult, HostArg, HostArgs, HostCall, HostEnv, Interp, NoHost, Progress,
+};
 pub use mem::{Memory, Trap};
 pub use observe::{Observer, Step};
 pub use profile::{HotLoc, HotProfile, HotSite, Hotspot, InstMix};
-pub use program::Program;
+pub use program::{Program, Slot};
 pub use trace::{Divergence, DivergenceTracer, TraceEvent};
 pub use value::{RtVal, Scalar};

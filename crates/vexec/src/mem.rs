@@ -90,9 +90,6 @@ pub struct Memory {
     regions: Vec<Region>,
     next: u64,
     limit: u64,
-    /// Dynamic-instruction clock, mirrored in by the interpreter before
-    /// every host call (see [`Memory::host_clock`]).
-    host_clock: u64,
 }
 
 impl Default for Memory {
@@ -109,22 +106,7 @@ impl Memory {
             regions: Vec::new(),
             next: BASE_ADDR,
             limit: BASE_ADDR + limit,
-            host_clock: 0,
         }
-    }
-
-    /// Dynamic instruction count of the interpreter at the moment of the
-    /// current host call. Host environments use it to timestamp their
-    /// actions (e.g. when a fault was injected) without widening the
-    /// [`crate::HostEnv`] interface.
-    pub fn host_clock(&self) -> u64 {
-        self.host_clock
-    }
-
-    /// Set the clock [`Memory::host_clock`] reports; interpreters call it
-    /// before every host call.
-    pub fn set_host_clock(&mut self, clock: u64) {
-        self.host_clock = clock;
     }
 
     /// Allocate `size` bytes; returns the base address.

@@ -12,8 +12,16 @@
 //! - **Constants** are materialised once into the frame template, after
 //!   the value words; a call copies the template into its frame.
 //! - **Callees** resolve to a defined function index, an intrinsic
-//!   specialised into its own op, a host function name, or an unknown
-//!   `llvm.*` name that traps when (and only when) it executes.
+//!   specialised into its own op, an index into the program's table of
+//!   host function names, or an unknown `llvm.*` name that traps when
+//!   (and only when) it executes. Each host type resolves that table to
+//!   its own callee ids once per program (`Program::host_ids`), so a
+//!   host call dispatches on an id, never on a name.
+//! - **Lane work.** An elementwise `Bin`, `ICmp`, `FCmp` or `Cast` gets
+//!   the lane kernel of its operation and element type (see
+//!   the `kernel` module), and an `extractelement` or `insertelement`
+//!   with a constant index gets its lane, so executing them neither
+//!   matches on an operation nor divides by the lane count.
 //! - **Hook metadata.** Every decoded instruction and block keeps its
 //!   `InstId`/`BlockId`, opcode, and the lane width and active-lane source
 //!   the instruction-mix profile reports, so profiles, traces and engine
@@ -23,14 +31,16 @@
 //! constants, dangling ids) decode into a trapping op that raises the
 //! engine fault when executed, so decoding itself never fails or panics.
 
+use std::any::{Any, TypeId};
 use std::collections::HashMap;
+use std::ops::Deref;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 use vir::intrinsics::{self, Intrinsic, MathOp};
-use vir::{
-    BinOp, CastOp, ConstData, Constant, FCmpPred, Function, ICmpPred, InstKind, Module, Operand,
-    ScalarTy, Terminator, Type,
-};
+use vir::{ConstData, Constant, Function, InstKind, Module, Operand, ScalarTy, Terminator, Type};
 
+use crate::interp::HostEnv;
+use crate::kernel::{self, Kernel};
 use crate::mem::Trap;
 
 /// A module decoded for execution. Immutable once built; share it
@@ -41,11 +51,25 @@ pub struct Program {
     by_name: HashMap<String, u32>,
     /// Largest frame of any function, in words.
     pub(crate) max_frame: usize,
+    /// Host callee names, indexed by [`Op::Host`]'s `callee`.
+    pub(crate) hosts: Vec<String>,
+    /// Callee ids for `hosts`, one table per host type that has run the
+    /// program (see [`Program::host_ids`]).
+    host_ids: RwLock<Vec<IdTable>>,
 }
 
-/// A statically typed run of words in a frame.
+/// One host type's ids for a program's host callees; the type is `None`
+/// in the table decoding makes ready for the first host type to claim.
+type IdTable = (Option<TypeId>, Box<[u32]>);
+
+/// The id of a host callee its host does not define: calling it traps
+/// with [`Trap::UnknownFunction`].
+pub(crate) const NO_CALLEE: u32 = u32::MAX;
+
+/// A statically typed run of words: in a frame, at offset `off` from
+/// its base, or in the words of a [`crate::HostArgs`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Slot {
+pub struct Slot {
     pub off: u32,
     pub ty: Type,
 }
@@ -73,8 +97,6 @@ pub(crate) struct Func {
     pub arms: Vec<(u32, u32)>,
     /// Operand pool of calls and shuffles.
     pub pool: Vec<Slot>,
-    /// Host callee names.
-    pub names: Vec<String>,
 }
 
 /// One basic block: phis in `start..body`, the rest in `body..end`.
@@ -122,23 +144,11 @@ impl Span {
 
 #[derive(Debug)]
 pub(crate) enum Op {
-    Bin {
-        op: BinOp,
-        ty: ScalarTy,
-        n: u32,
-        a: u32,
-        b: u32,
-    },
-    ICmp {
-        pred: ICmpPred,
-        ty: ScalarTy,
-        n: u32,
-        a: u32,
-        b: u32,
-    },
-    FCmp {
-        pred: FCmpPred,
-        ty: ScalarTy,
+    /// An elementwise `Bin`, `ICmp`, `FCmp` or `Cast` over `n` lanes:
+    /// `kernel` writes lanes of the result from lanes of `a` and `b`
+    /// (a cast reads `a` only).
+    Lanes {
+        kernel: Kernel,
         n: u32,
         a: u32,
         b: u32,
@@ -156,13 +166,6 @@ pub(crate) enum Op {
         t: u32,
         e: u32,
         n: u32,
-    },
-    Cast {
-        op: CastOp,
-        from: ScalarTy,
-        to: ScalarTy,
-        n: u32,
-        v: u32,
     },
     Alloca {
         size: u64,
@@ -187,16 +190,29 @@ pub(crate) enum Op {
         index: u32,
         index_ty: ScalarTy,
     },
+    /// `extractelement` at a runtime index: lane `idx % n`.
     Extract {
         n: u32,
         vec: u32,
         idx: u32,
     },
+    /// `extractelement` at a constant index: the word at `src`.
+    ExtractAt {
+        src: u32,
+    },
+    /// `insertelement` at a runtime index: lane `idx % n`.
     Insert {
         n: u32,
         vec: u32,
         elt: u32,
         idx: u32,
+    },
+    /// `insertelement` at a constant index: lane `lane`.
+    InsertAt {
+        n: u32,
+        vec: u32,
+        elt: u32,
+        lane: u32,
     },
     /// Gather: lane `k` of the result is the word at `pool[k].off`.
     Shuffle {
@@ -213,9 +229,10 @@ pub(crate) enum Op {
         args: Span,
         result: bool,
     },
-    /// Call a host function `names[name]`; `ret` is the call's type.
+    /// Call host function `Program::hosts[callee]`; `ret` is the
+    /// call's type.
     Host {
-        name: u32,
+        callee: u32,
         args: Span,
         ret: Type,
     },
@@ -285,22 +302,80 @@ impl Program {
         for (i, f) in m.functions.iter().enumerate() {
             by_name.entry(f.name.clone()).or_insert(i as u32);
         }
+        let mut hosts = Vec::new();
         let funcs: Vec<Func> = m
             .functions
             .iter()
-            .map(|f| Decoder::new(f, &by_name, m).run())
+            .map(|f| Decoder::new(f, &by_name, m, &mut hosts).run())
             .collect();
         let max_frame = funcs.iter().map(|f| f.frame.len()).max().unwrap_or(0);
+        let unclaimed = (None, vec![NO_CALLEE; hosts.len()].into_boxed_slice());
         Program {
             funcs,
             by_name,
             max_frame,
+            hosts,
+            host_ids: RwLock::new(vec![unclaimed]),
         }
     }
 
     /// Index of the first function named `name`.
     pub(crate) fn function(&self, name: &str) -> Option<usize> {
         self.by_name.get(name).map(|&i| i as usize)
+    }
+
+    /// `host`'s callee id for each of [`Program::hosts`] ([`NO_CALLEE`]
+    /// for a name it does not define). The first host of each type to
+    /// run the program resolves the names, and every later run of that
+    /// type reads the same table; the first type claims a table decoding
+    /// made ready, so it allocates nothing. The table stays locked for
+    /// reading while the returned value lives.
+    pub(crate) fn host_ids(&self, host: &dyn HostEnv) -> HostIds<'_> {
+        // A table gets its type only once all its ids are written, so a
+        // lock poisoned by a panicking `resolve` still guards valid tables.
+        let key = Some(<dyn HostEnv as Any>::type_id(host));
+        loop {
+            let tables = self.host_ids.read().unwrap_or_else(PoisonError::into_inner);
+            if let Some(at) = tables.iter().position(|t| t.0 == key) {
+                return HostIds { tables, at };
+            }
+            drop(tables);
+            let mut tables = self
+                .host_ids
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
+            if tables.iter().any(|t| t.0 == key) {
+                continue;
+            }
+            let ids = self
+                .hosts
+                .iter()
+                .map(|name| host.resolve(name).unwrap_or(NO_CALLEE));
+            match tables.iter_mut().find(|t| t.0.is_none()) {
+                Some(t) => {
+                    for (slot, id) in t.1.iter_mut().zip(ids) {
+                        *slot = id;
+                    }
+                    t.0 = key;
+                }
+                None => tables.push((key, ids.collect())),
+            }
+        }
+    }
+}
+
+/// One host type's callee ids for a program, read-locked (see
+/// [`Program::host_ids`]).
+pub(crate) struct HostIds<'p> {
+    tables: RwLockReadGuard<'p, Vec<IdTable>>,
+    at: usize,
+}
+
+impl Deref for HostIds<'_> {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.tables[self.at].1
     }
 }
 
@@ -331,10 +406,23 @@ fn const_words(c: &Constant) -> Result<Vec<u64>, Trap> {
     Ok(words.into_iter().map(|b| b & elem.bit_mask()).collect())
 }
 
+/// The lane a constant `extractelement`/`insertelement` index selects in
+/// an `n`-lane vector: the index masked to its width, modulo `n`, as the
+/// interpreter reduces a runtime index. `None` for a runtime index.
+fn const_lane(idx: &Operand, n: u32) -> Option<u32> {
+    let Operand::Const(c) = idx else {
+        return None;
+    };
+    let bits = c.scalar_bits().unwrap_or(0) & c.ty.elem()?.bit_mask();
+    Some((bits % u64::from(n)) as u32)
+}
+
 struct Decoder<'a> {
     f: &'a Function,
     m: &'a Module,
     funcs: &'a HashMap<String, u32>,
+    /// The program's host callee names so far.
+    hosts: &'a mut Vec<String>,
     /// Offset of every value (`None` for void values, and for values
     /// past the frame limit).
     value_off: Vec<Option<u32>>,
@@ -346,7 +434,12 @@ struct Decoder<'a> {
 }
 
 impl<'a> Decoder<'a> {
-    fn new(f: &'a Function, funcs: &'a HashMap<String, u32>, m: &'a Module) -> Decoder<'a> {
+    fn new(
+        f: &'a Function,
+        funcs: &'a HashMap<String, u32>,
+        m: &'a Module,
+        hosts: &'a mut Vec<String>,
+    ) -> Decoder<'a> {
         let mut words = 0usize;
         let value_off: Vec<Option<u32>> = f
             .values
@@ -362,6 +455,7 @@ impl<'a> Decoder<'a> {
             f,
             m,
             funcs,
+            hosts,
             value_off,
             frame: vec![0; words.min(MAX_FRAME_WORDS)],
             scalars: HashMap::new(),
@@ -376,7 +470,6 @@ impl<'a> Decoder<'a> {
                 meta: Vec::with_capacity(placed),
                 arms: Vec::new(),
                 pool: Vec::new(),
-                names: Vec::new(),
             },
         };
         d.out.arg_slots = (0..f.params.len().min(f.values.len()))
@@ -544,7 +637,7 @@ impl<'a> Decoder<'a> {
         }
         let decoded = self
             .dst(inst)
-            .and_then(|dst| self.op(inst).map(|(op, active)| (op, active, dst)));
+            .and_then(|dst| self.op(inst, dst).map(|(op, active)| (op, active, dst)));
         let (op, active, dst) =
             decoded.unwrap_or_else(|t| (Op::Trap(Box::new(t)), Active::Full, 0));
         self.out.insts.push(DInst { op, dst });
@@ -570,7 +663,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Decode one instruction kind.
-    fn op(&mut self, inst: &vir::Inst) -> Result<(Op, Active), Trap> {
+    fn op(&mut self, inst: &vir::Inst, dst: u32) -> Result<(Op, Active), Trap> {
         let ty = inst.ty;
         let full = |op| Ok((op, Active::Full));
         let shape = |what: &str| fault(format!("malformed {what}"));
@@ -581,9 +674,9 @@ impl<'a> Decoder<'a> {
                 if a.ty != b.ty || a.ty != ty {
                     return Err(shape("binop"));
                 }
-                full(Op::Bin {
-                    op: *op,
-                    ty: elem_of(ty)?,
+                let kernel = kernel::bin(*op, elem_of(ty)?).ok_or_else(|| shape("binop"))?;
+                full(Op::Lanes {
+                    kernel,
                     n: ty.lanes(),
                     a: a.off,
                     b: b.off,
@@ -594,10 +687,8 @@ impl<'a> Decoder<'a> {
                 if a.ty != b.ty || ty != a.ty.mask_type() {
                     return Err(shape("icmp"));
                 }
-                let e = elem_of(a.ty)?;
-                full(Op::ICmp {
-                    pred: *pred,
-                    ty: e,
+                full(Op::Lanes {
+                    kernel: kernel::icmp(*pred, elem_of(a.ty)?),
                     n: ty.lanes(),
                     a: a.off,
                     b: b.off,
@@ -608,10 +699,9 @@ impl<'a> Decoder<'a> {
                 if a.ty != b.ty || ty != a.ty.mask_type() {
                     return Err(shape("fcmp"));
                 }
-                let e = elem_of(a.ty)?;
-                full(Op::FCmp {
-                    pred: *pred,
-                    ty: e,
+                let kernel = kernel::fcmp(*pred, elem_of(a.ty)?).ok_or_else(|| shape("fcmp"))?;
+                full(Op::Lanes {
+                    kernel,
                     n: ty.lanes(),
                     a: a.off,
                     b: b.off,
@@ -656,12 +746,12 @@ impl<'a> Decoder<'a> {
                 if v.ty.lanes() != ty.lanes() {
                     return Err(shape("cast"));
                 }
-                full(Op::Cast {
-                    op: *op,
-                    from: elem_of(v.ty)?,
-                    to,
+                let kernel = kernel::cast(*op, elem_of(v.ty)?, to).ok_or_else(|| shape("cast"))?;
+                full(Op::Lanes {
+                    kernel,
                     n: ty.lanes(),
-                    v: v.off,
+                    a: v.off,
+                    b: v.off,
                 })
             }
             InstKind::Alloca { elem, count } => {
@@ -720,10 +810,14 @@ impl<'a> Decoder<'a> {
                 if !i.ty.is_scalar() || v.ty.elem().map(Type::Scalar) != Some(ty) {
                     return Err(shape("extractelement"));
                 }
-                full(Op::Extract {
-                    n: v.ty.lanes(),
-                    vec: v.off,
-                    idx: i.off,
+                let n = v.ty.lanes();
+                full(match const_lane(idx, n) {
+                    Some(lane) => Op::ExtractAt { src: v.off + lane },
+                    None => Op::Extract {
+                        n,
+                        vec: v.off,
+                        idx: i.off,
+                    },
                 })
             }
             InstKind::InsertElement { vec, elt, idx } => {
@@ -734,11 +828,15 @@ impl<'a> Decoder<'a> {
                 if !i.ty.is_scalar() || v.ty != ty || v.ty.elem().map(Type::Scalar) != Some(e.ty) {
                     return Err(shape("insertelement"));
                 }
-                full(Op::Insert {
-                    n: v.ty.lanes(),
-                    vec: v.off,
-                    elt: e.off,
-                    idx: i.off,
+                let (n, vec, elt) = (v.ty.lanes(), v.off, e.off);
+                full(match const_lane(idx, n) {
+                    Some(lane) => Op::InsertAt { n, vec, elt, lane },
+                    None => Op::Insert {
+                        n,
+                        vec,
+                        elt,
+                        idx: i.off,
+                    },
                 })
             }
             InstKind::ShuffleVector { a, b, mask } => {
@@ -794,7 +892,9 @@ impl<'a> Decoder<'a> {
                     n: ty.lanes(),
                 })
             }
-            InstKind::Call { callee, args } => self.call(callee, args, ty, inst.result.is_some()),
+            InstKind::Call { callee, args } => {
+                self.call(callee, args, ty, inst.result.is_some(), dst)
+            }
         }
     }
 
@@ -804,6 +904,7 @@ impl<'a> Decoder<'a> {
         args: &[Operand],
         ty: Type,
         has_result: bool,
+        dst: u32,
     ) -> Result<(Op, Active), Trap> {
         let slots = args
             .iter()
@@ -904,17 +1005,26 @@ impl<'a> Decoder<'a> {
             let unknown = Trap::UnknownFunction(callee.to_string());
             return Ok((Op::Trap(Box::new(unknown)), active));
         }
-        let name = match self.out.names.iter().position(|n| n == callee) {
+        // The host reads its arguments while it writes the result lanes,
+        // so the two must not share a word (verified IR never does).
+        let out = dst..dst + ty.lanes();
+        if slots
+            .iter()
+            .any(|s| s.off < out.end && out.start < s.off + s.ty.lanes())
+        {
+            return Err(fault(format!("call to @{callee} reads its own result")));
+        }
+        let callee = match self.hosts.iter().position(|n| n == callee) {
             Some(i) => i as u32,
             None => {
-                self.out.names.push(callee.to_string());
-                (self.out.names.len() - 1) as u32
+                self.hosts.push(callee.to_string());
+                (self.hosts.len() - 1) as u32
             }
         };
         let args = self.pool(&slots);
         Ok((
             Op::Host {
-                name,
+                callee,
                 args,
                 ret: ty,
             },

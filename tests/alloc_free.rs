@@ -8,13 +8,16 @@
 //! tracer comparing against the golden event stream, as a traced study
 //! runs it, and a faulty run restored from a golden checkpoint and resumed
 //! through `Interp::run_to`, pausing on the way, as a forked faulty run
-//! does. What remains is per run (the simulated memory growing for an
-//! `alloca`, a host-visible vector argument), never per instruction.
+//! does. A detector-wrapped faulty run, whose uniform checks take an
+//! `<8 x i32>` argument, shows host calls with vector arguments
+//! allocate nothing either. What remains is per run (the simulated memory
+//! growing for an `alloca`), never per instruction or per host call.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use detectors::{CheckPlacement, DetectorConfig, WithDetectors};
 use spmdc::VectorIsa;
 use vbench::{study_benchmark, Scale};
 use vexec::{DivergenceTracer, Interp, Observer, Program, Progress};
@@ -187,4 +190,38 @@ fn golden_and_faulty_runs_allocate_nothing_per_instruction() {
             "{name}/{isa} restored faulty: {allocs} allocations in {insts} dyn insts"
         );
     }
+}
+
+#[test]
+fn host_calls_with_vector_arguments_allocate_nothing() {
+    let w = study_benchmark("Stencil", VectorIsa::Avx, Scale::Test).expect("paper benchmark");
+    let cfg = DetectorConfig {
+        uniform_broadcast: true,
+        placement: CheckPlacement::EveryIteration,
+        ..DetectorConfig::default()
+    };
+    let wd = WithDetectors::new(&w, cfg).expect("detectors insert");
+    let prog = prepare(&wd, SiteCategory::PureData).expect("instruments");
+    let text = vir::printer::print_module(&prog.module);
+    assert!(
+        text.contains("call void @vulfi.check.uniform(<8 x i32>"),
+        "no uniform check on an 8-lane vector"
+    );
+    let program = Arc::new(Program::decode(&prog.module));
+    let mut golden = VulfiHost::profile();
+    let (_, insts) = measure(&program, &wd, &prog.entry, &mut golden, u64::MAX / 2, ());
+    let mut faulty = VulfiHost::inject((golden.dynamic_sites / 2).max(1), 0x5eed);
+    let budget = insts * 10 + 100_000;
+    let (allocs, insts) = measure(&program, &wd, &prog.entry, &mut faulty, budget, ());
+    let calls = faulty.dynamic_sites + faulty.detectors.checks;
+    assert!(faulty.injection.is_some(), "nothing injected");
+    assert!(
+        faulty.detectors.checks > 100,
+        "{} checks",
+        faulty.detectors.checks
+    );
+    assert!(
+        allocs * 1000 < MAX_ALLOCS_PER_KINST * insts && allocs * 100 < calls,
+        "{allocs} allocations in {insts} dyn insts and {calls} host calls"
+    );
 }

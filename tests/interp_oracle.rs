@@ -10,13 +10,15 @@
 //! instruction-mix and hotspot profiles.
 //!
 //! The corpus is every paper and micro benchmark, on both ISAs, instrumented
-//! for each site category, plus verifier-accepted mutants of their printed
-//! IR. Each case runs with no host, a `VulfiHost` injecting a random value
+//! for each site category, plus Stencil and Jacobi wrapped in the foreach
+//! and uniform detector passes (so `vulfi.check.*` calls cross the
+//! fence too), plus verifier-accepted mutants of their printed IR. Each case runs with no host, a `VulfiHost` injecting a random value
 //! model, or an engine fault model with a random target, under a budget
 //! that is sometimes small enough to stop the run part-way.
 
 use std::sync::{Arc, OnceLock};
 
+use detectors::{CheckPlacement, DetectorConfig, WithDetectors};
 use proptest::prelude::*;
 use spmdc::VectorIsa;
 use vbench::{micro_benchmarks, study_benchmarks, Scale, SpmdWorkload};
@@ -36,8 +38,8 @@ mod reference {
     use vexec::interp::{eval_bin, eval_cast, eval_fcmp, eval_icmp};
     use vexec::trace::fold_bits;
     use vexec::{
-        EngineInjector, ExecResult, HostEnv, HotLoc, HotProfile, InstMix, Memory, RtVal, Scalar,
-        TraceEvent, Trap,
+        EngineInjector, ExecResult, HostArgs, HostCall, HostEnv, HotLoc, HotProfile, InstMix,
+        Memory, RtVal, Scalar, Slot, TraceEvent, Trap,
     };
     use vir::intrinsics::{self, Intrinsic, MathOp};
     use vir::{BlockId, Function, InstKind, Module, Operand, ScalarTy, Terminator, Type, ValueId};
@@ -609,17 +611,42 @@ mod reference {
                     if callee.starts_with("llvm.") {
                         return Err(Trap::UnknownFunction(callee.clone()));
                     }
-                    // Host function. Mirror the dynamic-instruction clock into
-                    // memory so host environments (e.g. the fault injector)
-                    // can timestamp their actions without a wider interface.
-                    self.mem.set_host_clock(self.executed);
-                    let ret = host.call(callee, &argv, &mut self.mem)?;
-                    if ret.is_none() && !ty.is_void() {
-                        return Err(Trap::HostError(format!(
-                            "host @{callee} returned nothing for a non-void call"
-                        )));
+                    // Host function: looked up by name, and called on the
+                    // arguments' lane words, laid out one after another.
+                    let id = host
+                        .resolve(callee)
+                        .ok_or_else(|| Trap::UnknownFunction(callee.clone()))?;
+                    let (mut slots, mut words) = (Vec::new(), Vec::new());
+                    for a in &argv {
+                        slots.push(Slot {
+                            off: words.len() as u32,
+                            ty: a.ty(),
+                        });
+                        words.extend(a.lanes().iter().map(|s| s.bits));
                     }
-                    Ok(ret)
+                    let mut ret = vec![0; ty.lanes() as usize];
+                    let call = HostCall {
+                        name: callee,
+                        args: HostArgs::new(&slots, &words),
+                        ret: &mut ret,
+                        executed: self.executed,
+                        mem: &mut self.mem,
+                    };
+                    if !host.call(id, call)? {
+                        if !ty.is_void() {
+                            return Err(Trap::HostError(format!(
+                                "host @{callee} returned nothing for a non-void call"
+                            )));
+                        }
+                        return Ok(None);
+                    }
+                    Ok(match ty {
+                        Type::Void => None,
+                        Type::Scalar(e) => Some(RtVal::Scalar(Scalar::new(e, ret[0]))),
+                        Type::Vector(e, _) => {
+                            Some(RtVal::from_lanes(e, ret.iter().map(|&w| Scalar::new(e, w))))
+                        }
+                    })
                 }
             }
         }
@@ -827,6 +854,9 @@ struct Entry {
     module: Module,
     entry: String,
     workload: usize,
+    /// The uninstrumented module a case without a host runs, when it is
+    /// not the workload's own (a detector-wrapped one).
+    plain: Option<Module>,
 }
 
 struct Corpus {
@@ -834,7 +864,14 @@ struct Corpus {
     entries: Vec<Entry>,
 }
 
-/// The 9 paper and 3 micro benchmarks × 2 ISAs × 3 site categories.
+const CATEGORIES: [SiteCategory; 3] = [
+    SiteCategory::PureData,
+    SiteCategory::Control,
+    SiteCategory::Address,
+];
+
+/// The 9 paper and 3 micro benchmarks × 2 ISAs × 3 site categories, and
+/// Stencil and Jacobi with detectors × 2 ISAs × 3 site categories.
 fn corpus() -> &'static Corpus {
     static CORPUS: OnceLock<Corpus> = OnceLock::new();
     CORPUS.get_or_init(|| {
@@ -848,17 +885,35 @@ fn corpus() -> &'static Corpus {
             .collect();
         let mut entries = Vec::new();
         for (wi, w) in workloads.iter().enumerate() {
-            for category in [
-                SiteCategory::PureData,
-                SiteCategory::Control,
-                SiteCategory::Address,
-            ] {
+            for category in CATEGORIES {
                 let prog = prepare(w, category).expect("benchmarks instrument");
                 entries.push(Entry {
                     name: format!("{}/{:?}/{:?}", w.name(), w.isa(), category),
                     module: prog.module,
                     entry: prog.entry,
                     workload: wi,
+                    plain: None,
+                });
+            }
+            if !["Stencil", "Jacobi"].contains(&w.name()) {
+                continue;
+            }
+            // Both detector families, checked every iteration, as the
+            // fork fence builds them.
+            let cfg = DetectorConfig {
+                uniform_broadcast: true,
+                placement: CheckPlacement::EveryIteration,
+                ..DetectorConfig::default()
+            };
+            let wd = WithDetectors::new(w, cfg).expect("detectors insert");
+            for category in CATEGORIES {
+                let prog = prepare(&wd, category).expect("detector programs instrument");
+                entries.push(Entry {
+                    name: format!("{} with detectors/{:?}/{:?}", w.name(), w.isa(), category),
+                    module: prog.module,
+                    entry: prog.entry,
+                    workload: wi,
+                    plain: Some(wd.module().clone()),
                 });
             }
         }
@@ -868,7 +923,8 @@ fn corpus() -> &'static Corpus {
 
 /// Corpus program `pick`: instrumented, or, for a case without a host
 /// (where the first injection call would trap), the benchmark's
-/// uninstrumented module.
+/// uninstrumented module, with its detectors if it has them (whose first
+/// check then traps).
 fn program(
     pick: usize,
     mode: Mode,
@@ -876,8 +932,14 @@ fn program(
     let c = corpus();
     let e = &c.entries[pick % c.entries.len()];
     let w = &c.workloads[e.workload];
-    match mode {
-        Mode::NoHost => (
+    match (mode, &e.plain) {
+        (Mode::NoHost, Some(plain)) => (
+            format!("{} with detectors/{:?}", w.name(), w.isa()),
+            plain,
+            w.entry(),
+            w,
+        ),
+        (Mode::NoHost, None) => (
             format!("{}/{:?}", w.name(), w.isa()),
             w.module(),
             w.entry(),
