@@ -82,6 +82,17 @@ grep -q '"sites"' "$SMOKE/sites.json"
 ./target/release/vulfi study --bench "vector sum" --experiments 20 --campaigns 5 \
     --seed 7 --shard-size 10 --prune --store "$SMOKE/pruned" \
     | grep 'statically discharged' > /dev/null
+# A discharged injection is one the analyzer proved benign, so the
+# pruned study's counts must equal those of its plain twin (same seed,
+# experiments, campaigns and shard size). The pruned rerun is a cache hit.
+./target/release/vulfi study --bench "vector sum" --experiments 20 --campaigns 5 \
+    --seed 7 --shard-size 10 --prune --store "$SMOKE/pruned" --json 2> "$SMOKE/pruned.err" \
+    | sed -n '/"counts"/,/}/p' > "$SMOKE/pruned.counts"
+./target/release/vulfi study --bench "vector sum" --experiments 20 --campaigns 5 \
+    --seed 7 --shard-size 10 --store "$SMOKE/plain" --json 2> "$SMOKE/plain.err" \
+    | sed -n '/"counts"/,/}/p' > "$SMOKE/plain.counts"
+grep -q '"sdc"' "$SMOKE/plain.counts"
+diff -u "$SMOKE/plain.counts" "$SMOKE/pruned.counts"
 ./target/release/vulfi gauntlet run scenarios/soundness.toml --store "$SMOKE/soundness" \
     | grep '0 breaches: PASS' > /dev/null
 

@@ -67,8 +67,8 @@ fn main() {
             let mut with = 0u64;
             let mut without = 0u64;
             for input in 0..w.num_inputs() {
-                without += measure_dyn_insts(w.module(), w.entry(), &w, input).unwrap();
-                with += measure_dyn_insts(wd.module(), wd.entry(), &wd, input).unwrap();
+                without += measure_dyn_insts(&w, input).unwrap();
+                with += measure_dyn_insts(&wd, input).unwrap();
             }
             let overhead = 100.0 * (with as f64 - without as f64) / without as f64;
 

@@ -32,8 +32,8 @@ fn main() {
             }
             let mut total = 0u64;
             for input in 0..w.num_inputs() {
-                total += measure_dyn_insts(w.module(), w.entry(), &w, input)
-                    .unwrap_or_else(|e| panic!("{}: {e}", w.name()));
+                total +=
+                    measure_dyn_insts(&w, input).unwrap_or_else(|e| panic!("{}: {e}", w.name()));
             }
             let avg = total as f64 / w.num_inputs() as f64;
             let display = if avg >= 1e6 {

@@ -2131,13 +2131,18 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         // Both entries run sequentially through the range driver on the
         // same seed (the records equal `run_campaign`'s), so "pruned vs
-        // full" compares like with like.
+        // full" compares like with like. Each run also reports the golden
+        // runs its set executed.
         let run = |prune: Option<&vulfi::PruneContext>| {
-            let golden = vulfi::GoldenSet::new(&w, false);
-            vulfi::run_range(&prog, &w, &golden, flags.seed, 0..experiments, prune)
-                .map_err(|e| e.to_string())
+            let golden = match prune {
+                Some(ctx) => vulfi::GoldenSet::pruned(&w, ctx),
+                None => vulfi::GoldenSet::new(&w, false),
+            };
+            let run = vulfi::run_range(&prog, &w, &golden, flags.seed, 0..experiments)
+                .map_err(|e| e.to_string())?;
+            Ok::<_, String>((run, golden.golden_runs()))
         };
-        let full = run(None)?;
+        let (full, golden_runs) = run(None)?;
         let (exp_per_sec, wall_ns) = median_throughput(experiments, || run(None).map(drop))?;
         let counts = outcome_counts(&full.experiments);
         let dyn_insts: u64 = full.experiments.iter().map(|e| e.golden_dyn_insts).sum();
@@ -2181,13 +2186,14 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
             "sdc_rate": counts.sdc_rate(),
             "outcomes": outcomes_doc(&counts),
             "interpreted_dyn_insts": full.interpreted_dyn_insts,
+            "golden_runs": golden_runs,
             "opcode_mix": mix_doc,
         }));
         // `--prune`: time the same experiment range with statically
         // discharged injections skipped, recorded as a separate bench
         // entry so the trajectory carries the pruned-vs-full pair. The
-        // one-time analyzer/census setup is recorded but not counted in
-        // exp/s — a real study amortizes it over every campaign.
+        // one-time static analysis is recorded but not counted in exp/s —
+        // a real study amortizes it over every campaign.
         if flags.prune.is_some() {
             if flags.prune.as_deref() != Some("on") {
                 return Err("bench supports only --prune / --prune=on".to_string());
@@ -2195,7 +2201,7 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
             let setup = std::time::Instant::now();
             let ctx = vulfi::build_prune_context(&prog, &w).map_err(|e| e.to_string())?;
             let setup_ns = setup.elapsed().as_nanos() as u64;
-            let pruned = run(Some(&ctx))?;
+            let (pruned, pruned_golden_runs) = run(Some(&ctx))?;
             let (pruned_exp_per_sec, pruned_wall_ns) =
                 median_throughput(experiments, || run(Some(&ctx)).map(drop))?;
             let exps = &pruned.experiments;
@@ -2227,6 +2233,7 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
                 "sdc_rate": counts.sdc_rate(),
                 "outcomes": outcomes_doc(&counts),
                 "interpreted_dyn_insts": pruned.interpreted_dyn_insts,
+                "golden_runs": pruned_golden_runs,
                 "prune": true,
                 "static_discharged": discharged as u64,
                 "static_discharged_pct": discharged_pct,
@@ -2316,7 +2323,7 @@ fn median_throughput(
 /// `--check` holds them to the baseline exactly: a moved counter is a
 /// behaviour change (or a deliberate re-record), never noise. A counter
 /// the baseline lacks is not checked.
-const BENCH_COUNTERS: [&str; 8] = [
+const BENCH_COUNTERS: [&str; 9] = [
     "dyn_insts",
     "sdc_rate",
     "static_discharged",
@@ -2325,6 +2332,7 @@ const BENCH_COUNTERS: [&str; 8] = [
     "outcomes.benign",
     "outcomes.crash",
     "interpreted_dyn_insts",
+    "golden_runs",
 ];
 
 /// The outcome tally of `experiments`.

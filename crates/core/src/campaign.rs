@@ -15,15 +15,16 @@
 //!   suffice everywhere).
 //!
 //! Every experiment takes one path, whatever its fault model or driver:
-//! `draw` fixes the RNG order (input, then target and entropy), which
-//! discharged experiments replay without executing; `golden_run` is the
-//! one fault-free run (behind [`GoldenSet`], [`build_prune_context`] and
-//! [`measure_dyn_insts`]); `run_body` is the one experiment body, for
-//! value and engine injectors alike; and [`run_range`] is the one range
-//! driver, optionally pruned or traced, which also counts the engine
-//! panics it contains. Experiments are embarrassingly parallel:
-//! [`run_campaign`] maps the driver's per-experiment step over rayon,
-//! every thread reading the same [`GoldenSet`].
+//! `run_body` is the one experiment body, for value and engine injectors
+//! alike. It draws the input, reads that input's golden run from the
+//! [`GoldenSet`] (`golden_run` is the one fault-free run, and fills the
+//! set's slots), draws a target and entropy, and then either discharges
+//! the experiment, when a pruned set's plan proves the coordinate benign
+//! by the slot's site log, or runs the faulty run and compares.
+//! [`run_range`] is the one range driver, over a plain, traced or pruned
+//! set, and also counts the engine panics it contains. Experiments are
+//! embarrassingly parallel: [`run_campaign`] maps the same step over
+//! rayon, every thread reading the same [`GoldenSet`].
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -175,9 +176,8 @@ pub fn run_experiment(
     workload: &dyn Workload,
     rng: &mut ChaCha8Rng,
 ) -> Result<Experiment, CampaignError> {
-    let engine = prog.model.engine_model();
     let golden = GoldenSet::new(workload, false);
-    run_contained(prog, engine, workload, &golden, rng, None).map(|ran| ran.experiment)
+    run_contained(prog, workload, &golden, rng, None).map(|ran| ran.experiment)
 }
 
 /// One experiment as the range driver sees it.
@@ -194,7 +194,6 @@ struct Ran {
 /// record: the span only observes.
 fn run_contained(
     prog: &Prepared,
-    engine: Option<vexec::EngineModel>,
     workload: &dyn Workload,
     golden: &GoldenSet,
     rng: &mut ChaCha8Rng,
@@ -208,8 +207,7 @@ fn run_contained(
     // so every experiment that draws the input panics, and is contained,
     // the same way.
     let mut input = 0;
-    let body =
-        std::panic::AssertUnwindSafe(|| run_body(prog, engine, workload, golden, rng, &mut input));
+    let body = std::panic::AssertUnwindSafe(|| run_body(prog, workload, golden, rng, &mut input));
     let (experiment, capture, faulty, engine_fault) = match std::panic::catch_unwind(body) {
         Ok(result) => {
             result.map(|(experiment, capture, faulty)| (experiment, capture, faulty, false))?
@@ -245,32 +243,35 @@ fn run_contained(
     })
 }
 
-/// The experiment body: golden lookup, target draw, faulty run, compare.
-/// `engine` is the injector family of `prog.model`: a value model
-/// (`None`) injects through [`VulfiHost::inject_model`] and its census is
-/// the dynamic fault sites; an engine model corrupts interpreter state
-/// through a [`vexec::EngineInjector`] that counts its census on the
-/// golden run.
+/// The experiment body: input draw, golden lookup, target draw, then a
+/// discharge or a faulty run and compare. `engine` is the injector family
+/// of `prog.model`: a value model (`None`) injects through
+/// [`VulfiHost::inject_model`] and its census is the dynamic fault sites;
+/// an engine model corrupts interpreter state through a
+/// [`vexec::EngineInjector`] that counts its census on the golden run.
 fn run_body(
     prog: &Prepared,
-    engine: Option<vexec::EngineModel>,
     workload: &dyn Workload,
     goldens: &GoldenSet,
     rng: &mut ChaCha8Rng,
     drawn_input: &mut u64,
 ) -> Result<(Experiment, TraceCapture, FaultyRun), CampaignError> {
-    // The golden run draws nothing from the RNG, so the draws, and so the
-    // record, are the same whichever experiment filled the input's slot.
-    let draw = draw(rng, workload.num_inputs(), |input| {
-        *drawn_input = input;
-        let g = goldens.get(prog, engine, workload, input)?;
-        Ok((g, g.n))
-    })?;
-    let golden = draw.census;
-    let Some((target, entropy)) = draw.pick else {
-        // Nothing to inject into for this input: no dynamic site under
-        // this category, or an empty engine-event census.
-        let e = no_injection(Outcome::Benign, draw.input, 0, golden.dyn_insts);
+    let engine = prog.model.engine_model();
+    // The RNG draw order of every experiment: the input; then, once its
+    // golden run has sized the target census `n`, a target in `1..=n` and
+    // 64 bits of entropy, only when `n > 0`. The golden run draws nothing
+    // from the RNG, so the draws, and so the record, are the same
+    // whichever experiment filled the input's slot.
+    let input = rng.gen_range(0..workload.num_inputs().max(1));
+    *drawn_input = input;
+    let golden = goldens.get(prog, engine, workload, input)?;
+    let n = golden.n;
+    let pick = (n > 0).then(|| (rng.gen_range(1..=n), rng.gen::<u64>()));
+    // Nothing to inject into for this input (no dynamic site under this
+    // category, or an empty engine-event census), or a coordinate a pruned
+    // set's plan proves benign: Benign, without a faulty run.
+    let Some((target, entropy)) = pick.filter(|&(t, e)| !goldens.discharges(golden, t, e)) else {
+        let e = no_injection(Outcome::Benign, input, n, golden.dyn_insts);
         return Ok((e, TraceCapture::default(), FaultyRun::default()));
     };
 
@@ -412,8 +413,8 @@ fn run_body(
         outcome,
         detected,
         injection,
-        input: draw.input,
-        dynamic_sites: draw.n,
+        input,
+        dynamic_sites: n,
         golden_dyn_insts: golden.dyn_insts,
     };
     Ok((experiment, capture, faulty))
@@ -443,32 +444,6 @@ fn hang_budget(limits: &ResourceLimits, golden_insts: u64) -> u64 {
         .saturating_add(limits.hang_slack)
 }
 
-/// A fault-free run of one input.
-struct Golden {
-    dyn_insts: u64,
-    /// Output regions and return value, as compared for SDC.
-    outputs: Vec<u8>,
-    /// The host after the run: the dynamic-site census (and site log).
-    host: VulfiHost,
-    /// The engine model's event census (0 without an engine model).
-    engine_events: u64,
-    setup: SetupResult,
-    /// The run's checkpoints, if [`Watch::checkpoints`] asked for them.
-    points: Vec<GoldenPoint>,
-    /// The memory at the end of the run.
-    mem: Memory,
-}
-
-/// What a golden run keeps an eye on besides its host: a golden-set slot
-/// records the divergence stream (traced sets), counts the engine model's
-/// events and keeps checkpoints; the prune census and Table I need none.
-#[derive(Default)]
-struct Watch<'r> {
-    recorder: Option<&'r mut vexec::DivergenceTracer<'static>>,
-    engine: Option<vexec::EngineModel>,
-    checkpoints: bool,
-}
-
 /// Dynamic instructions between golden checkpoints at first; the
 /// interval doubles each time the checkpoints after the first are thinned.
 const CHECKPOINT_INTERVAL: u64 = 1024;
@@ -481,27 +456,33 @@ const MAX_CHECKPOINTS: usize = 64;
 /// size.
 const CHECKPOINT_BYTES: usize = 256 << 10;
 
-/// The one golden run: set up `input`, run `entry` of `program` under
-/// `host` and `watch`, and snapshot the outputs. Never resource-limited: a
-/// trap here is a workload bug.
+/// The one golden run, which fills `set`'s slot for `input`: set the input
+/// up, run `prog`'s entry under a profiling host, and snapshot the
+/// outputs. Never resource-limited: a trap here is a workload bug. A
+/// traced set also records the divergence stream, a pruned set keeps the
+/// host's site log, and an engine model counts its events.
 ///
-/// With [`Watch::checkpoints`] the run pauses at every multiple of the
-/// checkpoint interval, starting at 0, and keeps a [`GoldenPoint`] there.
-/// After the post-setup checkpoint it keeps at most 64, and no more than
-/// fit in [`CHECKPOINT_BYTES`] at the post-setup checkpoint's size. When
-/// one more would be taken, every other one after the post-setup one is
-/// dropped and the interval doubles, so a run of any length keeps its
-/// checkpoints spread evenly.
+/// The run pauses at every multiple of the checkpoint interval, starting
+/// at 0, and keeps a [`GoldenPoint`] there. After the post-setup
+/// checkpoint it keeps at most 64, and no more than fit in
+/// [`CHECKPOINT_BYTES`] at the post-setup checkpoint's size. When one more
+/// would be taken, every other one after the post-setup one is dropped
+/// and the interval doubles, so a run of any length keeps its checkpoints
+/// spread evenly.
 fn golden_run(
-    program: Arc<Program>,
-    entry: &str,
+    set: &GoldenSet,
+    prog: &Prepared,
+    engine: Option<vexec::EngineModel>,
     workload: &dyn Workload,
     input: u64,
-    mut host: VulfiHost,
-    watch: Watch,
-) -> Result<Golden, CampaignError> {
-    let mut counter = watch.engine.map(vexec::EngineInjector::count);
-    let mut interp = Interp::observed(program, watch.recorder);
+) -> Result<GoldenInput, CampaignError> {
+    let mut recorder = set.traced.then(vexec::DivergenceTracer::record);
+    let mut counter = engine.map(vexec::EngineInjector::count);
+    let mut host = match set.plan {
+        Some(_) => VulfiHost::profile_logging(),
+        None => VulfiHost::profile(),
+    };
+    let mut interp = Interp::observed(set.program(prog), recorder.as_mut());
     let setup = workload
         .setup(&mut interp.mem, input)
         .map_err(|t| CampaignError(format!("setup failed: {t}")))?;
@@ -510,11 +491,11 @@ fn golden_run(
     }
     let trapped =
         |t: Trap| CampaignError(format!("golden run of {} trapped: {t}", workload.name()));
-    interp.start(entry, &setup.args).map_err(trapped)?;
+    interp.start(&prog.entry, &setup.args).map_err(trapped)?;
     let mut points: Vec<GoldenPoint> = Vec::new();
     let mut room = MAX_CHECKPOINTS;
     let mut interval = CHECKPOINT_INTERVAL;
-    let mut until = if watch.checkpoints { 0 } else { u64::MAX };
+    let mut until = 0;
     let run = loop {
         match interp.run_to(until, &mut host).map_err(trapped)? {
             Progress::Done(run) => break run,
@@ -550,16 +531,36 @@ fn golden_run(
     };
     let outputs = snapshot_outputs(&interp.mem, &setup.outputs, &run.ret)
         .map_err(|t| CampaignError(format!("golden snapshot failed: {t}")))?;
-    let mem = std::mem::take(&mut interp.mem);
+    // A full faulty run reaches a checkpoint only within its hang budget
+    // and with every allocation so far under its memory ceiling (the wall
+    // clock is nondeterministic already, so it is exempt). Both grow along
+    // the run, so the usable checkpoints are a prefix; the post-setup one
+    // is where every faulty run begins anyway.
+    let budget = hang_budget(&prog.limits, run.dyn_insts);
+    let mem_bytes = prog.limits.mem_bytes;
+    let fits = |m: &Memory| mem_bytes == 0 || m.fits(mem_bytes);
+    let usable = points
+        .iter()
+        .skip(1)
+        .take_while(|p| p.state.executed() <= budget && fits(p.state.memory()));
+    points.truncate(1 + usable.count());
+    let reconverge = run.dyn_insts <= budget && fits(&interp.mem);
     drop(interp);
-    Ok(Golden {
+    let n = match engine {
+        None => host.dynamic_sites,
+        Some(vexec::EngineModel::MemoryCell) => run.dyn_insts,
+        Some(_) => counter.map_or(0, |c| c.events()),
+    };
+    Ok(GoldenInput {
         dyn_insts: run.dyn_insts,
         outputs,
-        host,
-        engine_events: counter.map_or(0, |c| c.events()),
+        n,
+        stream: recorder.map(|r| r.into_stream()).unwrap_or_default(),
+        site_log: host.site_log.unwrap_or_default(),
         setup,
         points,
-        mem,
+        detectors: host.detectors,
+        reconverge,
     })
 }
 
@@ -570,7 +571,9 @@ fn golden_run(
 /// the next experiment drawing the input retries it (and is contained the
 /// same way), while a golden trap is cached as the [`CampaignError`] it
 /// always is. A traced set also keeps each input's divergence event
-/// stream, which traced experiments compare their faulty runs against.
+/// stream, which traced experiments compare their faulty runs against. A
+/// pruned set also keeps each input's site log, from which the body reads
+/// the coordinate an experiment would hit.
 ///
 /// A slot also keeps checkpoints of its golden run: the post-setup state,
 /// then up to 64 more (fewer when they are big) at a power-of-two interval
@@ -592,6 +595,8 @@ fn golden_run(
 /// study that built it.
 pub struct GoldenSet {
     traced: bool,
+    /// The benign-coordinate plan of a pruned set.
+    plan: Option<PrunePlan>,
     slots: Vec<OnceLock<Result<GoldenInput, CampaignError>>>,
     program: OnceLock<Arc<Program>>,
 }
@@ -607,6 +612,9 @@ struct GoldenInput {
     n: u64,
     /// The divergence fingerprint stream; empty unless the set is traced.
     stream: Vec<u64>,
+    /// The `(site_id, lane)` of every dynamic fault site, in count order;
+    /// empty unless the set is pruned.
+    site_log: Vec<(u32, u32)>,
     /// The input's setup, whose output regions a faulty run snapshots.
     setup: SetupResult,
     /// The usable checkpoints, in count order; the first is the
@@ -654,9 +662,25 @@ impl GoldenSet {
         let inputs = workload.num_inputs().max(1) as usize;
         GoldenSet {
             traced,
+            plan: None,
             slots: (0..inputs).map(|_| OnceLock::new()).collect(),
             program: OnceLock::new(),
         }
+    }
+
+    /// An empty untraced set whose experiments [`run_range`] discharges
+    /// when `ctx`'s plan proves their coordinate benign (single-bit-flip
+    /// programs only).
+    pub fn pruned(workload: &dyn Workload, ctx: &PruneContext) -> GoldenSet {
+        GoldenSet {
+            plan: Some(ctx.plan.clone()),
+            ..GoldenSet::new(workload, false)
+        }
+    }
+
+    /// Golden runs this set has executed: its filled slots.
+    pub fn golden_runs(&self) -> u64 {
+        self.slots.iter().filter(|s| s.get().is_some()).count() as u64
     }
 
     /// The decoded `prog.module`, decoding it on first use.
@@ -679,88 +703,25 @@ impl GoldenSet {
             .slots
             .get(input as usize)
             .ok_or_else(|| CampaignError(format!("golden set has no slot for input {input}")))?;
-        let fill = || {
-            let mut recorder = self.traced.then(vexec::DivergenceTracer::record);
-            let watch = Watch {
-                recorder: recorder.as_mut(),
-                engine,
-                checkpoints: true,
-            };
-            let program = self.program(prog);
-            let mut g = golden_run(
-                program,
-                &prog.entry,
-                workload,
-                input,
-                VulfiHost::profile(),
-                watch,
-            )?;
-            let n = match engine {
-                None => g.host.dynamic_sites,
-                Some(vexec::EngineModel::MemoryCell) => g.dyn_insts,
-                Some(_) => g.engine_events,
-            };
-            // A full faulty run reaches a checkpoint only within its hang
-            // budget and with every allocation so far under its memory
-            // ceiling (the wall clock is nondeterministic already, so it
-            // is exempt). Both grow along the run, so the usable
-            // checkpoints are a prefix; the post-setup one is where every
-            // faulty run begins anyway.
-            let budget = hang_budget(&prog.limits, g.dyn_insts);
-            let mem_bytes = prog.limits.mem_bytes;
-            let fits = |m: &Memory| mem_bytes == 0 || m.fits(mem_bytes);
-            let usable = g
-                .points
-                .iter()
-                .skip(1)
-                .take_while(|p| p.state.executed() <= budget && fits(p.state.memory()));
-            g.points.truncate(1 + usable.count());
-            Ok(GoldenInput {
-                dyn_insts: g.dyn_insts,
-                outputs: g.outputs,
-                n,
-                stream: recorder.map(|r| r.into_stream()).unwrap_or_default(),
-                setup: g.setup,
-                points: g.points,
-                detectors: g.host.detectors,
-                reconverge: g.dyn_insts <= budget && fits(&g.mem),
-            })
-        };
-        slot.get_or_init(fill).as_ref().map_err(Clone::clone)
+        slot.get_or_init(|| golden_run(self, prog, engine, workload, input))
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// Does the plan of a pruned set prove flipping bit `entropy % width`
+    /// of `golden`'s `target`-th dynamic site benign? Never for a set
+    /// without a plan.
+    fn discharges(&self, golden: &GoldenInput, target: u64, entropy: u64) -> bool {
+        self.plan.as_ref().is_some_and(|plan| {
+            let (site, lane) = golden.site_log[(target - 1) as usize];
+            let width = plan.width(site).unwrap_or(64).max(1);
+            plan.is_benign(site, lane, (entropy % width as u64) as u32)
+        })
     }
 }
 
-/// One experiment's random choices, and the census that sized them.
-struct Draw<C> {
-    input: u64,
-    census: C,
-    n: u64,
-    /// `(target, entropy)`; `None` when the census is empty.
-    pick: Option<(u64, u64)>,
-}
-
-/// The RNG draw order of every experiment, executed or discharged: the
-/// input; then, once `census` (a golden run, or the prune context) has
-/// sized its target distribution `n`, a target in `1..=n` and 64 bits of
-/// entropy, only when `n > 0`.
-fn draw<C>(
-    rng: &mut ChaCha8Rng,
-    num_inputs: u64,
-    census: impl FnOnce(u64) -> Result<(C, u64), CampaignError>,
-) -> Result<Draw<C>, CampaignError> {
-    let input = rng.gen_range(0..num_inputs.max(1));
-    let (census, n) = census(input)?;
-    let pick = (n > 0).then(|| (rng.gen_range(1..=n), rng.gen()));
-    Ok(Draw {
-        input,
-        census,
-        n,
-        pick,
-    })
-}
-
 /// The record of an experiment that injected nothing: its input had no
-/// dynamic site (`sites == 0`), the prune plan discharged it, or the
+/// dynamic site (`sites == 0`), a pruned set's plan discharged it, or the
 /// engine panicked (Crash; no counts survive the unwind, so all zero).
 fn no_injection(outcome: Outcome, input: u64, sites: u64, golden_insts: u64) -> Experiment {
     Experiment {
@@ -893,21 +854,22 @@ pub struct RangeRun {
 /// filling its slots as needed). Concatenating the results of any
 /// partition of `0..n` equals the experiment list of [`run_campaign`].
 ///
-/// With `prune`, an experiment whose replayed draws land on a coordinate
-/// the plan proves benign gets a [`Outcome::Benign`] record with
-/// `injection: None` and is not executed; every other experiment is
-/// bit-identical to a full run. With a traced `golden` set, every
-/// experiment also yields an [`ExperimentTrace`] and the records stay
-/// bit-identical. Tracing and pruning are mutually exclusive.
+/// With a pruned `golden` set ([`GoldenSet::pruned`]; single-bit-flip
+/// programs only), an experiment whose draws land on a coordinate the plan
+/// proves benign gets a [`Outcome::Benign`] record with `injection: None`
+/// and no faulty run; every other experiment is bit-identical to a full
+/// run. With a traced set, every experiment also yields an
+/// [`ExperimentTrace`] and the records stay bit-identical.
 pub fn run_range(
     prog: &Prepared,
     workload: &dyn Workload,
     golden: &GoldenSet,
     campaign_seed: u64,
     range: std::ops::Range<usize>,
-    prune: Option<&PruneContext>,
 ) -> Result<RangeRun, CampaignError> {
-    let step = stepper(prog, workload, golden, campaign_seed, prune)?;
+    if golden.plan.is_some() {
+        check_prunable(prog.model)?;
+    }
     let mut run = RangeRun {
         experiments: Vec::with_capacity(range.len()),
         spans: Vec::with_capacity(if golden.traced { range.len() } else { 0 }),
@@ -916,7 +878,8 @@ pub fn run_range(
         reconverged: 0,
     };
     for i in range {
-        let ran = step(i)?;
+        let mut rng = experiment_rng(campaign_seed, i);
+        let ran = run_contained(prog, workload, golden, &mut rng, Some((campaign_seed, i)))?;
         run.experiments.push(ran.experiment);
         run.spans.extend(ran.span);
         run.engine_faults += u64::from(ran.engine_fault);
@@ -924,45 +887,6 @@ pub fn run_range(
         run.reconverged += u64::from(ran.faulty.reconverged);
     }
     Ok(run)
-}
-
-/// The per-experiment step of [`run_range`] and [`run_campaign`], with
-/// the range's choices checked once.
-fn stepper<'a>(
-    prog: &'a Prepared,
-    workload: &'a dyn Workload,
-    golden: &'a GoldenSet,
-    campaign_seed: u64,
-    prune: Option<&'a PruneContext>,
-) -> Result<impl Fn(usize) -> Result<Ran, CampaignError> + Sync + 'a, CampaignError> {
-    if prune.is_some() {
-        if golden.traced {
-            return Err(CampaignError(
-                "tracing and pruning are mutually exclusive (a discharged experiment \
-                 has no execution to trace)"
-                    .to_string(),
-            ));
-        }
-        check_prunable(prog.model)?;
-    }
-    let engine = prog.model.engine_model();
-    Ok(move |i| {
-        if let Some(ctx) = prune {
-            if let Some(experiment) =
-                discharge(ctx, workload, &mut experiment_rng(campaign_seed, i))?
-            {
-                return Ok(Ran {
-                    experiment,
-                    span: None,
-                    engine_fault: false,
-                    faulty: FaultyRun::default(),
-                });
-            }
-        }
-        let mut rng = experiment_rng(campaign_seed, i);
-        let provenance = Some((campaign_seed, i));
-        run_contained(prog, engine, workload, golden, &mut rng, provenance)
-    })
 }
 
 /// Run experiments `range` of the campaign seeded `campaign_seed`
@@ -974,7 +898,7 @@ pub fn run_experiment_range(
     range: std::ops::Range<usize>,
 ) -> Result<Vec<Experiment>, CampaignError> {
     let golden = GoldenSet::new(workload, false);
-    run_range(prog, workload, &golden, campaign_seed, range, None).map(|run| run.experiments)
+    run_range(prog, workload, &golden, campaign_seed, range).map(|run| run.experiments)
 }
 
 /// [`run_experiment_range`] with static pruning (see [`run_range`]).
@@ -985,8 +909,8 @@ pub fn run_experiment_range_pruned(
     campaign_seed: u64,
     range: std::ops::Range<usize>,
 ) -> Result<Vec<Experiment>, CampaignError> {
-    let golden = GoldenSet::new(workload, false);
-    run_range(prog, workload, &golden, campaign_seed, range, Some(ctx)).map(|run| run.experiments)
+    let golden = GoldenSet::pruned(workload, ctx);
+    run_range(prog, workload, &golden, campaign_seed, range).map(|run| run.experiments)
 }
 
 /// [`run_experiment_range`] with per-experiment trace spans (see
@@ -998,26 +922,16 @@ pub fn run_experiment_range_traced(
     range: std::ops::Range<usize>,
 ) -> Result<(Vec<Experiment>, Vec<ExperimentTrace>), CampaignError> {
     let golden = GoldenSet::new(workload, true);
-    let run = run_range(prog, workload, &golden, campaign_seed, range, None)?;
+    let run = run_range(prog, workload, &golden, campaign_seed, range)?;
     Ok((run.experiments, run.spans))
 }
 
-/// Per-input golden census used by the campaign pruner: the ordered
-/// `(site_id, lane)` sequence of dynamic fault sites, exactly as the
-/// runtime counts them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InputCensus {
-    pub golden_dyn_insts: u64,
-    pub trace: Vec<(u32, u32)>,
-}
-
-/// Everything a pruned [`run_range`] needs to predict an experiment's
-/// injection coordinate without running it: the static benign-coordinate
-/// plan plus one golden census per workload input.
+/// What a pruned [`GoldenSet`] needs to predict an experiment's injection
+/// coordinate without running it: the static benign-coordinate plan. The
+/// coordinate itself comes from the site log of the input's golden run.
 #[derive(Debug, Clone)]
 pub struct PruneContext {
     pub plan: PrunePlan,
-    pub census: Vec<InputCensus>,
 }
 
 /// Only the paper's single-bit-flip model can be pruned: the prediction
@@ -1032,53 +946,17 @@ fn check_prunable(model: FaultModel) -> Result<(), CampaignError> {
     }
 }
 
-/// Build the prune context: analyze the uninstrumented module, then run
-/// one logging golden run per input on the instrumented program.
+/// Build the prune context: check the model, then analyze the
+/// uninstrumented module.
 pub fn build_prune_context(
     prog: &Prepared,
     workload: &dyn Workload,
 ) -> Result<PruneContext, CampaignError> {
     check_prunable(prog.model)?;
     let report = analyze_module(workload.module(), workload.entry()).map_err(CampaignError)?;
-    let plan = PrunePlan::from_report(&report);
-    let program = Arc::new(Program::decode(&prog.module));
-    let census = (0..workload.num_inputs().max(1))
-        .map(|input| {
-            let host = VulfiHost::profile_logging();
-            let program = Arc::clone(&program);
-            let watch = Watch::default();
-            let golden = golden_run(program, &prog.entry, workload, input, host, watch)?;
-            Ok(InputCensus {
-                golden_dyn_insts: golden.dyn_insts,
-                trace: golden.host.site_log.unwrap_or_default(),
-            })
-        })
-        .collect::<Result<_, CampaignError>>()?;
-    Ok(PruneContext { plan, census })
-}
-
-/// Replay `rng`'s draws against the golden census: the record of an
-/// experiment the plan proves benign (or with no dynamic site), if so.
-fn discharge(
-    ctx: &PruneContext,
-    workload: &dyn Workload,
-    rng: &mut ChaCha8Rng,
-) -> Result<Option<Experiment>, CampaignError> {
-    let draw = draw(rng, workload.num_inputs(), |input| {
-        let census = ctx
-            .census
-            .get(input as usize)
-            .ok_or_else(|| CampaignError(format!("prune census missing input {input}")))?;
-        Ok((census, census.trace.len() as u64))
-    })?;
-    let benign = draw.pick.is_none_or(|(target, entropy)| {
-        let (site, lane) = draw.census.trace[(target - 1) as usize];
-        let width = ctx.plan.width(site).unwrap_or(64).max(1);
-        ctx.plan
-            .is_benign(site, lane, (entropy % width as u64) as u32)
-    });
-    let golden_insts = draw.census.golden_dyn_insts;
-    Ok(benign.then(|| no_injection(Outcome::Benign, draw.input, draw.n, golden_insts)))
+    Ok(PruneContext {
+        plan: PrunePlan::from_report(&report),
+    })
 }
 
 /// Run one campaign of `n` experiments in parallel, with a golden set of
@@ -1100,10 +978,13 @@ fn run_campaign_with(
     n: usize,
     seed: u64,
 ) -> Result<CampaignResult, CampaignError> {
-    let step = stepper(prog, workload, golden, seed, None)?;
     let experiments = (0..n)
         .into_par_iter()
-        .map(|i| step(i).map(|ran| ran.experiment))
+        .map(|i| {
+            let mut rng = experiment_rng(seed, i);
+            let ran = run_contained(prog, workload, golden, &mut rng, Some((seed, i)));
+            ran.map(|ran| ran.experiment)
+        })
         .collect::<Result<Vec<Experiment>, CampaignError>>()?;
     let mut counts = OutcomeCounts::default();
     for e in &experiments {
@@ -1244,17 +1125,13 @@ pub fn run_study(
     })
 }
 
-/// Measure the dynamic instruction count of a golden run (used for Table I
-/// and for detector-overhead measurements).
-pub fn measure_dyn_insts(
-    module: &Module,
-    entry: &str,
-    workload: &dyn Workload,
-    input: u64,
-) -> Result<u64, CampaignError> {
-    let host = VulfiHost::profile();
-    let program = Arc::new(Program::decode(module));
-    golden_run(program, entry, workload, input, host, Watch::default()).map(|g| g.dyn_insts)
+/// Measure the dynamic instruction count of input `input`'s golden run
+/// of `workload`'s own module (used for Table I and for
+/// detector-overhead measurements).
+pub fn measure_dyn_insts(workload: &dyn Workload, input: u64) -> Result<u64, CampaignError> {
+    crate::workload::observed_golden_run(workload, input, ())
+        .map(|(run, _, ())| run.dyn_insts)
+        .map_err(CampaignError)
 }
 
 #[cfg(test)]
@@ -1433,10 +1310,10 @@ exit:
     #[test]
     fn measure_dyn_insts_deterministic() {
         let w = ScaleWorkload::new();
-        let a = measure_dyn_insts(w.module(), "scale", &w, 0).unwrap();
-        let b = measure_dyn_insts(w.module(), "scale", &w, 0).unwrap();
+        let a = measure_dyn_insts(&w, 0).unwrap();
+        let b = measure_dyn_insts(&w, 0).unwrap();
         assert_eq!(a, b);
-        let c = measure_dyn_insts(w.module(), "scale", &w, 2).unwrap();
+        let c = measure_dyn_insts(&w, 2).unwrap();
         assert!(c > a, "bigger input → more dynamic instructions");
     }
 
@@ -1501,19 +1378,26 @@ exit:
         assert!(c.counts.sdc > 0, "{:?}", c.counts);
     }
 
-    /// Counts `setup` calls: one per golden fill plus one per faulty run.
-    struct CountingWorkload {
-        inner: ScaleWorkload,
+    /// Counts `setup` calls.
+    struct CountingWorkload<W> {
+        inner: W,
         setups: std::sync::atomic::AtomicU64,
     }
 
-    impl CountingWorkload {
+    impl<W> CountingWorkload<W> {
+        fn new(inner: W) -> CountingWorkload<W> {
+            CountingWorkload {
+                inner,
+                setups: Default::default(),
+            }
+        }
+
         fn setups(&self) -> u64 {
             self.setups.load(std::sync::atomic::Ordering::SeqCst)
         }
     }
 
-    impl Workload for CountingWorkload {
+    impl<W: Workload> Workload for CountingWorkload<W> {
         fn name(&self) -> &str {
             self.inner.name()
         }
@@ -1535,20 +1419,39 @@ exit:
 
     #[test]
     fn one_golden_run_per_drawn_input() {
-        let w = CountingWorkload {
-            inner: ScaleWorkload::new(),
-            setups: Default::default(),
+        let distinct = |run: &RangeRun| {
+            let inputs: std::collections::BTreeSet<u64> =
+                run.experiments.iter().map(|e| e.input).collect();
+            inputs.len() as u64
         };
+        let w = CountingWorkload::new(ScaleWorkload::new());
         let prog = prepare(&w, SiteCategory::PureData).unwrap();
         let golden = GoldenSet::new(&w, false);
-        let run = run_range(&prog, &w, &golden, campaign_seed(0x601D, 0), 0..30, None).unwrap();
+        let run = run_range(&prog, &w, &golden, campaign_seed(0x601D, 0), 0..30).unwrap();
         // Faulty runs fork from the golden run's post-setup checkpoint, so
         // only the golden runs set their input up.
-        let inputs: std::collections::BTreeSet<u64> =
-            run.experiments.iter().map(|e| e.input).collect();
-        assert!(inputs.len() > 1, "the campaign must draw several inputs");
+        assert!(distinct(&run) > 1, "the campaign must draw several inputs");
         assert!(run.interpreted_dyn_insts > 0, "the faulty runs executed");
-        assert_eq!(w.setups(), inputs.len() as u64);
+        assert_eq!(w.setups(), distinct(&run));
+        assert_eq!(golden.golden_runs(), distinct(&run));
+
+        // A pruned range reads its site logs from the same golden runs: no
+        // census run per input, and a discharged experiment's input is set
+        // up once like any other.
+        let w = CountingWorkload::new(NarrowWorkload::new());
+        let prog = prepare(&w, SiteCategory::PureData).unwrap();
+        let ctx = build_prune_context(&prog, &w).unwrap();
+        assert_eq!(w.setups(), 0, "building the context runs nothing");
+        let golden = GoldenSet::pruned(&w, &ctx);
+        let run = run_range(&prog, &w, &golden, campaign_seed(0xBEE5, 0), 0..30).unwrap();
+        assert!(distinct(&run) > 1, "the range must draw several inputs");
+        assert!(
+            run.experiments.iter().any(|e| e.injection.is_none()),
+            "the range must discharge an experiment: {:?}",
+            run.experiments
+        );
+        assert_eq!(w.setups(), distinct(&run));
+        assert_eq!(golden.golden_runs(), distinct(&run));
     }
 
     #[test]
@@ -1563,11 +1466,11 @@ exit:
             let mut prog = prepare(&w, SiteCategory::PureData).unwrap();
             prog.model = model;
             let shared = GoldenSet::new(&w, true);
-            let run = run_range(&prog, &w, &shared, seed, 0..30, None).unwrap();
+            let run = run_range(&prog, &w, &shared, seed, 0..30).unwrap();
             assert_eq!(run.spans.len(), 30, "{model}");
             for (i, span) in run.spans.into_iter().enumerate() {
                 let fresh = GoldenSet::new(&w, true);
-                let one = run_range(&prog, &w, &fresh, seed, i..i + 1, None).unwrap();
+                let one = run_range(&prog, &w, &fresh, seed, i..i + 1).unwrap();
                 assert_eq!(
                     one.experiments[0], run.experiments[i],
                     "{model}: record {i}"
@@ -1821,7 +1724,7 @@ exit:
             prog.model = model;
             let plain = run_campaign(&prog, &w, 30, seed).unwrap().experiments;
             let golden = GoldenSet::new(&w, true);
-            let traced = run_range(&prog, &w, &golden, seed, 0..30, None).unwrap();
+            let traced = run_range(&prog, &w, &golden, seed, 0..30).unwrap();
             assert_eq!(
                 traced.experiments, plain,
                 "{model}: tracing must not perturb"

@@ -67,9 +67,8 @@ pub use analyze::{
 pub use campaign::{
     build_prune_context, campaign_seed, experiment_rng, prepare, prepare_with, run_campaign,
     run_experiment, run_experiment_range, run_experiment_range_pruned, run_experiment_range_traced,
-    run_range, run_study, CampaignError, CampaignResult, Experiment, GoldenSet, InputCensus,
-    Outcome, OutcomeCounts, Prepared, PruneContext, RangeRun, ResourceLimits, StudyConfig,
-    StudyResult,
+    run_range, run_study, CampaignError, CampaignResult, Experiment, GoldenSet, Outcome,
+    OutcomeCounts, Prepared, PruneContext, RangeRun, ResourceLimits, StudyConfig, StudyResult,
 };
 pub use fault::{FaultModel, MODEL_KINDS};
 pub use faultlog::{

@@ -9,8 +9,10 @@
 
 use std::sync::Arc;
 
-use vexec::{ExecResult, Interp, Memory, NoHost, Observer, Program, RtVal, Trap};
+use vexec::{ExecResult, Interp, Memory, Observer, Program, RtVal, Trap};
 use vir::Module;
+
+use crate::runtime::VulfiHost;
 
 /// A memory region whose final contents are the program's observable
 /// output (compared bit-exactly for SDC classification).
@@ -67,9 +69,11 @@ pub fn snapshot_outputs(
     Ok(buf)
 }
 
-/// Input `input`'s golden run of `w`'s uninstrumented module under `obs`,
-/// the run every profile reports on: its result, its output snapshot and
-/// the observer. Decodes the module, so keep it out of per-run loops.
+/// Input `input`'s golden run of `w`'s own module under `obs`, the run
+/// every profile and Table I count reports on: its result, its output
+/// snapshot and the observer. The host serves the detector checks a
+/// detector-wrapped module calls; an uninstrumented module calls none.
+/// Decodes the module, so keep it out of per-run loops.
 pub fn observed_golden_run<O: Observer>(
     w: &dyn Workload,
     input: u64,
@@ -80,7 +84,7 @@ pub fn observed_golden_run<O: Observer>(
         .setup(&mut interp.mem, input)
         .map_err(|t| format!("setup failed: {t}"))?;
     let run = interp
-        .run(w.entry(), &setup.args, &mut NoHost)
+        .run(w.entry(), &setup.args, &mut VulfiHost::profile())
         .map_err(|t| format!("golden run trapped: {t}"))?;
     let outputs = snapshot_outputs(&interp.mem, &setup.outputs, &run.ret)
         .map_err(|t| format!("golden snapshot failed: {t}"))?;

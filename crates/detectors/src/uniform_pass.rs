@@ -16,7 +16,7 @@
 //! chain feeds the checker the same (possibly corrupted) register the
 //! program consumes.
 
-use vir::inst::{InstKind, Terminator};
+use vir::inst::InstKind;
 use vir::{ConstData, FuncDecl, Function, InstId, Module, Type, ValueDef};
 
 /// Name of the runtime check function.
@@ -97,14 +97,6 @@ pub fn insert_uniform_detectors(m: &mut Module, func: &str) -> Result<usize, Str
         return Err(format!("uniform-checker pass broke the module: {e}"));
     }
     Ok(broadcasts.len())
-}
-
-/// Convenience: does the terminator style of `f` still verify? (Used by
-/// property tests.)
-pub fn has_unreachable_blocks(f: &Function) -> bool {
-    f.blocks
-        .iter()
-        .any(|b| matches!(b.term, Terminator::Unreachable))
 }
 
 #[cfg(test)]

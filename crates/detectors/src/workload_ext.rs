@@ -147,8 +147,8 @@ export void vcopy_ispc(uniform float a1[], uniform float a2[], uniform int n) {
         assert_eq!(wd.num_inputs(), 2);
         // Golden runs of both versions produce the same dynamic behavior
         // modulo the detector calls.
-        let plain = vulfi::campaign::measure_dyn_insts(w.module(), w.entry(), &w, 0).unwrap();
-        let with = vulfi::campaign::measure_dyn_insts(wd.module(), wd.entry(), &wd, 0).unwrap();
+        let plain = vulfi::campaign::measure_dyn_insts(&w, 0).unwrap();
+        let with = vulfi::campaign::measure_dyn_insts(&wd, 0).unwrap();
         assert!(with > plain, "detector adds instructions");
         let overhead = (with - plain) as f64 / plain as f64;
         assert!(

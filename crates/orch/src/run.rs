@@ -7,8 +7,8 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 use vulfi::{
-    build_prune_context, campaign_seed, run_range, GoldenSet, Prepared, PruneContext,
-    SoundnessReport, StudyConfig, StudyResult, Workload,
+    build_prune_context, campaign_seed, run_range, GoldenSet, Prepared, SoundnessReport,
+    StudyConfig, StudyResult, Workload,
 };
 
 use crate::key::{study_key, StudyKey};
@@ -112,7 +112,7 @@ pub struct RunOutcome {
 
 /// Execute one shard of a study: derive the campaign seed, run the
 /// experiment range through [`vulfi::run_range`] against the study's
-/// `golden` set (pruned when asked, traced when the set is), and bump the
+/// `golden` set (pruned or traced when the set is), and bump the
 /// global metrics (shard duration, engine faults and the faulty
 /// instructions actually interpreted included). The
 /// runner below appends the returned record under its sink lock. The
@@ -129,7 +129,6 @@ pub fn run_shard(
     cfg: &StudyConfig,
     job: ShardJob,
     golden: &GoldenSet,
-    prune: Option<&PruneContext>,
 ) -> Result<(ShardRecord, Vec<vulfi::ExperimentTrace>, u64), OrchError> {
     if prog.model != cfg.model {
         return Err(OrchError(format!(
@@ -139,7 +138,7 @@ pub fn run_shard(
     }
     let shard_start = Instant::now();
     let seed = campaign_seed(cfg.seed, job.campaign);
-    let run = run_range(prog, workload, golden, seed, job.start..job.end, prune)
+    let run = run_range(prog, workload, golden, seed, job.start..job.end)
         .map_err(|e| OrchError(e.to_string()))?;
     let metrics = crate::metrics::global();
     for e in &run.experiments {
@@ -243,17 +242,16 @@ pub fn run_study_persistent(
         missing.truncate(cap);
     }
 
-    // The prune context (static analysis + per-input active-lane census)
-    // is shared by every shard, and only needed when something will
-    // actually execute — a fully cached study resumes without it. So is
-    // the golden set, which fills lazily: a study that executes nothing
-    // runs no golden.
-    let prune_ctx = if cfg.prune && !missing.is_empty() {
-        Some(build_prune_context(prog, workload).map_err(|e| OrchError(e.to_string()))?)
+    // Every shard shares one golden set, which fills lazily: a study that
+    // executes nothing runs no golden. A pruned study's set carries the
+    // static analysis, which is only needed when something will actually
+    // execute; a fully cached study resumes without it.
+    let golden = if cfg.prune && !missing.is_empty() {
+        let ctx = build_prune_context(prog, workload).map_err(|e| OrchError(e.to_string()))?;
+        GoldenSet::pruned(workload, &ctx)
     } else {
-        None
+        GoldenSet::new(workload, trace_log.is_some())
     };
-    let golden = GoldenSet::new(workload, trace_log.is_some());
 
     let mut progress = Progress::start((cfg.max_campaigns * cfg.experiments_per_campaign) as u64);
     progress.resumed = covered_experiments(&done, cfg) as u64;
@@ -275,8 +273,7 @@ pub fn run_study_persistent(
             if !notify(&opts.hook, RunEvent::Start(job)) {
                 return Ok(false);
             }
-            let (rec, spans, engine_faults) =
-                run_shard(prog, workload, cfg, job, &golden, prune_ctx.as_ref())?;
+            let (rec, spans, engine_faults) = run_shard(prog, workload, cfg, job, &golden)?;
             // Recover the guard on poison: a panic in another worker (or
             // in a user callback) must not cascade into losing this
             // shard's append — the counters it protects stay coherent

@@ -214,7 +214,7 @@ fn run_shard_counts_only_its_own_engine_faults() {
         let log_before = vulfi::engine_faults().len();
         let seen = recorded.load(Ordering::SeqCst);
         let golden = vulfi::GoldenSet::new(&w, false);
-        let (rec, _, faults) = run_shard(&prog, &w, &cfg, job, &golden, None).unwrap();
+        let (rec, _, faults) = run_shard(&prog, &w, &cfg, job, &golden).unwrap();
         // Make sure unrelated faults landed inside the measured window.
         wait_past(seen);
         let registry_delta = registry.snapshot().engine_faults - registry_before;

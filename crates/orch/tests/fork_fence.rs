@@ -210,26 +210,12 @@ fn fence(prog: &Prepared, w: &dyn Workload, what: &str) -> Cost {
         .map(|i| reexecute(prog, &program, w, cseed, i))
         .unzip();
 
-    let plain = run_range(
-        prog,
-        w,
-        &GoldenSet::new(w, false),
-        cseed,
-        0..EXPERIMENTS,
-        None,
-    )
-    .unwrap_or_else(|e| panic!("{what}: {e}"));
+    let plain = run_range(prog, w, &GoldenSet::new(w, false), cseed, 0..EXPERIMENTS)
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
     assert_eq!(plain.experiments, records, "{what}: records");
 
-    let traced = run_range(
-        prog,
-        w,
-        &GoldenSet::new(w, true),
-        cseed,
-        0..EXPERIMENTS,
-        None,
-    )
-    .unwrap_or_else(|e| panic!("{what}: {e}"));
+    let traced = run_range(prog, w, &GoldenSet::new(w, true), cseed, 0..EXPERIMENTS)
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
     assert_eq!(traced.experiments, records, "{what}: traced records");
     let mut got = traced.spans;
     for s in &mut got {
@@ -390,15 +376,7 @@ fn checkpoints_past_the_memory_ceiling_are_not_forked_from() {
     let cost = fence(&prog, &w, "late alloc");
     assert!(cost.logical > 0);
     assert_eq!(cost.reconverged, 0, "the golden suffix trips the ceiling");
-    let plain = run_range(
-        &prog,
-        &w,
-        &GoldenSet::new(&w, false),
-        1,
-        0..EXPERIMENTS,
-        None,
-    )
-    .unwrap();
+    let plain = run_range(&prog, &w, &GoldenSet::new(&w, false), 1, 0..EXPERIMENTS).unwrap();
     assert!(
         plain
             .experiments

@@ -14,7 +14,7 @@ use vir::analysis::SiteCategory;
 use vulfi::{
     build_prune_context, campaign_seed, prepare, run_experiment_range, run_experiment_range_pruned,
     run_experiment_range_traced, run_study, Experiment, ExperimentTrace, StudyConfig, StudyResult,
-    Workload,
+    VulfiHost, Workload,
 };
 use vulfi_orch::{run_study_persistent, set_jobs, RunOptions, Store};
 
@@ -178,7 +178,8 @@ struct ModelPaths {
     spans: Vec<ExperimentTrace>,
 }
 
-/// One input's golden census as the pruner sees it.
+/// One input's golden census as the pruner sees it: a logging golden run
+/// of the instrumented module.
 #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 struct CensusPin {
     golden_dyn_insts: u64,
@@ -225,12 +226,16 @@ fn experiment_paths() -> ExperimentPaths {
     let prog = prepare(&w, SiteCategory::PureData).unwrap();
     let ctx = build_prune_context(&prog, &w).unwrap();
     let pruned = run_experiment_range_pruned(&prog, &w, &ctx, seed, 0..20).unwrap();
-    let census = ctx
-        .census
-        .iter()
-        .map(|c| CensusPin {
-            golden_dyn_insts: c.golden_dyn_insts,
-            site_log_len: c.trace.len() as u64,
+    let census = (0..w.num_inputs())
+        .map(|input| {
+            let mut interp = vexec::Interp::new(&prog.module);
+            let setup = w.setup(&mut interp.mem, input).unwrap();
+            let mut host = VulfiHost::profile_logging();
+            let run = interp.run(&prog.entry, &setup.args, &mut host).unwrap();
+            CensusPin {
+                golden_dyn_insts: run.dyn_insts,
+                site_log_len: host.site_log.map_or(0, |log| log.len() as u64),
+            }
         })
         .collect();
     ExperimentPaths {

@@ -64,12 +64,6 @@ pub fn micro_benchmarks(isa: VectorIsa, scale: Scale) -> Vec<SpmdWorkload> {
     micro::micro_benchmarks(isa, scale)
 }
 
-/// Extension benchmarks beyond the paper's Table I (currently:
-/// Mandelbrot, exercising divergent varying `while` loops).
-pub fn extension_benchmarks(isa: VectorIsa, scale: Scale) -> Vec<SpmdWorkload> {
-    vec![suite_ext::mandelbrot(isa, scale)]
-}
-
 /// Build one micro-benchmark by name.
 pub fn micro_benchmark(name: &str, isa: VectorIsa, scale: Scale) -> Option<SpmdWorkload> {
     Some(match name {

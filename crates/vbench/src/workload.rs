@@ -116,7 +116,7 @@ export void negate(uniform float a[], uniform int n) {
         .unwrap();
         assert_eq!(w.name(), "negate");
         assert_eq!(w.isa(), VectorIsa::Avx);
-        let d = vulfi::campaign::measure_dyn_insts(w.module(), w.entry(), &w, 0).unwrap();
+        let d = vulfi::campaign::measure_dyn_insts(&w, 0).unwrap();
         assert!(d > 0);
     }
 }

@@ -14,7 +14,7 @@
 //! corruption instead, which is exactly the behaviour the paper's address
 //! category experiments measure.
 
-use vir::{ScalarTy, Type};
+use vir::ScalarTy;
 
 use crate::value::Scalar;
 
@@ -286,14 +286,6 @@ impl Memory {
         Ok(base)
     }
 
-    pub fn alloc_f64_slice(&mut self, vals: &[f64]) -> Result<u64, Trap> {
-        let base = self.alloc(vals.len() as u64 * 8)?;
-        for (i, &v) in vals.iter().enumerate() {
-            self.write_scalar(base + i as u64 * 8, Scalar::f64(v))?;
-        }
-        Ok(base)
-    }
-
     pub fn alloc_i32_slice(&mut self, vals: &[i32]) -> Result<u64, Trap> {
         let base = self.alloc(vals.len() as u64 * 4)?;
         for (i, &v) in vals.iter().enumerate() {
@@ -328,11 +320,6 @@ impl Memory {
         let mut buf = vec![0u8; size as usize];
         self.read_bytes(addr, &mut buf)?;
         Ok(buf)
-    }
-
-    /// Size in bytes of a type when stored (used by `alloca` and `gep`).
-    pub fn store_size(ty: Type) -> u64 {
-        ty.size_bytes()
     }
 }
 

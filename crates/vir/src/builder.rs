@@ -19,9 +19,7 @@
 
 use crate::constant::Constant;
 use crate::function::Function;
-use crate::inst::{
-    BinOp, BlockId, CastOp, FCmpPred, ICmpPred, InstKind, Operand, Terminator, ValueId,
-};
+use crate::inst::{BinOp, BlockId, CastOp, FCmpPred, ICmpPred, InstKind, Operand, Terminator};
 use crate::types::Type;
 
 /// A function under construction.
@@ -59,10 +57,6 @@ impl FuncBuilder {
 
     pub fn func(&self) -> &Function {
         &self.f
-    }
-
-    pub fn func_mut(&mut self) -> &mut Function {
-        &mut self.f
     }
 
     /// Type of an operand.
@@ -247,11 +241,6 @@ impl FuncBuilder {
     /// Finish construction and return the function.
     pub fn finish(self) -> Function {
         self.f
-    }
-
-    /// Resolve a value id from an operand (for tests/passes).
-    pub fn as_value(&self, op: &Operand) -> Option<ValueId> {
-        op.value()
     }
 }
 

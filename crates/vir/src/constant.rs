@@ -103,14 +103,6 @@ impl Constant {
         )
     }
 
-    /// Vector constant from explicit `f32` lane values.
-    pub fn vec_f32(vals: &[f32]) -> Constant {
-        Constant::new(
-            Type::vec(ScalarTy::F32, vals.len() as u32),
-            ConstData::Vector(vals.iter().map(|&v| v.to_bits() as u64).collect()),
-        )
-    }
-
     /// The lane-index constant `<0, 1, ..., lanes-1>` of `i32` lanes.
     pub fn lane_ids(lanes: u32) -> Constant {
         Constant::vec_i32(&(0..lanes as i32).collect::<Vec<_>>())

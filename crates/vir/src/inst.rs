@@ -475,16 +475,8 @@ impl Inst {
         matches!(self.kind, InstKind::Phi { .. })
     }
 
-    pub fn is_gep(&self) -> bool {
-        matches!(self.kind, InstKind::Gep { .. })
-    }
-
     pub fn is_store(&self) -> bool {
         matches!(self.kind, InstKind::Store { .. })
-    }
-
-    pub fn is_call(&self) -> bool {
-        matches!(self.kind, InstKind::Call { .. })
     }
 
     /// Operand at position `ix` in [`Inst::operands`] order.

@@ -166,12 +166,6 @@ fn bb(f: &Function, b: BlockId) -> String {
     format!("%{}", f.block(b).name)
 }
 
-/// Print one instruction (standalone; computes names for the whole
-/// function — prefer [`print_function`] for bulk printing).
-pub fn print_inst(f: &Function, iid: crate::inst::InstId) -> String {
-    print_inst_named(f, iid, &value_names(f))
-}
-
 fn print_inst_named(f: &Function, iid: crate::inst::InstId, names: &[String]) -> String {
     let inst = f.inst(iid);
     let lhs_prefix = match inst.result {

@@ -54,8 +54,8 @@ fn main() {
     }
 
     // Overhead.
-    let plain = measure_dyn_insts(w.module(), w.entry(), &w, 0).unwrap();
-    let with = measure_dyn_insts(wd.module(), wd.entry(), &wd, 0).unwrap();
+    let plain = measure_dyn_insts(&w, 0).unwrap();
+    let with = measure_dyn_insts(&wd, 0).unwrap();
     println!(
         "\ndetector overhead: {} -> {} dynamic instructions (+{:.2}%)",
         plain,

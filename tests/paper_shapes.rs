@@ -148,8 +148,8 @@ fn detector_overhead_stays_low() {
     for name in ["vector copy", "dot product", "vector sum"] {
         let w = micro_benchmark(name, VectorIsa::Avx, Scale::Test).unwrap();
         let wd = WithDetectors::new(&w, DetectorConfig::default()).unwrap();
-        let plain = vulfi::campaign::measure_dyn_insts(w.module(), w.entry(), &w, 0).unwrap();
-        let with = vulfi::campaign::measure_dyn_insts(wd.module(), wd.entry(), &wd, 0).unwrap();
+        let plain = vulfi::campaign::measure_dyn_insts(&w, 0).unwrap();
+        let with = vulfi::campaign::measure_dyn_insts(&wd, 0).unwrap();
         let overhead = 100.0 * (with as f64 - plain as f64) / plain as f64;
         assert!(
             overhead < 9.0,
@@ -169,7 +169,7 @@ fn every_iteration_checks_cost_more_than_exit_only() {
             placement,
         };
         let wd = WithDetectors::new(&w, cfg).unwrap();
-        vulfi::campaign::measure_dyn_insts(wd.module(), wd.entry(), &wd, 1).unwrap()
+        vulfi::campaign::measure_dyn_insts(&wd, 1).unwrap()
     };
     assert!(
         overhead(CheckPlacement::EveryIteration) > overhead(CheckPlacement::OnExit),
