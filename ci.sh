@@ -174,6 +174,12 @@ test "$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/alerts")" = 404
 ./target/release/vulfi shutdown --addr "$ADDR" > /dev/null
 wait "$SERVE_PID"
 test ! -e "$SMOKE/serve/serve.addr"
+# The CLI and the daemon agree: `vulfi study` on the submitted spec
+# (same defaults) lands on the daemon's study and executes nothing.
+./target/release/vulfi study --bench "vector sum" --experiments 12 --campaigns 5 \
+    --shard-size 5 --store "$SMOKE/serve" --json > "$SMOKE/study_on_serve.json" 2> /dev/null
+grep -q "\"key\": \"$KEY\"" "$SMOKE/study_on_serve.json"
+grep -q '"shards_executed": 0' "$SMOKE/study_on_serve.json"
 # One fsck covers every log the daemon wrote: shards, queue and ops.
 ./target/release/vulfi fsck --store "$SMOKE/serve"
 # The ops log alone must reconstruct the job's lifecycle offline.

@@ -103,8 +103,8 @@ static COMMAND_TABLE: &[Command] = &[
     Command { name: "study", sub: None, run: run_study_cmd,
         usage: "--bench NAME [--isa avx|sse] [--category CAT] [--experiments N] [--campaigns N] \
                 [--seed N]\n[--store DIR] [--resume] [--jobs N] [--shard-size N] [--json] \
-                [--detectors] [--model M]\n[--strict] [--wall-limit-ms N] [--mem-limit-mb N] \
-                [--trace DIR] [--metrics-out PATH]\n[--prune[=on|verify]]" },
+                [--detectors] [--model M]\n[--strict] [--trace DIR] [--metrics-out PATH] \
+                [--prune[=on|verify]]" },
     Command { name: "results", sub: Some("summary"), run: results_summary,
         usage: "[--store DIR] [--json]" },
     Command { name: "results", sub: Some("merge"), run: results_merge,
@@ -128,7 +128,7 @@ static COMMAND_TABLE: &[Command] = &[
                 [--top N] [-o out.html]" },
     Command { name: "gauntlet", sub: Some("run"), run: gauntlet_run,
         usage: "<SCENARIO.toml|.json> [--store DIR] [--jobs N] [--resume] [--json]\n[--strict] \
-                [--trace DIR] [--metrics-out PATH] [--wall-limit-ms N] [--mem-limit-mb N]" },
+                [--trace DIR] [--metrics-out PATH]" },
     Command { name: "gauntlet", sub: Some("report"), run: gauntlet_report,
         usage: "<SCENARIO.toml|.json> [--store DIR] [--top N] [-o out.html]" },
     Command { name: "bench", sub: None, run: bench_cmd,
@@ -184,9 +184,9 @@ struct Flags {
     strict: bool,
     /// `fsck`: quarantine corrupt logs and salvage their intact records.
     repair: bool,
-    /// Wall-clock watchdog per faulty run, in milliseconds.
+    /// `campaign`: wall-clock watchdog per faulty run, in milliseconds.
     wall_limit_ms: Option<u64>,
-    /// Memory ceiling per faulty run, in MiB.
+    /// `campaign`: memory ceiling per faulty run, in MiB.
     mem_limit_mb: Option<u64>,
     /// Trace-store root: `study --trace DIR` records per-experiment
     /// spans there; `trace summarize`, `report heatmap` and `fsck` read it.
@@ -669,15 +669,16 @@ fn detect_cmd(flags: &Flags) -> Result<(), String> {
 
 /// `vulfi campaign`: one in-memory campaign on a built-in benchmark.
 fn campaign_cmd(flags: &Flags) -> Result<(), String> {
-    let name = flags.bench.as_deref().ok_or("campaign requires --bench")?;
-    let scale = vbench::Scale::Test;
-    let w = vbench::study_benchmark(name, flags.isa, scale)
-        .or_else(|| vbench::micro_benchmark(name, flags.isa, scale))
-        .ok_or_else(|| format!("unknown benchmark '{name}' (see `vulfi list`)"))?;
+    let spec = vulfi::StudySpec {
+        bench: flags.bench.clone().ok_or("campaign requires --bench")?,
+        isa: isa_name(flags.isa).to_string(),
+        detectors: flags.detectors,
+        ..vulfi::StudySpec::default()
+    };
     let category = flags.category.unwrap_or(SiteCategory::PureData);
     let experiments = flags.experiments.unwrap_or(200);
     vulfi::set_strict(flags.strict);
-    let run_one = |w: &dyn Workload| -> Result<(), String> {
+    vulfi_serve::with_workload(&spec, |w| {
         let mut prog = vulfi::prepare(w, category).map_err(|e| e.to_string())?;
         apply_limits(&mut prog, flags);
         println!(
@@ -706,28 +707,23 @@ fn campaign_cmd(flags: &Flags) -> Result<(), String> {
         }
         report_engine_faults();
         Ok(())
-    };
-    if flags.detectors {
-        let wd = detectors::WithDetectors::new(&w, detectors::DetectorConfig::default())
-            .map_err(|e| e.to_string())?;
-        run_one(&wd)
-    } else {
-        run_one(&w)
-    }
+    })
 }
 
 /// `vulfi profile`: the golden run's dynamic instruction mix.
 fn profile_cmd(flags: &Flags) -> Result<(), String> {
     let name = flags.bench.as_deref().ok_or("profile requires --bench")?;
-    let w = load_bench(name, flags.isa)?;
     let profiles = (
         vexec::InstMix::default(),
         flags.hotspots.then(vexec::HotProfile::default),
     );
-    let (_, _, (mix, hot)) = vulfi::workload::observed_golden_run(&w, 0, profiles)?;
+    let (name, (mix, hot)) = with_bench(name, flags.isa, |w| {
+        let (_, _, profiles) = vulfi::workload::observed_golden_run(w, 0, profiles)?;
+        Ok((w.name().to_string(), profiles))
+    })?;
     println!(
         "{} [{}]: {} dynamic instructions, {:.1}% vector",
-        w.name(),
+        name,
         flags.isa,
         mix.total,
         mix.vector_pct()
@@ -809,11 +805,18 @@ fn isa_name(isa: VectorIsa) -> &'static str {
     }
 }
 
-fn load_bench(name: &str, isa: VectorIsa) -> Result<vbench::SpmdWorkload, String> {
-    let scale = vbench::Scale::Test;
-    vbench::study_benchmark(name, isa, scale)
-        .or_else(|| vbench::micro_benchmark(name, isa, scale))
-        .ok_or_else(|| format!("unknown benchmark '{name}' (see `vulfi list`)"))
+/// Hand the built-in benchmark `name` (test scale, no detectors) to `f`.
+fn with_bench<T>(
+    name: &str,
+    isa: VectorIsa,
+    f: impl FnOnce(&dyn Workload) -> Result<T, String>,
+) -> Result<T, String> {
+    let spec = vulfi::StudySpec {
+        bench: name.to_string(),
+        isa: isa_name(isa).to_string(),
+        ..vulfi::StudySpec::default()
+    };
+    vulfi_serve::with_workload(&spec, f)
 }
 
 /// `vulfi analyze`: the static vulnerability report — classify every
@@ -832,9 +835,9 @@ fn analyze_cmd(flags: &Flags) -> Result<(), String> {
                 .bench
                 .as_deref()
                 .ok_or("analyze needs a module file or --bench NAME")?;
-            let w = load_bench(name, flags.isa)?;
-            let entry = w.entry().to_string();
-            (w.module().clone(), entry)
+            with_bench(name, flags.isa, |w| {
+                Ok((w.module().clone(), w.entry().to_string()))
+            })?
         }
     };
     let report = vulfi::analyze_module(&m, &entry)?;
@@ -878,13 +881,11 @@ fn lint_cmd(flags: &Flags) -> Result<(), String> {
     let mut targets = 0usize;
     if flags.suite {
         for name in vbench::STUDY_NAMES {
-            let w = load_bench(name, flags.isa)?;
+            let module_findings = with_bench(name, flags.isa, |w| {
+                Ok(vir::analysis::lint_module(w.module()))
+            })?;
             targets += 1;
-            findings.extend(
-                vir::analysis::lint_module(w.module())
-                    .into_iter()
-                    .map(|f| (name.to_string(), f)),
-            );
+            findings.extend(module_findings.into_iter().map(|f| (name.to_string(), f)));
         }
     } else {
         let path = flags
@@ -938,65 +939,25 @@ fn lint_cmd(flags: &Flags) -> Result<(), String> {
 
 /// `vulfi study`: run (or resume) a persistent study through the store.
 fn run_study_cmd(flags: &Flags) -> Result<(), String> {
-    let name = flags.bench.as_deref().ok_or("study requires --bench")?;
+    let spec = spec_from_flags(flags)?;
     if let Some(j) = flags.jobs {
         vulfi_orch::set_jobs(j);
     }
-    let w = load_bench(name, flags.isa)?;
-    let category = flags.category.unwrap_or(SiteCategory::PureData);
-    let cfg = vulfi::StudyConfig {
-        experiments_per_campaign: flags.experiments.unwrap_or(25),
-        max_campaigns: flags.campaigns,
-        seed: flags.seed,
-        model: match flags.model.as_deref() {
-            Some(m) => vulfi::FaultModel::parse(m)?,
-            None => vulfi::FaultModel::default(),
-        },
-        // `--prune=verify` runs the full study (same key as an unpruned
-        // run) and cross-validates predictions post-hoc; only `--prune`
-        // / `--prune=on` actually discharges experiments.
-        prune: flags.prune.as_deref() == Some("on"),
-        ..vulfi::StudyConfig::default()
-    };
-    if flags.prune.is_some() && cfg.model != vulfi::FaultModel::SingleBitFlip {
-        return Err(format!(
-            "--prune requires the single-bit-flip model, not '{}'",
-            cfg.model
-        ));
-    }
     let store = vulfi_orch::Store::open(&flags.store).map_err(|e| e.to_string())?;
-    let isa = isa_name(flags.isa);
     vulfi::set_strict(flags.strict);
-
-    let run_one = |w: &dyn Workload| -> Result<(), String> {
-        let mut prog = vulfi::prepare(w, category).map_err(|e| e.to_string())?;
-        prog.model = cfg.model;
-        apply_limits(&mut prog, flags);
-        let key = vulfi_orch::study_key(&prog, w.name(), isa, &cfg);
-        let study = store.study(&key);
-        if study.exists() && !flags.resume {
-            let done = study.shards().map_err(|e| e.to_string())?;
-            let plan = vulfi_orch::plan_shards(&cfg, flags.shard_size);
-            let pending = vulfi_orch::missing_jobs(&plan, &done, &cfg).len();
-            if pending > 0 && pending < plan.len() {
-                return Err(format!(
-                    "study {key} has partial results ({}/{} shards stored); \
-                     pass --resume to execute only the missing shards, or remove {}",
-                    plan.len() - pending,
-                    plan.len(),
-                    study.dir().display()
-                ));
-            }
-        }
+    let isa = spec.isa.as_str();
+    vulfi_serve::with_study(&spec, |s| {
+        let (w, cfg, category) = (s.workload, s.cfg, s.prog.category);
+        refuse_partial(&store, &s, spec.shard_size, flags.resume, "study")?;
         let out = vulfi_orch::run_study_persistent(
-            &prog,
+            &s.prog,
             w,
             w.name(),
             isa,
             &cfg,
             &store,
             vulfi_orch::RunOptions {
-                shard_size: flags.shard_size,
+                shard_size: spec.shard_size,
                 max_shards: None,
                 hook: Some(make_progress_reporter(flags.json)),
                 trace: flags.trace.as_ref().map(std::path::PathBuf::from),
@@ -1013,21 +974,17 @@ fn run_study_cmd(flags: &Flags) -> Result<(), String> {
         // read the stored shards back (cheap: the study just ran or was
         // cached under the same key).
         let prune_mode = flags.prune.as_deref();
-        let (discharged, soundness) = if prune_mode.is_some() {
-            let done = store.study(&out.key).shards().map_err(|e| e.to_string())?;
-            let discharged = done
-                .iter()
-                .flat_map(|s| &s.experiments)
-                .filter(|e| e.injection.is_none() && e.dynamic_sites > 0)
-                .count() as u64;
-            let soundness = if prune_mode == Some("verify") {
-                Some(vulfi_orch::verify_soundness(w, &done).map_err(|e| e.to_string())?)
-            } else {
-                None
-            };
-            (discharged, soundness)
-        } else {
-            (0, None)
+        let (discharged, soundness) = match prune_mode {
+            Some(mode) => {
+                let (done, soundness) = stored_shards(&store, &out.key, w, mode == "verify")?;
+                let discharged = done
+                    .iter()
+                    .flat_map(|s| &s.experiments)
+                    .filter(|e| e.injection.is_none() && e.dynamic_sites > 0)
+                    .count() as u64;
+                (discharged, soundness)
+            }
+            None => (0, None),
         };
         if flags.json {
             let mut doc = serde_json::json!({
@@ -1136,14 +1093,53 @@ fn run_study_cmd(flags: &Flags) -> Result<(), String> {
             }
         }
         Ok(())
-    };
-    if flags.detectors {
-        let wd = detectors::WithDetectors::new(&w, detectors::DetectorConfig::default())
-            .map_err(|e| e.to_string())?;
-        run_one(&wd)
-    } else {
-        run_one(&w)
+    })
+}
+
+/// Refuse to run a stored study that has some but not all of its shards
+/// unless `--resume` says to finish it.
+fn refuse_partial(
+    store: &vulfi_orch::Store,
+    s: &vulfi_serve::Study<'_>,
+    shard_size: usize,
+    resume: bool,
+    what: &str,
+) -> Result<(), String> {
+    let study = store.study(&s.key);
+    if resume || !study.exists() {
+        return Ok(());
     }
+    let done = study.shards().map_err(|e| e.to_string())?;
+    let plan = vulfi_orch::plan_shards(&s.cfg, shard_size);
+    let pending = vulfi_orch::missing_jobs(&plan, &done, &s.cfg).len();
+    if pending > 0 && pending < plan.len() {
+        return Err(format!(
+            "{what} {} has partial results ({}/{} shards stored); \
+             pass --resume to execute only the missing shards, or remove {}",
+            s.key,
+            plan.len() - pending,
+            plan.len(),
+            study.dir().display()
+        ));
+    }
+    Ok(())
+}
+
+/// A study's stored shards and, when `verify`, the analyzer's
+/// benign predictions checked against them (`--prune=verify`, a
+/// scenario's `prune = "verify"`).
+fn stored_shards(
+    store: &vulfi_orch::Store,
+    key: &vulfi_orch::StudyKey,
+    w: &dyn Workload,
+    verify: bool,
+) -> Result<(Vec<vulfi_orch::ShardRecord>, Option<vulfi::SoundnessReport>), String> {
+    let done = store.study(key).shards().map_err(|e| e.to_string())?;
+    let soundness = verify
+        .then(|| vulfi_orch::verify_soundness(w, &done))
+        .transpose()
+        .map_err(|e| e.to_string())?;
+    Ok((done, soundness))
 }
 
 /// `vulfi results summary`: one line (or JSON record) per stored study.
@@ -1795,12 +1791,9 @@ fn occupancy_profiles(
         let Some(isa) = parse_isa_name(&m.isa) else {
             continue;
         };
-        let Ok(w) = load_bench(&m.workload, isa) else {
-            continue;
-        };
-        let Ok((_, _, mix)) =
-            vulfi::workload::observed_golden_run(&w, 0, vexec::InstMix::default())
-        else {
+        let Ok((_, _, mix)) = with_bench(&m.workload, isa, |w| {
+            vulfi::workload::observed_golden_run(w, 0, vexec::InstMix::default())
+        }) else {
             continue;
         };
         out.push(vulfi_orch::OccupancyProfile::from_mix(
@@ -1856,10 +1849,9 @@ fn report_html(flags: &Flags) -> Result<(), String> {
             let maps = vulfi_orch::heatmaps(t, flags.top).map_err(|e| e.to_string())?;
             let mut reports = Vec::new();
             for m in &maps {
-                let Ok(w) = load_bench(&m.workload, VectorIsa::Avx) else {
-                    continue;
-                };
-                let Ok(rep) = vulfi::analyze_module(w.module(), w.entry()) else {
+                let Ok(rep) = with_bench(&m.workload, VectorIsa::Avx, |w| {
+                    vulfi::analyze_module(w.module(), w.entry())
+                }) else {
                     continue;
                 };
                 reports.push((m.workload.clone(), rep));
@@ -1892,32 +1884,6 @@ fn report_html(flags: &Flags) -> Result<(), String> {
     fs::write(&out, &html).map_err(|e| format!("{out}: {e}"))?;
     eprintln!("wrote {out} ({} bytes)", html.len());
     Ok(())
-}
-
-/// Build one gauntlet cell's workload (detector-wrapped when the
-/// scenario asks) and hand it to `f` — the same construction the study
-/// and submit paths use, so a gauntlet cell's key matches an equivalent
-/// `vulfi study` exactly.
-fn with_cell_workload<T>(
-    spec: &vulfi::StudySpec,
-    f: impl FnOnce(&dyn Workload) -> Result<T, String>,
-) -> Result<T, String> {
-    let isa = parse_isa_name(&spec.isa).ok_or_else(|| format!("unknown isa '{}'", spec.isa))?;
-    let scale = if spec.scale == "paper" {
-        vbench::Scale::Paper
-    } else {
-        vbench::Scale::Test
-    };
-    let w = vbench::study_benchmark(&spec.bench, isa, scale)
-        .or_else(|| vbench::micro_benchmark(&spec.bench, isa, scale))
-        .ok_or_else(|| format!("unknown benchmark '{}' (see `vulfi list`)", spec.bench))?;
-    if spec.detectors {
-        let wd = detectors::WithDetectors::new(&w, detectors::DetectorConfig::default())
-            .map_err(|e| e.to_string())?;
-        f(&wd)
-    } else {
-        f(&w)
-    }
 }
 
 /// Read the scenario file named by the subcommand's positional argument.
@@ -1955,34 +1921,15 @@ fn gauntlet_run(flags: &Flags) -> Result<(), String> {
                 spec.model
             );
         }
-        let cell = with_cell_workload(spec, |w| {
-            let category = spec.site_category()?;
-            let cfg = spec.study_config();
-            let mut prog = vulfi::prepare(w, category).map_err(|e| e.to_string())?;
-            prog.model = cfg.model;
-            apply_limits(&mut prog, flags);
-            let key = vulfi_orch::study_key(&prog, w.name(), &spec.isa, &cfg);
-            let study = store.study(&key);
-            if study.exists() && !flags.resume {
-                let done = study.shards().map_err(|e| e.to_string())?;
-                let plan = vulfi_orch::plan_shards(&cfg, spec.shard_size);
-                let pending = vulfi_orch::missing_jobs(&plan, &done, &cfg).len();
-                if pending > 0 && pending < plan.len() {
-                    return Err(format!(
-                        "cell {key} has partial results ({}/{} shards stored); \
-                         pass --resume to execute only the missing shards, or remove {}",
-                        plan.len() - pending,
-                        plan.len(),
-                        study.dir().display()
-                    ));
-                }
-            }
+        let cell = vulfi_serve::with_study(spec, |s| {
+            let w = s.workload;
+            refuse_partial(&store, &s, spec.shard_size, flags.resume, "cell")?;
             let out = vulfi_orch::run_study_persistent(
-                &prog,
+                &s.prog,
                 w,
                 w.name(),
                 &spec.isa,
-                &cfg,
+                &s.cfg,
                 &store,
                 vulfi_orch::RunOptions {
                     shard_size: spec.shard_size,
@@ -1999,8 +1946,7 @@ fn gauntlet_run(flags: &Flags) -> Result<(), String> {
             // analyzer's predictions against the stored records so the
             // prediction_soundness invariant has data to judge.
             let soundness = if scenario.prune == "verify" {
-                let done = store.study(&out.key).shards().map_err(|e| e.to_string())?;
-                Some(vulfi_orch::verify_soundness(w, &done).map_err(|e| e.to_string())?)
+                stored_shards(&store, &out.key, w, true)?.1
             } else {
                 None
             };
@@ -2049,31 +1995,22 @@ fn gauntlet_report(flags: &Flags) -> Result<(), String> {
     let store = vulfi_orch::Store::open(&flags.store).map_err(|e| e.to_string())?;
     let mut verdicts = Vec::new();
     for spec in scenario.expand() {
-        let cell = with_cell_workload(&spec, |w| {
-            let category = spec.site_category()?;
-            let cfg = spec.study_config();
-            let mut prog = vulfi::prepare(w, category).map_err(|e| e.to_string())?;
-            prog.model = cfg.model;
-            let key = vulfi_orch::study_key(&prog, w.name(), &spec.isa, &cfg);
-            let study = store.study(&key);
+        let cell = vulfi_serve::with_study(&spec, |s| {
+            let key = s.key;
             let cell_name = format!(
                 "{}/{}/{}/{}",
                 spec.bench, spec.isa, spec.category, spec.model
             );
-            if !study.exists() {
+            if !store.study(&key).exists() {
                 return Err(format!(
                     "cell {cell_name} ({key}) not in store; run `vulfi gauntlet run` first"
                 ));
             }
-            let done = study.shards().map_err(|e| e.to_string())?;
-            let r = vulfi_orch::merge(&cfg, category, &done).ok_or_else(|| {
+            let (done, soundness) =
+                stored_shards(&store, &key, s.workload, scenario.prune == "verify")?;
+            let r = vulfi_orch::merge(&s.cfg, s.prog.category, &done).ok_or_else(|| {
                 format!("cell {cell_name} ({key}) is partial; finish it with `vulfi gauntlet run --resume`")
             })?;
-            let soundness = if scenario.prune == "verify" {
-                Some(vulfi_orch::verify_soundness(w, &done).map_err(|e| e.to_string())?)
-            } else {
-                None
-            };
             Ok((key, r, soundness))
         })?;
         let (key, result, soundness) = cell;
@@ -2126,120 +2063,122 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
     let experiments = flags.experiments.unwrap_or(40);
     let mut docs = Vec::new();
     for name in &names {
-        let w = load_bench(name, flags.isa)?;
-        let prog = vulfi::prepare(&w, flags.category.unwrap_or(SiteCategory::PureData))
-            .map_err(|e| e.to_string())?;
-        // Both entries run sequentially through the range driver on the
-        // same seed (the records equal `run_campaign`'s), so "pruned vs
-        // full" compares like with like. Each run also reports the golden
-        // runs its set executed.
-        let run = |prune: Option<&vulfi::PruneContext>| {
-            let golden = match prune {
-                Some(ctx) => vulfi::GoldenSet::pruned(&w, ctx),
-                None => vulfi::GoldenSet::new(&w, false),
-            };
-            let run = vulfi::run_range(&prog, &w, &golden, flags.seed, 0..experiments)
+        with_bench(name, flags.isa, |w| {
+            let prog = vulfi::prepare(w, flags.category.unwrap_or(SiteCategory::PureData))
                 .map_err(|e| e.to_string())?;
-            Ok::<_, String>((run, golden.golden_runs()))
-        };
-        let (full, golden_runs) = run(None)?;
-        let (exp_per_sec, wall_ns) = median_throughput(experiments, || run(None).map(drop))?;
-        let counts = outcome_counts(&full.experiments);
-        let dyn_insts: u64 = full.experiments.iter().map(|e| e.golden_dyn_insts).sum();
-        let dyn_insts_per_sec = exp_per_sec * dyn_insts as f64 / experiments.max(1) as f64;
-        println!(
-            "{:14} [{}]: {} experiments — {:.0} exp/s (median of {BENCH_WINDOWS} windows), \
-             {:.1}M dyn-inst/s, SDC {:.1}%",
-            name,
-            isa_name(flags.isa),
-            experiments,
-            exp_per_sec,
-            dyn_insts_per_sec / 1e6,
-            counts.sdc_rate()
-        );
-        // One profiled golden run per bench: the opcode-mix summary in
-        // the recording is what lets the history tell *why* throughput
-        // moved (instruction mix shift vs engine speed).
-        let mix_doc = {
-            let (_, _, mix) =
-                vulfi::workload::observed_golden_run(&w, 0, vexec::InstMix::default())?;
-            let ops: Vec<serde_json::Value> = mix
-                .hottest()
-                .into_iter()
-                .take(5)
-                .map(|(op, n)| serde_json::json!({ "opcode": op, "count": n }))
-                .collect();
-            serde_json::json!({
-                "golden_dyn_insts": mix.total,
-                "vector_pct": mix.vector_pct(),
-                "top_opcodes": serde_json::Value::Array(ops),
-            })
-        };
-        docs.push(serde_json::json!({
-            "name": name.clone(),
-            "isa": isa_name(flags.isa),
-            "experiments": experiments as u64,
-            "wall_ns": wall_ns,
-            "exp_per_sec": exp_per_sec,
-            "dyn_insts": dyn_insts,
-            "dyn_insts_per_sec": dyn_insts_per_sec,
-            "sdc_rate": counts.sdc_rate(),
-            "outcomes": outcomes_doc(&counts),
-            "interpreted_dyn_insts": full.interpreted_dyn_insts,
-            "golden_runs": golden_runs,
-            "opcode_mix": mix_doc,
-        }));
-        // `--prune`: time the same experiment range with statically
-        // discharged injections skipped, recorded as a separate bench
-        // entry so the trajectory carries the pruned-vs-full pair. The
-        // one-time static analysis is recorded but not counted in exp/s —
-        // a real study amortizes it over every campaign.
-        if flags.prune.is_some() {
-            if flags.prune.as_deref() != Some("on") {
-                return Err("bench supports only --prune / --prune=on".to_string());
-            }
-            let setup = std::time::Instant::now();
-            let ctx = vulfi::build_prune_context(&prog, &w).map_err(|e| e.to_string())?;
-            let setup_ns = setup.elapsed().as_nanos() as u64;
-            let (pruned, pruned_golden_runs) = run(Some(&ctx))?;
-            let (pruned_exp_per_sec, pruned_wall_ns) =
-                median_throughput(experiments, || run(Some(&ctx)).map(drop))?;
-            let exps = &pruned.experiments;
-            let counts = outcome_counts(exps);
-            let discharged = exps
-                .iter()
-                .filter(|e| e.injection.is_none() && e.dynamic_sites > 0)
-                .count();
-            let discharged_pct = 100.0 * discharged as f64 / experiments.max(1) as f64;
-            let pruned_dyn_insts: u64 = exps.iter().map(|e| e.golden_dyn_insts).sum();
+            // Both entries run sequentially through the range driver on the
+            // same seed (the records equal `run_campaign`'s), so "pruned vs
+            // full" compares like with like. Each run also reports the golden
+            // runs its set executed.
+            let run = |prune: Option<&vulfi::PruneContext>| {
+                let golden = match prune {
+                    Some(ctx) => vulfi::GoldenSet::pruned(w, ctx),
+                    None => vulfi::GoldenSet::new(w, false),
+                };
+                let run = vulfi::run_range(&prog, w, &golden, flags.seed, 0..experiments)
+                    .map_err(|e| e.to_string())?;
+                Ok::<_, String>((run, golden.golden_runs()))
+            };
+            let (full, golden_runs) = run(None)?;
+            let (exp_per_sec, wall_ns) = median_throughput(experiments, || run(None).map(drop))?;
+            let counts = outcome_counts(&full.experiments);
+            let dyn_insts: u64 = full.experiments.iter().map(|e| e.golden_dyn_insts).sum();
+            let dyn_insts_per_sec = exp_per_sec * dyn_insts as f64 / experiments.max(1) as f64;
             println!(
-                "{:14} [{}]: pruned {} experiments — {:.0} exp/s ({:.1}% discharged, {:.1}x vs full)",
-                format!("{name} [pruned]"),
+                "{:14} [{}]: {} experiments — {:.0} exp/s (median of {BENCH_WINDOWS} windows), \
+                 {:.1}M dyn-inst/s, SDC {:.1}%",
+                name,
                 isa_name(flags.isa),
                 experiments,
-                pruned_exp_per_sec,
-                discharged_pct,
-                pruned_exp_per_sec / exp_per_sec.max(1e-9),
+                exp_per_sec,
+                dyn_insts_per_sec / 1e6,
+                counts.sdc_rate()
             );
+            // One profiled golden run per bench: the opcode-mix summary in
+            // the recording is what lets the history tell *why* throughput
+            // moved (instruction mix shift vs engine speed).
+            let mix_doc = {
+                let (_, _, mix) =
+                    vulfi::workload::observed_golden_run(w, 0, vexec::InstMix::default())?;
+                let ops: Vec<serde_json::Value> = mix
+                    .hottest()
+                    .into_iter()
+                    .take(5)
+                    .map(|(op, n)| serde_json::json!({ "opcode": op, "count": n }))
+                    .collect();
+                serde_json::json!({
+                    "golden_dyn_insts": mix.total,
+                    "vector_pct": mix.vector_pct(),
+                    "top_opcodes": serde_json::Value::Array(ops),
+                })
+            };
             docs.push(serde_json::json!({
-                "name": format!("{name} [pruned]"),
+                "name": name.clone(),
                 "isa": isa_name(flags.isa),
                 "experiments": experiments as u64,
-                "wall_ns": pruned_wall_ns,
-                "exp_per_sec": pruned_exp_per_sec,
-                "dyn_insts": pruned_dyn_insts,
-                "dyn_insts_per_sec": pruned_exp_per_sec * pruned_dyn_insts as f64
-                    / experiments.max(1) as f64,
+                "wall_ns": wall_ns,
+                "exp_per_sec": exp_per_sec,
+                "dyn_insts": dyn_insts,
+                "dyn_insts_per_sec": dyn_insts_per_sec,
                 "sdc_rate": counts.sdc_rate(),
                 "outcomes": outcomes_doc(&counts),
-                "interpreted_dyn_insts": pruned.interpreted_dyn_insts,
-                "golden_runs": pruned_golden_runs,
-                "prune": true,
-                "static_discharged": discharged as u64,
-                "static_discharged_pct": discharged_pct,
-                "prune_setup_ns": setup_ns,
+                "interpreted_dyn_insts": full.interpreted_dyn_insts,
+                "golden_runs": golden_runs,
+                "opcode_mix": mix_doc,
             }));
-        }
+            // `--prune`: time the same experiment range with statically
+            // discharged injections skipped, recorded as a separate bench
+            // entry so the trajectory carries the pruned-vs-full pair. The
+            // one-time static analysis is recorded but not counted in exp/s —
+            // a real study amortizes it over every campaign.
+            if flags.prune.is_some() {
+                if flags.prune.as_deref() != Some("on") {
+                    return Err("bench supports only --prune / --prune=on".to_string());
+                }
+                let setup = std::time::Instant::now();
+                let ctx = vulfi::build_prune_context(&prog, w).map_err(|e| e.to_string())?;
+                let setup_ns = setup.elapsed().as_nanos() as u64;
+                let (pruned, pruned_golden_runs) = run(Some(&ctx))?;
+                let (pruned_exp_per_sec, pruned_wall_ns) =
+                    median_throughput(experiments, || run(Some(&ctx)).map(drop))?;
+                let exps = &pruned.experiments;
+                let counts = outcome_counts(exps);
+                let discharged = exps
+                    .iter()
+                    .filter(|e| e.injection.is_none() && e.dynamic_sites > 0)
+                    .count();
+                let discharged_pct = 100.0 * discharged as f64 / experiments.max(1) as f64;
+                let pruned_dyn_insts: u64 = exps.iter().map(|e| e.golden_dyn_insts).sum();
+                println!(
+                    "{:14} [{}]: pruned {} experiments — {:.0} exp/s ({:.1}% discharged, {:.1}x vs full)",
+                    format!("{name} [pruned]"),
+                    isa_name(flags.isa),
+                    experiments,
+                    pruned_exp_per_sec,
+                    discharged_pct,
+                    pruned_exp_per_sec / exp_per_sec.max(1e-9),
+                );
+                docs.push(serde_json::json!({
+                    "name": format!("{name} [pruned]"),
+                    "isa": isa_name(flags.isa),
+                    "experiments": experiments as u64,
+                    "wall_ns": pruned_wall_ns,
+                    "exp_per_sec": pruned_exp_per_sec,
+                    "dyn_insts": pruned_dyn_insts,
+                    "dyn_insts_per_sec": pruned_exp_per_sec * pruned_dyn_insts as f64
+                        / experiments.max(1) as f64,
+                    "sdc_rate": counts.sdc_rate(),
+                    "outcomes": outcomes_doc(&counts),
+                    "interpreted_dyn_insts": pruned.interpreted_dyn_insts,
+                    "golden_runs": pruned_golden_runs,
+                    "prune": true,
+                    "static_discharged": discharged as u64,
+                    "static_discharged_pct": discharged_pct,
+                    "prune_setup_ns": setup_ns,
+                }));
+            }
+            Ok(())
+        })?;
     }
     report_engine_faults();
     if flags.record {
@@ -2579,10 +2518,13 @@ fn serve_cmd(flags: &Flags) -> Result<(), String> {
     daemon.run()
 }
 
-/// Build the wire spec from the same flags `vulfi study` takes.
+/// Build the study spec from the flags `vulfi study` and `vulfi submit`
+/// share. `--prune=verify` is checked like `--prune` (it needs the
+/// single-bit-flip model) but names the full, unpruned study: its
+/// soundness scan runs after the study, in `vulfi study`.
 fn spec_from_flags(flags: &Flags) -> Result<vulfi::StudySpec, String> {
-    let spec = vulfi::StudySpec {
-        bench: flags.bench.clone().ok_or("submit requires --bench")?,
+    let mut spec = vulfi::StudySpec {
+        bench: flags.bench.clone().ok_or("--bench NAME is required")?,
         isa: isa_name(flags.isa).to_string(),
         category: flags
             .category
@@ -2599,24 +2541,23 @@ fn spec_from_flags(flags: &Flags) -> Result<vulfi::StudySpec, String> {
             .model
             .clone()
             .unwrap_or_else(|| vulfi::FaultModel::default().name()),
-        prune: match flags.prune.as_deref() {
-            None => false,
-            Some("on") => true,
-            Some(other) => {
-                return Err(format!(
-                    "submit supports only --prune / --prune=on, not --prune={other} \
-                     (run --prune=verify locally with `vulfi study`)"
-                ))
-            }
-        },
+        prune: flags.prune.is_some(),
     };
     spec.validate()?;
+    spec.prune = flags.prune.as_deref() == Some("on");
     Ok(spec)
 }
 
 /// `vulfi submit`: enqueue a study on a running daemon; with `--wait`,
 /// poll it to completion and print the result.
 fn submit_cmd(flags: &Flags) -> Result<(), String> {
+    if flags.prune.as_deref() == Some("verify") {
+        return Err(
+            "submit supports only --prune / --prune=on, not --prune=verify \
+             (run --prune=verify locally with `vulfi study`)"
+                .to_string(),
+        );
+    }
     let spec = spec_from_flags(flags)?;
     let client = vulfi_serve::Client::new(flags.addr.clone());
     let body = serde_json::to_value(&spec).map_err(|e| e.to_string())?;
@@ -3596,12 +3537,18 @@ export void scale(uniform float a[], uniform int n, uniform float s) {
         let e = parse_flags(&s(&["--prune=sometimes"])).unwrap_err();
         assert!(e.contains("sometimes"), "{e}");
 
-        // submit mirrors --prune into the spec but refuses verify: the
-        // post-hoc soundness scan is a local-CLI affordance.
+        // study and submit share the spec: --prune names the pruned
+        // study, --prune=verify the full one under the same model check.
+        // Submit refuses verify: the post-hoc soundness scan is a
+        // local-CLI affordance.
         let mut f = parse_flags(&s(&["--bench", "vector sum", "--prune"])).unwrap();
         assert!(spec_from_flags(&f).unwrap().prune);
         f.prune = Some("verify".to_string());
+        assert!(!spec_from_flags(&f).unwrap().prune);
+        f.model = Some("multi-bit-burst:2".to_string());
         let e = spec_from_flags(&f).unwrap_err();
+        assert!(e.contains("single-bit-flip"), "{e}");
+        let e = run(&s(&["submit", "--bench", "vector sum", "--prune=verify"])).unwrap_err();
         assert!(e.contains("verify"), "{e}");
     }
 

@@ -279,6 +279,34 @@ fn flags_are_checked_against_each_commands_usage() {
     assert_exit(&out, 0, "detect -o");
     assert!(vir.is_file());
 
+    // The resource limits live on `vulfi campaign` only: the study key
+    // does not hash them, so a limited study would share a store
+    // directory with an unlimited one.
+    for (args, label) in [
+        (
+            &["study", "--bench", "vector sum", "--mem-limit-mb", "1"][..],
+            "vulfi study",
+        ),
+        (
+            &[
+                "gauntlet",
+                "run",
+                "scenarios/smoke.toml",
+                "--wall-limit-ms",
+                "5",
+            ][..],
+            "vulfi gauntlet run",
+        ),
+    ] {
+        let out = vulfi(args);
+        assert_exit(&out, 1, &args.join(" "));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("`{label}` does not take")),
+            "{stderr}"
+        );
+    }
+
     for flag in ["--rules", "--telemetry-interval-ms"] {
         let out = vulfi(&["serve", flag, "1"]);
         assert_exit(&out, 1, flag);
@@ -289,5 +317,79 @@ fn flags_are_checked_against_each_commands_usage() {
     assert_exit(&out, 1, "alerts check");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown command 'alerts'"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every front door derives the same study key for one spec: `vulfi
+/// study --json`, a one-cell `vulfi gauntlet run --json`, and the
+/// daemon's submit-time `realize_key` all yield one pinned key, so a
+/// study stored through any of them stays reachable from all of them.
+#[test]
+fn study_gauntlet_and_submit_derive_the_pinned_key() {
+    const PINNED: &str = "7bbaa1d54116876493f48a7be974fdcb";
+    let dir = temp_dir("pinned_key");
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = |name: &str| dir.join(name).to_str().unwrap().to_string();
+
+    let study_store = store("study");
+    let mut args = vec![
+        "study",
+        "--bench",
+        "vector sum",
+        "--store",
+        &study_store,
+        "--json",
+    ];
+    args.extend(
+        "--isa sse --category control --detectors --model multi-bit-burst:2 \
+         --experiments 10 --campaigns 4 --seed 7 --shard-size 5"
+            .split_whitespace(),
+    );
+    let out = vulfi(&args);
+    assert_exit(&out, 0, "study --json");
+    let doc: serde_json::Value =
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    assert_eq!(doc.get("key").and_then(|k| k.as_str()), Some(PINNED));
+
+    let scenario = dir.join("cell.toml");
+    std::fs::write(
+        &scenario,
+        "name = \"pinned\"\nmodels = [\"multi-bit-burst:2\"]\nisas = [\"sse\"]\n\
+         benches = [\"vector sum\"]\ncategories = [\"control\"]\nexperiments = 10\n\
+         campaigns = 4\nseed = 7\nshard_size = 5\ndetectors = true\n\n\
+         [invariants]\nsdc_rate_max = 100.0\n",
+    )
+    .unwrap();
+    let gauntlet_store = store("gauntlet");
+    let out = vulfi(&[
+        "gauntlet",
+        "run",
+        scenario.to_str().unwrap(),
+        "--store",
+        &gauntlet_store,
+        "--json",
+    ]);
+    assert_exit(&out, 0, "gauntlet run --json");
+    let doc: serde_json::Value =
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    let cells = doc.get("cells").and_then(|c| c.as_array()).unwrap();
+    assert_eq!(cells.len(), 1, "{doc:?}");
+    assert_eq!(cells[0].get("key").and_then(|k| k.as_str()), Some(PINNED));
+
+    let spec = vulfi::StudySpec {
+        bench: "vector sum".to_string(),
+        isa: "sse".to_string(),
+        category: "control".to_string(),
+        experiments: 10,
+        campaigns: 4,
+        seed: 7,
+        shard_size: 5,
+        detectors: true,
+        model: "multi-bit-burst:2".to_string(),
+        ..vulfi::StudySpec::default()
+    };
+    let serve_store = vulfi_orch::Store::open(dir.join("serve")).unwrap();
+    let key = vulfi_serve::realize_key(&spec, &serve_store).unwrap();
+    assert_eq!(key.0, PINNED);
     let _ = std::fs::remove_dir_all(&dir);
 }

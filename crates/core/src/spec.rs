@@ -1,14 +1,14 @@
 //! Serializable study specifications — the wire format a client submits
 //! to an injection service.
 //!
-//! `vulfi study` derives its configuration from CLI flags in-process; a
-//! long-running service instead receives a [`StudySpec`] as JSON, checks
-//! it with [`StudySpec::validate`], and expands it into the benchmark
-//! name plus a [`StudyConfig`]. The spec deliberately carries *names*
-//! (benchmark, ISA, category) rather than compiled artifacts: the
-//! executing worker compiles and instruments the workload itself, which
-//! is what makes the scheme safe for multi-host fleets — every worker
-//! deterministically reproduces the same instrumented module, and the
+//! A [`StudySpec`] is the one description of a named study: `vulfi
+//! study` builds it from CLI flags, a gauntlet scenario expands into one
+//! per cell, and `vulfi serve` receives it as JSON. It is checked with
+//! [`StudySpec::validate`] and expanded into the benchmark name plus a
+//! [`StudyConfig`]. The spec deliberately carries *names* (benchmark,
+//! ISA, category) rather than compiled artifacts: whoever runs it
+//! compiles and instruments the workload itself, deterministically, so
+//! every entry point reproduces the same instrumented module and the
 //! content-addressed study key pins the identity.
 
 use vir::analysis::SiteCategory;
@@ -128,16 +128,17 @@ impl StudySpec {
 
     /// Expand into the campaign-layer configuration. Margin and
     /// minimum-campaign defaults come from [`StudyConfig::default`]
-    /// (the paper's §IV-D stopping rule).
-    pub fn study_config(&self) -> StudyConfig {
-        StudyConfig {
+    /// (the paper's §IV-D stopping rule). A model that does not parse is
+    /// an error, never a quiet single-bit flip.
+    pub fn study_config(&self) -> Result<StudyConfig, String> {
+        Ok(StudyConfig {
             experiments_per_campaign: self.experiments,
             max_campaigns: self.campaigns,
             seed: self.seed,
-            model: self.fault_model().unwrap_or_default(),
+            model: self.fault_model()?,
             prune: self.prune,
             ..StudyConfig::default()
-        }
+        })
     }
 }
 
@@ -210,7 +211,7 @@ mod tests {
 
     #[test]
     fn config_expansion_matches_cli_defaults() {
-        let cfg = spec().study_config();
+        let cfg = spec().study_config().unwrap();
         assert_eq!(cfg.experiments_per_campaign, 25);
         assert_eq!(cfg.max_campaigns, 8);
         assert_eq!(cfg.seed, 42);
@@ -223,11 +224,14 @@ mod tests {
         let mut s = spec();
         s.model = "stuck-at:7=1".to_string();
         assert_eq!(
-            s.study_config().model,
+            s.study_config().unwrap().model,
             FaultModel::StuckAt {
                 bit: 7,
                 value: true
             }
         );
+        s.model = "cosmic-ray".to_string();
+        let e = s.study_config().unwrap_err();
+        assert!(e.contains("cosmic-ray"), "{e}");
     }
 }

@@ -66,8 +66,8 @@ pub use observe::{humanize, Progress, ProgressSnapshot};
 pub use plan::{covered_experiments, merge, merged_dyn_insts, missing_jobs, plan_shards, ShardJob};
 pub use queue::{JobQueue, JobRecord, JobState};
 pub use run::{
-    progress_hook, run_shard, run_study_persistent, set_jobs, verify_soundness, RunEvent, RunHook,
-    RunOptions, RunOutcome,
+    create_manifest, progress_hook, run_shard, run_study_persistent, set_jobs, verify_soundness,
+    RunEvent, RunHook, RunOptions, RunOutcome,
 };
 pub use scenario::{
     cell_verdict, check_invariant, parse_scenario, render_verdicts, render_verdicts_json,

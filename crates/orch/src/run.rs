@@ -16,7 +16,7 @@ use crate::observe::{Progress, ProgressSnapshot};
 use crate::plan::{
     covered_experiments, merge, merged_dyn_insts, missing_jobs, plan_shards, ShardJob,
 };
-use crate::store::{Manifest, ShardRecord, Store};
+use crate::store::{Manifest, ShardRecord, Store, StudyStore};
 use crate::tracestore::{TraceShard, TraceStore};
 use crate::OrchError;
 
@@ -108,6 +108,33 @@ pub struct RunOutcome {
     /// result used (0 while partial).
     pub dyn_insts: u64,
     pub progress: ProgressSnapshot,
+}
+
+/// Record a new study's identity in its manifest; a study already in the
+/// store keeps the manifest it has. `vulfi serve` calls this at submit,
+/// before any shard runs.
+pub fn create_manifest(
+    study: &StudyStore,
+    key: &StudyKey,
+    prog: &Prepared,
+    workload_name: &str,
+    isa: &str,
+    cfg: &StudyConfig,
+    total_shards: usize,
+) -> Result<(), OrchError> {
+    if study.exists() {
+        return Ok(());
+    }
+    study.write_manifest(&Manifest {
+        key: key.clone(),
+        workload: workload_name.to_string(),
+        isa: isa.to_string(),
+        category: prog.category,
+        entry: prog.entry.clone(),
+        cfg: *cfg,
+        total_shards: total_shards as u64,
+        complete: false,
+    })
 }
 
 /// Execute one shard of a study: derive the campaign seed, run the
@@ -204,19 +231,7 @@ pub fn run_study_persistent(
     let key = study_key(prog, workload_name, isa, cfg);
     let study = store.study(&key);
     let plan = plan_shards(cfg, opts.shard_size);
-
-    if !study.exists() {
-        study.write_manifest(&Manifest {
-            key: key.clone(),
-            workload: workload_name.to_string(),
-            isa: isa.to_string(),
-            category: prog.category,
-            entry: prog.entry.clone(),
-            cfg: *cfg,
-            total_shards: plan.len() as u64,
-            complete: false,
-        })?;
-    }
+    create_manifest(&study, &key, prog, workload_name, isa, cfg, plan.len())?;
 
     // Open the trace sidecar first so a bad --trace path fails before
     // any work, and heal its own kill artifact the same way as the

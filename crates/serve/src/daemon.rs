@@ -40,11 +40,11 @@ use std::time::Duration;
 
 use serde::Value;
 use spmdc::VectorIsa;
-use vulfi::{OutcomeCounts, StudySpec, Workload};
+use vulfi::{OutcomeCounts, Prepared, StudyConfig, StudySpec, Workload};
 use vulfi_orch::{
-    covered_experiments, load_cells, merge, plan_shards, run_study_persistent, JobQueue, JobRecord,
-    Manifest, OpsEvent, OpsKind, OpsLog, ProgressSnapshot, RunEvent, RunHook, RunOptions, Store,
-    StudyKey, StudyStore,
+    covered_experiments, create_manifest, load_cells, merge, plan_shards, run_study_persistent,
+    JobQueue, JobRecord, OpsEvent, OpsKind, OpsLog, ProgressSnapshot, RunEvent, RunHook,
+    RunOptions, Store, StudyKey, StudyStore,
 };
 
 use crate::http::{read_request, respond, respond_error, respond_json, Request};
@@ -272,10 +272,9 @@ pub fn spec_from_value(doc: &Value) -> Result<StudySpec, String> {
     Ok(spec)
 }
 
-/// Build the spec's workload (with detectors woven in when asked) and
-/// hand it to `f`. Centralizing this is what guarantees the submit
-/// handler and the runner derive the same instrumented module and
-/// therefore the same study key.
+/// Look the spec's benchmark up by name (study suite first, then the
+/// micro-benchmarks), weave detectors in when asked, and hand the
+/// workload to `f`. This is the only lookup from a name to a workload.
 pub fn with_workload<T>(
     spec: &StudySpec,
     f: impl FnOnce(&dyn Workload) -> Result<T, String>,
@@ -302,32 +301,56 @@ pub fn with_workload<T>(
     }
 }
 
-/// Compile the spec's workload, derive its content-addressed key, and
-/// make sure the store has a manifest for it. This is the submit-time
-/// half of the determinism contract; the runner re-derives and
-/// cross-checks.
-pub fn realize_key(spec: &StudySpec, store: &Store) -> Result<StudyKey, String> {
+/// A named study made ready to run: its workload, the prepared program
+/// injecting the spec's model, the campaign config and the study key.
+pub struct Study<'w> {
+    pub workload: &'w dyn Workload,
+    pub prog: Prepared,
+    pub cfg: StudyConfig,
+    pub key: StudyKey,
+}
+
+/// The front door of every study run by name (`vulfi study`, `vulfi
+/// gauntlet run|report`, the daemon's submit and runner): validate the
+/// spec, build its workload, prepare it, and derive the key — once, the
+/// same way everywhere, so every entry point lands on the same study.
+pub fn with_study<T>(
+    spec: &StudySpec,
+    f: impl FnOnce(Study<'_>) -> Result<T, String>,
+) -> Result<T, String> {
+    spec.validate()?;
     let category = spec.site_category()?;
-    let cfg = spec.study_config();
+    let cfg = spec.study_config()?;
     with_workload(spec, |w| {
-        let prog = vulfi::prepare(w, category).map_err(|e| e.to_string())?;
+        let mut prog = vulfi::prepare(w, category).map_err(|e| e.to_string())?;
+        prog.model = cfg.model;
         let key = vulfi_orch::study_key(&prog, w.name(), &spec.isa, &cfg);
-        let study = store.study(&key);
-        if !study.exists() {
-            study
-                .write_manifest(&Manifest {
-                    key: key.clone(),
-                    workload: w.name().to_string(),
-                    isa: spec.isa.clone(),
-                    category: prog.category,
-                    entry: prog.entry.clone(),
-                    cfg,
-                    total_shards: plan_shards(&cfg, spec.shard_size).len() as u64,
-                    complete: false,
-                })
-                .map_err(|e| e.to_string())?;
-        }
-        Ok(key)
+        f(Study {
+            workload: w,
+            prog,
+            cfg,
+            key,
+        })
+    })
+}
+
+/// Derive the spec's key through [`with_study`] and make sure the store
+/// has a manifest for it. This is the submit-time half of the
+/// determinism contract; the runner re-derives and cross-checks.
+pub fn realize_key(spec: &StudySpec, store: &Store) -> Result<StudyKey, String> {
+    with_study(spec, |s| {
+        let total_shards = plan_shards(&s.cfg, spec.shard_size).len();
+        create_manifest(
+            &store.study(&s.key),
+            &s.key,
+            &s.prog,
+            s.workload.name(),
+            &spec.isa,
+            &s.cfg,
+            total_shards,
+        )
+        .map_err(|e| e.to_string())?;
+        Ok(s.key)
     })
 }
 
@@ -486,25 +509,20 @@ fn execute(
     active: &Arc<ActiveStudy>,
     spec: &StudySpec,
 ) -> Result<bool, String> {
-    let category = spec.site_category()?;
-    let cfg = spec.study_config();
-    with_workload(spec, |w| {
-        let mut prog = vulfi::prepare(w, category).map_err(|e| e.to_string())?;
-        prog.model = cfg.model;
-        let derived = vulfi_orch::study_key(&prog, w.name(), &spec.isa, &cfg);
-        if derived.0 != active.key.0 {
+    with_study(spec, |s| {
+        if s.key.0 != active.key.0 {
             return Err(format!(
-                "runner-derived key {derived} contradicts submitted key {} — refusing to \
+                "runner-derived key {} contradicts submitted key {} — refusing to \
                  contaminate the store",
-                active.key
+                s.key, active.key
             ));
         }
         let out = run_study_persistent(
-            &prog,
-            w,
-            w.name(),
+            &s.prog,
+            s.workload,
+            s.workload.name(),
             &spec.isa,
-            &cfg,
+            &s.cfg,
             &shared.store,
             RunOptions {
                 shard_size: spec.shard_size,
@@ -652,7 +670,7 @@ fn handle_submit(shared: &Arc<Shared>, req: &Request, stream: &mut TcpStream) {
         Ok(d) => d,
         Err(e) => return respond_error(stream, 400, &e),
     };
-    let spec = match spec_from_value(&doc).and_then(|s| s.validate().map(|_| s)) {
+    let spec = match spec_from_value(&doc) {
         Ok(s) => s,
         Err(e) => return respond_error(stream, 400, &e),
     };

@@ -1,13 +1,20 @@
 //! # vulfi-serve — campaign orchestration as a long-running service
 //!
 //! `vulfi study` is one blocking process owning one study. This crate
-//! turns the same orchestration layer into a **multi-tenant injection
-//! service**: a daemon that accepts study specifications over a small
-//! HTTP/1.1 + JSON API, queues them durably, and executes them one at a
-//! time through `vulfi_orch::run_study_persistent`, the same call `vulfi
-//! study` makes — so a study submitted over HTTP merges to a result
-//! bit-identical to `vulfi study` on the same spec, even across daemon
-//! crashes and restarts mid-campaign.
+//! runs the same orchestration layer as a **local injection service**: a
+//! daemon that accepts study specifications over a small HTTP/1.1 + JSON
+//! API, queues them durably, and executes them one at a time through
+//! `vulfi_orch::run_study_persistent`, the same call `vulfi study` makes
+//! — so a study submitted over HTTP merges to a result bit-identical to
+//! `vulfi study` on the same spec, even across daemon crashes and
+//! restarts mid-campaign.
+//!
+//! It also holds the front door every study run by name goes through:
+//! [`with_study`] turns a [`vulfi::StudySpec`] into its workload
+//! ([`with_workload`], the one name lookup), prepared program, config
+//! and study key. `vulfi study`, `vulfi gauntlet run|report`, the submit
+//! handler ([`realize_key`]) and the runner all call it, so they cannot
+//! drift apart on what a spec means.
 //!
 //! The API surface:
 //!
@@ -40,6 +47,6 @@ pub mod http;
 
 pub use client::Client;
 pub use daemon::{
-    install_shutdown_signals, realize_key, spec_from_value, with_workload, Daemon, DaemonHandle,
-    ServeConfig,
+    install_shutdown_signals, realize_key, spec_from_value, with_study, with_workload, Daemon,
+    DaemonHandle, ServeConfig, Study,
 };

@@ -84,7 +84,7 @@ fn reference_result(spec: &StudySpec) -> vulfi::StudyResult {
     let n = CALLS.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
     let store = vulfi_orch::Store::open(temp_store(&format!("reference{n}"))).unwrap();
     let category = spec.site_category().unwrap();
-    let cfg = spec.study_config();
+    let cfg = spec.study_config().unwrap();
     vulfi_serve::with_workload(spec, |w| {
         let mut prog = vulfi::prepare(w, category).map_err(|e| e.to_string())?;
         prog.model = cfg.model;
