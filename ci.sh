@@ -56,6 +56,14 @@ if grep -q '<script' "$SMOKE/report.html"; then
     echo "ci: the HTML report must carry no <script>" >&2
     exit 1
 fi
+# Over the committed report fixture, the JSON roll-ups must print
+# exactly the recorded documents (crates/cli/tests/report.rs diffs every
+# report against it).
+REPORTS=crates/cli/tests/fixtures/reports
+./target/release/vulfi trace summarize --trace "$REPORTS/trace" --json > "$SMOKE/summarize.json"
+diff -u "$REPORTS/trace-summarize.json" "$SMOKE/summarize.json"
+./target/release/vulfi report heatmap --trace "$REPORTS/trace" --json > "$SMOKE/heatmap.json"
+diff -u "$REPORTS/report-heatmap.json" "$SMOKE/heatmap.json"
 
 # Static-analysis smoke tests: the analyzer must report a benign
 # fraction for a benchmark, the whole built-in suite must stay

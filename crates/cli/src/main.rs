@@ -31,6 +31,20 @@ use vulfi::workload::Workload;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Rust ignores SIGPIPE, so a closed stdout panics in `println!`. All
+    // commands but `vulfi serve` take the default action and end quietly,
+    // like `cat`; a client that hangs up must not kill the daemon.
+    #[cfg(unix)]
+    if args.first().map(String::as_str) != Some("serve") {
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        const SIGPIPE: i32 = 13;
+        const SIG_DFL: usize = 0;
+        // SAFETY: `signal` is the C library's; installing the default
+        // action runs no Rust code in the handler, before any thread starts.
+        unsafe { signal(SIGPIPE, SIG_DFL) };
+    }
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -1142,77 +1156,61 @@ fn stored_shards(
     Ok((done, soundness))
 }
 
-/// `vulfi results summary`: one line (or JSON record) per stored study.
+/// `vulfi results summary`: one line (or JSON record) per stored study,
+/// in key order.
 fn results_summary(flags: &Flags) -> Result<(), String> {
     let store = vulfi_orch::Store::open(&flags.store).map_err(|e| e.to_string())?;
-    let keys = store.studies().map_err(|e| e.to_string())?;
-    let mut docs = Vec::new();
-    for key in &keys {
-        let study = store.study(key);
-        let m = study.read_manifest().map_err(|e| e.to_string())?;
-        let shards = study.shards().map_err(|e| e.to_string())?;
-        let covered = vulfi_orch::covered_experiments(&shards, &m.cfg);
-        let total = m.cfg.max_campaigns * m.cfg.experiments_per_campaign;
-        match vulfi_orch::merge(&m.cfg, m.category, &shards) {
-            Some(r) => {
-                if flags.json {
-                    docs.push(serde_json::json!({
-                        "key": key.0.clone(),
-                        "workload": m.workload.clone(),
-                        "isa": m.isa.clone(),
-                        "category": m.category.name(),
-                        "status": "complete",
-                        "mean_sdc": r.summary.mean,
-                        "margin_95": r.summary.margin_95,
-                        "campaigns": r.summary.campaigns,
-                        "converged": r.converged,
-                    }));
-                } else {
-                    println!(
-                        "{}  {:24} {:4} {:9}  SDC {:5.1}% ± {:4.1}  {:2} campaigns  {}",
-                        &key.0[..12],
-                        m.workload,
-                        m.isa,
-                        m.category.name(),
-                        r.summary.mean,
-                        r.summary.margin_95,
-                        r.summary.campaigns,
-                        if r.converged { "converged" } else { "capped" }
-                    );
-                }
-            }
-            None => {
-                if flags.json {
-                    docs.push(serde_json::json!({
-                        "key": key.0.clone(),
-                        "workload": m.workload.clone(),
-                        "isa": m.isa.clone(),
-                        "category": m.category.name(),
-                        "status": "partial",
-                        "covered_experiments": covered as u64,
-                        "total_experiments": total as u64,
-                    }));
-                } else {
-                    println!(
-                        "{}  {:24} {:4} {:9}  partial: {}/{} experiments",
-                        &key.0[..12],
-                        m.workload,
-                        m.isa,
-                        m.category.name(),
-                        covered,
-                        total
-                    );
-                }
-            }
-        }
-    }
+    let (cells, partial) = vulfi_orch::load_cells(&store).map_err(|e| e.to_string())?;
+    // Per study: its identity, its JSON record and its text line's tail.
+    let complete = cells.iter().map(|c| {
+        let doc = serde_json::json!({
+            "key": c.key.clone(),
+            "workload": c.workload.clone(),
+            "isa": c.isa.clone(),
+            "category": c.category.clone(),
+            "status": "complete",
+            "mean_sdc": c.mean_sdc,
+            "margin_95": c.margin_95,
+            "campaigns": c.campaigns,
+            "converged": c.converged,
+        });
+        let tail = format!(
+            "SDC {:5.1}% ± {:4.1}  {:2} campaigns  {}",
+            c.mean_sdc,
+            c.margin_95,
+            c.campaigns,
+            if c.converged { "converged" } else { "capped" }
+        );
+        ((&c.key, &c.workload, &c.isa, &c.category), doc, tail)
+    });
+    let partial = partial.iter().map(|p| {
+        let doc = serde_json::json!({
+            "key": p.key.clone(),
+            "workload": p.workload.clone(),
+            "isa": p.isa.clone(),
+            "category": p.category.clone(),
+            "status": "partial",
+            "covered_experiments": p.covered,
+            "total_experiments": p.total,
+        });
+        let tail = format!("partial: {}/{} experiments", p.covered, p.total);
+        ((&p.key, &p.workload, &p.isa, &p.category), doc, tail)
+    });
+    let mut rows: Vec<_> = complete.chain(partial).collect();
+    rows.sort_by(|a, b| a.0 .0.cmp(b.0 .0));
     if flags.json {
+        let docs = rows.into_iter().map(|(_, doc, _)| doc).collect();
         println!(
             "{}",
             serde_json::to_string_pretty(&serde_json::Value::Array(docs)).unwrap()
         );
-    } else if keys.is_empty() {
+    } else if rows.is_empty() {
         println!("no studies under {}", flags.store);
+    } else {
+        for ((key, workload, isa, category), _, tail) in rows {
+            let key = key.get(..12).unwrap_or(key);
+            println!("{key}  {workload:24} {isa:4} {category:9}  {tail}");
+        }
     }
     Ok(())
 }
@@ -1410,13 +1408,19 @@ fn trace_root(flags: &Flags) -> String {
         .unwrap_or_else(|| "results/trace".to_string())
 }
 
+/// Read a trace root once and tally it once (`vulfi_orch::rollup`).
+fn trace_rollup(root: &str, model: Option<&str>) -> Result<vulfi_orch::TraceRollup, String> {
+    let store = vulfi_orch::TraceStore::open(root).map_err(|e| e.to_string())?;
+    vulfi_orch::rollup(&store, model).map_err(|e| e.to_string())
+}
+
 /// `vulfi trace summarize`: roll up every study's trace shards into
 /// per-category outcome counts and propagation percentiles, plus the
 /// most SDC-prone static sites.
 fn trace_summarize(flags: &Flags) -> Result<(), String> {
     let root = trace_root(flags);
-    let store = vulfi_orch::TraceStore::open(&root).map_err(|e| e.to_string())?;
-    let s = vulfi_orch::summarize(&store, flags.top).map_err(|e| e.to_string())?;
+    let mut s = trace_rollup(&root, None)?.summary;
+    s.top_sdc_sites.truncate(flags.top);
     if flags.json {
         println!(
             "{}",
@@ -1751,9 +1755,10 @@ fn report_diff(flags: &Flags) -> Result<(), String> {
 /// store.
 fn report_heatmap(flags: &Flags) -> Result<(), String> {
     let root = trace_root(flags);
-    let store = vulfi_orch::TraceStore::open(&root).map_err(|e| e.to_string())?;
-    let maps = vulfi_orch::heatmaps_filtered(&store, flags.top, flags.model.as_deref())
-        .map_err(|e| e.to_string())?;
+    let mut maps = trace_rollup(&root, flags.model.as_deref())?.heatmaps;
+    for m in &mut maps {
+        m.sites.truncate(flags.top);
+    }
     if flags.json {
         println!(
             "{}",
@@ -1810,14 +1815,11 @@ fn occupancy_profiles(
 /// snapshot.
 fn report_html(flags: &Flags) -> Result<(), String> {
     let store = vulfi_orch::Store::open(&flags.store).map_err(|e| e.to_string())?;
-    let trace = match &flags.trace {
-        Some(root) => Some(vulfi_orch::TraceStore::open(root).map_err(|e| e.to_string())?),
-        None => None,
-    };
-    let diff_store = match &flags.diff_store {
-        Some(dir) => Some(vulfi_orch::Store::open(dir).map_err(|e| e.to_string())?),
-        None => None,
-    };
+    // Every trace section renders from this one read of the trace root.
+    let traces = flags.trace.as_deref().map(|root| trace_rollup(root, None));
+    let traces = traces.transpose()?;
+    let diff_store = flags.diff_store.as_deref().map(vulfi_orch::Store::open);
+    let diff_store = diff_store.transpose().map_err(|e| e.to_string())?;
     let metrics: Vec<vulfi_orch::MetricRow> = match &flags.metrics_in {
         Some(path) => {
             let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -1841,14 +1843,14 @@ fn report_html(flags: &Flags) -> Result<(), String> {
     };
     let occupancy = occupancy_profiles(&store)?;
     // Static-analysis join: the analyzer's predicted-benign fraction per
-    // site, next to the SDC rate the trace heatmaps actually observed.
+    // site, next to the SDC rate the trace heatmaps actually observed,
+    // over every injected site (`--top` cuts only the heatmap tables).
     // Workloads we can't rebuild (or that fail verification) are skipped
     // rather than failing the whole report.
-    let analysis = match trace.as_ref() {
+    let analysis = match &traces {
         Some(t) => {
-            let maps = vulfi_orch::heatmaps(t, flags.top).map_err(|e| e.to_string())?;
             let mut reports = Vec::new();
-            for m in &maps {
+            for m in &t.heatmaps {
                 let Ok(rep) = with_bench(&m.workload, VectorIsa::Avx, |w| {
                     vulfi::analyze_module(w.module(), w.entry())
                 }) else {
@@ -1856,14 +1858,14 @@ fn report_html(flags: &Flags) -> Result<(), String> {
                 };
                 reports.push((m.workload.clone(), rep));
             }
-            vulfi_orch::analysis_cells(&reports, &maps)
+            vulfi_orch::analysis_cells(&reports, &t.heatmaps)
         }
         None => Vec::new(),
     };
     let html = vulfi_orch::html_from_stores(
         "vulfi resiliency report",
-        Some(&store),
-        trace.as_ref(),
+        &store,
+        traces.as_ref(),
         diff_store.as_ref(),
         &occupancy,
         &metrics,
@@ -1872,16 +1874,16 @@ fn report_html(flags: &Flags) -> Result<(), String> {
         flags.top,
     )
     .map_err(|e| e.to_string())?;
-    let out = flags
-        .out
-        .clone()
-        .unwrap_or_else(|| "results/report.html".to_string());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent).map_err(|e| format!("{}: {e}", parent.display()))?;
-        }
+    write_html(flags, "results/report.html", &html)
+}
+
+/// Write a rendered report to `-o` (else `default`), creating its dir.
+fn write_html(flags: &Flags, default: &str, html: &str) -> Result<(), String> {
+    let out = flags.out.as_deref().unwrap_or(default);
+    if let Some(parent) = std::path::Path::new(out).parent() {
+        fs::create_dir_all(parent).map_err(|e| format!("{}: {e}", parent.display()))?;
     }
-    fs::write(&out, &html).map_err(|e| format!("{out}: {e}"))?;
+    fs::write(out, html).map_err(|e| format!("{out}: {e}"))?;
     eprintln!("wrote {out} ({} bytes)", html.len());
     Ok(())
 }
@@ -2028,7 +2030,7 @@ fn gauntlet_report(flags: &Flags) -> Result<(), String> {
     };
     let html = vulfi_orch::html_from_stores(
         &format!("vulfi gauntlet: {}", scenario.name),
-        Some(&store),
+        &store,
         None,
         None,
         &[],
@@ -2038,17 +2040,7 @@ fn gauntlet_report(flags: &Flags) -> Result<(), String> {
         flags.top,
     )
     .map_err(|e| e.to_string())?;
-    let out = flags
-        .out
-        .clone()
-        .unwrap_or_else(|| "results/gauntlet.html".to_string());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent).map_err(|e| format!("{}: {e}", parent.display()))?;
-        }
-    }
-    fs::write(&out, &html).map_err(|e| format!("{out}: {e}"))?;
-    eprintln!("wrote {out} ({} bytes)", html.len());
+    write_html(flags, "results/gauntlet.html", &html)?;
     print!("{}", vulfi_orch::render_verdicts(&report));
     Ok(())
 }

@@ -393,3 +393,60 @@ fn study_gauntlet_and_submit_derive_the_pinned_key() {
     assert_eq!(key.0, PINNED);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A command whose stdout is closed ends quietly, as `cat` does in
+/// `cat big | head -c 0`: no panic and no backtrace on stderr.
+#[test]
+fn a_closed_stdout_ends_a_command_without_a_panic() {
+    let trace = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/reports/trace");
+    let cases: [&[&str]; 2] = [
+        &["list"],
+        &[
+            "report",
+            "heatmap",
+            "--json",
+            "--trace",
+            trace.to_str().unwrap(),
+        ],
+    ];
+    for args in cases {
+        // The read end is gone before the child starts, so its first
+        // write to stdout fails however quickly it runs.
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_vulfi"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn vulfi binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "vulfi {args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "vulfi {args:?}: {stderr}");
+    }
+}
+
+/// A study asks for at most 1,000,000 experiments (`experiments ×
+/// campaigns`): planning and merging allocate a slot for each before
+/// anything runs.
+#[test]
+fn oversized_study_is_refused_naming_the_bound() {
+    let store = temp_dir("oversized");
+    let out = vulfi(&[
+        "study",
+        "--bench",
+        "vector sum",
+        "--experiments",
+        "2000000",
+        "--campaigns",
+        "1",
+        "--shard-size",
+        "1",
+        "--store",
+        store.to_str().unwrap(),
+    ]);
+    assert_exit(&out, 1, "study 2,000,000 x 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("1000000"), "{stderr}");
+    let stored = std::fs::read_dir(&store).map_or(0, |d| d.count());
+    assert_eq!(stored, 0, "nothing planned or stored");
+}

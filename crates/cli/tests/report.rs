@@ -9,7 +9,7 @@
 //! - `results summary` / `trace summarize` behave on empty and
 //!   single-shard stores.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use vulfi_orch::DiffReport;
@@ -258,4 +258,238 @@ fn summaries_handle_empty_and_single_shard_stores() {
         "{}",
         stdout(&hm)
     );
+}
+
+/// The committed fixture under `tests/fixtures/reports/`: a store with
+/// two complete traced studies of "vector sum" (AVX pure-data
+/// single-bit-flip, SSE control `multi-bit-burst:2`, 12 × 4, seed 7) and
+/// one partial study, plus their trace root, where one trace shard was
+/// appended twice as a resumed run would. The `.out`, `.json` and
+/// `.html` files beside them are the recorded outputs of each report.
+fn reports_fixture() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/reports")
+}
+
+#[test]
+fn report_outputs_match_the_committed_fixtures() {
+    let fixtures = reports_fixture();
+    let store = fixtures.join("store");
+    let trace = fixtures.join("trace");
+    let (s, t) = (store.to_str().unwrap(), trace.to_str().unwrap());
+    let cases: [(&[&str], &str); 8] = [
+        (&["trace", "summarize", "--trace", t], "trace-summarize.out"),
+        (
+            &["trace", "summarize", "--trace", t, "--json"],
+            "trace-summarize.json",
+        ),
+        (&["report", "heatmap", "--trace", t], "report-heatmap.out"),
+        (
+            &["report", "heatmap", "--trace", t, "--json"],
+            "report-heatmap.json",
+        ),
+        (
+            &[
+                "report",
+                "heatmap",
+                "--trace",
+                t,
+                "--model",
+                "multi-bit-burst",
+            ],
+            "report-heatmap-burst.out",
+        ),
+        (&["results", "summary", "--store", s], "results-summary.out"),
+        (
+            &["results", "summary", "--store", s, "--json"],
+            "results-summary.json",
+        ),
+        (&["report", "diff", s, s], "report-diff.out"),
+    ];
+    for (args, file) in cases {
+        let out = vulfi(args);
+        assert_ok(&out, &format!("vulfi {}", args.join(" ")));
+        let want = std::fs::read_to_string(fixtures.join(file)).unwrap();
+        assert_eq!(stdout(&out), want, "{file}: output moved");
+    }
+    // At `--top 1000` nothing is cut from the analysis join, so the
+    // whole page is fixed.
+    let html = temp_dir("fixture_html").join("report.html");
+    let out = vulfi(&[
+        "report",
+        "html",
+        "--store",
+        s,
+        "--trace",
+        t,
+        "--top",
+        "1000",
+        "-o",
+        html.to_str().unwrap(),
+    ]);
+    assert_ok(&out, "vulfi report html --top 1000");
+    let want = std::fs::read_to_string(fixtures.join("report-html.html")).unwrap();
+    assert!(
+        std::fs::read_to_string(&html).unwrap() == want,
+        "report-html.html: output moved"
+    );
+}
+
+/// Run a traced `vector sum` study of `category` under `model` into
+/// `store` and `trace`.
+fn traced_study(store: &Path, trace: &Path, category: &str, model: &str) {
+    assert_ok(
+        &vulfi(&[
+            "study",
+            "--bench",
+            "vector sum",
+            "--category",
+            category,
+            "--model",
+            model,
+            "--experiments",
+            "12",
+            "--campaigns",
+            "4",
+            "--seed",
+            "7",
+            "--store",
+            store.to_str().unwrap(),
+            "--trace",
+            trace.to_str().unwrap(),
+        ]),
+        "traced study",
+    );
+}
+
+#[test]
+fn engine_model_spans_count_by_category_but_not_by_site_or_lane() {
+    // The same value-model study traced alone and next to a mask-corrupt
+    // study: the mask fault touches no instrumented site, so the
+    // heatmap must not change, while the summary counts its spans.
+    let dir = temp_dir("engine_spans");
+    let (alone, mixed) = (dir.join("alone"), dir.join("mixed"));
+    traced_study(&dir.join("s1"), &alone, "pure-data", "single-bit-flip");
+    traced_study(&dir.join("s2"), &mixed, "pure-data", "single-bit-flip");
+    traced_study(&dir.join("s2"), &mixed, "control", "mask-corrupt");
+    let heatmap = |root: &Path| {
+        let out = vulfi(&[
+            "report",
+            "heatmap",
+            "--trace",
+            root.to_str().unwrap(),
+            "--top",
+            "1000",
+            "--json",
+        ]);
+        assert_ok(&out, "vulfi report heatmap --json");
+        stdout(&out)
+    };
+    assert_eq!(
+        heatmap(&mixed),
+        heatmap(&alone),
+        "engine spans in the heatmap"
+    );
+
+    let out = vulfi(&[
+        "trace",
+        "summarize",
+        "--trace",
+        mixed.to_str().unwrap(),
+        "--json",
+    ]);
+    assert_ok(&out, "vulfi trace summarize --json");
+    let s: vulfi_orch::TraceSummary = serde_json::from_str(stdout(&out).trim()).unwrap();
+    let control = s.categories.iter().find(|c| c.category == "control");
+    assert_eq!(control.map(|c| c.spans), Some(48), "{s:?}");
+    assert_eq!(s.spans, 96);
+}
+
+/// The cells of each `<tr><td>` row inside `<section id="ID">`.
+fn html_rows(html: &str, id: &str) -> Vec<Vec<String>> {
+    let start = html.find(&format!("<section id=\"{id}\">")).unwrap();
+    let end = start + html[start..].find("</section>").unwrap();
+    html[start..end]
+        .lines()
+        .filter(|l| l.starts_with("<tr><td>"))
+        .map(|l| {
+            l.trim_start_matches("<tr><td>")
+                .trim_end_matches("</td></tr>")
+                .split("</td><td>")
+                .map(|c| {
+                    // Drop inline markup such as the flag `<span>`.
+                    let mut text = String::new();
+                    let mut in_tag = false;
+                    for ch in c.chars() {
+                        match ch {
+                            '<' => in_tag = true,
+                            '>' => in_tag = false,
+                            _ if !in_tag => text.push(ch),
+                            _ => {}
+                        }
+                    }
+                    text
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn html_analysis_joins_every_injected_site_whatever_the_top() {
+    // 20 × 4 injections of "vector sum" land on more than 10 sites, so
+    // the default `--top 10` would cut them from the join.
+    let store = temp_dir("analysis_store");
+    let trace = temp_dir("analysis_trace");
+    let (s, t) = (store.to_str().unwrap(), trace.to_str().unwrap());
+    assert_ok(
+        &vulfi(&[
+            "study",
+            "--bench",
+            "vector sum",
+            "--experiments",
+            "20",
+            "--campaigns",
+            "4",
+            "--seed",
+            "7",
+            "--store",
+            s,
+            "--trace",
+            t,
+        ]),
+        "traced study",
+    );
+    let out = vulfi(&["report", "heatmap", "--trace", t, "--top", "1000", "--json"]);
+    assert_ok(&out, "vulfi report heatmap --json");
+    let maps: Vec<vulfi_orch::WorkloadHeatmap> = serde_json::from_str(stdout(&out).trim()).unwrap();
+    assert_eq!(maps.len(), 1);
+    assert!(maps[0].sites.len() > 10, "{} sites", maps[0].sites.len());
+    let injected: u64 = maps[0].sites.iter().map(|r| r.injections).sum();
+    assert_eq!(injected, 80, "every experiment injected once");
+
+    let html = temp_dir("analysis_out").join("report.html");
+    let out = vulfi(&[
+        "report",
+        "html",
+        "--store",
+        s,
+        "--trace",
+        t,
+        "-o",
+        html.to_str().unwrap(),
+    ]);
+    assert_ok(&out, "vulfi report html");
+    let rows = html_rows(&std::fs::read_to_string(&html).unwrap(), "analysis");
+    let mut joined = 0;
+    for row in &rows {
+        let site: u32 = row[0].parse().unwrap();
+        let want = maps[0]
+            .sites
+            .iter()
+            .find(|r| r.site_id == site)
+            .map_or(0, |r| r.injections);
+        assert_eq!(row[5], want.to_string(), "site {site}: {row:?}");
+        joined += want;
+    }
+    assert_eq!(joined, injected, "the join covers every injected span");
 }

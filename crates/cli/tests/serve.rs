@@ -500,3 +500,41 @@ fn killed_daemon_resumes_to_bit_identical_study() {
     let fsck = vulfi(&["fsck", "--store", serve_store.to_str().unwrap()]);
     assert_ok(&fsck, "vulfi fsck after chaos");
 }
+
+/// `GET /studies/:key/report` reads only the requested study: one
+/// corrupt shard log in the store fails its own report loudly and
+/// leaves every other study's report alone. Unknown and partial keys
+/// are 404. The store is a copy of the report fixture (two complete
+/// studies and one partial).
+#[test]
+fn a_corrupt_study_does_not_break_other_studies_reports() {
+    const HEALTHY: &str = "ed4da38fe988d8a71e7f6e6575a37988";
+    const CORRUPT: &str = "666484195defb86d81b4369041e87df0";
+    const PARTIAL: &str = "df3a08c5664cf578153e7500f872afd1";
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/reports/store");
+    let store = temp_dir("report_isolation");
+    copy_tree(&fixture, &store);
+    let log = store.join(CORRUPT).join("shards.jsonl");
+    let mut bytes = std::fs::read(&log).unwrap();
+    let body = bytes.iter().position(|&b| b == b'{').unwrap();
+    bytes[body + 10] ^= 0x01;
+    std::fs::write(&log, &bytes).unwrap();
+
+    let (mut daemon, addr) = spawn_daemon(&store, "1");
+    let client = Client::new(addr.clone());
+    let (status, doc) = client.get(&format!("/studies/{HEALTHY}/report")).unwrap();
+    assert_eq!(status, 200, "{doc:?}");
+    let cell = doc.get("cell").expect("report carries the cell");
+    assert_eq!(cell.get("key").and_then(|v| v.as_str()), Some(HEALTHY));
+    assert_eq!(cell.get("experiments").and_then(|v| v.as_u64()), Some(48));
+    let (status, doc) = client.get(&format!("/studies/{CORRUPT}/report")).unwrap();
+    assert_eq!(status, 500, "{doc:?}");
+    assert!(Client::error_of(&doc).contains("fsck"), "{doc:?}");
+    for key in [PARTIAL, "deadbeef"] {
+        let (status, doc) = client.get(&format!("/studies/{key}/report")).unwrap();
+        assert_eq!(status, 404, "{key}: {doc:?}");
+    }
+    assert_ok(&vulfi(&["shutdown", "--addr", &addr]), "vulfi shutdown");
+    daemon.wait().expect("daemon exit");
+    let _ = std::fs::remove_dir_all(&store);
+}

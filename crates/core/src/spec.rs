@@ -22,6 +22,10 @@ pub const SPEC_ISAS: [&str; 2] = ["avx", "sse"];
 pub const SPEC_CATEGORIES: [&str; 3] = ["pure-data", "control", "address"];
 pub const SPEC_SCALES: [&str; 2] = ["test", "paper"];
 
+/// Most experiments (`experiments × campaigns`) one spec may ask for:
+/// planning and merging allocate a slot for each before any runs.
+pub const SPEC_MAX_EXPERIMENTS: usize = 1_000_000;
+
 /// A complete, self-contained description of one study submission.
 ///
 /// All fields are required on the wire (the vendored serde has no
@@ -95,6 +99,13 @@ impl StudySpec {
         }
         if self.campaigns == 0 {
             return Err("spec.campaigns must be positive".to_string());
+        }
+        let experiments = self.experiments.saturating_mul(self.campaigns);
+        if experiments > SPEC_MAX_EXPERIMENTS {
+            return Err(format!(
+                "spec.experiments × spec.campaigns = {experiments} exceeds the bound of \
+                 {SPEC_MAX_EXPERIMENTS} experiments per study"
+            ));
         }
         if self.shard_size == 0 {
             return Err("spec.shard_size must be positive".to_string());

@@ -3,18 +3,20 @@
 //! Everything here is *read-only*: the inputs are the checksummed shard
 //! logs (`store`) and trace sidecars (`tracestore`) a finished — or
 //! half-finished — evaluation left behind, and the outputs are the
-//! comparisons the paper actually publishes:
+//! comparisons the paper actually publishes. A report reads and tallies
+//! each store once; only printing truncates:
 //!
-//! - **study cells** ([`load_cells`]): every stored study merged through
-//!   the deterministic stopping rule into one (workload × category ×
-//!   ISA) cell with Wilson-scored SDC proportions;
+//! - **study cells** ([`load_cells`], one: [`load_study`]): each stored
+//!   study merged through the deterministic stopping rule into one
+//!   (workload × category × ISA) cell with Wilson-scored SDC proportions;
 //! - **study diffing** ([`diff_stores`]): cell-by-cell comparison of two
 //!   stores (AVX vs SSE, pre/post a detector pass, two protocols) with a
 //!   two-proportion z-test and drift detection for resumed runs of the
 //!   same study key;
-//! - **vulnerability heatmaps** ([`heatmaps`]): trace spans aggregated
-//!   into site rankings and lane × bit SDC-density grids, joining static
-//!   site metadata (opcode, §II-C categories) against dynamic outcomes;
+//! - **the trace roll-up** ([`rollup`]): one pass over every span yields
+//!   `trace summarize`'s category rows and, per workload, the lane × bit
+//!   SDC-density grid and the full site tally (opcode, §II-C categories
+//!   against dynamic outcomes) behind `report heatmap` and `report html`;
 //! - **lane occupancy** ([`OccupancyProfile`]): the dynamic
 //!   mask-occupancy histogram of a golden run, for explaining vector SDC
 //!   rates the way the paper's §IV discussion does (masked-off lanes
@@ -26,9 +28,10 @@ use std::collections::BTreeMap;
 
 use vulfi::{two_proportion_z_test, wilson_interval_95, Outcome};
 
-use crate::plan::merge;
+use crate::key::StudyKey;
+use crate::plan::{covered_experiments, merge};
 use crate::store::Store;
-use crate::tracestore::{summarize, TraceStore, TraceSummary};
+use crate::tracestore::{load_spans, TraceStore};
 use crate::OrchError;
 
 /// One stored study merged into a comparable cell.
@@ -57,46 +60,88 @@ pub struct StudyCell {
     pub converged: bool,
 }
 
-/// Merge every complete study in `store` into cells; the second list
-/// names studies still partial (excluded rather than silently skewed).
-pub fn load_cells(store: &Store) -> Result<(Vec<StudyCell>, Vec<String>), OrchError> {
+/// A stored study the stopping rule cannot merge yet.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PartialStudy {
+    pub key: String,
+    pub workload: String,
+    pub isa: String,
+    pub category: String,
+    /// Experiments stored so far, of `total`.
+    pub covered: u64,
+    pub total: u64,
+}
+
+impl PartialStudy {
+    /// `workload [isa] category (key prefix)`, as the reports list it.
+    pub fn label(&self) -> String {
+        format!(
+            "{} [{}] {} ({})",
+            self.workload,
+            self.isa,
+            self.category,
+            self.key.get(..12).unwrap_or(&self.key)
+        )
+    }
+}
+
+/// One stored study, merged into a cell or still partial.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StoredStudy {
+    Complete(StudyCell),
+    Partial(PartialStudy),
+}
+
+/// Read and merge one stored study. Only this study's manifest and
+/// shard log are read, so damage elsewhere in the store cannot fail it.
+pub fn load_study(store: &Store, key: &StudyKey) -> Result<StoredStudy, OrchError> {
+    let study = store.study(key);
+    let m = study.read_manifest()?;
+    let shards = study.shards()?;
+    let category = m.category.name().to_string();
+    let Some(r) = merge(&m.cfg, m.category, &shards) else {
+        return Ok(StoredStudy::Partial(PartialStudy {
+            key: key.0.clone(),
+            workload: m.workload,
+            isa: m.isa,
+            category,
+            covered: covered_experiments(&shards, &m.cfg) as u64,
+            total: (m.cfg.max_campaigns * m.cfg.experiments_per_campaign) as u64,
+        }));
+    };
+    let n = r.counts.total();
+    let (lo, hi) = wilson_interval_95(r.counts.sdc, n);
+    Ok(StoredStudy::Complete(StudyCell {
+        key: key.0.clone(),
+        workload: m.workload,
+        isa: m.isa,
+        category,
+        sdc: r.counts.sdc,
+        benign: r.counts.benign,
+        crash: r.counts.crash,
+        detected: r.counts.detected,
+        sdc_detected: r.counts.sdc_detected,
+        experiments: n,
+        sdc_rate: r.counts.sdc_rate(),
+        wilson_lo: 100.0 * lo,
+        wilson_hi: 100.0 * hi,
+        mean_sdc: r.summary.mean,
+        margin_95: r.summary.margin_95,
+        campaigns: r.summary.campaigns,
+        converged: r.converged,
+    }))
+}
+
+/// Merge every complete study in `store` into cells, sorted by
+/// workload, category and ISA; the second list holds the studies still
+/// partial, in key order (excluded rather than silently skewed).
+pub fn load_cells(store: &Store) -> Result<(Vec<StudyCell>, Vec<PartialStudy>), OrchError> {
     let mut cells = Vec::new();
     let mut partial = Vec::new();
     for key in store.studies()? {
-        let study = store.study(&key);
-        let m = study.read_manifest()?;
-        let shards = study.shards()?;
-        match merge(&m.cfg, m.category, &shards) {
-            Some(r) => {
-                let n = r.counts.total();
-                let (lo, hi) = wilson_interval_95(r.counts.sdc, n);
-                cells.push(StudyCell {
-                    key: key.0.clone(),
-                    workload: m.workload.clone(),
-                    isa: m.isa.clone(),
-                    category: m.category.name().to_string(),
-                    sdc: r.counts.sdc,
-                    benign: r.counts.benign,
-                    crash: r.counts.crash,
-                    detected: r.counts.detected,
-                    sdc_detected: r.counts.sdc_detected,
-                    experiments: n,
-                    sdc_rate: r.counts.sdc_rate(),
-                    wilson_lo: 100.0 * lo,
-                    wilson_hi: 100.0 * hi,
-                    mean_sdc: r.summary.mean,
-                    margin_95: r.summary.margin_95,
-                    campaigns: r.summary.campaigns,
-                    converged: r.converged,
-                });
-            }
-            None => partial.push(format!(
-                "{} [{}] {} ({})",
-                m.workload,
-                m.isa,
-                m.category.name(),
-                &key.0[..12.min(key.0.len())]
-            )),
+        match load_study(store, &key)? {
+            StoredStudy::Complete(cell) => cells.push(cell),
+            StoredStudy::Partial(p) => partial.push(p),
         }
     }
     cells.sort_by(|a, b| {
@@ -165,14 +210,14 @@ fn cell_label(c: &StudyCell) -> String {
 pub fn diff_stores(a: &Store, b: &Store) -> Result<DiffReport, OrchError> {
     let (cells_a, partial_a) = load_cells(a)?;
     let (cells_b, partial_b) = load_cells(b)?;
-    Ok(diff_cells(cells_a, cells_b, partial_a, partial_b))
+    Ok(diff_cells(cells_a, cells_b, &partial_a, &partial_b))
 }
 
 fn diff_cells(
     cells_a: Vec<StudyCell>,
     cells_b: Vec<StudyCell>,
-    partial_a: Vec<String>,
-    partial_b: Vec<String>,
+    partial_a: &[PartialStudy],
+    partial_b: &[PartialStudy],
 ) -> DiffReport {
     let mut used_b = vec![false; cells_b.len()];
     let mut pairs: Vec<(StudyCell, StudyCell)> = Vec::new();
@@ -267,8 +312,8 @@ fn diff_cells(
         cells,
         only_a,
         only_b,
-        partial_a,
-        partial_b,
+        partial_a: partial_a.iter().map(PartialStudy::label).collect(),
+        partial_b: partial_b.iter().map(PartialStudy::label).collect(),
         significant,
         drift,
     }
@@ -341,7 +386,7 @@ pub fn render_diff_text(r: &DiffReport) -> String {
 }
 
 /// One (lane, bit) cell of a vulnerability grid.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct LaneBitCell {
     pub lane: u32,
     pub bit: u32,
@@ -350,7 +395,7 @@ pub struct LaneBitCell {
 }
 
 /// One static site joined against its dynamic outcomes.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SiteRow {
     pub site_id: u32,
     pub opcode: String,
@@ -377,117 +422,194 @@ pub struct WorkloadHeatmap {
     pub sites: Vec<SiteRow>,
 }
 
-/// Aggregate every trace span into per-workload vulnerability heatmaps.
-///
-/// Spans deduplicate by `(study, campaign, experiment)` exactly like
-/// [`summarize`], so resumed runs never double-count. Site ranking keeps
-/// the `top_sites` most SDC-prone sites per workload.
-pub fn heatmaps(store: &TraceStore, top_sites: usize) -> Result<Vec<WorkloadHeatmap>, OrchError> {
-    heatmaps_filtered(store, top_sites, None)
+/// Propagation-distance percentiles (nearest-rank) over the spans that
+/// recorded a propagation distance.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct PropagationPercentiles {
+    pub samples: usize,
+    pub p50: u64,
+    pub p90: u64,
+    pub p99: u64,
+    pub max: u64,
 }
 
-/// [`heatmaps`] restricted to studies of one fault model
-/// (`vulfi report heatmap --model ...`). The filter accepts either a
-/// full parameterized name (`multi-bit-burst:2`) or a bare kind
-/// (`multi-bit-burst`, matching every width).
-pub fn heatmaps_filtered(
-    store: &TraceStore,
-    top_sites: usize,
-    model: Option<&str>,
-) -> Result<Vec<WorkloadHeatmap>, OrchError> {
-    let mut spans: BTreeMap<(String, usize, usize), (String, vulfi::ExperimentTrace)> =
-        BTreeMap::new();
-    for key in store.studies()? {
-        for shard in store.study(&key).shards()? {
-            if let Some(want) = model {
-                let kind = shard.model.split(':').next().unwrap_or(&shard.model);
-                if shard.model != want && kind != want {
-                    continue;
-                }
-            }
-            for t in shard.traces {
-                spans.insert(
-                    (key.0.clone(), shard.campaign, t.index),
-                    (shard.workload.clone(), t),
-                );
-            }
+impl PropagationPercentiles {
+    /// Nearest-rank percentiles of `samples` (need not be sorted).
+    pub fn of(mut samples: Vec<u64>) -> Option<PropagationPercentiles> {
+        if samples.is_empty() {
+            return None;
         }
+        samples.sort_unstable();
+        let rank = |q: f64| {
+            let n = samples.len();
+            let idx = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
+            samples[idx]
+        };
+        Some(PropagationPercentiles {
+            samples: samples.len(),
+            p50: rank(0.50),
+            p90: rank(0.90),
+            p99: rank(0.99),
+            max: *samples.last().unwrap(),
+        })
     }
+}
 
-    // workload → ((lane, bit) → (injections, sdc), site → row)
-    type SiteKey = (u32, String);
-    type Grid = BTreeMap<(u32, u32), (u64, u64)>;
-    type SiteTally = BTreeMap<SiteKey, (Vec<String>, u64, u64, u64)>;
-    let mut grids: BTreeMap<String, Grid> = BTreeMap::new();
-    let mut sites: BTreeMap<String, SiteTally> = BTreeMap::new();
-    for (workload, t) in spans.values() {
+/// Aggregates for one §II-C category.
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct CategorySummary {
+    pub category: String,
+    pub spans: usize,
+    pub sdc: u64,
+    pub benign: u64,
+    pub crash: u64,
+    /// `None` when no span in this category recorded a propagation
+    /// distance.
+    pub propagation: Option<PropagationPercentiles>,
+}
+
+/// One static site ranked by how often its faults became SDCs.
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct SiteSdcSummary {
+    pub workload: String,
+    pub site_id: u32,
+    pub opcode: String,
+    /// Experiments that injected this site and ended in SDC.
+    pub sdc: u64,
+    /// All experiments that injected this site.
+    pub total: u64,
+}
+
+/// `vulfi trace summarize`'s document.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct TraceSummary {
+    pub studies: usize,
+    /// Deduplicated spans (one per experiment coordinate).
+    pub spans: usize,
+    /// Spans whose experiment actually injected a fault.
+    pub injected: usize,
+    pub categories: Vec<CategorySummary>,
+    /// Top-N sites by SDC count (ties broken by total injections, then
+    /// site id). Sites that never produced an SDC are omitted.
+    pub top_sdc_sites: Vec<SiteSdcSummary>,
+}
+
+/// A trace root tallied once; each report cuts its own top N when it
+/// prints. Engine-model spans (`mask-corrupt`, `address-line`,
+/// `memory-cell`) count in the category rows and propagation but in no
+/// site row or lane × bit cell: the engine corrupts a mask, a pointer or
+/// a memory cell, not the site its injection record names.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceRollup {
+    /// `trace summarize`'s document, every SDC-prone site ranked.
+    pub summary: TraceSummary,
+    /// One per workload with a value-model injection: its lane × bit
+    /// grid and every injected site, ranked.
+    pub heatmaps: Vec<WorkloadHeatmap>,
+}
+
+/// Read a trace root once (`load_spans`) and tally every span once;
+/// `model` filters as `load_spans` does.
+pub fn rollup(store: &TraceStore, model: Option<&str>) -> Result<TraceRollup, OrchError> {
+    let (studies, spans) = load_spans(store, model)?;
+    let mut categories: BTreeMap<&str, (CategorySummary, Vec<u64>)> = BTreeMap::new();
+    type Tally<'a> = (
+        BTreeMap<(u32, u32), LaneBitCell>,
+        BTreeMap<(u32, &'a str), SiteRow>,
+    );
+    let mut workloads: BTreeMap<&str, Tally> = BTreeMap::new();
+    // Opcode of each (workload, site id) at its first span: the summary's
+    // label for a site id several modules of one workload share.
+    let mut labels: BTreeMap<(&str, u32), &str> = BTreeMap::new();
+    let mut injected = 0;
+    for span in &spans {
+        let t = &span.trace;
+        let (c, samples) = categories.entry(&span.category).or_default();
+        c.spans += 1;
+        *match t.outcome {
+            Outcome::Sdc => &mut c.sdc,
+            Outcome::Benign => &mut c.benign,
+            Outcome::Crash => &mut c.crash,
+        } += 1;
+        samples.extend(t.propagation);
         let Some(inj) = &t.injection else { continue };
-        let cell = grids
-            .entry(workload.clone())
-            .or_default()
-            .entry((inj.lane, inj.bit))
-            .or_insert((0, 0));
-        cell.0 += 1;
-        cell.1 += (t.outcome == Outcome::Sdc) as u64;
+        injected += 1;
+        if vulfi::FaultModel::parse(&span.model).is_ok_and(|m| m.engine_model().is_some()) {
+            continue;
+        }
+        let sdc = (t.outcome == Outcome::Sdc) as u64;
+        let (grid, sites) = workloads.entry(&span.workload).or_default();
+        let cell = grid.entry((inj.lane, inj.bit)).or_default();
+        cell.injections += 1;
+        cell.sdc += sdc;
+        // Site ids are per instrumented module: rows key on the opcode too.
         let row = sites
-            .entry(workload.clone())
-            .or_default()
-            .entry((inj.site_id, inj.opcode.clone()))
-            .or_insert_with(|| (inj.categories.clone(), 0, 0, 0));
-        row.1 += 1;
-        row.2 += (t.outcome == Outcome::Sdc) as u64;
-        row.3 += (t.outcome == Outcome::Crash) as u64;
+            .entry((inj.site_id, &inj.opcode))
+            .or_insert_with(|| SiteRow {
+                site_id: inj.site_id,
+                opcode: inj.opcode.clone(),
+                categories: inj.categories.clone(),
+                ..Default::default()
+            });
+        row.injections += 1;
+        row.sdc += sdc;
+        row.crash += (t.outcome == Outcome::Crash) as u64;
+        labels
+            .entry((&span.workload, inj.site_id))
+            .or_insert(&inj.opcode);
     }
 
-    let mut out = Vec::new();
-    for (workload, grid) in grids {
-        let lanes = grid.keys().map(|(l, _)| l + 1).max().unwrap_or(0);
-        let bits = grid.keys().map(|(_, b)| b + 1).max().unwrap_or(0);
-        let grid: Vec<LaneBitCell> = grid
-            .into_iter()
-            .map(|((lane, bit), (injections, sdc))| LaneBitCell {
-                lane,
-                bit,
-                injections,
-                sdc,
-            })
-            .collect();
-        let mut rows: Vec<SiteRow> = sites
-            .remove(&workload)
-            .unwrap_or_default()
-            .into_iter()
-            .map(
-                |((site_id, opcode), (categories, injections, sdc, crash))| SiteRow {
-                    site_id,
-                    opcode,
-                    categories,
-                    injections,
-                    sdc,
-                    crash,
-                    sdc_rate: if injections == 0 {
-                        0.0
-                    } else {
-                        100.0 * sdc as f64 / injections as f64
-                    },
-                },
-            )
-            .collect();
-        rows.sort_by(|a, b| {
-            b.sdc
-                .cmp(&a.sdc)
-                .then(b.injections.cmp(&a.injections))
-                .then(a.site_id.cmp(&b.site_id))
+    let mut heatmaps = Vec::new();
+    // The summary's sites: rows summed per (workload, site id).
+    let mut top: BTreeMap<(&str, u32), SiteSdcSummary> = BTreeMap::new();
+    for (workload, (grid, sites)) in workloads {
+        let mut sites: Vec<SiteRow> = sites.into_values().collect();
+        for row in &mut sites {
+            row.sdc_rate = 100.0 * row.sdc as f64 / row.injections as f64;
+            let site = top
+                .entry((workload, row.site_id))
+                .or_insert_with(|| SiteSdcSummary {
+                    workload: workload.to_string(),
+                    site_id: row.site_id,
+                    opcode: labels[&(workload, row.site_id)].to_string(),
+                    ..Default::default()
+                });
+            site.sdc += row.sdc;
+            site.total += row.injections;
+        }
+        sites.sort_by(|a, b| {
+            (b.sdc, b.injections, a.site_id).cmp(&(a.sdc, a.injections, b.site_id))
         });
-        rows.truncate(top_sites);
-        out.push(WorkloadHeatmap {
-            workload,
-            lanes,
-            bits,
-            grid,
-            sites: rows,
+        heatmaps.push(WorkloadHeatmap {
+            workload: workload.to_string(),
+            lanes: grid.keys().map(|&(lane, _)| lane + 1).max().unwrap_or(0),
+            bits: grid.keys().map(|&(_, bit)| bit + 1).max().unwrap_or(0),
+            grid: grid
+                .into_iter()
+                .map(|((lane, bit), c)| LaneBitCell { lane, bit, ..c })
+                .collect(),
+            sites,
         });
     }
-    Ok(out)
+    let mut top: Vec<SiteSdcSummary> = top.into_values().filter(|s| s.sdc > 0).collect();
+    top.sort_by(|a, b| {
+        (b.sdc, b.total, a.site_id, &a.workload).cmp(&(a.sdc, a.total, b.site_id, &b.workload))
+    });
+    let categories = categories
+        .into_iter()
+        .map(|(category, (c, samples))| CategorySummary {
+            category: category.to_string(),
+            propagation: PropagationPercentiles::of(samples),
+            ..c
+        });
+    let summary = TraceSummary {
+        studies,
+        spans: spans.len(),
+        injected,
+        categories: categories.collect(),
+        top_sdc_sites: top,
+    };
+    Ok(TraceRollup { summary, heatmaps })
 }
 
 /// Render heatmaps as text: a site ranking plus a lane-row density strip.
@@ -670,11 +792,13 @@ pub fn analysis_cells(
 pub struct ReportInputs<'a> {
     pub title: &'a str,
     pub cells: &'a [StudyCell],
-    pub partial: &'a [String],
+    pub partial: &'a [PartialStudy],
     pub diff: Option<&'a DiffReport>,
-    pub heatmaps: &'a [WorkloadHeatmap],
+    /// Heatmap and propagation sections.
+    pub traces: Option<&'a TraceRollup>,
+    /// Site rows printed per heatmap.
+    pub top_sites: usize,
     pub occupancy: &'a [OccupancyProfile],
-    pub traces: Option<&'a TraceSummary>,
     pub metrics: &'a [MetricRow],
     /// Static-analysis joins (`vulfi report html` over traced studies).
     pub analysis: &'a [AnalysisCell],
@@ -796,7 +920,7 @@ pub fn render_html(inp: &ReportInputs) -> String {
     for p in inp.partial {
         h.push_str(&format!(
             "<p class=\"muted\">partial (excluded): {}</p>\n",
-            esc(p)
+            esc(&p.label())
         ));
     }
     h.push_str("</section>\n");
@@ -934,10 +1058,11 @@ pub fn render_html(inp: &ReportInputs) -> String {
 
     // Heatmaps.
     h.push_str("<section id=\"heatmap\"><h2>Vulnerability heatmaps</h2>\n");
-    if inp.heatmaps.is_empty() {
+    let heatmaps = inp.traces.map_or(&[][..], |t| &t.heatmaps);
+    if heatmaps.is_empty() {
         h.push_str("<p class=\"muted\">no injected trace spans (run studies with --trace)</p>\n");
     }
-    for m in inp.heatmaps {
+    for m in heatmaps {
         h.push_str(&format!(
             "<h3>{} — lane × bit SDC density</h3>\n",
             esc(&m.workload)
@@ -947,7 +1072,7 @@ pub fn render_html(inp: &ReportInputs) -> String {
             "<table><tr><th>site</th><th>opcode</th><th>categories</th>\
              <th>injections</th><th>SDC</th><th>crash</th><th>SDC %</th></tr>\n",
         );
-        for s in &m.sites {
+        for s in m.sites.iter().take(inp.top_sites) {
             h.push_str(&format!(
                 "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
                  <td>{}</td><td>{:.1}</td></tr>\n",
@@ -1051,7 +1176,7 @@ pub fn render_html(inp: &ReportInputs) -> String {
 
     // Propagation percentiles.
     h.push_str("<section id=\"propagation\"><h2>Propagation</h2>\n");
-    match inp.traces {
+    match inp.traces.map(|t| &t.summary) {
         Some(t) if t.spans > 0 => {
             h.push_str(&format!(
                 "<p>{} span(s) across {} stud{}, {} injected</p>\n",
@@ -1113,12 +1238,13 @@ pub fn render_html(inp: &ReportInputs) -> String {
     h
 }
 
-/// Convenience: build the report straight from stores.
+/// Build the report, reading each result store once; `traces` is the
+/// caller's roll-up of the trace root.
 #[allow(clippy::too_many_arguments)]
 pub fn html_from_stores(
     title: &str,
-    store: Option<&Store>,
-    trace: Option<&TraceStore>,
+    store: &Store,
+    traces: Option<&TraceRollup>,
     diff_against: Option<&Store>,
     occupancy: &[OccupancyProfile],
     metrics: &[MetricRow],
@@ -1126,26 +1252,18 @@ pub fn html_from_stores(
     gauntlet: Option<&crate::scenario::GauntletReport>,
     top_sites: usize,
 ) -> Result<String, OrchError> {
-    let (cells, partial) = match store {
-        Some(s) => load_cells(s)?,
-        None => (Vec::new(), Vec::new()),
-    };
-    let diff = match (store, diff_against) {
-        (Some(a), Some(b)) => Some(diff_stores(a, b)?),
-        _ => None,
-    };
-    let (maps, traces) = match trace {
-        Some(t) => (heatmaps(t, top_sites)?, Some(summarize(t, top_sites)?)),
-        None => (Vec::new(), None),
-    };
+    let (cells, partial) = load_cells(store)?;
+    let diff = diff_against
+        .map(|b| load_cells(b).map(|(cb, pb)| diff_cells(cells.clone(), cb, &partial, &pb)))
+        .transpose()?;
     Ok(render_html(&ReportInputs {
         title,
         cells: &cells,
         partial: &partial,
         diff: diff.as_ref(),
-        heatmaps: &maps,
+        traces,
+        top_sites,
         occupancy,
-        traces: traces.as_ref(),
         metrics,
         analysis,
         gauntlet,
@@ -1191,7 +1309,7 @@ mod tests {
             cell("W", "avx", "control", "k2", 10, 200),
         ];
         let b = a.clone();
-        let d = diff_cells(a, b, vec![], vec![]);
+        let d = diff_cells(a, b, &[], &[]);
         assert_eq!(d.cells.len(), 2);
         assert_eq!(d.significant, 0);
         assert_eq!(d.drift, 0);
@@ -1206,7 +1324,7 @@ mod tests {
     fn large_difference_is_significant() {
         let a = vec![cell("W", "avx", "pure-data", "ka", 120, 200)];
         let b = vec![cell("W", "avx", "pure-data", "kb", 40, 200)];
-        let d = diff_cells(a, b, vec![], vec![]);
+        let d = diff_cells(a, b, &[], &[]);
         assert_eq!(d.significant, 1);
         let c = &d.cells[0];
         assert!(c.significant && c.p < 0.001);
@@ -1224,7 +1342,7 @@ mod tests {
             cell("W", "sse", "pure-data", "k2", 48, 200),
             cell("Y", "sse", "control", "k4", 5, 200),
         ];
-        let d = diff_cells(a, b, vec![], vec![]);
+        let d = diff_cells(a, b, &[], &[]);
         assert_eq!(d.cells.len(), 1, "W pairs across ISAs");
         assert_eq!(d.cells[0].isa_a, "avx");
         assert_eq!(d.cells[0].isa_b, "sse");
@@ -1236,7 +1354,7 @@ mod tests {
     fn same_key_different_counts_flags_drift() {
         let a = vec![cell("W", "avx", "pure-data", "kk", 50, 200)];
         let b = vec![cell("W", "avx", "pure-data", "kk", 52, 200)];
-        let d = diff_cells(a, b, vec![], vec![]);
+        let d = diff_cells(a, b, &[], &[]);
         assert_eq!(d.drift, 1);
         assert!(d.cells[0].drift);
         let text = render_diff_text(&d);
@@ -1246,7 +1364,7 @@ mod tests {
     #[test]
     fn html_report_is_self_contained_with_all_sections() {
         let cells = vec![cell("W", "avx", "pure-data", "k1", 40, 200)];
-        let d = diff_cells(cells.clone(), cells.clone(), vec![], vec![]);
+        let d = diff_cells(cells.clone(), cells.clone(), &[], &[]);
         let maps = vec![WorkloadHeatmap {
             workload: "W".to_string(),
             lanes: 2,
@@ -1314,14 +1432,32 @@ mod tests {
                 }],
             }],
         };
+        // One site row over the cut: the heatmap table stops at
+        // `top_sites`.
+        let mut cut = maps[0].sites[0].clone();
+        cut.site_id = 77;
+        cut.opcode = "cutrow".to_string();
+        let mut maps = maps;
+        maps[0].sites.push(cut);
+        let summary = TraceSummary {
+            studies: 1,
+            spans: 6,
+            injected: 6,
+            categories: vec![],
+            top_sdc_sites: vec![],
+        };
+        let traces = TraceRollup {
+            summary,
+            heatmaps: maps,
+        };
         let html = render_html(&ReportInputs {
             title: "vulfi <report> & test",
             cells: &cells,
             partial: &[],
             diff: Some(&d),
-            heatmaps: &maps,
+            traces: Some(&traces),
+            top_sites: 1,
             occupancy: &occ,
-            traces: None,
             metrics: &[MetricRow {
                 name: "vulfi_experiments_total".to_string(),
                 value: 200.0,
@@ -1372,6 +1508,7 @@ mod tests {
         // A 100%-predicted-benign site with observed SDC is flagged.
         assert!(html.contains("256 of 1024 scalar bits provably benign"));
         assert!(html.contains("<span class=\"sig\">60.0"), "{html}");
+        assert!(html.contains("fmul") && !html.contains("cutrow"), "{html}");
     }
 
     #[test]
@@ -1492,8 +1629,7 @@ mod tests {
         let d = diff_stores(&a, &b).unwrap();
         assert!(d.cells.is_empty());
         assert_eq!((d.significant, d.drift), (0, 0));
-        let html =
-            html_from_stores("empty", Some(&a), None, None, &[], &[], &[], None, 10).unwrap();
+        let html = html_from_stores("empty", &a, None, None, &[], &[], &[], None, 10).unwrap();
         assert!(html.contains("no complete studies"));
         assert!(html.contains("id=\"heatmap\"") && html.contains("id=\"diff\""));
         std::fs::remove_dir_all(&da).unwrap();
@@ -1581,10 +1717,12 @@ mod tests {
         let (cells, partial) = load_cells(&store).unwrap();
         assert!(cells.is_empty());
         assert_eq!(partial.len(), 1);
-        assert!(
-            partial[0].contains("dot") && partial[0].contains("sse"),
-            "{partial:?}"
-        );
+        assert_eq!((partial[0].covered, partial[0].total), (10, 40));
+        assert_eq!(partial[0].label(), "dot [sse] pure-data (kPPPP)");
+        assert!(matches!(
+            load_study(&store, &key).unwrap(),
+            StoredStudy::Partial(p) if p == partial[0]
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1648,7 +1786,7 @@ mod tests {
         log.append_shard(&shard(1, 0, vec![heat_span(0, Outcome::Crash, 1, 0, 3)]))
             .unwrap();
 
-        let maps = heatmaps(&store, 10).unwrap();
+        let maps = rollup(&store, None).unwrap().heatmaps;
         assert_eq!(maps.len(), 1);
         let m = &maps[0];
         assert_eq!(m.workload, "W");
@@ -1671,21 +1809,41 @@ mod tests {
         burst.model = "multi-bit-burst:2".to_string();
         blog.append_shard(&burst).unwrap();
 
-        let only_burst = heatmaps_filtered(&store, 10, Some("multi-bit-burst")).unwrap();
+        let filtered = |model| rollup(&store, Some(model)).unwrap().heatmaps;
+        let only_burst = filtered("multi-bit-burst");
         assert_eq!(only_burst.len(), 1);
         assert_eq!(only_burst[0].sites[0].site_id, 9);
-        let exact = heatmaps_filtered(&store, 10, Some("multi-bit-burst:2")).unwrap();
-        assert_eq!(exact, only_burst);
-        let only_default = heatmaps_filtered(&store, 10, Some("single-bit-flip")).unwrap();
-        assert!(only_default[0].sites.iter().all(|s| s.site_id != 9));
-        assert!(heatmaps_filtered(&store, 10, Some("memory-cell"))
+        assert_eq!(filtered("multi-bit-burst:2"), only_burst);
+        assert!(filtered("single-bit-flip")[0]
+            .sites
+            .iter()
+            .all(|s| s.site_id != 9));
+        assert!(filtered("memory-cell").is_empty());
+
+        // An engine-model study counts by category, never by site or
+        // lane: its injection record names no site it corrupted.
+        let before = rollup(&store, None).unwrap().heatmaps;
+        let elog = store.study(&StudyKey("kE".to_string()));
+        let mut engine = shard(0, 0, vec![heat_span(0, Outcome::Sdc, 4, 0, 3)]);
+        engine.model = "mask-corrupt".to_string();
+        engine.category = "control".to_string();
+        elog.append_shard(&engine).unwrap();
+        let all = rollup(&store, None).unwrap();
+        assert_eq!(all.heatmaps, before);
+        let s = &all.summary;
+        let control = s.categories.iter().find(|c| c.category == "control");
+        assert_eq!(control.map(|c| (c.spans, c.sdc)), Some((1, 1)));
+        assert_eq!((s.spans, s.injected), (5, 5));
+        assert!(s.top_sdc_sites.iter().all(|site| site.site_id != 4));
+        assert!(rollup(&store, Some("mask-corrupt"))
             .unwrap()
+            .heatmaps
             .is_empty());
 
         // Empty trace store → no heatmaps.
         let empty = tmpdir("heat-empty");
         let es = TraceStore::open(&empty).unwrap();
-        assert!(heatmaps(&es, 10).unwrap().is_empty());
+        assert!(rollup(&es, None).unwrap().heatmaps.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&empty).unwrap();
     }

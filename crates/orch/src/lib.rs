@@ -51,10 +51,11 @@ pub mod traceexport;
 pub mod tracestore;
 
 pub use analytics::{
-    analysis_cells, diff_stores, heatmaps, heatmaps_filtered, html_from_stores, load_cells,
-    render_diff_text, render_heatmap_text, render_html, AnalysisCell, AnalysisSiteRow, DiffCell,
-    DiffReport, LaneBitCell, MetricRow, OccupancyBucket, OccupancyProfile, ReportInputs, SiteRow,
-    StudyCell, WorkloadHeatmap,
+    analysis_cells, diff_stores, html_from_stores, load_cells, load_study, render_diff_text,
+    render_heatmap_text, render_html, rollup, AnalysisCell, AnalysisSiteRow, CategorySummary,
+    DiffCell, DiffReport, LaneBitCell, MetricRow, OccupancyBucket, OccupancyProfile, PartialStudy,
+    PropagationPercentiles, ReportInputs, SiteRow, SiteSdcSummary, StoredStudy, StudyCell,
+    TraceRollup, TraceSummary, WorkloadHeatmap,
 };
 pub use crc::crc32;
 pub use events::{summarize_events, JobLifecycle, OpsEvent, OpsKind, OpsLog, OpsSummary};
@@ -77,10 +78,7 @@ pub use store::{FsckReport, Manifest, ShardRecord, Store, StudyFsck, StudyStore}
 pub use traceexport::{
     render_chrome, spans_from_ops, spans_from_traces, validate_chrome, ChromeSpan, LayerCounts,
 };
-pub use tracestore::{
-    summarize, CategorySummary, PropagationPercentiles, SiteSdcSummary, TraceLog, TraceShard,
-    TraceStore, TraceSummary,
-};
+pub use tracestore::{TraceLog, TraceShard, TraceStore};
 
 /// Orchestration-layer error (I/O, storage corruption, or a campaign
 /// failure bubbled up from the experiment runner).

@@ -17,19 +17,18 @@
 //! in-flight line, a flipped byte is detected rather than summarized,
 //! and `vulfi fsck --repair` salvages every intact record.
 //!
-//! Shards are **self-describing**: each carries the workload, category,
-//! and ISA of its study, so `vulfi trace summarize` needs only the
-//! trace root — no result store, no manifest. Re-executed shards (from
-//! resumed runs) may duplicate coordinates; [`summarize`] deduplicates
-//! by `(study, campaign, experiment)` with last-write-wins, so a resume
-//! never double-counts.
+//! Shards are **self-describing** (workload, category, ISA, model), so
+//! the reports need only the trace root. `load_spans` is their one
+//! reader: every experiment's span exactly once, re-executed shards
+//! deduplicated last-write-wins. Only the Chrome export reads shards
+//! itself: its timeline shows a re-executed shard twice, as it ran.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use std::collections::BTreeMap;
 
-use vulfi::{ExperimentTrace, Outcome};
+use vulfi::ExperimentTrace;
 
 use crate::key::StudyKey;
 use crate::store::{CheckedLog, FsckReport, StudyFsck};
@@ -196,179 +195,57 @@ impl TraceLog {
     }
 }
 
-/// Propagation-distance percentiles (nearest-rank) over the spans that
-/// recorded a propagation distance.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct PropagationPercentiles {
-    pub samples: usize,
-    pub p50: u64,
-    pub p90: u64,
-    pub p99: u64,
-    pub max: u64,
-}
-
-impl PropagationPercentiles {
-    /// Nearest-rank percentiles of `samples` (need not be sorted).
-    pub fn of(mut samples: Vec<u64>) -> Option<PropagationPercentiles> {
-        if samples.is_empty() {
-            return None;
-        }
-        samples.sort_unstable();
-        let rank = |q: f64| {
-            let n = samples.len();
-            let idx = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
-            samples[idx]
-        };
-        Some(PropagationPercentiles {
-            samples: samples.len(),
-            p50: rank(0.50),
-            p90: rank(0.90),
-            p99: rank(0.99),
-            max: *samples.last().unwrap(),
-        })
-    }
-}
-
-/// Aggregates for one §II-C category.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct CategorySummary {
-    pub category: String,
-    pub spans: usize,
-    pub sdc: u64,
-    pub benign: u64,
-    pub crash: u64,
-    /// `None` when no span in this category recorded a propagation
-    /// distance.
-    pub propagation: Option<PropagationPercentiles>,
-}
-
-/// One static site ranked by how often its faults became SDCs.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct SiteSdcSummary {
+/// One experiment's span with the identity of the study that ran it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct StudySpan {
     pub workload: String,
-    pub site_id: u32,
-    pub opcode: String,
-    /// Experiments that injected this site and ended in SDC.
-    pub sdc: u64,
-    /// All experiments that injected this site.
-    pub total: u64,
+    pub category: String,
+    pub isa: String,
+    pub model: String,
+    pub trace: ExperimentTrace,
 }
 
-/// Store-wide roll-up of every trace shard.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct TraceSummary {
-    pub studies: usize,
-    /// Deduplicated spans (one per experiment coordinate).
-    pub spans: usize,
-    /// Spans whose experiment actually injected a fault.
-    pub injected: usize,
-    pub categories: Vec<CategorySummary>,
-    /// Top-N sites by SDC count (ties broken by total injections, then
-    /// site id). Sites that never produced an SDC are omitted.
-    pub top_sdc_sites: Vec<SiteSdcSummary>,
-}
-
-/// Roll up every study's trace shards: per-category outcome counts and
-/// propagation-distance percentiles, plus the `top_n` most SDC-prone
-/// static sites.
-///
-/// Duplicate experiment coordinates (a resumed run re-executing a
-/// shard whose result append survived but whose trace append did not,
-/// or vice versa) are deduplicated last-write-wins, so counts match a
-/// single clean execution.
-pub fn summarize(store: &TraceStore, top_n: usize) -> Result<TraceSummary, OrchError> {
-    let mut spans: BTreeMap<(String, usize, usize), (String, String, ExperimentTrace)> =
-        BTreeMap::new();
+/// The one reader of a trace root for the reports (`trace summarize`,
+/// `report heatmap|html`): the number of study logs read, and each
+/// experiment's span exactly once in `(study key, campaign, experiment)`
+/// order. A resumed run may re-execute a shard whose spans were already
+/// written; the last write wins, so counts match one clean execution.
+/// `model` keeps only studies of one fault model, by full name
+/// (`multi-bit-burst:2`) or bare kind (`multi-bit-burst`, every width).
+pub(crate) fn load_spans(
+    store: &TraceStore,
+    model: Option<&str>,
+) -> Result<(usize, Vec<StudySpan>), OrchError> {
     let keys = store.studies()?;
-    let studies = keys.len();
-    for key in keys {
-        for shard in store.study(&key).shards()? {
-            for t in shard.traces {
-                spans.insert(
-                    (key.0.clone(), shard.campaign, t.index),
-                    (shard.category.clone(), shard.workload.clone(), t),
-                );
+    let mut spans = BTreeMap::new();
+    for (study, key) in keys.iter().enumerate() {
+        for shard in store.study(key).shards()? {
+            let kind = shard.model.split(':').next().unwrap_or_default();
+            if model.is_some_and(|want| want != shard.model && want != kind) {
+                continue;
+            }
+            for trace in shard.traces {
+                let at = (study, shard.campaign, trace.index);
+                let span = StudySpan {
+                    workload: shard.workload.clone(),
+                    category: shard.category.clone(),
+                    isa: shard.isa.clone(),
+                    model: shard.model.clone(),
+                    trace,
+                };
+                spans.insert(at, span);
             }
         }
     }
-
-    let mut categories: BTreeMap<String, (usize, u64, u64, u64, Vec<u64>)> = BTreeMap::new();
-    let mut sites: BTreeMap<(String, u32), (String, u64, u64)> = BTreeMap::new();
-    let mut injected = 0usize;
-    for (category, workload, t) in spans.values() {
-        let entry = categories.entry(category.clone()).or_default();
-        entry.0 += 1;
-        match t.outcome {
-            Outcome::Sdc => entry.1 += 1,
-            Outcome::Benign => entry.2 += 1,
-            Outcome::Crash => entry.3 += 1,
-        }
-        if let Some(p) = t.propagation {
-            entry.4.push(p);
-        }
-        if let Some(inj) = &t.injection {
-            injected += 1;
-            // Site ids are per-instrumented-module; qualify by the
-            // workload so distinct programs never alias.
-            let site = sites
-                .entry((workload.clone(), inj.site_id))
-                .or_insert_with(|| (inj.opcode.clone(), 0, 0));
-            site.2 += 1;
-            if t.outcome == Outcome::Sdc {
-                site.1 += 1;
-            }
-        }
-    }
-
-    let categories = categories
-        .into_iter()
-        .map(
-            |(category, (spans, sdc, benign, crash, samples))| CategorySummary {
-                category,
-                spans,
-                sdc,
-                benign,
-                crash,
-                propagation: PropagationPercentiles::of(samples),
-            },
-        )
-        .collect();
-
-    let mut top: Vec<SiteSdcSummary> = sites
-        .into_iter()
-        .filter(|(_, (_, sdc, _))| *sdc > 0)
-        .map(
-            |((workload, site_id), (opcode, sdc, total))| SiteSdcSummary {
-                workload,
-                site_id,
-                opcode,
-                sdc,
-                total,
-            },
-        )
-        .collect();
-    top.sort_by(|a, b| {
-        b.sdc
-            .cmp(&a.sdc)
-            .then(b.total.cmp(&a.total))
-            .then(a.site_id.cmp(&b.site_id))
-            .then(a.workload.cmp(&b.workload))
-    });
-    top.truncate(top_n);
-
-    Ok(TraceSummary {
-        studies,
-        spans: spans.len(),
-        injected,
-        categories,
-        top_sdc_sites: top,
-    })
+    Ok((keys.len(), spans.into_values().collect()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analytics::{rollup, PropagationPercentiles};
     use serde::{Deserialize as _, Serialize as _};
+    use vulfi::Outcome;
 
     fn span(
         index: usize,
@@ -542,7 +419,16 @@ mod tests {
         ))
         .unwrap();
 
-        let s = summarize(&store, 5).unwrap();
+        let (studies, spans) = load_spans(&store, None).unwrap();
+        assert_eq!(studies, 1);
+        let order: Vec<usize> = spans.iter().map(|s| s.trace.index).collect();
+        assert_eq!(order, [0, 1, 2, 3], "each experiment once, in order");
+        assert!(load_spans(&store, Some("memory-cell"))
+            .unwrap()
+            .1
+            .is_empty());
+
+        let s = rollup(&store, None).unwrap().summary;
         assert_eq!(s.studies, 1);
         assert_eq!(s.spans, 4, "duplicates deduplicated by coordinates");
         assert_eq!(s.injected, 4);

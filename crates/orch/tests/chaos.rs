@@ -332,16 +332,31 @@ fn kill_corrupt_fsck_resume_loop_always_converges_bit_identically() {
         }
 
         // Corrupt the log: truncate the tail, flip one byte, or leave it.
+        // Round 0 always flips a byte of the first record while a second
+        // one follows it (its partial run stored two shards): that is
+        // mid-file damage the reader must refuse, so every run of this
+        // test takes the fsck path at least once, whatever the log's
+        // length and line order.
         if log.is_file() {
             let mut bytes = std::fs::read(&log).unwrap();
             if !bytes.is_empty() {
-                match chaos.below(3) {
+                match if round == 0 { 3 } else { chaos.below(3) } {
                     0 => {
                         let cut = 1 + chaos.below(40.min(bytes.len() as u64 - 1)) as usize;
                         bytes.truncate(bytes.len() - cut);
                     }
                     1 => {
                         let pos = chaos.below(bytes.len() as u64) as usize;
+                        bytes[pos] ^= 1 << chaos.below(8);
+                    }
+                    3 => {
+                        let first = bytes.iter().position(|&b| b != b'\n').unwrap();
+                        let len = bytes[first..].iter().position(|&b| b == b'\n').unwrap();
+                        assert!(
+                            bytes[first + len..].iter().any(|&b| b != b'\n'),
+                            "round 0 stores two records"
+                        );
+                        let pos = first + chaos.below(len as u64) as usize;
                         bytes[pos] ^= 1 << chaos.below(8);
                     }
                     _ => {}

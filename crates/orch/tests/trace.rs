@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 use vir::analysis::SiteCategory;
 use vulfi::{prepare, run_study, StudyConfig, StudyResult};
-use vulfi_orch::{run_study_persistent, summarize, RunOptions, Store, TraceStore};
+use vulfi_orch::{rollup, run_study_persistent, RunOptions, Store, TraceStore};
 
 fn workload() -> vbench::SpmdWorkload {
     vbench::micro_benchmark("vector sum", spmdc::VectorIsa::Avx, vbench::Scale::Test).unwrap()
@@ -100,7 +100,7 @@ fn traced_study_is_bit_identical_with_matching_summary() {
         !tstore.fsck(false).unwrap().dirty(),
         "fresh trace log must fsck clean"
     );
-    let summary = summarize(&tstore, 10).unwrap();
+    let summary = rollup(&tstore, None).unwrap().summary;
     assert_eq!(summary.studies, 1);
     // The runner executes the full plan (the stopping rule may converge
     // on a prefix of it): one span per *persisted* experiment.
@@ -188,7 +188,7 @@ fn trace_log_survives_kill_and_corruption() {
         !tstore.fsck(false).unwrap().dirty(),
         "resume must heal the torn tail"
     );
-    let full = summarize(&tstore, 5).unwrap();
+    let full = rollup(&tstore, None).unwrap().summary;
     let planned = (cfg.max_campaigns * cfg.experiments_per_campaign) as u64;
     assert_eq!(full.spans as u64, planned);
 
@@ -198,7 +198,7 @@ fn trace_log_survives_kill_and_corruption() {
     let pos = bytes.iter().position(|b| *b == b'"').unwrap();
     bytes[pos + 1] ^= 0x20;
     std::fs::write(&tlog_path, &bytes).unwrap();
-    let err = summarize(&tstore, 5).unwrap_err();
+    let err = rollup(&tstore, None).unwrap_err();
     assert!(err.0.contains("vulfi fsck"), "{err}");
 
     // fsck quarantines the damaged log and salvages intact shards; the
@@ -210,7 +210,7 @@ fn trace_log_survives_kill_and_corruption() {
         report.studies[0].valid > 0,
         "intact records must be salvaged"
     );
-    let salvaged = summarize(&tstore, 5).unwrap();
+    let salvaged = rollup(&tstore, None).unwrap().summary;
     assert!(salvaged.spans > 0);
     assert!(salvaged.spans <= full.spans);
     assert!(

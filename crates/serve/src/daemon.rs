@@ -42,9 +42,9 @@ use serde::Value;
 use spmdc::VectorIsa;
 use vulfi::{OutcomeCounts, Prepared, StudyConfig, StudySpec, Workload};
 use vulfi_orch::{
-    covered_experiments, create_manifest, load_cells, merge, plan_shards, run_study_persistent,
+    covered_experiments, create_manifest, load_study, merge, plan_shards, run_study_persistent,
     JobQueue, JobRecord, OpsEvent, OpsKind, OpsLog, ProgressSnapshot, RunEvent, RunHook,
-    RunOptions, Store, StudyKey, StudyStore,
+    RunOptions, Store, StoredStudy, StudyKey, StudyStore,
 };
 
 use crate::http::{read_request, respond, respond_error, respond_json, Request};
@@ -968,23 +968,26 @@ fn handle_dashboard(shared: &Arc<Shared>, stream: &mut TcpStream) {
 
 /// `GET /studies/:key/report`: the analytics cell for a completed study
 /// (same numbers as `vulfi report html`), or 404 while still partial.
+/// Only this study's logs are read, so a damaged log of another study
+/// cannot fail it; the key must name a stored study, not a path.
 fn handle_report(shared: &Arc<Shared>, key_str: &str, stream: &mut TcpStream) {
-    let (cells, warnings) = match load_cells(&shared.store) {
-        Ok(x) => x,
-        Err(e) => return respond_error(stream, 500, &e.to_string()),
-    };
-    match cells.iter().find(|c| c.key == key_str) {
-        Some(cell) => {
-            let doc = serde_json::json!({
-                "cell": serde_json::to_value(cell).unwrap(),
-                "warnings": serde_json::to_value(&warnings).unwrap(),
-            });
-            respond_json(stream, 200, &doc);
-        }
-        None => respond_error(
+    let key = StudyKey(key_str.to_string());
+    let stored = shared.store.studies().and_then(|keys| {
+        keys.contains(&key)
+            .then(|| load_study(&shared.store, &key))
+            .transpose()
+    });
+    match stored {
+        Ok(Some(StoredStudy::Complete(cell))) => respond_json(
+            stream,
+            200,
+            &serde_json::json!({ "cell": serde_json::to_value(&cell).unwrap() }),
+        ),
+        Ok(_) => respond_error(
             stream,
             404,
             &format!("no completed study {key_str} in the store"),
         ),
+        Err(e) => respond_error(stream, 500, &e.to_string()),
     }
 }

@@ -438,3 +438,36 @@ fn bad_submissions_are_rejected_with_reasons() {
         .unwrap();
     daemon.join().unwrap();
 }
+
+/// A submit of more than 1,000,000 experiments (`experiments ×
+/// campaigns`) is refused before anything is planned: at 2,000,000 × 1
+/// and shard size 1 the plan alone grew the daemon by ~50 MB.
+#[test]
+fn oversized_submission_is_refused_naming_the_bound() {
+    let store = temp_store("oversized");
+    let (client, daemon) = start_daemon(&store, 1);
+    let body = serde_json::json!({
+        "bench": "vector sum",
+        "experiments": 2_000_000u64,
+        "campaigns": 1u64,
+        "shard_size": 1u64,
+    });
+    let (status, doc) = client.post("/studies", &body, &[]).unwrap();
+    assert_eq!(status, 400, "{doc:?}");
+    let err = Client::error_of(&doc);
+    assert!(err.contains("1000000"), "{err}");
+    let (status, doc) = client.get("/jobs").unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(
+        doc.get("jobs")
+            .and_then(|j| j.as_array())
+            .map(<[Value]>::len),
+        Some(0),
+        "{doc:?}"
+    );
+
+    client
+        .post("/shutdown", &serde_json::json!({}), &[])
+        .unwrap();
+    daemon.join().unwrap();
+}
