@@ -16,6 +16,11 @@ cargo test -q --workspace
 # stay bit-identical. Already part of the workspace run above; kept as
 # an explicit gate so containment regressions fail loudly by name.
 cargo test -q -p vulfi-orch --test chaos
+# Key pins: every paper-matrix cell, each non-default fault model and a
+# pruned study must keep the study key it had when the table was
+# recorded; a moved key orphans every cached study, so drift fails by
+# name.
+cargo test -q -p vulfi-orch --test key_pins
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 

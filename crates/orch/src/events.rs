@@ -204,7 +204,7 @@ impl OpsLog {
         // Mid-file corruption must not make the log unopenable — the
         // daemon still has to start. Reads stay loud and point at
         // `vulfi fsck --repair`.
-        let _ = log.log.trim_torn_tail::<OpsEvent>();
+        let _ = log.log.heal::<OpsEvent>();
         Ok(log)
     }
 

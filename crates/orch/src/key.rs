@@ -9,12 +9,24 @@
 //! freely; changing any ingredient changes the key and lands in a fresh
 //! directory.
 
+use std::fmt;
+
 use vulfi::{Prepared, StudyConfig};
 
 /// A 128-bit content hash, rendered as 32 hex chars (the store directory
 /// name).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StudyKey(pub String);
+
+impl StudyKey {
+    /// The key `s` names when it has the shape [`study_key`] renders (32
+    /// lowercase hex characters); anything else, a path segment such as
+    /// `..` included, names no study.
+    pub fn parse(s: &str) -> Option<StudyKey> {
+        let hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+        (s.len() == 32 && s.bytes().all(hex)).then(|| StudyKey(s.to_string()))
+    }
+}
 
 impl serde::Serialize for StudyKey {
     fn to_value(&self) -> serde::Value {
@@ -36,55 +48,79 @@ impl std::fmt::Display for StudyKey {
 
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
-fn fnv1a(basis: u64, bytes: &[u8]) -> u64 {
-    let mut h = basis;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
+/// Two independent FNV-1a lanes (distinct offset bases) over the same
+/// bytes give 128 bits — ample for a results cache keyed by experiment
+/// content. A [`fmt::Write`] sink, so the key hashes the module as the
+/// printer streams it instead of building the text first.
+struct Fnv128 {
+    lo: u64,
+    hi: u64,
+}
+
+impl fmt::Write for Fnv128 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.lo = (self.lo ^ b as u64).wrapping_mul(FNV_PRIME);
+            self.hi = (self.hi ^ b as u64).wrapping_mul(FNV_PRIME);
+        }
+        Ok(())
     }
-    h
 }
 
 /// Compute the study key of a prepared program under a configuration.
 pub fn study_key(prog: &Prepared, workload_name: &str, isa: &str, cfg: &StudyConfig) -> StudyKey {
-    let module_text = vir::printer::print_module(&prog.module);
-    let mut canon = String::new();
+    let mut h = Fnv128 {
+        lo: 0xcbf2_9ce4_8422_2325,
+        hi: 0x6c62_272e_07bb_0142,
+    };
+    write_canon(&mut h, prog, workload_name, isa, cfg).expect("hashing cannot fail");
+    StudyKey(format!("{:016x}{:016x}", h.hi, h.lo))
+}
+
+/// The canonical form the key hashes: every ingredient, each followed
+/// by a NUL, in a fixed order.
+fn write_canon(
+    out: &mut impl fmt::Write,
+    prog: &Prepared,
+    workload_name: &str,
+    isa: &str,
+    cfg: &StudyConfig,
+) -> fmt::Result {
     for part in [
         "vulfi-orch-study-v1",
         workload_name,
         isa,
         prog.category.name(),
         &prog.entry,
-        &cfg.experiments_per_campaign.to_string(),
-        &format!("{:016x}", cfg.target_margin.to_bits()),
-        &cfg.min_campaigns.to_string(),
-        &cfg.max_campaigns.to_string(),
-        &cfg.seed.to_string(),
-        &module_text,
     ] {
-        canon.push_str(part);
-        canon.push('\0');
+        write!(out, "{part}\0")?;
     }
+    write!(
+        out,
+        "{}\0{:016x}\0{}\0{}\0{}\0",
+        cfg.experiments_per_campaign,
+        cfg.target_margin.to_bits(),
+        cfg.min_campaigns,
+        cfg.max_campaigns,
+        cfg.seed
+    )?;
+    vir::printer::write_module(out, &prog.module)?;
+    out.write_char('\0')?;
     // The fault model joined the config after stores full of
     // single-bit-flip studies already existed; appending it only when
     // non-default keeps every pre-existing key (and cached study) valid
     // while guaranteeing a different model never collides with one.
     if cfg.model != vulfi::FaultModel::default() {
-        canon.push_str(&format!("fault-model:{}", cfg.model.name()));
-        canon.push('\0');
+        write!(out, "fault-model:{}\0", cfg.model.name())?;
     }
     // Same pattern for pruning: a pruned study stores synthetic records
     // for discharged experiments, so it must never share a directory
     // with a full run — but unpruned keys stay byte-identical to every
     // key minted before pruning existed.
     if cfg.prune {
-        canon.push_str("prune:on");
-        canon.push('\0');
+        out.write_str("prune:on\0")?;
     }
-    // Two independent FNV-1a streams (distinct offset bases) give 128
-    // bits — ample for a results cache keyed by experiment content.
-    let lo = fnv1a(0xcbf2_9ce4_8422_2325, canon.as_bytes());
-    let hi = fnv1a(0x6c62_272e_07bb_0142, canon.as_bytes());
-    StudyKey(format!("{hi:016x}{lo:016x}"))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -117,6 +153,21 @@ mod tests {
         cfg2.seed ^= 1;
         let other_seed = study_key(&prep(SiteCategory::PureData), "vector sum", "avx", &cfg2);
         assert_ne!(a, other_seed, "seed must change the key");
+    }
+
+    #[test]
+    fn parse_accepts_only_the_rendered_shape() {
+        let key = study_key(
+            &prep(SiteCategory::PureData),
+            "vector sum",
+            "avx",
+            &StudyConfig::default(),
+        );
+        assert_eq!(StudyKey::parse(&key.0), Some(key.clone()));
+        for bad in ["..", "%2e%2e", &key.0[..31], &key.0.to_uppercase(), ""] {
+            assert_eq!(StudyKey::parse(bad), None, "{bad}");
+        }
+        assert_eq!(StudyKey::parse(&format!("{}0", key.0)), None);
     }
 
     #[test]

@@ -116,9 +116,8 @@ impl JobQueue {
     /// --repair` heals it.
     pub fn open(store_root: impl AsRef<Path>) -> Result<JobQueue, OrchError> {
         let log = checked_log(store_root.as_ref());
-        log.trim_torn_tail::<QueueEvent>()?;
         let mut jobs = Vec::new();
-        for ev in log.records::<QueueEvent>()? {
+        for ev in log.heal::<QueueEvent>()?.0 {
             fold(&mut jobs, ev);
         }
         Ok(JobQueue { log, jobs })

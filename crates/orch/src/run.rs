@@ -246,11 +246,11 @@ pub fn run_study_persistent(
         None => None,
     };
 
-    let done = study.shards()?;
-    // Heal the expected kill artifact (a torn trailing line) now, so the
-    // appends below cannot bury it mid-file where it would read as
-    // corruption. Real corruption errored out of `shards()` above.
-    study.trim_torn_tail()?;
+    // One read of the log: real corruption errors out here, before any
+    // work, and the expected kill artifact (a torn trailing line) is
+    // healed now, so the appends below cannot bury it mid-file where it
+    // would read as corruption.
+    let done = study.heal_shards()?;
     let mut missing = missing_jobs(&plan, &done, cfg);
     let reused_shards = plan.len() - missing.len();
     if let Some(cap) = opts.max_shards {
@@ -337,7 +337,12 @@ pub fn run_study_persistent(
     let (_, progress) = sink
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let done = study.shards()?;
+    // A run that appended nothing merges the records it already read.
+    let done = if executed_shards == 0 {
+        done
+    } else {
+        study.shards()?
+    };
     let result = merge(cfg, prog.category, &done);
     let pending_shards = missing_jobs(&plan, &done, cfg).len();
     let dyn_insts = result

@@ -362,6 +362,12 @@ impl CheckedLog {
     /// error: silently dropping it would skew whatever is derived from
     /// this log without a trace.
     pub(crate) fn records<T: serde::Deserialize>(&self) -> Result<Vec<T>, OrchError> {
+        self.checked_scan().map(|scan| scan.records)
+    }
+
+    /// [`CheckedLog::scan`], refusing corruption as [`CheckedLog::records`]
+    /// documents.
+    fn checked_scan<T: serde::Deserialize>(&self) -> Result<LogScan<T>, OrchError> {
         let scan = self.scan()?;
         if let Some((lineno, reason)) = scan.corrupt.first() {
             return Err(OrchError(format!(
@@ -370,30 +376,24 @@ impl CheckedLog {
                 self.path.display(),
             )));
         }
-        Ok(scan.records)
+        Ok(scan)
     }
 
-    /// Heal the one failure a kill is *expected* to leave: a torn
-    /// trailing line. The log is atomically rewritten (temp + rename)
-    /// from its valid records so that subsequent appends cannot bury the
-    /// torn fragment mid-file, where it would read as corruption.
-    /// Returns whether a trim happened. Mid-file corruption is *not*
+    /// [`CheckedLog::records`] in the same single read, after healing the
+    /// one failure a kill is *expected* to leave: a torn trailing line.
+    /// Only then is the log atomically rewritten (temp + rename) from its
+    /// valid records, so that subsequent appends cannot bury the torn
+    /// fragment mid-file, where it would read as corruption. Returns the
+    /// records and whether a trim happened. Mid-file corruption is *not*
     /// healed here — that is fsck's job.
-    pub(crate) fn trim_torn_tail<T: serde::Serialize + serde::Deserialize>(
+    pub(crate) fn heal<T: serde::Serialize + serde::Deserialize>(
         &self,
-    ) -> Result<bool, OrchError> {
-        let scan = self.scan::<T>()?;
-        if !scan.corrupt.is_empty() {
-            return Err(OrchError(format!(
-                "corrupt log {}: run `vulfi fsck --repair`",
-                self.path.display(),
-            )));
+    ) -> Result<(Vec<T>, bool), OrchError> {
+        let scan = self.checked_scan::<T>()?;
+        if scan.torn_tail {
+            self.rewrite(&scan.records)?;
         }
-        if !scan.torn_tail {
-            return Ok(false);
-        }
-        self.rewrite(&scan.records)?;
-        Ok(true)
+        Ok((scan.records, scan.torn_tail))
     }
 
     /// Atomically replace the log with exactly `records`.
@@ -541,10 +541,11 @@ impl StudyStore {
         self.log().records()
     }
 
-    /// Heal a torn trailing line left by a killed writer; called by the
-    /// runner on every resume. Returns whether a trim happened.
-    pub fn trim_torn_tail(&self) -> Result<bool, OrchError> {
-        self.log().trim_torn_tail::<ShardRecord>()
+    /// [`StudyStore::shards`] in one read of the log, after healing a
+    /// torn trailing line left by a killed writer; the runner calls this
+    /// on every run, before any shard executes.
+    pub fn heal_shards(&self) -> Result<Vec<ShardRecord>, OrchError> {
+        self.log().heal().map(|(records, _)| records)
     }
 
     /// Check this study's shard log; with `repair`, heal it.

@@ -176,7 +176,7 @@ impl TraceLog {
     /// Heal a torn trailing line left by a killed writer; called by the
     /// runner on every resumed traced study.
     pub fn trim_torn_tail(&self) -> Result<bool, OrchError> {
-        self.log().trim_torn_tail::<TraceShard>()
+        self.log().heal::<TraceShard>().map(|(_, trimmed)| trimmed)
     }
 
     /// Check this study's trace log; with `repair`, quarantine a

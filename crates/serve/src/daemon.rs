@@ -36,7 +36,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serde::Value;
 use spmdc::VectorIsa;
@@ -73,6 +73,9 @@ impl Default for ServeConfig {
 
 /// Set by SIGINT/SIGTERM; polled by the accept loop.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
+
+/// How long the idle accept loop naps when no job settles.
+const NAP: Duration = Duration::from_millis(20);
 
 /// Route SIGINT and SIGTERM into a graceful shutdown: the accept loop
 /// stops taking connections and the runner lets in-flight shards finish
@@ -156,13 +159,15 @@ impl Shared {
         self.settled_cv.notify_all();
     }
 
-    /// Sleep up to `timeout`, or less once the settled count moves past
-    /// `seen`.
-    fn nap(&self, seen: u64, timeout: Duration) {
+    /// Sleep up to [`NAP`], or less once the settled count moves past
+    /// `seen`; returns whether it did.
+    fn nap(&self, seen: u64) -> bool {
         let settled = relock(&self.settled);
-        let _ = self
+        let (_settled, waited) = self
             .settled_cv
-            .wait_timeout_while(settled, timeout, |n| *n == seen);
+            .wait_timeout_while(settled, NAP, |n| *n == seen)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        !waited.timed_out()
     }
 
     /// Block until a job is queued, then promote the oldest one to the
@@ -447,6 +452,11 @@ impl Daemon {
             .name("vulfi-runner".to_string())
             .spawn(move || runner_loop(&shared))
             .map_err(|e| e.to_string())?;
+        // A job that settles before its poller's next request arrives
+        // would otherwise leave that request waiting out a whole nap, so
+        // after a settle the loop accepts in 1 ms steps for one nap's
+        // length, until it serves a connection.
+        let mut brisk_until = None;
         loop {
             if SIGNALLED.load(Ordering::SeqCst) {
                 self.shared.shutdown.store(true, Ordering::SeqCst);
@@ -459,11 +469,16 @@ impl Daemon {
             let settled = *relock(&self.shared.settled);
             match self.listener.accept() {
                 Ok((mut stream, _)) => {
+                    brisk_until = None;
                     let _ = stream.set_nonblocking(false);
                     handle_connection(&self.shared, &mut stream);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    self.shared.nap(settled, Duration::from_millis(20));
+                    if brisk_until.is_some_and(|t| Instant::now() < t) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    } else if self.shared.nap(settled) {
+                        brisk_until = Some(Instant::now() + NAP);
+                    }
                 }
                 Err(e) => {
                     eprintln!("vulfi-serve: accept: {e}");
@@ -638,6 +653,12 @@ fn handle_connection(shared: &Arc<Shared>, stream: &mut TcpStream) {
         },
         ("GET", ["dashboard"]) => handle_dashboard(shared, stream),
         ("POST", ["studies"]) => handle_submit(shared, &req, stream),
+        // A key segment is joined onto the store path, so only the shape
+        // a study key renders may reach a handler: `..` would name the
+        // store's parent directory.
+        ("GET", ["studies", key, ..]) if StudyKey::parse(key).is_none() => {
+            respond_error(stream, 404, &format!("no study {key}"))
+        }
         ("GET", ["studies", key]) => handle_status(shared, key, stream),
         ("GET", ["studies", key, "report"]) => handle_report(shared, key, stream),
         ("GET", ["studies", key, "events"]) => handle_events(shared, key, stream),

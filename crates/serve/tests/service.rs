@@ -439,6 +439,48 @@ fn bad_submissions_are_rejected_with_reasons() {
     daemon.join().unwrap();
 }
 
+/// The `:key` segment is joined onto the store path, so anything but the
+/// 32-lowercase-hex shape a study key renders must 404 on every route
+/// that takes it — `..` named the store's parent directory, which here
+/// holds a real study manifest.
+#[test]
+fn malformed_study_keys_are_not_found() {
+    let root = temp_store("traversal");
+    let key = "0123456789abcdef0123456789abcdef";
+    vulfi_orch::Store::open(&root)
+        .unwrap()
+        .study(&vulfi_orch::StudyKey(key.to_string()))
+        .write_manifest(&vulfi_orch::Manifest {
+            key: vulfi_orch::StudyKey(key.to_string()),
+            workload: "vector sum".to_string(),
+            isa: "avx".to_string(),
+            category: vir::analysis::SiteCategory::PureData,
+            entry: "main".to_string(),
+            cfg: vulfi::StudyConfig::default(),
+            total_shards: 1,
+            complete: false,
+        })
+        .unwrap();
+    // The daemon's store sits inside that study's directory.
+    let (client, daemon) = start_daemon(&root.join(key).join("store"), 1);
+
+    let short = &key[..31];
+    let upper = key.to_uppercase();
+    for bad in ["..", "%2e%2e", short, upper.as_str()] {
+        for route in ["", "/report", "/events"] {
+            let path = format!("/studies/{bad}{route}");
+            let (status, doc) = client.get(&path).unwrap();
+            assert_eq!(status, 404, "GET {path} → {doc:?}");
+        }
+    }
+
+    client
+        .post("/shutdown", &serde_json::json!({}), &[])
+        .unwrap();
+    daemon.join().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// A submit of more than 1,000,000 experiments (`experiments ×
 /// campaigns`) is refused before anything is planned: at 2,000,000 × 1
 /// and shard size 1 the plan alone grew the daemon by ~50 MB.

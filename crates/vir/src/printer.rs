@@ -4,296 +4,289 @@
 //! suite checks property-style. Float constants print in Rust's shortest
 //! round-trip decimal form when finite and as raw `0x` bit patterns
 //! otherwise, so printing never loses bits.
+//!
+//! The writers stream tokens into any [`fmt::Write`] sink, so a consumer
+//! that only hashes the text (the study key) never builds it.
 
-use std::fmt::Write;
+use std::{borrow::Cow, collections::HashSet, fmt, fmt::Write};
 
 use crate::constant::{sext, ConstData, Constant};
-use crate::function::{FuncDecl, Function, Module};
-use crate::inst::{BlockId, InstKind, Operand, Terminator};
+use crate::function::{Function, Module};
+use crate::inst::{InstId, InstKind, Operand, Terminator};
 use crate::types::{ScalarTy, Type};
 
 /// Print a whole module.
 pub fn print_module(m: &Module) -> String {
     let mut out = String::new();
-    if !m.name.is_empty() {
-        let _ = writeln!(out, "; ModuleID = '{}'", m.name);
-    }
-    for d in &m.decls {
-        let _ = writeln!(out, "{}", print_decl(d));
-    }
-    if !m.decls.is_empty() {
-        out.push('\n');
-    }
-    for (i, f) in m.functions.iter().enumerate() {
-        if i > 0 {
-            out.push('\n');
-        }
-        out.push_str(&print_function(f));
-    }
+    write_module(&mut out, m).expect("writing to a String cannot fail");
     out
 }
 
-fn print_decl(d: &FuncDecl) -> String {
-    let mut params: Vec<String> = d.params.iter().map(|t| t.to_string()).collect();
-    if d.vararg {
-        params.push("...".to_string());
+/// Write a whole module, exactly as [`print_module`] prints it.
+pub fn write_module<W: Write>(out: &mut W, m: &Module) -> fmt::Result {
+    if !m.name.is_empty() {
+        writeln!(out, "; ModuleID = '{}'", m.name)?;
     }
-    format!("declare {} @{}({})", d.ret, d.name, params.join(", "))
+    for d in &m.decls {
+        write!(out, "declare {} @{}(", d.ret, d.name)?;
+        write_list(out, &d.params, |out, t| write!(out, "{t}"))?;
+        if d.vararg {
+            out.write_str(if d.params.is_empty() { "..." } else { ", ..." })?;
+        }
+        out.write_str(")\n")?;
+    }
+    if !m.decls.is_empty() {
+        out.write_char('\n')?;
+    }
+    for (i, f) in m.functions.iter().enumerate() {
+        if i > 0 {
+            out.write_char('\n')?;
+        }
+        write_function(out, f)?;
+    }
+    Ok(())
+}
+
+/// Write `items` separated by `, `.
+fn write_list<W: Write, T>(
+    out: &mut W,
+    items: impl IntoIterator<Item = T>,
+    mut each: impl FnMut(&mut W, T) -> fmt::Result,
+) -> fmt::Result {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        each(out, item)?;
+    }
+    Ok(())
 }
 
 /// Compute collision-free display names for every SSA value of `f`.
 /// Duplicate source names get LLVM-style numeric suffixes, and anonymous
-/// values print as `%vN`.
-pub fn value_names(f: &Function) -> Vec<String> {
-    let mut taken = std::collections::HashSet::new();
+/// values print as `%vN`. A source name that is free is borrowed; only
+/// generated names are owned, and each is cloned once into `taken`.
+fn value_names(f: &Function) -> Vec<Cow<'_, str>> {
+    let mut taken: HashSet<Cow<str>> = HashSet::with_capacity(f.values.len());
     let mut names = Vec::with_capacity(f.values.len());
     for (i, info) in f.values.iter().enumerate() {
         let base = match &info.name {
-            Some(n) => n.clone(),
-            None => format!("v{i}"),
+            Some(n) => Cow::Borrowed(n.as_str()),
+            None => Cow::Owned(format!("v{i}")),
         };
-        let mut name = base.clone();
-        let mut k = 0;
-        while !taken.insert(name.clone()) {
-            k += 1;
-            name = format!("{base}.{k}");
-        }
+        let name = if taken.contains(&base) {
+            let free = (1..)
+                .map(|k| format!("{base}.{k}"))
+                .find(|n| !taken.contains(n.as_str()));
+            Cow::Owned(free.expect("some suffix is free"))
+        } else {
+            base
+        };
+        taken.insert(name.clone());
         names.push(name);
     }
     names
 }
 
-/// Print one function definition.
-pub fn print_function(f: &Function) -> String {
+/// Write one function definition.
+fn write_function<W: Write>(out: &mut W, f: &Function) -> fmt::Result {
     let names = value_names(f);
-    let mut out = String::new();
-    let params = f
-        .params
-        .iter()
-        .enumerate()
-        .map(|(i, (_, t))| format!("{t} %{}", names[i]))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let _ = writeln!(out, "define {} @{}({}) {{", f.ret, f.name, params);
+    write!(out, "define {} @{}(", f.ret, f.name)?;
+    write_list(out, f.params.iter().zip(&names), |out, ((_, t), n)| {
+        write!(out, "{t} %{n}")
+    })?;
+    out.write_str(") {\n")?;
     for b in &f.blocks {
-        let _ = writeln!(out, "{}:", b.name);
+        writeln!(out, "{}:", b.name)?;
         for &iid in &b.insts {
-            let _ = writeln!(out, "  {}", print_inst_named(f, iid, &names));
+            out.write_str("  ")?;
+            write_inst(out, f, iid, &names)?;
+            out.write_char('\n')?;
         }
-        let _ = writeln!(out, "  {}", print_term(f, &b.term, &names));
+        out.write_str("  ")?;
+        write_term(out, f, &b.term, &names)?;
+        out.write_char('\n')?;
     }
-    out.push_str("}\n");
-    out
+    out.write_str("}\n")
 }
 
-/// Print one scalar constant payload of the given element type.
-fn print_scalar_bits(bits: u64, ty: ScalarTy) -> String {
+/// Write one scalar constant payload of the given element type.
+fn write_scalar_bits<W: Write>(out: &mut W, bits: u64, ty: ScalarTy) -> fmt::Result {
     match ty {
-        ScalarTy::I1 => {
-            if bits & 1 == 1 {
-                "true".to_string()
-            } else {
-                "false".to_string()
-            }
-        }
+        ScalarTy::I1 => out.write_str(if bits & 1 == 1 { "true" } else { "false" }),
         ScalarTy::I8 | ScalarTy::I16 | ScalarTy::I32 | ScalarTy::I64 => {
-            format!("{}", sext(bits, ty.bits()))
+            write!(out, "{}", sext(bits, ty.bits()))
         }
         ScalarTy::F32 => {
             let v = f32::from_bits(bits as u32);
+            // `{:?}` of f32 round-trips through f32 parsing.
             if v.is_finite() {
-                let s = format!("{v:?}");
-                // `{:?}` of f32 round-trips through f32 parsing.
-                s
+                write!(out, "{v:?}")
             } else {
-                format!("0x{:08X}", bits as u32)
+                write!(out, "0x{:08X}", bits as u32)
             }
         }
         ScalarTy::F64 => {
             let v = f64::from_bits(bits);
             if v.is_finite() {
-                format!("{v:?}")
+                write!(out, "{v:?}")
             } else {
-                format!("0x{bits:016X}")
+                write!(out, "0x{bits:016X}")
             }
         }
-        ScalarTy::Ptr => {
-            if bits == 0 {
-                "null".to_string()
-            } else {
-                format!("0x{bits:X}")
-            }
-        }
+        ScalarTy::Ptr if bits == 0 => out.write_str("null"),
+        ScalarTy::Ptr => write!(out, "0x{bits:X}"),
     }
 }
 
-/// Print a constant (without its leading type).
-pub fn print_constant(c: &Constant) -> String {
+/// Write a constant (without its leading type).
+fn write_constant<W: Write>(out: &mut W, c: &Constant) -> fmt::Result {
     match (&c.data, c.ty) {
-        (ConstData::Undef, _) => "undef".to_string(),
-        (ConstData::Zero, Type::Scalar(ScalarTy::Ptr)) => "null".to_string(),
-        (ConstData::Zero, Type::Vector(..)) => "zeroinitializer".to_string(),
-        (ConstData::Zero, Type::Scalar(s)) => print_scalar_bits(0, s),
-        (ConstData::Zero, Type::Void) => "void".to_string(),
-        (ConstData::Scalar(b), Type::Scalar(s)) => print_scalar_bits(*b, s),
-        (ConstData::Scalar(b), _) => format!("0x{b:X}"),
+        (ConstData::Undef, _) => out.write_str("undef"),
+        (ConstData::Zero, Type::Vector(..)) => out.write_str("zeroinitializer"),
+        (ConstData::Zero, Type::Scalar(s)) => write_scalar_bits(out, 0, s),
+        (ConstData::Zero, Type::Void) => out.write_str("void"),
+        (ConstData::Scalar(b), Type::Scalar(s)) => write_scalar_bits(out, *b, s),
+        (ConstData::Scalar(b), _) => write!(out, "0x{b:X}"),
         (ConstData::Vector(v), Type::Vector(s, _)) => {
-            let elems = v
-                .iter()
-                .map(|&b| format!("{} {}", s.name(), print_scalar_bits(b, s)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("<{elems}>")
+            out.write_char('<')?;
+            write_list(out, v, |out, &b| {
+                write!(out, "{s} ")?;
+                write_scalar_bits(out, b, s)
+            })?;
+            out.write_char('>')
         }
-        (ConstData::Vector(_), _) => "<malformed>".to_string(),
+        (ConstData::Vector(_), _) => out.write_str("<malformed>"),
     }
 }
 
-/// Print an operand without a type prefix.
-fn op_str(_f: &Function, op: &Operand, names: &[String]) -> String {
+/// Write an operand without a type prefix.
+fn write_operand<W: Write>(out: &mut W, op: &Operand, names: &[Cow<str>]) -> fmt::Result {
     match op {
-        Operand::Value(v) => format!("%{}", names[v.index()]),
-        Operand::Const(c) => print_constant(c),
+        Operand::Value(v) => write!(out, "%{}", names[v.index()]),
+        Operand::Const(c) => write_constant(out, c),
     }
 }
 
-/// Print an operand with its type prefix (`i32 %x`).
-fn typed_op(f: &Function, op: &Operand, names: &[String]) -> String {
-    format!("{} {}", f.operand_type(op), op_str(f, op, names))
+/// Write operands with their type prefixes (`i32 %x, float 1.0`).
+fn write_typed<'o, W: Write>(
+    out: &mut W,
+    f: &Function,
+    ops: impl IntoIterator<Item = &'o Operand>,
+    names: &[Cow<str>],
+) -> fmt::Result {
+    write_list(out, ops, |out, op| {
+        write!(out, "{} ", f.operand_type(op))?;
+        write_operand(out, op, names)
+    })
 }
 
-fn bb(f: &Function, b: BlockId) -> String {
-    format!("%{}", f.block(b).name)
-}
-
-fn print_inst_named(f: &Function, iid: crate::inst::InstId, names: &[String]) -> String {
+fn write_inst<W: Write>(out: &mut W, f: &Function, iid: InstId, names: &[Cow<str>]) -> fmt::Result {
     let inst = f.inst(iid);
-    let lhs_prefix = match inst.result {
-        Some(v) => format!("%{} = ", names[v.index()]),
-        None => String::new(),
+    if let Some(v) = inst.result {
+        write!(out, "%{} = ", names[v.index()])?;
+    }
+    // `<op> <type> <lhs>, <rhs>`: binary ops and compares.
+    let pair = |out: &mut W, head: &str, op: &str, lhs: &Operand, rhs: &Operand| -> fmt::Result {
+        write!(out, "{head}{op} {} ", f.operand_type(lhs))?;
+        write_operand(out, lhs, names)?;
+        out.write_str(", ")?;
+        write_operand(out, rhs, names)
     };
-    let body = match &inst.kind {
-        InstKind::Bin { op, lhs, rhs } => format!(
-            "{} {} {}, {}",
-            op.mnemonic(),
-            f.operand_type(lhs),
-            op_str(f, lhs, names),
-            op_str(f, rhs, names)
-        ),
-        InstKind::ICmp { pred, lhs, rhs } => format!(
-            "icmp {} {} {}, {}",
-            pred.mnemonic(),
-            f.operand_type(lhs),
-            op_str(f, lhs, names),
-            op_str(f, rhs, names)
-        ),
-        InstKind::FCmp { pred, lhs, rhs } => format!(
-            "fcmp {} {} {}, {}",
-            pred.mnemonic(),
-            f.operand_type(lhs),
-            op_str(f, lhs, names),
-            op_str(f, rhs, names)
-        ),
+    match &inst.kind {
+        InstKind::Bin { op, lhs, rhs } => pair(out, "", op.mnemonic(), lhs, rhs),
+        InstKind::ICmp { pred, lhs, rhs } => pair(out, "icmp ", pred.mnemonic(), lhs, rhs),
+        InstKind::FCmp { pred, lhs, rhs } => pair(out, "fcmp ", pred.mnemonic(), lhs, rhs),
         InstKind::Select {
             cond,
             on_true,
             on_false,
-        } => format!(
-            "select {}, {}, {}",
-            typed_op(f, cond, names),
-            typed_op(f, on_true, names),
-            typed_op(f, on_false, names)
-        ),
-        InstKind::Cast { op, val } => format!(
-            "{} {} to {}",
-            op.mnemonic(),
-            typed_op(f, val, names),
-            inst.ty
-        ),
+        } => {
+            out.write_str("select ")?;
+            write_typed(out, f, [cond, on_true, on_false], names)
+        }
+        InstKind::Cast { op, val } => {
+            write!(out, "{} ", op.mnemonic())?;
+            write_typed(out, f, [val], names)?;
+            write!(out, " to {}", inst.ty)
+        }
         InstKind::Alloca { elem, count } => {
-            format!("alloca {}, {}", elem, typed_op(f, count, names))
+            write!(out, "alloca {elem}, ")?;
+            write_typed(out, f, [count], names)
         }
-        InstKind::Load { ptr } => format!("load {}, {}", inst.ty, typed_op(f, ptr, names)),
+        InstKind::Load { ptr } => {
+            write!(out, "load {}, ", inst.ty)?;
+            write_typed(out, f, [ptr], names)
+        }
         InstKind::Store { val, ptr } => {
-            format!(
-                "store {}, {}",
-                typed_op(f, val, names),
-                typed_op(f, ptr, names)
-            )
+            out.write_str("store ")?;
+            write_typed(out, f, [val, ptr], names)
         }
-        InstKind::Gep { elem, base, index } => format!(
-            "getelementptr {}, {}, {}",
-            elem,
-            typed_op(f, base, names),
-            typed_op(f, index, names)
-        ),
-        InstKind::ExtractElement { vec, idx } => format!(
-            "extractelement {}, {}",
-            typed_op(f, vec, names),
-            typed_op(f, idx, names)
-        ),
-        InstKind::InsertElement { vec, elt, idx } => format!(
-            "insertelement {}, {}, {}",
-            typed_op(f, vec, names),
-            typed_op(f, elt, names),
-            typed_op(f, idx, names)
-        ),
+        InstKind::Gep { elem, base, index } => {
+            write!(out, "getelementptr {elem}, ")?;
+            write_typed(out, f, [base, index], names)
+        }
+        InstKind::ExtractElement { vec, idx } => {
+            out.write_str("extractelement ")?;
+            write_typed(out, f, [vec, idx], names)
+        }
+        InstKind::InsertElement { vec, elt, idx } => {
+            out.write_str("insertelement ")?;
+            write_typed(out, f, [vec, elt, idx], names)
+        }
         InstKind::ShuffleVector { a, b, mask } => {
-            let mask_elems = mask
-                .iter()
-                .map(|&m| {
-                    if m < 0 {
-                        "i32 undef".to_string()
-                    } else {
-                        format!("i32 {m}")
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                "shufflevector {}, {}, <{} x i32> <{}>",
-                typed_op(f, a, names),
-                typed_op(f, b, names),
-                mask.len(),
-                mask_elems
-            )
+            out.write_str("shufflevector ")?;
+            write_typed(out, f, [a, b], names)?;
+            write!(out, ", <{} x i32> <", mask.len())?;
+            write_list(out, mask, |out, &m| {
+                if m < 0 {
+                    out.write_str("i32 undef")
+                } else {
+                    write!(out, "i32 {m}")
+                }
+            })?;
+            out.write_char('>')
         }
         InstKind::Phi { incomings } => {
-            let inc = incomings
-                .iter()
-                .map(|(blk, op)| format!("[ {}, {} ]", op_str(f, op, names), bb(f, *blk)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("phi {} {}", inst.ty, inc)
+            write!(out, "phi {} ", inst.ty)?;
+            write_list(out, incomings, |out, (blk, op)| {
+                out.write_str("[ ")?;
+                write_operand(out, op, names)?;
+                write!(out, ", %{} ]", f.block(*blk).name)
+            })
         }
         InstKind::Call { callee, args } => {
-            let a = args
-                .iter()
-                .map(|op| typed_op(f, op, names))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("call {} @{}({})", inst.ty, callee, a)
+            write!(out, "call {} @{}(", inst.ty, callee)?;
+            write_typed(out, f, args, names)?;
+            out.write_char(')')
         }
-    };
-    format!("{lhs_prefix}{body}")
+    }
 }
 
-fn print_term(f: &Function, t: &Terminator, names: &[String]) -> String {
+fn write_term<W: Write>(
+    out: &mut W,
+    f: &Function,
+    t: &Terminator,
+    names: &[Cow<str>],
+) -> fmt::Result {
     match t {
-        Terminator::Br(b) => format!("br label {}", bb(f, *b)),
+        Terminator::Br(b) => write!(out, "br label %{}", f.block(*b).name),
         Terminator::CondBr {
             cond,
             on_true,
             on_false,
-        } => format!(
-            "br {}, label {}, label {}",
-            typed_op(f, cond, names),
-            bb(f, *on_true),
-            bb(f, *on_false)
-        ),
-        Terminator::Ret(Some(op)) => format!("ret {}", typed_op(f, op, names)),
-        Terminator::Ret(None) => "ret void".to_string(),
-        Terminator::Unreachable => "unreachable".to_string(),
+        } => {
+            out.write_str("br ")?;
+            write_typed(out, f, [cond], names)?;
+            let (t, e) = (&f.block(*on_true).name, &f.block(*on_false).name);
+            write!(out, ", label %{t}, label %{e}")
+        }
+        Terminator::Ret(Some(op)) => {
+            out.write_str("ret ")?;
+            write_typed(out, f, [op], names)
+        }
+        Terminator::Ret(None) => out.write_str("ret void"),
+        Terminator::Unreachable => out.write_str("unreachable"),
     }
 }
 
@@ -302,6 +295,18 @@ mod tests {
     use super::*;
     use crate::builder::FuncBuilder;
     use crate::inst::{BinOp, ICmpPred};
+
+    fn print_constant(c: &Constant) -> String {
+        let mut s = String::new();
+        write_constant(&mut s, c).unwrap();
+        s
+    }
+
+    fn print_function(f: &Function) -> String {
+        let mut s = String::new();
+        write_function(&mut s, f).unwrap();
+        s
+    }
 
     #[test]
     fn prints_constants() {
@@ -392,6 +397,38 @@ mod tests {
         assert!(
             s.contains("insertelement <8 x float> %0, float %ext0, i32 0"),
             "{s}"
+        );
+    }
+}
+
+#[cfg(test)]
+mod decl_tests {
+    use super::*;
+    use crate::function::FuncDecl;
+
+    #[test]
+    fn prints_declarations_with_and_without_varargs() {
+        let mut m = Module::new("d");
+        for (name, params, vararg) in [
+            ("f", vec![Type::I32, Type::PTR], false),
+            ("g", vec![Type::I32], true),
+            ("h", vec![], true),
+            ("k", vec![], false),
+        ] {
+            m.declare(FuncDecl {
+                name: name.to_string(),
+                ret: Type::Void,
+                params,
+                vararg,
+            });
+        }
+        assert_eq!(
+            print_module(&m),
+            "; ModuleID = 'd'\n\
+             declare void @f(i32, ptr)\n\
+             declare void @g(i32, ...)\n\
+             declare void @h(...)\n\
+             declare void @k()\n\n"
         );
     }
 }
